@@ -214,8 +214,6 @@ def _build_parser() -> argparse.ArgumentParser:
                         help=f"wall-clock budget in seconds (default: ${BUDGET_ENV_VAR})")
     parser.add_argument("--seed", type=int, default=20240901,
                         help="seed for randomized audits")
-    parser.add_argument("--threads", type=int, default=os.cpu_count() or 1,
-                        help="worker cap; results are independent of it")
     sub = parser.add_subparsers(dest="verb", required=True)
 
     p = sub.add_parser("omega", help="exact ordering clique number")

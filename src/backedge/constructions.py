@@ -1,10 +1,14 @@
 """Composition operators and parametric tournament constructions.
 
-Covers the chain/cyclic compositions, the single-vertex lift, the
-copy-amplification construction that preserves the ordering clique number
-while forcing copies of the base into every vertex subset or its
-complement, the two-sided variant that raises the acyclic partition
-number, and the recursive family built from the directed triangle.
+``chain`` is the single composition primitive behind every front-to-back
+construction: ``arrow``, the amplifier, the two-sided variant and the 3-SAT
+reduction all lay out blocks with every arc pointing forward and then flip
+a chosen set of arcs.  Also covers the cyclic composition, the
+single-vertex lift, the copy-amplification construction that preserves the
+ordering clique number while forcing copies of the base into every vertex
+subset or its complement, the two-sided variant that raises the acyclic
+partition number, and the recursive family built from the directed
+triangle.
 
 Copy bookkeeping conventions (all deterministic):
   * label subsets are enumerated in colexicographic order;
@@ -16,10 +20,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
-from typing import Optional, Union
+from itertools import combinations, product
+from typing import Iterable, Iterator, Optional, Union
 
-from .core import Digraph, Tournament, _bits, check_ordering
+from .core import Digraph, Tournament, check_ordering
 from .solvers import omega
 
 DEFAULT_VERTEX_BUDGET = 100_000
@@ -137,15 +141,31 @@ def _as_digraph(x: Union[int, Digraph]) -> Digraph:
     return tt(x) if isinstance(x, int) else x
 
 
+def chain(
+    blocks: Iterable[Union[int, Digraph]], flipped: Iterable[tuple[int, int]] = ()
+) -> Digraph:
+    """Disjoint union of the blocks, laid out front to back, plus every arc
+    from an earlier block to a later one; then each pair ``(w, u)`` of
+    ``flipped``, with ``w`` in a later block than ``u``, is reversed to run
+    ``w -> u``.  ``flipped`` is consumed once, so it may be a generator.
+    The result is a Tournament when every block is one, else a Digraph."""
+    blocks = [_as_digraph(b) for b in blocks]
+    total = sum(b.n for b in blocks)
+    rows: list[int] = []
+    for b in blocks:
+        start = len(rows)
+        later = ((1 << (total - start - b.n)) - 1) << (start + b.n)
+        rows.extend((row << start) | later for row in b.rows)
+    for w, u in flipped:
+        rows[u] &= ~(1 << w)
+        rows[w] |= 1 << u
+    cls = Tournament if all(isinstance(b, Tournament) for b in blocks) else Digraph
+    return cls(total, tuple(rows))
+
+
 def arrow(d1: Union[int, Digraph], d2: Union[int, Digraph]) -> Digraph:
     """Disjoint union plus every arc from the first part to the second."""
-    d1, d2 = _as_digraph(d1), _as_digraph(d2)
-    n1, n2 = d1.n, d2.n
-    later = ((1 << n2) - 1) << n1
-    rows = [row | later for row in d1.rows]
-    rows += [row << n1 for row in d2.rows]
-    cls = Tournament if isinstance(d1, Tournament) and isinstance(d2, Tournament) else Digraph
-    return cls(n1 + n2, tuple(rows))
+    return chain([d1, d2])
 
 
 def delta(
@@ -176,6 +196,24 @@ def _colex_subsets(universe: int, size: int) -> tuple[tuple[int, ...], ...]:
     return tuple(
         sorted(combinations(range(universe), size), key=lambda s: tuple(reversed(s)))
     )
+
+
+def _label_flips(
+    layout: CopyLayout,
+    omega_ordering: tuple[int, ...],
+    pairs: Iterable[tuple[CopyInfo, CopyInfo]],
+) -> Iterator[tuple[int, int]]:
+    """For each (earlier, later) pair of copies, the pairs ``(w, u)`` joining
+    the two vertices that carry the same label, ``w`` in the later copy."""
+    vertex_of = [dict(zip(labels, omega_ordering)) for labels in layout.subsets]
+    for a, b in pairs:
+        for label in set(layout.subsets[a.family]).intersection(layout.subsets[b.family]):
+            yield b.start + vertex_of[b.family][label], a.start + vertex_of[a.family][label]
+
+
+def _copy_ordering(layout: CopyLayout, omega_ordering: tuple[int, ...]) -> tuple[int, ...]:
+    """Each copy in turn, ordered by the base's minimum ordering."""
+    return tuple(c.start + v for c in layout.copies for v in omega_ordering)
 
 
 def amplifier_sizing(
@@ -249,48 +287,25 @@ def amplifier(
     universe = sizing.parameter("label_universe")
     m = sizing.parameter("m")
     ncopies = n * m
-    total = sizing.total_vertices
 
     pos = {v: i for i, v in enumerate(omega_ordering)}
     subsets = _colex_subsets(universe, n)
     copies = []
-    psi_all = []
     for c in range(ncopies):
         family = c % m
-        labels = subsets[family]
-        psi = tuple(labels[pos[v]] for v in range(n))
-        psi_all.append(psi)
+        psi = tuple(subsets[family][pos[v]] for v in range(n))
         copies.append(CopyInfo("copy", c // m, family, c * n, n, psi))
     layout = CopyLayout(n, universe, subsets, tuple(copies))
-
-    rows = [0] * total
-    for c in range(ncopies):
-        start = c * n
-        later = ((1 << (total - start - n)) - 1) << (start + n)
-        for u in range(n):
-            row = later
-            for v in _bits(t.rows[u]):
-                row |= 1 << (start + v)
-            rows[start + u] = row
     # flip matching-label arcs between copies of distinct blocks when the base
     # arc runs from the later block's vertex to the earlier block's vertex
-    label_pos = [{lab: i for i, lab in enumerate(p)} for p in psi_all]
-    for ci in range(ncopies):
-        bi = ci // m
-        for cj in range(ci + 1, ncopies):
-            bj = cj // m
-            if bi == bj or not t.has_arc(omega_ordering[bj], omega_ordering[bi]):
-                continue
-            for label in set(psi_all[ci]) & set(psi_all[cj]):
-                u = ci * n + label_pos[ci][label]
-                w = cj * n + label_pos[cj][label]
-                rows[u] &= ~(1 << w)
-                rows[w] |= 1 << u
-    built = Tournament(total, tuple(rows))
-    ordering = tuple(
-        c * n + omega_ordering[i] for c in range(ncopies) for i in range(n)
+    pairs = (
+        (a, b)
+        for a, b in combinations(copies, 2)
+        if a.block != b.block
+        and t.has_arc(omega_ordering[b.block], omega_ordering[a.block])
     )
-    return BuiltTournament(built, ordering, layout)
+    built = chain([t] * ncopies, _label_flips(layout, omega_ordering, pairs))
+    return BuiltTournament(built, _copy_ordering(layout, omega_ordering), layout)
 
 
 def pi(
@@ -317,7 +332,6 @@ def pi(
     universe = sizing.parameter("label_universe")
     m = sizing.parameter("m")
     ncopies = 2 * m + 1
-    total = sizing.total_vertices
     pos = {v: i for i, v in enumerate(omega_ordering)}
     subsets = _colex_subsets(universe, n)
     psi_family = [tuple(subsets[j][pos[v]] for v in range(n)) for j in range(m)]
@@ -330,28 +344,9 @@ def pi(
         copies.append(CopyInfo("C", 2, j, (m + 1 + j) * n, n, psi_family[j]))
     layout = CopyLayout(n, universe, subsets, tuple(copies))
 
-    rows = [0] * total
-    for c in range(ncopies):
-        start = c * n
-        later = ((1 << (total - start - n)) - 1) << (start + n)
-        for u in range(n):
-            row = later
-            for v in _bits(t.rows[u]):
-                row |= 1 << (start + v)
-            rows[start + u] = row
-    label_pos = [{lab: i for i, lab in enumerate(p)} for p in psi_family]
-    for i in range(m):
-        for j in range(m):
-            for label in set(psi_family[i]) & set(psi_family[j]):
-                u = i * n + label_pos[i][label]
-                v = (m + 1 + j) * n + label_pos[j][label]
-                rows[u] &= ~(1 << v)
-                rows[v] |= 1 << u
-    built = Tournament(total, tuple(rows))
-    ordering = tuple(
-        c * n + omega_ordering[i] for c in range(ncopies) for i in range(n)
-    )
-    return BuiltTournament(built, ordering, layout)
+    front, back = copies[:m], copies[m + 1:]
+    built = chain([t] * ncopies, _label_flips(layout, omega_ordering, product(front, back)))
+    return BuiltTournament(built, _copy_ordering(layout, omega_ordering), layout)
 
 
 def d_family(

@@ -75,19 +75,10 @@ class Digraph:
     def has_arc(self, u: int, v: int) -> bool:
         return bool(self.rows[u] >> v & 1)
 
-    def out_mask(self, u: int) -> int:
-        return self.rows[u]
-
-    def in_mask(self, v: int) -> int:
-        return self.cols[v]
-
     def arcs(self) -> Iterator[tuple[int, int]]:
         for u in range(self.n):
             for v in _bits(self.rows[u]):
                 yield u, v
-
-    def matrix(self) -> list[list[int]]:
-        return [[self.rows[u] >> v & 1 for v in range(self.n)] for u in range(self.n)]
 
 
 @dataclass(frozen=True)
@@ -142,9 +133,6 @@ class UndirectedGraph:
     def edge_count(self) -> int:
         return sum(row.bit_count() for row in self.adj) // 2
 
-    def degree(self, u: int) -> int:
-        return self.adj[u].bit_count()
-
 
 def check_ordering(ordering: Sequence[int], n: int) -> tuple[int, ...]:
     """Validate that ``ordering`` is a permutation of 0..n-1 and return it as a tuple."""
@@ -154,21 +142,29 @@ def check_ordering(ordering: Sequence[int], n: int) -> tuple[int, ...]:
     return ordering
 
 
+def _backedge_masks(rows: Sequence[int], ordering: Sequence[int]) -> list[int]:
+    """Adjacency masks of the backedge graph, for an ordering already known to
+    be a permutation: edge {u, v} with u before v iff ``rows[v]`` has bit u."""
+    adj = [0] * len(ordering)
+    placed = 0
+    for v in ordering:
+        back = rows[v] & placed  # arcs from v into already-placed vertices
+        adj[v] = back
+        while back:
+            low = back & -back
+            adj[low.bit_length() - 1] |= 1 << v
+            back ^= low
+        placed |= 1 << v
+    return adj
+
+
 def backedge_graph(d: Digraph, ordering: Sequence[int]) -> UndirectedGraph:
     """Undirected graph whose edges are the arcs of ``d`` pointing leftward in ``ordering``.
 
     Edge {u, v} with u before v is present iff the arc v -> u exists.
     """
     ordering = check_ordering(ordering, d.n)
-    adj = [0] * d.n
-    placed = 0
-    for v in ordering:
-        back = d.rows[v] & placed  # arcs from v into already-placed vertices
-        adj[v] |= back
-        for u in _bits(back):
-            adj[u] |= 1 << v
-        placed |= 1 << v
-    return UndirectedGraph(d.n, tuple(adj))
+    return UndirectedGraph(d.n, tuple(_backedge_masks(d.rows, ordering)))
 
 
 def has_clique_in_mask(adj: Sequence[int], mask: int, k: int) -> Optional[tuple[int, ...]]:

@@ -268,34 +268,38 @@ def verify_clause_base(*, deadline: Optional[Deadline] = None) -> GadgetVerifica
     return report
 
 
-def _assemble(
-    base: MarkedGadget,
-    w: Tournament,
-    w_ordering: Optional[tuple[int, ...]],
-    *,
-    verify_limit: int,
-) -> MarkedGadget:
+def check_companion(
+    w: Tournament, w_ordering: Optional[tuple[int, ...]], *, verify_limit: int
+) -> tuple[tuple[int, ...], bool]:
+    """The companion's ordering (a minimum witness unless supplied) and
+    whether its value was checked exactly.  A companion of at most
+    ``verify_limit`` vertices must have ordering clique number 3, and a
+    supplied ordering must achieve it; larger companions are trusted."""
     supplied = w_ordering is not None
     if supplied:
         w_ordering = check_ordering(w_ordering, w.n)
-        w_value = None
-    else:
-        w_result = omega(w)
-        w_ordering = w_result.witness
-        w_value = w_result.value
-    if w.n <= verify_limit:
-        if w_value is None:
-            w_value = omega(w).value
-        if w_value != 3:
-            raise ValueError(
-                f"companion tournament has ordering clique number {w_value}, need 3"
-            )
-        if supplied:
-            achieved = clique_number(backedge_graph(w, w_ordering))
-            if achieved != w_value:
-                raise ValueError(
-                    f"supplied companion ordering achieves {achieved}, need {w_value}"
-                )
+        if w.n > verify_limit:
+            return w_ordering, False
+    result = omega(w)
+    if not supplied:
+        w_ordering = result.witness
+    if w.n > verify_limit:
+        return w_ordering, False
+    if result.value != 3:
+        raise ValueError(
+            f"companion tournament has ordering clique number {result.value}, need 3"
+        )
+    if supplied:
+        achieved = clique_number(backedge_graph(w, w_ordering))
+        if achieved != 3:
+            raise ValueError(f"supplied companion ordering achieves {achieved}, need 3")
+    return w_ordering, True
+
+
+def _assemble(
+    base: MarkedGadget, w: Tournament, w_ordering: tuple[int, ...]
+) -> MarkedGadget:
+    """Lift ``base`` over the checked companion and re-index its marks."""
     lifted = lift(base.tournament, w)
     inner_off = lifted.inner_span[0]
     outer_off = lifted.outer_span[0]
@@ -323,7 +327,8 @@ def assemble_var_gadget(
     base, the base beats ``w``, ``w`` beats the fresh vertex.  Marked arcs are
     re-indexed and every certified ordering is extended by ``w``'s ordering
     and the fresh vertex, keeping its recorded arc directions."""
-    return _assemble(var_base(), w, w_ordering, verify_limit=verify_limit)
+    w_ordering, _ = check_companion(w, w_ordering, verify_limit=verify_limit)
+    return _assemble(var_base(), w, w_ordering)
 
 
 def assemble_clause_gadget(
@@ -332,4 +337,5 @@ def assemble_clause_gadget(
     *,
     verify_limit: int = 10,
 ) -> MarkedGadget:
-    return _assemble(clause_base(), w, w_ordering, verify_limit=verify_limit)
+    w_ordering, _ = check_companion(w, w_ordering, verify_limit=verify_limit)
+    return _assemble(clause_base(), w, w_ordering)

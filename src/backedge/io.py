@@ -65,8 +65,10 @@ def tournament_from_json_dict(data: dict) -> Tournament:
             raise ValueError(f"row {i}: expected {n} entries, got {len(cells)}")
         bits = 0
         for j, cell in enumerate(cells):
-            if int(cell):
+            if str(cell) == "1":
                 bits |= 1 << j
+            elif str(cell) != "0":
+                raise ValueError(f"row {i}, column {j + 1}: cell must be 0 or 1, got {cell!r}")
         rows.append(bits)
     return Tournament(n, tuple(rows))
 

@@ -12,12 +12,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from typing import Iterator, Optional, Sequence, Union
 
-from .constructions import DEFAULT_VERTEX_BUDGET, MaterializationRefused, SizingReport
+from .constructions import DEFAULT_VERTEX_BUDGET, MaterializationRefused, SizingReport, chain
 from .core import Tournament, backedge_graph, check_ordering, clique_number, triangle_in_graph
-from .gadgets import assemble_clause_gadget, assemble_var_gadget
-from .solvers import omega
+from .gadgets import _assemble, check_companion, clause_base, var_base
 
 Literal = tuple[int, bool]  # (0-based variable index, polarity)
 
@@ -112,6 +111,22 @@ class GadgetDescriptor:
     genuine: bool  # carries the subset-hitting property (never materialized)
 
 
+def _bundle(
+    formula: CnfFormula,
+    var_blocks: Sequence[VarBlock],
+    clause_blocks: Sequence[ClauseBlock],
+) -> Iterator[tuple[int, int]]:
+    """For every literal occurrence, the four arcs between its clause-block
+    landmark pair and its variable block's marked pair, as (clause-block
+    vertex, variable-block vertex)."""
+    for j, clause in enumerate(formula.clauses):
+        for k, (var, polarity) in enumerate(clause):
+            block = var_blocks[var]
+            a, b = block.f_plus if polarity else block.f_minus
+            c, d = clause_blocks[j].landmarks[k]
+            yield from ((c, a), (c, b), (d, a), (d, b))
+
+
 @dataclass(frozen=True)
 class ReductionInstance:
     tournament: Tournament
@@ -124,14 +139,7 @@ class ReductionInstance:
 
     def bundle_arcs(self) -> set[tuple[int, int]]:
         """The flipped arcs, as (clause-block vertex, variable-block vertex)."""
-        arcs = set()
-        for j, clause in enumerate(self.formula.clauses):
-            for k, (var, polarity) in enumerate(clause):
-                block = self.var_blocks[var]
-                a, b = block.f_plus if polarity else block.f_minus
-                c, d = self.clause_blocks[j].landmarks[k]
-                arcs.update({(c, a), (c, b), (d, a), (d, b)})
-        return arcs
+        return set(_bundle(self.formula, self.var_blocks, self.clause_blocks))
 
     def to_dict(self) -> dict:
         return {
@@ -254,41 +262,18 @@ def build(
     report = sizing(formula, w.n, vertex_budget=vertex_budget)
     if not report.materializable:
         raise MaterializationRefused(report)
-    if w_ordering is None:
-        w_ordering = omega(w).witness
-    else:
-        w_ordering = check_ordering(w_ordering, w.n)
-    if w.n <= verify_limit:
-        value = omega(w).value
-        if value != 3:
-            raise ValueError(
-                f"companion tournament has ordering clique number {value}, need 3"
-            )
-        omega_checked = True
-    else:
-        omega_checked = False
-
-    var_gadget = assemble_var_gadget(w, w_ordering, verify_limit=verify_limit)
-    clause_gadget = assemble_clause_gadget(w, w_ordering, verify_limit=verify_limit)
+    w_ordering, omega_checked = check_companion(w, w_ordering, verify_limit=verify_limit)
+    var_gadget = _assemble(var_base(), w, w_ordering)
+    clause_gadget = _assemble(clause_base(), w, w_ordering)
     n_vars, n_clauses = formula.variable_count, len(formula.clauses)
     size_a = var_gadget.tournament.n  # 10 + w.n
     size_b = clause_gadget.tournament.n  # 9 + w.n
     sep_start = n_vars * size_a
     clause_start = sep_start + w.n
-    total = clause_start + n_clauses * size_b
-    assert total == report.total_vertices
-
-    rows = [0] * total
-
-    def paste(t: Tournament, offset: int) -> None:
-        later = ((1 << (total - offset - t.n)) - 1) << (offset + t.n)
-        for u in range(t.n):
-            rows[offset + u] = (t.rows[u] << offset) | later
 
     var_blocks = []
     for i in range(n_vars):
         offset = i * size_a
-        paste(var_gadget.tournament, offset)
         fp = var_gadget.arc("uv")
         fm = var_gadget.arc("wx")
         var_blocks.append(
@@ -300,13 +285,11 @@ def build(
                 tuple(v + offset for v in var_gadget.certified("wx-forward").ordering),
             )
         )
-    paste(w, sep_start)
     separator_ordering = tuple(v + sep_start for v in w_ordering)
     clause_blocks = []
     backward_names = ("uv-backward", "wx-backward", "yz-backward")
     for j in range(n_clauses):
         offset = clause_start + j * size_b
-        paste(clause_gadget.tournament, offset)
         landmarks = tuple(
             (a + offset, b + offset)
             for a, b in (
@@ -321,18 +304,13 @@ def build(
         )
         clause_blocks.append(ClauseBlock((offset, offset + size_b), landmarks, orderings))
 
-    bundle = set()
-    for j, clause in enumerate(formula.clauses):
-        for k, (var, polarity) in enumerate(clause):
-            block = var_blocks[var]
-            a, b = block.f_plus if polarity else block.f_minus
-            c, d = clause_blocks[j].landmarks[k]
-            bundle.update({(c, a), (c, b), (d, a), (d, b)})
-    for c, a in bundle:
-        rows[a] &= ~(1 << c)
-        rows[c] |= 1 << a
+    tournament = chain(
+        [var_gadget.tournament] * n_vars + [w] + [clause_gadget.tournament] * n_clauses,
+        _bundle(formula, var_blocks, clause_blocks),
+    )
+    assert tournament.n == report.total_vertices
     return ReductionInstance(
-        Tournament(total, tuple(rows)),
+        tournament,
         formula,
         tuple(var_blocks),
         (sep_start, sep_start + w.n),

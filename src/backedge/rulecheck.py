@@ -178,13 +178,12 @@ def _rule4_violation(
     return None
 
 
-def check_cell(
-    t: Tournament,
-    ordering: Sequence[int],
-    x: int,
-    *,
-    _omega_value: Optional[int] = None,
-) -> CellResult:
+def _require_minimum(t: Tournament, ordering: Sequence[int], value: int) -> None:
+    if clique_number(backedge_graph(t, ordering)) != value:
+        raise ValueError("ordering does not achieve the minimum clique number")
+
+
+def check_cell(t: Tournament, ordering: Sequence[int], x: int) -> CellResult:
     """Evaluate the four rules for one (minimum ordering, pivot) cell.
 
     Returns the first violated rule with a deterministic witness and records
@@ -192,13 +191,21 @@ def check_cell(
     ordering = check_ordering(ordering, t.n)
     if not 0 <= x < t.n:
         raise ValueError(f"pivot {x} out of range")
-    value = omega(t).value if _omega_value is None else _omega_value
-    if clique_number(backedge_graph(t, ordering)) != value:
-        raise ValueError("ordering does not achieve the minimum clique number")
+    _require_minimum(t, ordering, omega(t).value)
+    return _evaluate_cell(t, ordering, _positions(ordering), x)
 
-    pos = [0] * t.n
+
+def _positions(ordering: tuple[int, ...]) -> list[int]:
+    pos = [0] * len(ordering)
     for i, v in enumerate(ordering):
         pos[v] = i
+    return pos
+
+
+def _evaluate_cell(
+    t: Tournament, ordering: tuple[int, ...], pos: list[int], x: int
+) -> CellResult:
+    """The rules at pivot ``x`` of a validated minimum ordering."""
     px = pos[x]
     left = sorted((v for v in range(t.n) if pos[v] < px))
     right = sorted((v for v in range(t.n) if pos[v] >= px))
@@ -307,8 +314,10 @@ def check_rules(
     cells = []
     excluded = True
     for ordering in enumerate_omega_orderings(t, first_vertex, deadline=deadline):
+        _require_minimum(t, ordering, value)
+        pos = _positions(ordering)
         for x in range(t.n):
-            cell = check_cell(t, ordering, x, _omega_value=value)
+            cell = _evaluate_cell(t, ordering, pos, x)
             cells.append(cell)
             if cell.all_rules_hold:
                 excluded = False

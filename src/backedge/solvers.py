@@ -19,6 +19,7 @@ from .core import (
     BudgetExhausted,
     Digraph,
     Tournament,
+    _backedge_masks,
     _bits,
     directed_triangle,
     has_clique_in_mask,
@@ -240,21 +241,6 @@ def enumerate_omega_orderings(
     yield from iter_orderings_with_clique_at_most(
         t, value, first_vertex=first_vertex, deadline=deadline, stats=stats
     )
-
-
-def _backedge_masks(rows: tuple[int, ...], perm: tuple[int, ...]) -> list[int]:
-    adj = [0] * len(perm)
-    placed = 0
-    for v in perm:
-        back = rows[v] & placed
-        adj[v] = back
-        m = back
-        while m:
-            lb = m & -m
-            adj[lb.bit_length() - 1] |= 1 << v
-            m ^= lb
-        placed |= 1 << v
-    return adj
 
 
 def omega_by_enumeration(t: Digraph, *, deadline: Optional[Deadline] = None) -> int:

@@ -11,6 +11,7 @@ from backedge.constructions import (
     amplifier_sizing,
     arrow,
     c3,
+    chain,
     cross_copy_backward_arcs,
     d_family,
     delta,
@@ -20,6 +21,7 @@ from backedge.constructions import (
     tt,
 )
 from backedge.core import (
+    Digraph,
     Tournament,
     backedge_graph,
     clique_number,
@@ -45,6 +47,22 @@ def test_arrow():
     assert combined.n == 6
     assert combined.has_arc(0, 4)
     assert omega(combined).value == 2
+    assert combined == chain([c3(), c3()])
+    assert type(combined) is Tournament
+    # one non-tournament block makes the whole chain a Digraph
+    sparse = Digraph(2, (0, 0))
+    assert arrow(c3(), sparse) == chain([c3(), sparse])
+    mixed = chain([c3(), sparse, tt(2)])
+    assert type(mixed) is Digraph and mixed.n == 7
+
+
+def test_chain_flips_exactly_the_listed_pairs():
+    base = chain([c3(), c3(), 2])
+    flips = {(4, 0), (7, 2), (6, 5)}
+    flipped = chain([c3(), c3(), 2], iter(flips))
+    assert type(flipped) is Tournament
+    for u, v in base.arcs():
+        assert flipped.has_arc(v, u) == ((v, u) in flips)
 
 
 def test_delta_numeric_shorthand():

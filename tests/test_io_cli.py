@@ -58,6 +58,19 @@ def test_trn_errors():
         tournament_from_text("tournament 3\n010\n001\n")
 
 
+def test_json_mirror_rejects_non_binary_cells(capsys, tmp_path):
+    # integer and character cells 0/1 are both accepted
+    mixed = tournament_from_json_dict({"n": 2, "rows": [[0, 1], "00"]})
+    assert mixed == tournament_from_json_dict({"n": 2, "rows": ["01", "00"]})
+    for rows in (["07", "00"], [[0, 7], [0, 0]], [[0, True], [0, 0]], [[0, 1.0], [0, 0]]):
+        with pytest.raises(ValueError, match="cell must be 0 or 1"):
+            tournament_from_json_dict({"n": 2, "rows": rows})
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"n": 2, "rows": ["07", "00"]}))
+    code, envelope = _run(capsys, "omega", str(bad))
+    assert code == 2 and "error" in envelope["result"]
+
+
 def test_parse_helpers(tmp_path):
     assert parse_ordering("2,0,1") == (2, 0, 1)
     assert parse_ordering("[2, 0, 1]") == (2, 0, 1)

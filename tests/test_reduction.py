@@ -82,6 +82,21 @@ def test_build_vertex_count_and_bundles(instance, surrogate):
     assert instance.gadget.omega_checked and not instance.gadget.genuine
 
 
+def test_build_searches_companion_once(surrogate, monkeypatch):
+    import backedge.gadgets
+
+    calls = []
+
+    def counting_omega(t, *args, **kwargs):
+        if t == surrogate:
+            calls.append(t)
+        return omega(t, *args, **kwargs)
+
+    monkeypatch.setattr(backedge.gadgets, "omega", counting_omega)
+    build(parse_dimacs(PHI), surrogate)
+    assert len(calls) == 1
+
+
 def test_build_structural_audit(instance):
     t = instance.tournament
     bundles = instance.bundle_arcs()

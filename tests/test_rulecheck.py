@@ -11,7 +11,7 @@ from backedge.rulecheck import (
     excluded_from_family,
     validate_rule_witness,
 )
-from backedge.solvers import enumerate_omega_orderings, omega
+from backedge.solvers import enumerate_omega_orderings
 
 from r5_rule_table import R5_RULE_TABLE
 
@@ -227,10 +227,9 @@ def _naive_violated_rules(t, ordering, x):
 
 def test_check_cell_matches_naive_oracle(circulant5):
     for t in (circulant5, c3()):
-        value = omega(t).value
         for ordering in enumerate_omega_orderings(t):
             for x in range(t.n):
-                cell = check_cell(t, ordering, x, _omega_value=value)
+                cell = check_cell(t, ordering, x)
                 assert set(cell.violated_rules) == _naive_violated_rules(
                     t, ordering, x
                 ), (ordering, x)
@@ -247,10 +246,9 @@ def test_check_cell_matches_naive_oracle_random_strong():
         if not is_strong(t):
             continue
         checked += 1
-        value = omega(t).value
         for ordering in enumerate_omega_orderings(t):
             for x in range(t.n):
-                cell = check_cell(t, ordering, x, _omega_value=value)
+                cell = check_cell(t, ordering, x)
                 assert set(cell.violated_rules) == _naive_violated_rules(
                     t, ordering, x
                 )
