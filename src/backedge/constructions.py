@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from itertools import combinations, product
 from typing import Iterable, Iterator, Optional, Union
 
-from .core import Digraph, Tournament, check_ordering
+from .core import Digraph, Tournament, check_minimum_ordering
 from .solvers import omega
 
 DEFAULT_VERTEX_BUDGET = 100_000
@@ -269,11 +269,7 @@ def amplifier(
     if omega_ordering is None:
         omega_ordering = result.witness
     else:
-        omega_ordering = check_ordering(omega_ordering, t.n)
-        from .core import backedge_graph, clique_number
-
-        if clique_number(backedge_graph(t, omega_ordering)) != result.value:
-            raise ValueError("supplied ordering does not achieve the minimum")
+        omega_ordering = check_minimum_ordering(t, omega_ordering, result.value)
 
     if result.value == 1:
         doubled = arrow(t, t)
@@ -317,7 +313,7 @@ def pi(
     """Two-sided copy construction: m front copies, a middle copy, m back
     copies, chained front-to-back; the arc between a front and a back vertex
     is flipped exactly when their labels agree.  Front copy j and back copy j
-    share the same label map."""
+    share the same label map.  A supplied ordering must achieve the minimum."""
     if t.n == 0:
         raise ValueError("base tournament must be nonempty")
     n = t.n
@@ -327,7 +323,7 @@ def pi(
     if omega_ordering is None:
         omega_ordering = omega(t).witness
     else:
-        omega_ordering = check_ordering(omega_ordering, n)
+        omega_ordering = check_minimum_ordering(t, omega_ordering, omega(t).value)
 
     universe = sizing.parameter("label_universe")
     m = sizing.parameter("m")

@@ -215,6 +215,15 @@ def clique_number(g: UndirectedGraph) -> int:
     return best
 
 
+def check_minimum_ordering(d: Digraph, ordering: Sequence[int], value: int) -> tuple[int, ...]:
+    """Validate that ``ordering`` is a permutation whose backedge graph has
+    clique number ``value``, the known minimum, and return it as a tuple."""
+    ordering = check_ordering(ordering, d.n)
+    if clique_number(backedge_graph(d, ordering)) != value:
+        raise ValueError("ordering does not achieve the minimum clique number")
+    return ordering
+
+
 def triangle_in_graph(g: UndirectedGraph) -> Optional[tuple[int, int, int]]:
     """First triangle of ``g`` in lexicographic order, or None."""
     adj = g.adj
@@ -227,21 +236,31 @@ def triangle_in_graph(g: UndirectedGraph) -> Optional[tuple[int, int, int]]:
     return None
 
 
+def _reach(adj: Sequence[int], seed: int, within: int) -> int:
+    """Vertices of the bitmask ``within`` reachable from the bitmask ``seed``
+    along the adjacency masks ``adj``, without leaving ``within``."""
+    reached = frontier = seed & within
+    while frontier:
+        nxt = 0
+        for u in _bits(frontier):
+            nxt |= adj[u]
+        frontier = nxt & within & ~reached
+        reached |= frontier
+    return reached
+
+
+def components(adj: Sequence[int], mask: int) -> Iterator[int]:
+    """Connected components of the undirected graph ``adj`` induced on the
+    bitmask ``mask``, as vertex bitmasks ordered by their smallest vertex."""
+    while mask:
+        comp = _reach(adj, mask & -mask, mask)
+        yield comp
+        mask &= ~comp
+
+
 def is_forest(g: UndirectedGraph) -> bool:
-    parent = list(range(g.n))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for u, v in g.edges():
-        ru, rv = find(u), find(v)
-        if ru == rv:
-            return False
-        parent[ru] = rv
-    return True
+    """True iff ``g`` has no cycle: its components number n minus its edges."""
+    return sum(1 for _ in components(g.adj, (1 << g.n) - 1)) == g.n - g.edge_count()
 
 
 def directed_triangle(d: Digraph, within: Optional[int] = None) -> Optional[tuple[int, int, int]]:
@@ -282,18 +301,8 @@ def is_strong(t: Tournament) -> bool:
     """True iff the tournament is strongly connected."""
     if t.n == 0:
         raise ValueError("strong connectivity of the empty tournament is undefined")
-    for rows in (t.rows, t.cols):
-        reached = 1
-        frontier = 1
-        while frontier:
-            nxt = 0
-            for u in _bits(frontier):
-                nxt |= rows[u]
-            frontier = nxt & ~reached
-            reached |= frontier
-        if reached != (1 << t.n) - 1:
-            return False
-    return True
+    full = (1 << t.n) - 1
+    return _reach(t.rows, 1, full) == full and _reach(t.cols, 1, full) == full
 
 
 def reverse(d: Digraph) -> Digraph:

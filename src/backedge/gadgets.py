@@ -111,9 +111,6 @@ class MarkedGadget:
                 return cert
         raise KeyError(name)
 
-    def arc_names(self) -> tuple[str, ...]:
-        return tuple(name for name, _ in self.marked_arcs)
-
 
 @dataclass(frozen=True)
 class GadgetVerification:

@@ -54,7 +54,9 @@ def tournament_to_json_dict(t: Tournament) -> dict:
 
 
 def tournament_from_json_dict(data: dict) -> Tournament:
-    n = int(data["n"])
+    n = data["n"]
+    if type(n) is not int:
+        raise ValueError(f"n must be an integer, got {n!r}")
     raw_rows = data["rows"]
     if len(raw_rows) != n:
         raise ValueError(f"expected {n} rows, got {len(raw_rows)}")

@@ -23,12 +23,14 @@ from typing import Optional, Sequence
 
 from .core import (
     Tournament,
-    backedge_graph,
+    _backedge_masks,
+    _bits,
+    check_minimum_ordering,
     check_ordering,
-    clique_number,
+    components,
     is_strong,
 )
-from .solvers import Deadline, enumerate_omega_orderings, omega
+from .solvers import Deadline, iter_orderings_with_clique_at_most, omega
 
 
 @dataclass(frozen=True)
@@ -80,107 +82,53 @@ class RuleReport:
         }
 
 
-def _components(t: Tournament, side: list[int], pos: list[int]) -> list[list[int]]:
-    """Connected components of the backedge graph restricted to ``side``
-    (a list of vertices), via union-find; each component sorted by vertex."""
-    parent = {v: v for v in side}
-
-    def find(a: int) -> int:
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    for i, u in enumerate(side):
-        for v in side[i + 1:]:
-            if pos[u] < pos[v]:
-                back = t.has_arc(v, u)
-            else:
-                back = t.has_arc(u, v)
-            if back:
-                ra, rb = find(u), find(v)
-                if ra != rb:
-                    parent[ra] = rb
-    groups: dict[int, list[int]] = {}
-    for v in side:
-        groups.setdefault(find(v), []).append(v)
-    return [sorted(g) for g in groups.values()]
-
-
 def _rule2_violation(
-    t: Tournament, left: list[int], right: list[int]
+    cols: tuple[int, ...], left: int, right: int
 ) -> Optional[RuleWitness]:
-    for a in left:
-        for b in left:
-            if b == a:
-                continue
-            for c in right:
-                if not t.has_arc(c, a) or not t.has_arc(c, b):
+    """First a, b on the left with some c on the right beating both and some
+    d on the right beating a but not b; c and d are the smallest such."""
+    for a in _bits(left):
+        for b in _bits(left & ~(1 << a)):
+            cs = cols[a] & cols[b] & right
+            ds = cols[a] & ~cols[b] & right
+            if cs and ds:
+                c = (cs & -cs).bit_length() - 1
+                d = (ds & -ds).bit_length() - 1
+                return RuleWitness(2, (("a", a), ("b", b), ("c", c), ("d", d)))
+    return None
+
+
+def _span_violation(
+    rule: int,
+    arcs: tuple[int, ...],
+    outer: int,
+    inner: int,
+    ordering: tuple[int, ...],
+    pos: list[int],
+    adj: list[int],
+) -> Optional[RuleWitness]:
+    """Rules 3 and 4: some v of ``outer`` with ``arcs[v]`` holding u and w of
+    ``inner``, u before w, both inside the span of one component of the
+    backedge graph on ``inner``; a and b are that span's end vertices, taken
+    from the first such component by smallest vertex."""
+    spans = []
+    for comp in components(adj, inner):
+        at = [pos[y] for y in _bits(comp)]
+        spans.append((min(at), max(at)))
+    for v in _bits(outer):
+        hits = arcs[v] & inner
+        for u in _bits(hits):
+            for w in _bits(hits):
+                if pos[w] <= pos[u]:
                     continue
-                for d in right:
-                    if d != c and t.has_arc(d, a) and not t.has_arc(d, b):
+                for lo, hi in spans:
+                    if lo <= pos[u] and pos[w] <= hi:
                         return RuleWitness(
-                            2, (("a", a), ("b", b), ("c", c), ("d", d))
+                            rule,
+                            (("a", ordering[lo]), ("b", ordering[hi]),
+                             ("u", u), ("v", v), ("w", w)),
                         )
     return None
-
-
-def _path_endpoints(
-    components: list[list[int]], pos: list[int], u: int, w: int
-) -> Optional[tuple[int, int]]:
-    """Some same-component pair (a, b) with a at-or-before u and b at-or-after
-    w; endpoints picked at the extreme positions for determinism."""
-    for comp in components:
-        a = min(comp, key=lambda v: pos[v])
-        b = max(comp, key=lambda v: pos[v])
-        if pos[a] <= pos[u] and pos[b] >= pos[w]:
-            return a, b
-    return None
-
-
-def _rule3_violation(
-    t: Tournament, left: list[int], right: list[int], pos: list[int],
-    components_left: list[list[int]],
-) -> Optional[RuleWitness]:
-    for v in right:
-        for u in left:
-            if not t.has_arc(v, u):
-                continue
-            for w in left:
-                if pos[w] <= pos[u] or not t.has_arc(v, w):
-                    continue
-                ends = _path_endpoints(components_left, pos, u, w)
-                if ends is not None:
-                    a, b = ends
-                    return RuleWitness(
-                        3, (("a", a), ("b", b), ("u", u), ("v", v), ("w", w))
-                    )
-    return None
-
-
-def _rule4_violation(
-    t: Tournament, left: list[int], right: list[int], pos: list[int],
-    components_right: list[list[int]],
-) -> Optional[RuleWitness]:
-    for v in left:
-        for u in right:
-            if not t.has_arc(u, v):
-                continue
-            for w in right:
-                if pos[w] <= pos[u] or not t.has_arc(w, v):
-                    continue
-                ends = _path_endpoints(components_right, pos, u, w)
-                if ends is not None:
-                    a, b = ends
-                    return RuleWitness(
-                        4, (("a", a), ("b", b), ("u", u), ("v", v), ("w", w))
-                    )
-    return None
-
-
-def _require_minimum(t: Tournament, ordering: Sequence[int], value: int) -> None:
-    if clique_number(backedge_graph(t, ordering)) != value:
-        raise ValueError("ordering does not achieve the minimum clique number")
 
 
 def check_cell(t: Tournament, ordering: Sequence[int], x: int) -> CellResult:
@@ -191,8 +139,10 @@ def check_cell(t: Tournament, ordering: Sequence[int], x: int) -> CellResult:
     ordering = check_ordering(ordering, t.n)
     if not 0 <= x < t.n:
         raise ValueError(f"pivot {x} out of range")
-    _require_minimum(t, ordering, omega(t).value)
-    return _evaluate_cell(t, ordering, _positions(ordering), x)
+    check_minimum_ordering(t, ordering, omega(t).value)
+    return _evaluate_cell(
+        t, ordering, _positions(ordering), _backedge_masks(t.rows, ordering), x
+    )
 
 
 def _positions(ordering: tuple[int, ...]) -> list[int]:
@@ -203,31 +153,26 @@ def _positions(ordering: tuple[int, ...]) -> list[int]:
 
 
 def _evaluate_cell(
-    t: Tournament, ordering: tuple[int, ...], pos: list[int], x: int
+    t: Tournament, ordering: tuple[int, ...], pos: list[int], adj: list[int], x: int
 ) -> CellResult:
-    """The rules at pivot ``x`` of a validated minimum ordering."""
-    px = pos[x]
-    left = sorted((v for v in range(t.n) if pos[v] < px))
-    right = sorted((v for v in range(t.n) if pos[v] >= px))
-
-    violations: list[RuleWitness] = []
-    if not left:
-        violations.append(RuleWitness(1, ()))
-    witness2 = _rule2_violation(t, left, right)
-    if witness2 is not None:
-        violations.append(witness2)
-    comp_left = _components(t, left, pos)
-    witness3 = _rule3_violation(t, left, right, pos, comp_left)
-    if witness3 is not None:
-        violations.append(witness3)
-    comp_right = _components(t, right, pos)
-    witness4 = _rule4_violation(t, left, right, pos, comp_right)
-    if witness4 is not None:
-        violations.append(witness4)
-
-    first = min(violations, key=lambda wit: wit.rule) if violations else None
+    """The rules at pivot ``x`` of a validated minimum ordering whose
+    backedge masks are ``adj``."""
+    left = 0
+    for v in ordering[:pos[x]]:
+        left |= 1 << v
+    right = ((1 << t.n) - 1) & ~left
+    found = (
+        None if left else RuleWitness(1, ()),
+        _rule2_violation(t.cols, left, right),
+        _span_violation(3, t.rows, right, left, ordering, pos, adj),
+        _span_violation(4, t.cols, left, right, ordering, pos, adj),
+    )
+    violations = [wit for wit in found if wit is not None]
     return CellResult(
-        ordering, x, first, tuple(sorted(wit.rule for wit in violations))
+        ordering,
+        x,
+        violations[0] if violations else None,
+        tuple(wit.rule for wit in violations),
     )
 
 
@@ -313,11 +258,15 @@ def check_rules(
     value = omega(t, deadline=deadline).value
     cells = []
     excluded = True
-    for ordering in enumerate_omega_orderings(t, first_vertex, deadline=deadline):
-        _require_minimum(t, ordering, value)
+    orderings = iter_orderings_with_clique_at_most(
+        t, value, first_vertex=first_vertex, deadline=deadline
+    )
+    for ordering in orderings:
+        check_minimum_ordering(t, ordering, value)
         pos = _positions(ordering)
+        adj = _backedge_masks(t.rows, ordering)
         for x in range(t.n):
-            cell = _evaluate_cell(t, ordering, pos, x)
+            cell = _evaluate_cell(t, ordering, pos, adj, x)
             cells.append(cell)
             if cell.all_rules_hold:
                 excluded = False

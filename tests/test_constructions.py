@@ -29,6 +29,7 @@ from backedge.core import (
     directed_triangle,
     triangle_in_graph,
 )
+from backedge.gadgets import r5
 from backedge.solvers import omega
 
 
@@ -174,6 +175,15 @@ def test_amplifier_budget_refusal():
     with pytest.raises(MaterializationRefused) as exc:
         amplifier(c3(), vertex_budget=100)
     assert exc.value.report.total_vertices == 315
+
+
+def test_supplied_ordering_must_be_minimum():
+    t = r5()
+    ordering = (0, 1, 2, 4, 3)
+    assert clique_number(backedge_graph(t, ordering)) == 3 > omega(t).value
+    for construction in (amplifier, pi):
+        with pytest.raises(ValueError, match="minimum"):
+            construction(t, ordering)
 
 
 def test_pi_c3_wiring(d2):

@@ -125,6 +125,44 @@ def test_is_strong():
     assert is_strong(r5())
 
 
+def test_is_strong_matches_transitive_closure():
+    # every labeled 5-vertex tournament, against a Warshall closure oracle
+    n = 5
+    for index in range(labeled_count(n)):
+        t = labeled_tournament(n, index)
+        reach = [[t.has_arc(u, v) or u == v for v in range(n)] for u in range(n)]
+        for k in range(n):
+            for u in range(n):
+                if reach[u][k]:
+                    for v in range(n):
+                        reach[u][v] = reach[u][v] or reach[k][v]
+        assert is_strong(t) == all(all(row) for row in reach), index
+
+
+def test_is_forest_matches_union_find():
+    # identity-ordering backedge graphs of every labeled 5-vertex tournament
+    n = 5
+    forests = 0
+    for index in range(labeled_count(n)):
+        g = backedge_graph(labeled_tournament(n, index), tuple(range(n)))
+        root = list(range(n))
+
+        def find(x):
+            while root[x] != x:
+                x = root[x]
+            return x
+
+        acyclic = True
+        for u, v in g.edges():
+            ru, rv = find(u), find(v)
+            if ru == rv:
+                acyclic = False
+            root[ru] = rv
+        forests += acyclic
+        assert is_forest(g) == acyclic, index
+    assert 0 < forests < labeled_count(n)
+
+
 def test_reverse_and_induced():
     rc3 = reverse(c3())
     assert contains_subtournament(rc3, c3()) is not None

@@ -5,7 +5,7 @@ from importlib import resources
 import jsonschema
 import pytest
 
-from backedge.cli import ENVELOPE_SCHEMA, RESULT_SCHEMAS, run
+from backedge.cli import run
 from backedge.constructions import c3, pi
 from backedge.gadgets import clause_base, r5, var_base
 from backedge.io import (
@@ -17,6 +17,8 @@ from backedge.io import (
     tournament_from_text,
     tournament_to_json_dict,
 )
+
+from cli_schemas import ENVELOPE_SCHEMA, RESULT_SCHEMAS
 
 
 def test_trn_roundtrip(tmp_path):
@@ -67,6 +69,16 @@ def test_json_mirror_rejects_non_binary_cells(capsys, tmp_path):
             tournament_from_json_dict({"n": 2, "rows": rows})
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"n": 2, "rows": ["07", "00"]}))
+    code, envelope = _run(capsys, "omega", str(bad))
+    assert code == 2 and "error" in envelope["result"]
+
+
+def test_json_mirror_rejects_non_integer_n(capsys, tmp_path):
+    for n in (2.7, 2.0, "2", True, None):
+        with pytest.raises(ValueError, match="n must be an integer"):
+            tournament_from_json_dict({"n": n, "rows": ["01", "00"]})
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"n": True, "rows": ["0"]}))
     code, envelope = _run(capsys, "omega", str(bad))
     assert code == 2 and "error" in envelope["result"]
 

@@ -1,9 +1,10 @@
+import itertools
 import random
 
 import pytest
 
 from backedge.constructions import c3, tt
-from backedge.core import backedge_graph
+from backedge.core import backedge_graph, components, is_strong
 from backedge.generation import labeled_count, labeled_tournament
 from backedge.rulecheck import (
     check_cell,
@@ -132,26 +133,41 @@ def test_path_predicate_matches_plain_union_find(circulant5):
         return find(a) == find(b)
 
     t = circulant5
-    for ordering in enumerate_omega_orderings(t, 0):
+    for ordering in enumerate_omega_orderings(t):
         pos = {v: i for i, v in enumerate(ordering)}
+        g = backedge_graph(t, ordering)
         for x in range(5):
             left = sorted(v for v in range(5) if pos[v] < pos[x])
-            g = backedge_graph(t, ordering)
-            for a in left:
-                for b in left:
-                    reach = set()
-                    stack = [a]
-                    while stack:
-                        cur = stack.pop()
-                        if cur in reach:
-                            continue
-                        reach.add(cur)
-                        stack.extend(
-                            w for w in left if g.has_edge(cur, w) and w not in reach
+            right = sorted(v for v in range(5) if pos[v] >= pos[x])
+            for side in (left, right):
+                mask = sum(1 << v for v in side)
+                comps = list(components(g.adj, mask))
+                assert sum(comps) == mask
+                smallest = [(c & -c).bit_length() - 1 for c in comps]
+                assert smallest == sorted(smallest)
+                for a in side:
+                    for b in side:
+                        together = any(c >> a & c >> b & 1 for c in comps)
+                        assert together == connected_by_union_find(
+                            t, ordering, side, a, b
                         )
-                    assert (b in reach) == connected_by_union_find(
-                        t, ordering, left, a, b
-                    )
+
+
+def test_check_rules_searches_omega_once(circulant5, monkeypatch):
+    import backedge.rulecheck
+    import backedge.solvers
+
+    calls = []
+    real = backedge.solvers.omega
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(backedge.rulecheck, "omega", counting)
+    monkeypatch.setattr(backedge.solvers, "omega", counting)
+    assert check_rules(circulant5).excluded
+    assert len(calls) == 1
 
 
 def test_r5_exclusion_consistent_with_embedding_search(circulant5, d2):
@@ -252,6 +268,64 @@ def test_check_cell_matches_naive_oracle_random_strong():
                 assert set(cell.violated_rules) == _naive_violated_rules(
                     t, ordering, x
                 )
+
+
+def _naive_first_witness(t, ordering, x):
+    """The documented witness order, by direct search: the lowest violated
+    rule; for rule 2 the smallest (a, b, c, d) by vertex id; for rules 3 and 4
+    the smallest (v, u, w), with a and b the end vertices of the first
+    component, by smallest vertex, whose span covers u and w."""
+    pos = {v: i for i, v in enumerate(ordering)}
+    left = [v for v in range(t.n) if pos[v] < pos[x]]
+    right = [v for v in range(t.n) if pos[v] >= pos[x]]
+    if not left:
+        return 1, {}
+    for a, b, c, d in itertools.product(left, left, right, right):
+        if (
+            a != b
+            and t.has_arc(c, a)
+            and t.has_arc(c, b)
+            and t.has_arc(d, a)
+            and not t.has_arc(d, b)
+        ):
+            return 2, {"a": a, "b": b, "c": c, "d": d}
+    for rule, outer, inner, beats in (
+        (3, right, left, t.has_arc),
+        (4, left, right, lambda v, u: t.has_arc(u, v)),
+    ):
+        comps = []
+        for v in inner:
+            linked = [
+                c for c in comps
+                if any(t.has_arc(*((v, w) if pos[w] < pos[v] else (w, v))) for w in c)
+            ]
+            merged = sorted({v}.union(*linked))
+            comps = [c for c in comps if c not in linked] + [merged]
+        comps.sort()
+        for v, u, w in itertools.product(outer, inner, inner):
+            if pos[u] < pos[w] and beats(v, u) and beats(v, w):
+                for comp in comps:
+                    ends = sorted(comp, key=pos.get)
+                    a, b = ends[0], ends[-1]
+                    if pos[a] <= pos[u] and pos[w] <= pos[b]:
+                        return rule, {"a": a, "b": b, "u": u, "v": v, "w": w}
+    return None
+
+
+def test_check_cell_witness_is_first_in_documented_order(circulant5):
+    rng = random.Random(47)
+    tournaments = [circulant5, c3()]
+    while len(tournaments) < 7:
+        n = rng.randint(4, 6)
+        t = labeled_tournament(n, rng.randrange(labeled_count(n)))
+        if is_strong(t):
+            tournaments.append(t)
+    for t in tournaments:
+        for ordering in enumerate_omega_orderings(t):
+            for x in range(t.n):
+                wit = check_cell(t, ordering, x).witness
+                got = None if wit is None else (wit.rule, wit.named())
+                assert got == _naive_first_witness(t, ordering, x), (ordering, x)
 
 
 def test_check_rules_on_value_three_tournament(surrogate):
