@@ -4,6 +4,11 @@ envelopes on stdout.
 Exit codes: 0 computed, 1 decision-negative (so shells can branch on
 decide-style verbs), 2 input error, 3 budget exhausted or materialization
 refused.
+
+Each verb is declared once, by ``verb`` on its handler, with its arguments.
+A handler takes ``(args, deadline, read)``, returns an ``Outcome`` and loads
+every input file through ``read``, so the envelope's ``inputs`` list the
+files the verb read, in read order, also when the verb then fails.
 """
 
 from __future__ import annotations
@@ -14,7 +19,8 @@ import os
 import random
 import sys
 import time
-from typing import Optional
+from dataclasses import dataclass
+from typing import Callable, Optional
 
 from . import __version__
 from .constructions import (
@@ -75,113 +81,162 @@ from .subword import PassInstance, is_tournament_closed, solve_pass, to_pass
 BUDGET_ENV_VAR = "BACKEDGE_BUDGET"
 
 
+@dataclass(frozen=True)
+class Outcome:
+    """What a verb computed: the envelope's ``result``, its
+    ``nodes_explored``, and whether the answer is decision-negative (exit 1)."""
+
+    result: dict
+    nodes: Optional[int] = None
+    negative: bool = False
+
+
+VERBS: dict[str, tuple[str, tuple, Callable]] = {}
+
+
+def arg(*names: str, **options) -> tuple:
+    """One ``add_argument`` call of a verb's subparser."""
+    return names, options
+
+
+def verb(name: str, summary: str, *arguments: tuple):
+    """Register the decorated handler as verb ``name`` with its arguments."""
+
+    def register(handler: Callable) -> Callable:
+        VERBS[name] = (summary, arguments, handler)
+        return handler
+
+    return register
+
+
+FILE = arg("file")
+K = arg("--k", type=int, required=True)
+OUT = arg("--out", default=None)
+RENDER = arg("--render", choices=["paper"], default=None)
+SIZING_ONLY = arg("--sizing-only", action="store_true")
+VERTEX_BUDGET = arg("--vertex-budget", type=int, default=DEFAULT_VERTEX_BUDGET)
+
+
 def _render_ordering(ordering) -> str:
     return "<".join(str(v + 1) for v in ordering)
 
 
-def _load_construct_arg(spec: str) -> Tournament:
-    if spec.isdigit():
-        return tt(int(spec))
-    return load_tournament(spec)
+def _ordering_or_none(ordering) -> Optional[list]:
+    return None if ordering is None else list(ordering)
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="backedge",
-        description="Exact toolkit for ordering-based clique numbers of tournaments.",
+@verb("omega", "exact ordering clique number", FILE)
+def _omega(args, deadline, read) -> Outcome:
+    res = omega(read(args.file), deadline=deadline)
+    return Outcome({"value": res.value, "witness": list(res.witness)}, res.nodes)
+
+
+@verb("omega-decide", "is the ordering clique number <= k?", FILE, K)
+def _omega_decide(args, deadline, read) -> Outcome:
+    res = omega_decide(read(args.file), args.k, deadline=deadline)
+    result = {"decision": res.decision, "witness": _ordering_or_none(res.witness)}
+    return Outcome(result, res.nodes, not res.decision)
+
+
+@verb("orderings", "enumerate all minimum orderings",
+      FILE, arg("--first", type=int, default=None))
+def _orderings(args, deadline, read) -> Outcome:
+    t = read(args.file)
+    stats = SearchStats()
+    value = omega(t, deadline=deadline).value
+    orderings = [
+        list(o)
+        for o in iter_orderings_with_clique_at_most(
+            t, value, first_vertex=args.first, deadline=deadline, stats=stats
+        )
+    ]
+    return Outcome(
+        {"omega": value, "count": len(orderings), "orderings": orderings}, stats.nodes
     )
-    parser.add_argument("--budget", type=float, default=None,
-                        help=f"wall-clock budget in seconds (default: ${BUDGET_ENV_VAR})")
-    parser.add_argument("--seed", type=int, default=20240901,
-                        help="seed for randomized audits")
-    sub = parser.add_subparsers(dest="verb", required=True)
-
-    p = sub.add_parser("omega", help="exact ordering clique number")
-    p.add_argument("file")
-    p = sub.add_parser("omega-decide", help="is the ordering clique number <= k?")
-    p.add_argument("file")
-    p.add_argument("--k", type=int, required=True)
-    p = sub.add_parser("orderings", help="enumerate all minimum orderings")
-    p.add_argument("file")
-    p.add_argument("--first", type=int, default=None)
-    p = sub.add_parser("chi", help="exact acyclic partition number")
-    p.add_argument("file")
-    p = sub.add_parser("chi-decide", help="do k acyclic classes suffice?")
-    p.add_argument("file")
-    p.add_argument("--k", type=int, required=True)
-    p = sub.add_parser("forcing", help="must u precede v in every ordering of clique number <= k?")
-    p.add_argument("file")
-    p.add_argument("--u", type=int, required=True)
-    p.add_argument("--v", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
-    p = sub.add_parser("search-min-omega", help="smallest tournament of a given value")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--nmax", type=int, required=True)
-
-    p = sub.add_parser("construct", help="build a named construction")
-    p.add_argument("kind", choices=["tt", "c3", "arrow", "delta", "lift", "amplifier", "pi", "dk"])
-    p.add_argument("args", nargs="*", help="sizes or tournament files")
-    p.add_argument("--out", default=None)
-    p.add_argument("--layout-out", default=None)
-    p.add_argument("--sizing-only", action="store_true")
-    p.add_argument("--audit-subsets", type=int, default=0,
-                   help="amplifier only: sample N random subsets for the hitting audit")
-    p.add_argument("--vertex-budget", type=int, default=DEFAULT_VERTEX_BUDGET)
-
-    p = sub.add_parser("gadget", help="show or exhaustively verify a gadget")
-    p.add_argument("action", choices=["show", "verify"])
-    p.add_argument("name", choices=["var", "clause", "r5"])
-    p.add_argument("--render", choices=["paper"], default=None)
-
-    p = sub.add_parser("reduce", help="compile a 3-SAT formula to a tournament")
-    p.add_argument("--cnf", required=True)
-    p.add_argument("--gadget", required=True, help=".trn file of the companion tournament")
-    p.add_argument("--out", default=None)
-    p.add_argument("--landmarks", default=None)
-    p.add_argument("--sizing-only", action="store_true")
-    p.add_argument("--vertex-budget", type=int, default=DEFAULT_VERTEX_BUDGET)
-
-    p = sub.add_parser("witness", help="translate between assignments and orderings")
-    p.add_argument("direction", choices=["to-ordering", "to-assignment"])
-    p.add_argument("--trn", required=True)
-    p.add_argument("--landmarks", required=True)
-    p.add_argument("--assign", default=None)
-    p.add_argument("--ordering", default=None)
-
-    p = sub.add_parser("verify-ordering", help="scan an ordering's backedge graph")
-    p.add_argument("--trn", required=True)
-    p.add_argument("--ordering", required=True)
-
-    p = sub.add_parser("check-rules", help="rule table over all minimum orderings and pivots")
-    p.add_argument("file")
-    p.add_argument("--first-vertex", type=int, default=None)
-    p.add_argument("--render", choices=["paper"], default=None)
-
-    p = sub.add_parser("pass", help="forbidden-subword instances")
-    p.add_argument("action", choices=["from-tournament", "solve"])
-    p.add_argument("file")
-    p.add_argument("--out", default=None)
-    return parser
 
 
-def _cmd_construct(args, deadline) -> tuple[dict, Optional[int], bool, list[str]]:
-    kind = args.kind
-    inputs = [a for a in args.args if not a.isdigit()]
+@verb("chi", "exact acyclic partition number", FILE)
+def _chi(args, deadline, read) -> Outcome:
+    res = chi(read(args.file), deadline=deadline)
+    return Outcome(
+        {"value": res.value, "classes": [list(c) for c in res.classes]}, res.conflicts
+    )
+
+
+@verb("chi-decide", "do k acyclic classes suffice?", FILE, K)
+def _chi_decide(args, deadline, read) -> Outcome:
+    res = chi_decide(read(args.file), args.k, deadline=deadline)
+    result = {
+        "decision": res.decision,
+        "classes": None if res.classes is None else [list(c) for c in res.classes],
+    }
+    return Outcome(result, res.conflicts, not res.decision)
+
+
+@verb("forcing", "must u precede v in every ordering of clique number <= k?",
+      FILE, arg("--u", type=int, required=True), arg("--v", type=int, required=True), K)
+def _forcing(args, deadline, read) -> Outcome:
+    res = forcing_holds(read(args.file), args.u, args.v, args.k, deadline=deadline)
+    result = {
+        "holds": res.holds,
+        "vacuous": res.vacuous,
+        "counterexample": _ordering_or_none(res.counterexample),
+    }
+    return Outcome(result, res.nodes, not res.holds)
+
+
+@verb("search-min-omega", "smallest tournament of a given value",
+      K, arg("--nmax", type=int, required=True))
+def _search_min_omega(args, deadline, read) -> Outcome:
+    res = min_order_with_omega(args.k, args.nmax, deadline=deadline)
+    if res is None:
+        return Outcome({"found": False}, negative=True)
+    return Outcome(
+        {"found": True, "n": res.n, "tournament": tournament_to_json_dict(res.witness)}
+    )
+
+
+# number of positional arguments each construction takes
+CONSTRUCT_ARITY = {
+    "tt": 1, "c3": 0, "arrow": 2, "delta": 3, "lift": 2, "amplifier": 1, "pi": 1, "dk": 1,
+}
+
+
+@verb("construct", "build a named construction",
+      arg("kind", choices=list(CONSTRUCT_ARITY)),
+      arg("args", nargs="*", help="sizes or tournament files"),
+      OUT,
+      arg("--layout-out", default=None),
+      SIZING_ONLY,
+      arg("--audit-subsets", type=int, default=0,
+          help="amplifier only: sample N random subsets for the hitting audit"),
+      VERTEX_BUDGET)
+def _construct(args, deadline, read) -> Outcome:
+    kind, specs = args.kind, args.args
+    arity = CONSTRUCT_ARITY[kind]
+    if len(specs) != arity:
+        raise ValueError(
+            f"construct {kind} takes {arity} argument{'' if arity == 1 else 's'}, "
+            f"got {len(specs)}"
+        )
+    # tt and dk take a size; elsewhere a number names a transitive tournament
+    parts = [] if kind in ("tt", "dk") else [
+        tt(int(s)) if s.isdigit() else read(s) for s in specs
+    ]
     result: dict = {"kind": kind}
-    built = None
     ordering = None
     layout = None
 
     if kind == "tt":
-        built = tt(int(args.args[0]))
+        built = tt(int(specs[0]))
     elif kind == "c3":
         built = c3()
     elif kind == "arrow":
-        built = arrow(*(_load_construct_arg(a) for a in args.args[:2]))
+        built = arrow(*parts)
     elif kind == "delta":
-        built = delta(*(_load_construct_arg(a) for a in args.args[:3]))
+        built = delta(*parts)
     elif kind == "lift":
-        lifted = lift(*(_load_construct_arg(a) for a in args.args[:2]))
+        lifted = lift(*parts)
         built = lifted.digraph
         result["landmarks"] = {
             "v": lifted.v,
@@ -189,12 +244,11 @@ def _cmd_construct(args, deadline) -> tuple[dict, Optional[int], bool, list[str]
             "outer_span": list(lifted.outer_span),
         }
     elif kind in ("amplifier", "pi"):
-        base = _load_construct_arg(args.args[0])
+        (base,) = parts
         sizing_fn = amplifier_sizing if kind == "amplifier" else pi_sizing
-        report = sizing_fn(base.n, vertex_budget=args.vertex_budget)
-        result["sizing"] = report.to_dict()
+        result["sizing"] = sizing_fn(base.n, vertex_budget=args.vertex_budget).to_dict()
         if args.sizing_only:
-            return result, None, False, inputs
+            return Outcome(result)
         res = (amplifier if kind == "amplifier" else pi)(
             base, vertex_budget=args.vertex_budget
         )
@@ -215,14 +269,12 @@ def _cmd_construct(args, deadline) -> tuple[dict, Optional[int], bool, list[str]
                 "hit": ok,
                 "seed": args.seed,
             }
-    elif kind == "dk":
-        k = int(args.args[0])
-        out = d_family(k, vertex_budget=args.vertex_budget)
-        if isinstance(out, Tournament):
-            built = out
-        else:
+    else:  # dk
+        out = d_family(int(specs[0]), vertex_budget=args.vertex_budget)
+        if not isinstance(out, Tournament):
             result["sizing"] = out.to_dict()
-            return result, None, False, inputs
+            return Outcome(result)
+        built = out
 
     result["n"] = built.n
     if ordering is not None:
@@ -235,10 +287,14 @@ def _cmd_construct(args, deadline) -> tuple[dict, Optional[int], bool, list[str]
     if layout is not None and args.layout_out:
         write_json(args.layout_out, layout.to_dict())
         result["layout_out"] = args.layout_out
-    return result, None, False, inputs
+    return Outcome(result)
 
 
-def _cmd_gadget(args, deadline) -> tuple[dict, Optional[int], bool, list[str]]:
+@verb("gadget", "show or exhaustively verify a gadget",
+      arg("action", choices=["show", "verify"]),
+      arg("name", choices=["var", "clause", "r5"]),
+      RENDER)
+def _gadget(args, deadline, read) -> Outcome:
     if args.name == "r5":
         gadget_t = r5()
         marked = {}
@@ -255,6 +311,7 @@ def _cmd_gadget(args, deadline) -> tuple[dict, Optional[int], bool, list[str]]:
             }
             for cert in gadget.certified_orderings
         ]
+    rendered = [f"{c['name']}: {_render_ordering(c['ordering'])}" for c in certified]
     if args.action == "show":
         result = {
             "name": args.name,
@@ -267,33 +324,40 @@ def _cmd_gadget(args, deadline) -> tuple[dict, Optional[int], bool, list[str]]:
                 "marked_arcs": {
                     name: f"{a + 1}->{b + 1}" for name, (a, b) in marked.items()
                 },
-                "certified_orderings": [
-                    f"{c['name']}: {_render_ordering(c['ordering'])}" for c in certified
-                ],
+                "certified_orderings": rendered,
             }
-        return result, None, False, []
+        return Outcome(result)
     if args.name == "r5":
         raise ValueError("verify supports the var and clause gadgets")
     verify = verify_var_base if args.name == "var" else verify_clause_base
     report = verify(deadline=deadline)
     result = {"name": args.name, **report.to_dict(), "certified_orderings": certified}
     if args.render == "paper":
-        result["rendered"] = [
-            f"{c['name']}: {_render_ordering(c['ordering'])}" for c in certified
-        ]
-    return result, report.nodes, False, []
+        result["rendered"] = rendered
+    return Outcome(result, report.nodes)
 
 
-def _cmd_reduce(args, deadline) -> tuple[dict, Optional[int], bool, list[str]]:
-    with open(args.cnf, "r", encoding="utf-8") as handle:
-        formula = parse_dimacs(handle.read())
-    companion = load_tournament(args.gadget)
+def _load_dimacs(path: str):
+    with open(path, "r", encoding="utf-8") as handle:
+        return parse_dimacs(handle.read())
+
+
+@verb("reduce", "compile a 3-SAT formula to a tournament",
+      arg("--cnf", required=True),
+      arg("--gadget", required=True, help=".trn file of the companion tournament"),
+      OUT,
+      arg("--landmarks", default=None),
+      SIZING_ONLY,
+      VERTEX_BUDGET)
+def _reduce(args, deadline, read) -> Outcome:
+    formula = read(args.cnf, _load_dimacs)
+    companion = read(args.gadget)
     report = reduction_sizing(formula, companion.n, vertex_budget=args.vertex_budget)
     result = {"sizing": report.to_dict()}
     if args.sizing_only:
         result["vertices"] = report.total_vertices
         result["reversed_arcs"] = 12 * len(formula.clauses)
-        return result, None, False, [args.cnf, args.gadget]
+        return Outcome(result)
     instance = build(formula, companion, vertex_budget=args.vertex_budget)
     result["vertices"] = instance.tournament.n
     result["reversed_arcs"] = len(instance.bundle_arcs())
@@ -308,35 +372,40 @@ def _cmd_reduce(args, deadline) -> tuple[dict, Optional[int], bool, list[str]]:
     if args.landmarks:
         write_json(args.landmarks, instance.to_dict())
         result["landmarks"] = args.landmarks
-    return result, None, False, [args.cnf, args.gadget]
+    return Outcome(result)
 
 
-def _cmd_witness(args, deadline) -> tuple[dict, Optional[int], bool, list[str]]:
-    instance = instance_from_dict(read_json(args.landmarks), load_tournament(args.trn))
+@verb("witness", "translate between assignments and orderings",
+      arg("direction", choices=["to-ordering", "to-assignment"]),
+      arg("--trn", required=True),
+      arg("--landmarks", required=True),
+      arg("--assign", default=None),
+      arg("--ordering", default=None))
+def _witness(args, deadline, read) -> Outcome:
+    t = read(args.trn)
+    instance = instance_from_dict(read(args.landmarks, read_json), t)
     if args.direction == "to-ordering":
         if args.assign is None:
             raise ValueError("witness to-ordering needs --assign")
         ordering = ordering_from_assignment(instance, parse_assignment(args.assign))
-        return (
-            {"ordering": list(ordering)},
-            None,
-            False,
-            [args.trn, args.landmarks],
-        )
+        return Outcome({"ordering": list(ordering)})
     if args.ordering is None:
         raise ValueError("witness to-assignment needs --ordering")
     assignment = assignment_from_ordering(instance, parse_ordering(args.ordering))
-    return (
-        {"assignment": [int(v) for v in assignment]},
-        None,
-        False,
-        [args.trn, args.landmarks],
-    )
+    return Outcome({"assignment": [int(v) for v in assignment]})
 
 
-def _cmd_check_rules(args, deadline) -> tuple[dict, Optional[int], bool, list[str]]:
-    t = load_tournament(args.file)
-    report = check_rules(t, args.first_vertex, deadline=deadline)
+@verb("verify-ordering", "scan an ordering's backedge graph",
+      arg("--trn", required=True), arg("--ordering", required=True))
+def _verify_ordering(args, deadline, read) -> Outcome:
+    report = verify_ordering(read(args.trn), parse_ordering(args.ordering))
+    return Outcome(report.to_dict(), negative=not report.k4_free)
+
+
+@verb("check-rules", "rule table over all minimum orderings and pivots",
+      FILE, arg("--first-vertex", type=int, default=None), RENDER)
+def _check_rules(args, deadline, read) -> Outcome:
+    report = check_rules(read(args.file), args.first_vertex, deadline=deadline)
     result = report.to_dict()
     if args.render == "paper":
         lines = []
@@ -351,138 +420,66 @@ def _cmd_check_rules(args, deadline) -> tuple[dict, Optional[int], bool, list[st
                 f"{_render_ordering(cell.ordering)}  x={cell.pivot + 1}  {verdict}"
             )
         result["rendered"] = lines
-    return result, None, False, [args.file]
+    return Outcome(result)
 
 
-def _cmd_pass(args, deadline) -> tuple[dict, Optional[int], bool, list[str]]:
+@verb("pass", "forbidden-subword instances",
+      arg("action", choices=["from-tournament", "solve"]), FILE, OUT)
+def _pass(args, deadline, read) -> Outcome:
     if args.action == "from-tournament":
-        instance = to_pass(load_tournament(args.file))
+        instance = to_pass(read(args.file))
         result = instance.to_dict()
         result["tournament_closed"] = is_tournament_closed(instance)
         if args.out:
             write_json(args.out, instance.to_dict())
             result["out"] = args.out
-        return result, None, False, [args.file]
-    instance = PassInstance.from_dict(read_json(args.file))
+        return Outcome(result)
+    instance = PassInstance.from_dict(read(args.file, read_json))
     permutation = solve_pass(instance, deadline=deadline)
-    found = permutation is not None
-    result = {
-        "found": found,
-        "permutation": None if permutation is None else list(permutation),
-    }
-    return result, None, not found, [args.file]
+    result = {"found": permutation is not None, "permutation": _ordering_or_none(permutation)}
+    return Outcome(result, negative=permutation is None)
+
+
+def _build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="backedge",
+        description="Exact toolkit for ordering-based clique numbers of tournaments.",
+    )
+    parser.add_argument("--budget", type=float, default=None,
+                        help=f"wall-clock budget in seconds (default: ${BUDGET_ENV_VAR})")
+    parser.add_argument("--seed", type=int, default=20240901,
+                        help="seed for randomized audits")
+    sub = parser.add_subparsers(dest="verb", required=True)
+    for name, (summary, arguments, handler) in VERBS.items():
+        p = sub.add_parser(name, help=summary)
+        for names, options in arguments:
+            p.add_argument(*names, **options)
+        p.set_defaults(handler=handler)
+    return parser
 
 
 def run(argv: Optional[list[str]] = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     budget = args.budget
     if budget is None and os.environ.get(BUDGET_ENV_VAR):
         budget = float(os.environ[BUDGET_ENV_VAR])
     deadline = Deadline(budget)
     started = time.monotonic()
-    nodes: Optional[int] = None
-    negative = False
     inputs: list[str] = []
-    exit_code = 0
+
+    def read(path: str, loader: Callable = load_tournament):
+        loaded = loader(path)
+        inputs.append(path)
+        return loaded
+
+    nodes: Optional[int] = None
+    exhausted = False
     try:
-        verb = args.verb
-        if verb == "omega":
-            t = load_tournament(args.file)
-            inputs = [args.file]
-            res = omega(t, deadline=deadline)
-            result = {"value": res.value, "witness": list(res.witness)}
-            nodes = res.nodes
-        elif verb == "omega-decide":
-            t = load_tournament(args.file)
-            inputs = [args.file]
-            res = omega_decide(t, args.k, deadline=deadline)
-            result = {
-                "decision": res.decision,
-                "witness": None if res.witness is None else list(res.witness),
-            }
-            nodes = res.nodes
-            negative = not res.decision
-        elif verb == "orderings":
-            t = load_tournament(args.file)
-            inputs = [args.file]
-            stats = SearchStats()
-            value = omega(t, deadline=deadline).value
-            orderings = list(
-                iter_orderings_with_clique_at_most(
-                    t, value, first_vertex=args.first, deadline=deadline, stats=stats
-                )
-            )
-            result = {
-                "omega": value,
-                "count": len(orderings),
-                "orderings": [list(o) for o in orderings],
-            }
-            nodes = stats.nodes
-        elif verb == "chi":
-            t = load_tournament(args.file)
-            inputs = [args.file]
-            res = chi(t, deadline=deadline)
-            result = {"value": res.value, "classes": [list(c) for c in res.classes]}
-            nodes = res.conflicts
-        elif verb == "chi-decide":
-            t = load_tournament(args.file)
-            inputs = [args.file]
-            res = chi_decide(t, args.k, deadline=deadline)
-            result = {
-                "decision": res.decision,
-                "classes": None if res.classes is None else [list(c) for c in res.classes],
-            }
-            nodes = res.conflicts
-            negative = not res.decision
-        elif verb == "forcing":
-            t = load_tournament(args.file)
-            inputs = [args.file]
-            res = forcing_holds(t, args.u, args.v, args.k, deadline=deadline)
-            result = {
-                "holds": res.holds,
-                "vacuous": res.vacuous,
-                "counterexample": None
-                if res.counterexample is None
-                else list(res.counterexample),
-            }
-            nodes = res.nodes
-            negative = not res.holds
-        elif verb == "search-min-omega":
-            res = min_order_with_omega(args.k, args.nmax, deadline=deadline)
-            if res is None:
-                result = {"found": False}
-                negative = True
-            else:
-                result = {
-                    "found": True,
-                    "n": res.n,
-                    "tournament": tournament_to_json_dict(res.witness),
-                }
-        elif verb == "construct":
-            result, nodes, negative, inputs = _cmd_construct(args, deadline)
-        elif verb == "gadget":
-            result, nodes, negative, inputs = _cmd_gadget(args, deadline)
-        elif verb == "reduce":
-            result, nodes, negative, inputs = _cmd_reduce(args, deadline)
-        elif verb == "witness":
-            result, nodes, negative, inputs = _cmd_witness(args, deadline)
-        elif verb == "verify-ordering":
-            t = load_tournament(args.trn)
-            inputs = [args.trn]
-            report = verify_ordering(t, parse_ordering(args.ordering))
-            result = report.to_dict()
-            negative = not report.k4_free
-        elif verb == "check-rules":
-            result, nodes, negative, inputs = _cmd_check_rules(args, deadline)
-        elif verb == "pass":
-            result, nodes, negative, inputs = _cmd_pass(args, deadline)
-        else:  # pragma: no cover
-            raise ValueError(f"unknown verb {verb}")
-        exhausted = False
+        outcome = args.handler(args, deadline, read)
+        result, nodes = outcome.result, outcome.nodes
+        exit_code = 1 if outcome.negative else 0
     except (ValueError, OSError, KeyError, IndexError, TypeError, json.JSONDecodeError) as exc:
         result = {"error": str(exc) or f"missing or malformed arguments for {args.verb}"}
-        exhausted = False
         exit_code = 2
     except MaterializationRefused as exc:
         result = {"error": str(exc), "sizing": exc.report.to_dict()}
@@ -493,8 +490,6 @@ def run(argv: Optional[list[str]] = None) -> int:
         exhausted = True
         exit_code = 3
 
-    if exit_code == 0 and negative:
-        exit_code = 1
     envelope = {
         "command": " ".join(argv if argv is not None else sys.argv[1:]),
         "inputs": [{"path": path, "sha256": sha256_file(path)} for path in inputs],

@@ -1,14 +1,14 @@
 """Composition operators and parametric tournament constructions.
 
 ``chain`` is the single composition primitive behind every front-to-back
-construction: ``arrow``, the amplifier, the two-sided variant and the 3-SAT
-reduction all lay out blocks with every arc pointing forward and then flip
-a chosen set of arcs.  Also covers the cyclic composition, the
-single-vertex lift, the copy-amplification construction that preserves the
-ordering clique number while forcing copies of the base into every vertex
-subset or its complement, the two-sided variant that raises the acyclic
-partition number, and the recursive family built from the directed
-triangle.
+construction: ``arrow``, the cyclic composition ``delta`` and its
+single-vertex ``lift`` (and so the gadget assembly), the amplifier, the
+two-sided variant and the 3-SAT reduction all lay out blocks with every arc
+pointing forward and then flip a chosen set of arcs.  The copy-amplification
+construction preserves the ordering clique number while forcing copies of
+the base into every vertex subset or its complement, the two-sided variant
+raises the acyclic partition number, and the recursive family is built
+from the directed triangle.
 
 Copy bookkeeping conventions (all deterministic):
   * label subsets are enumerated in colexicographic order;
@@ -171,18 +171,12 @@ def arrow(d1: Union[int, Digraph], d2: Union[int, Digraph]) -> Digraph:
 def delta(
     t1: Union[int, Digraph], t2: Union[int, Digraph], t3: Union[int, Digraph]
 ) -> Digraph:
-    """Three disjoint parts with all arcs part1->part2, part2->part3, part3->part1."""
+    """Three disjoint parts with all arcs part1->part2, part2->part3, part3->part1:
+    the chain of the three parts with every part3-part1 arc flipped."""
     t1, t2, t3 = _as_digraph(t1), _as_digraph(t2), _as_digraph(t3)
-    n1, n2, n3 = t1.n, t2.n, t3.n
-    n = n1 + n2 + n3
-    mask1 = (1 << n1) - 1
-    mask2 = ((1 << n2) - 1) << n1
-    mask3 = ((1 << n3) - 1) << (n1 + n2)
-    rows = [row | mask2 for row in t1.rows]
-    rows += [(row << n1) | mask3 for row in t2.rows]
-    rows += [(row << (n1 + n2)) | mask1 for row in t3.rows]
-    all_t = all(isinstance(t, Tournament) for t in (t1, t2, t3))
-    return (Tournament if all_t else Digraph)(n, tuple(rows))
+    n12 = t1.n + t2.n
+    part1, part3 = range(t1.n), range(n12, n12 + t3.n)
+    return chain([t1, t2, t3], product(part3, part1))
 
 
 def lift(d: Union[int, Digraph], w: Union[int, Digraph]) -> Lift:

@@ -226,14 +226,7 @@ def check_minimum_ordering(d: Digraph, ordering: Sequence[int], value: int) -> t
 
 def triangle_in_graph(g: UndirectedGraph) -> Optional[tuple[int, int, int]]:
     """First triangle of ``g`` in lexicographic order, or None."""
-    adj = g.adj
-    for u in range(g.n):
-        above = ~((1 << (u + 1)) - 1)
-        for v in _bits(adj[u] & above):
-            common = adj[u] & adj[v] & ~((1 << (v + 1)) - 1)
-            if common:
-                return u, v, (common & -common).bit_length() - 1
-    return None
+    return has_clique_in_mask(g.adj, (1 << g.n) - 1, 3)
 
 
 def _reach(adj: Sequence[int], seed: int, within: int) -> int:

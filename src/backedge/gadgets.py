@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional
 
-from .core import Tournament, backedge_graph, check_ordering, clique_number
+from .core import Tournament, check_minimum_ordering, check_ordering
 from .solvers import (
     Deadline,
     SearchStats,
@@ -24,6 +24,9 @@ from .solvers import (
     omega,
 )
 from .constructions import lift
+
+# companions of at most this many vertices get their value checked exactly
+COMPANION_VERIFY_LIMIT = 10
 
 VAR_BASE_MATRIX = (
     "011111000",
@@ -266,30 +269,28 @@ def verify_clause_base(*, deadline: Optional[Deadline] = None) -> GadgetVerifica
 
 
 def check_companion(
-    w: Tournament, w_ordering: Optional[tuple[int, ...]], *, verify_limit: int
+    w: Tournament, w_ordering: Optional[tuple[int, ...]]
 ) -> tuple[tuple[int, ...], bool]:
     """The companion's ordering (a minimum witness unless supplied) and
     whether its value was checked exactly.  A companion of at most
-    ``verify_limit`` vertices must have ordering clique number 3, and a
-    supplied ordering must achieve it; larger companions are trusted."""
+    ``COMPANION_VERIFY_LIMIT`` vertices must have ordering clique number 3,
+    and a supplied ordering must achieve it; larger companions are trusted."""
     supplied = w_ordering is not None
     if supplied:
         w_ordering = check_ordering(w_ordering, w.n)
-        if w.n > verify_limit:
+        if w.n > COMPANION_VERIFY_LIMIT:
             return w_ordering, False
     result = omega(w)
     if not supplied:
         w_ordering = result.witness
-    if w.n > verify_limit:
+    if w.n > COMPANION_VERIFY_LIMIT:
         return w_ordering, False
     if result.value != 3:
         raise ValueError(
             f"companion tournament has ordering clique number {result.value}, need 3"
         )
     if supplied:
-        achieved = clique_number(backedge_graph(w, w_ordering))
-        if achieved != 3:
-            raise ValueError(f"supplied companion ordering achieves {achieved}, need 3")
+        w_ordering = check_minimum_ordering(w, w_ordering, 3)
     return w_ordering, True
 
 
@@ -315,24 +316,18 @@ def _assemble(
 
 
 def assemble_var_gadget(
-    w: Tournament,
-    w_ordering: Optional[tuple[int, ...]] = None,
-    *,
-    verify_limit: int = 10,
+    w: Tournament, w_ordering: Optional[tuple[int, ...]] = None
 ) -> MarkedGadget:
     """Lift the variable base over companion ``w``: a fresh vertex beats the
     base, the base beats ``w``, ``w`` beats the fresh vertex.  Marked arcs are
     re-indexed and every certified ordering is extended by ``w``'s ordering
     and the fresh vertex, keeping its recorded arc directions."""
-    w_ordering, _ = check_companion(w, w_ordering, verify_limit=verify_limit)
+    w_ordering, _ = check_companion(w, w_ordering)
     return _assemble(var_base(), w, w_ordering)
 
 
 def assemble_clause_gadget(
-    w: Tournament,
-    w_ordering: Optional[tuple[int, ...]] = None,
-    *,
-    verify_limit: int = 10,
+    w: Tournament, w_ordering: Optional[tuple[int, ...]] = None
 ) -> MarkedGadget:
-    w_ordering, _ = check_companion(w, w_ordering, verify_limit=verify_limit)
+    w_ordering, _ = check_companion(w, w_ordering)
     return _assemble(clause_base(), w, w_ordering)

@@ -88,17 +88,12 @@ def load_tournament(path: Union[str, os.PathLike]) -> Tournament:
         raise ValueError(f"{path}: {exc}") from None
 
 
-def save_tournament(
-    t: Tournament, path: Union[str, os.PathLike], *, fmt: str = "auto"
-) -> None:
-    if fmt == "auto":
-        fmt = "json" if str(path).endswith(".json") else "trn"
-    if fmt == "json":
+def save_tournament(t: Tournament, path: Union[str, os.PathLike]) -> None:
+    """Write ``t`` as its JSON mirror if ``path`` ends in ``.json``, else as .trn text."""
+    if str(path).endswith(".json"):
         payload = json.dumps(tournament_to_json_dict(t), indent=1) + "\n"
-    elif fmt == "trn":
-        payload = tournament_to_text(t)
     else:
-        raise ValueError(f"unknown format {fmt!r}")
+        payload = tournament_to_text(t)
     with open(path, "w", encoding="utf-8") as handle:
         handle.write(payload)
 

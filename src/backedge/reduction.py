@@ -256,13 +256,12 @@ def build(
     w_ordering: Optional[tuple[int, ...]] = None,
     *,
     vertex_budget: int = DEFAULT_VERTEX_BUDGET,
-    verify_limit: int = 10,
 ) -> ReductionInstance:
     """Assemble the tournament for ``formula`` over companion ``w``."""
     report = sizing(formula, w.n, vertex_budget=vertex_budget)
     if not report.materializable:
         raise MaterializationRefused(report)
-    w_ordering, omega_checked = check_companion(w, w_ordering, verify_limit=verify_limit)
+    w_ordering, omega_checked = check_companion(w, w_ordering)
     var_gadget = _assemble(var_base(), w, w_ordering)
     clause_gadget = _assemble(clause_base(), w, w_ordering)
     n_vars, n_clauses = formula.variable_count, len(formula.clauses)

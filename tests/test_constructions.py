@@ -1,5 +1,6 @@
 import math
 import random
+from itertools import product
 
 import pytest
 
@@ -55,6 +56,8 @@ def test_arrow():
     assert arrow(c3(), sparse) == chain([c3(), sparse])
     mixed = chain([c3(), sparse, tt(2)])
     assert type(mixed) is Digraph and mixed.n == 7
+    # delta is the chain of its parts with every part3 -> part1 arc flipped
+    assert delta(c3(), sparse, 2) == chain([c3(), sparse, 2], product(range(5, 7), range(3)))
 
 
 def test_chain_flips_exactly_the_listed_pairs():

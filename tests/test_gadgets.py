@@ -173,7 +173,7 @@ def test_assemble_rejects_wrong_companion(surrogate):
     head = (sink, mid, source, 0)
     bad = head + tuple(v for v in range(extended.n) if v not in head)
     assert clique_number(backedge_graph(extended, bad)) >= 4
-    with pytest.raises(ValueError, match="supplied companion ordering"):
+    with pytest.raises(ValueError, match="ordering does not achieve the minimum clique number"):
         assemble_var_gadget(extended, bad)
 
 

@@ -192,6 +192,34 @@ def test_cli_construct_missing_args(capsys):
     assert code == 2
 
 
+def test_cli_construct_checks_argument_count(capsys):
+    cases = [
+        (["tt", "3", "4"], 1), (["c3", "1"], 0), (["arrow", "2", "3", "4"], 2),
+        (["delta", "1", "1"], 3), (["lift", "2"], 2), (["amplifier", "3", "3"], 1),
+        (["pi"], 1), (["dk", "2", "2"], 1),
+    ]
+    for argv, arity in cases:
+        code, envelope = _run(capsys, "construct", *argv)
+        assert code == 2
+        assert f"takes {arity} argument" in envelope["result"]["error"]
+
+
+def test_cli_inputs_list_files_read_before_an_error(capsys, tmp_path, surrogate):
+    w7 = tmp_path / "w7.trn"
+    save_tournament(surrogate, w7)
+    code, envelope = _run(capsys, "--budget", "0.000001", "check-rules", str(w7))
+    assert code == 3 and envelope["budget"]["exhausted"]
+    assert [entry["path"] for entry in envelope["inputs"]] == [str(w7)]
+
+    cnf = tmp_path / "phi.cnf"
+    cnf.write_text("p cnf 3 1\n1 2 3 0\n")
+    companion = tmp_path / "c3.trn"
+    save_tournament(c3(), companion)
+    code, envelope = _run(capsys, "reduce", "--cnf", str(cnf), "--gadget", str(companion))
+    assert code == 2 and "need 3" in envelope["result"]["error"]
+    assert [entry["path"] for entry in envelope["inputs"]] == [str(cnf), str(companion)]
+
+
 def test_cli_construct_numeric_args(capsys):
     code, envelope = _run(capsys, "construct", "arrow", "2", "3")
     assert code == 0 and envelope["result"]["n"] == 5
