@@ -5,7 +5,9 @@ no randomness anywhere, ties broken by variable index, so repeated runs
 produce identical models and identical refutations.
 
 Literal convention: variable v >= 0 yields literals 2*v (positive) and
-2*v + 1 (negative).
+2*v + 1 (negative).  Values are kept per literal: ``val[l]`` is 1 when l is
+true, -1 when it is false and 0 while its variable is unassigned, so
+``val[l ^ 1] == -val[l]`` always holds.
 """
 
 from __future__ import annotations
@@ -17,16 +19,12 @@ def lit(var: int, positive: bool) -> int:
     return 2 * var + (0 if positive else 1)
 
 
-def _neg(l: int) -> int:
-    return l ^ 1
-
-
 class Solver:
     def __init__(self, n_vars: int = 0):
         self.n_vars = 0
         self.clauses: list[list[int]] = []
         self.watches: list[list[int]] = []  # literal -> clause indices watching it
-        self.assign: list[int] = []  # var -> 0 unassigned, 1 true, -1 false
+        self.val: list[int] = []  # literal -> 0 unassigned, 1 true, -1 false
         self.level: list[int] = []
         self.reason: list[int] = []  # var -> clause index or -1 for decisions
         self.activity: list[float] = []
@@ -41,15 +39,16 @@ class Solver:
             self._grow(n_vars)
 
     def _grow(self, n_vars: int) -> None:
-        while self.n_vars < n_vars:
-            self.n_vars += 1
-            self.watches.append([])
-            self.watches.append([])
-            self.assign.append(0)
-            self.level.append(0)
-            self.reason.append(-1)
-            self.activity.append(0.0)
-            self.phase.append(False)
+        extra = n_vars - self.n_vars
+        if extra <= 0:
+            return
+        self.n_vars = n_vars
+        self.watches.extend([] for _ in range(2 * extra))
+        self.val.extend([0] * (2 * extra))
+        self.level.extend([0] * extra)
+        self.reason.extend([-1] * extra)
+        self.activity.extend([0.0] * extra)
+        self.phase.extend([False] * extra)
 
     def add_clause(self, lits: Sequence[int]) -> None:
         """Add a clause (list of literals).  May be called between solve() runs."""
@@ -59,44 +58,49 @@ class Solver:
         clause = []
         for l in lits:
             if l ^ 1 in seen:
-                return  # tautology
-            if l in seen:
-                continue
-            seen.add(l)
-            clause.append(l)
-            self._grow(l // 2 + 1)
+                clause = None  # tautology
+                break
+            if l not in seen:
+                seen.add(l)
+                clause.append(l)
+        # the variables of the literals read so far exist from now on
+        if seen:
+            top = max(seen) >> 1
+            if top >= self.n_vars:
+                self._grow(top + 1)
+        if clause is None:
+            return
         # at the root level, drop already-false literals and detect units
         if self.trail_lim:
             raise RuntimeError("clauses may only be added at decision level 0")
-        clause = [l for l in clause if self._value(l) != -1]
-        if any(self._value(l) == 1 for l in clause):
-            return
-        if not clause:
+        val = self.val
+        free = []
+        for l in clause:
+            value = val[l]
+            if value == 1:
+                return
+            if value == 0:
+                free.append(l)
+        if not free:
             self.ok = False
             return
-        if len(clause) == 1:
-            self._enqueue(clause[0], -1)
+        if len(free) == 1:
+            self._enqueue(free[0], -1)
             if self._propagate() is not None:
                 self.ok = False
             return
         idx = len(self.clauses)
-        self.clauses.append(clause)
-        self.watches[_neg(clause[0])].append(idx)
-        self.watches[_neg(clause[1])].append(idx)
-
-    def _value(self, l: int) -> int:
-        a = self.assign[l // 2]
-        if a == 0:
-            return 0
-        return a if l % 2 == 0 else -a
+        self.clauses.append(free)
+        self.watches[free[0] ^ 1].append(idx)
+        self.watches[free[1] ^ 1].append(idx)
 
     def _enqueue(self, l: int, reason: int) -> bool:
-        if self._value(l) == -1:
-            return False
-        if self._value(l) == 1:
-            return True
-        v = l // 2
-        self.assign[v] = 1 if l % 2 == 0 else -1
+        value = self.val[l]
+        if value:
+            return value == 1
+        self.val[l] = 1
+        self.val[l ^ 1] = -1
+        v = l >> 1
         self.level[v] = len(self.trail_lim)
         self.reason[v] = reason
         self.trail.append(l)
@@ -104,99 +108,121 @@ class Solver:
 
     def _propagate(self) -> Optional[int]:
         """Unit propagation; returns a conflicting clause index or None."""
-        while self.qhead < len(self.trail):
-            l = self.trail[self.qhead]
-            self.qhead += 1
-            watch = self.watches[l]
+        val = self.val
+        clauses = self.clauses
+        watches = self.watches
+        level = self.level
+        reason = self.reason
+        trail = self.trail
+        cur_level = len(self.trail_lim)
+        qhead = self.qhead
+        while qhead < len(trail):
+            l = trail[qhead]
+            qhead += 1
+            false_lit = l ^ 1
+            watch = watches[l]
             i = 0
             while i < len(watch):
                 ci = watch[i]
-                clause = self.clauses[ci]
+                clause = clauses[ci]
                 # ensure the falsified literal sits at position 1
-                if clause[0] == _neg(l):
-                    clause[0], clause[1] = clause[1], clause[0]
-                if self._value(clause[0]) == 1:
+                first = clause[0]
+                if first == false_lit:
+                    first = clause[1]
+                    clause[0] = first
+                    clause[1] = false_lit
+                if val[first] == 1:
                     i += 1
                     continue
-                moved = False
                 for j in range(2, len(clause)):
-                    if self._value(clause[j]) != -1:
-                        clause[1], clause[j] = clause[j], clause[1]
-                        self.watches[_neg(clause[1])].append(ci)
+                    q = clause[j]
+                    if val[q] != -1:
+                        clause[j] = clause[1]
+                        clause[1] = q
+                        watches[q ^ 1].append(ci)
                         watch[i] = watch[-1]
                         watch.pop()
-                        moved = True
                         break
-                if moved:
-                    continue
-                # unit or conflict
-                if not self._enqueue(clause[0], ci):
-                    return ci
-                i += 1
+                else:
+                    # unit or conflict
+                    if val[first] == -1:
+                        self.qhead = qhead
+                        return ci
+                    val[first] = 1
+                    val[first ^ 1] = -1
+                    v = first >> 1
+                    level[v] = cur_level
+                    reason[v] = ci
+                    trail.append(first)
+                    i += 1
+        self.qhead = qhead
         return None
-
-    def _bump(self, v: int) -> None:
-        self.activity[v] += self.var_inc
-        if self.activity[v] > 1e100:
-            for u in range(self.n_vars):
-                self.activity[u] *= 1e-100
-            self.var_inc *= 1e-100
 
     def _analyze(self, confl: int) -> tuple[list[int], int]:
         """First-UIP conflict analysis; returns learnt clause and backjump level."""
+        clauses = self.clauses
+        trail = self.trail
+        level = self.level
+        activity = self.activity
         learnt = [0]
         seen = [False] * self.n_vars
         counter = 0
         l = -1
-        idx = len(self.trail) - 1
+        idx = len(trail) - 1
         cur_level = len(self.trail_lim)
-        reason = confl
+        clause = clauses[confl]
         while True:
-            clause = self.clauses[reason]
             for q in clause if l == -1 else clause[1:]:
-                v = q // 2
-                if not seen[v] and self.level[v] > 0:
+                v = q >> 1
+                if not seen[v] and level[v] > 0:
                     seen[v] = True
-                    self._bump(v)
-                    if self.level[v] == cur_level:
+                    activity[v] += self.var_inc
+                    if activity[v] > 1e100:
+                        for u in range(self.n_vars):
+                            activity[u] *= 1e-100
+                        self.var_inc *= 1e-100
+                    if level[v] == cur_level:
                         counter += 1
                     else:
                         learnt.append(q)
             while True:
-                l = self.trail[idx]
+                l = trail[idx]
                 idx -= 1
-                if seen[l // 2]:
+                if seen[l >> 1]:
                     break
             counter -= 1
-            seen[l // 2] = False
+            seen[l >> 1] = False
             if counter == 0:
                 break
-            reason = self.reason[l // 2]
-            # put the implied literal first so the start=1 slice skips it
-            clause = self.clauses[reason]
+            # put the implied literal first so the slice from 1 skips it
+            clause = clauses[self.reason[l >> 1]]
             if clause[0] != l:
                 k = clause.index(l)
                 clause[0], clause[k] = clause[k], clause[0]
-        learnt[0] = _neg(l)
+        learnt[0] = l ^ 1
         if len(learnt) == 1:
             return learnt, 0
-        bj = max(self.level[q // 2] for q in learnt[1:])
+        bj = max(level[q >> 1] for q in learnt[1:])
         # move a max-level literal to position 1 for watching
         for k in range(1, len(learnt)):
-            if self.level[learnt[k] // 2] == bj:
+            if level[learnt[k] >> 1] == bj:
                 learnt[1], learnt[k] = learnt[k], learnt[1]
                 break
         return learnt, bj
 
     def _backjump(self, target: int) -> None:
-        while len(self.trail_lim) > target:
-            limit = self.trail_lim.pop()
-            while len(self.trail) > limit:
-                l = self.trail.pop()
-                v = l // 2
-                self.phase[v] = l % 2 == 0
-                self.assign[v] = 0
-                self.reason[v] = -1
+        trail_lim = self.trail_lim
+        if len(trail_lim) > target:
+            trail = self.trail
+            val = self.val
+            phase = self.phase
+            limit = trail_lim[target]
+            for l in trail[limit:]:
+                phase[l >> 1] = not l & 1
+                val[l] = 0
+                val[l ^ 1] = 0
+            del trail[limit:]
+            del trail_lim[target:]
         self.qhead = len(self.trail)
 
     def reset(self) -> None:
@@ -204,12 +230,13 @@ class Solver:
         self._backjump(0)
 
     def _decide(self) -> int:
+        val = self.val
         best = -1
         best_act = -1.0
-        for v in range(self.n_vars):
-            if self.assign[v] == 0 and self.activity[v] > best_act:
+        for v, act in enumerate(self.activity):
+            if act > best_act and not val[v << 1]:
                 best = v
-                best_act = self.activity[v]
+                best_act = act
         if best < 0:
             return -1
         return lit(best, self.phase[best])
@@ -240,8 +267,8 @@ class Solver:
                 else:
                     idx = len(self.clauses)
                     self.clauses.append(learnt)
-                    self.watches[_neg(learnt[0])].append(idx)
-                    self.watches[_neg(learnt[1])].append(idx)
+                    self.watches[learnt[0] ^ 1].append(idx)
+                    self.watches[learnt[1] ^ 1].append(idx)
                     self._enqueue(learnt[0], idx)
                 self.var_inc /= 0.95
                 continue
@@ -252,6 +279,6 @@ class Solver:
                 continue
             l = self._decide()
             if l == -1:
-                return [self.assign[v] == 1 for v in range(self.n_vars)]
+                return [value == 1 for value in self.val[0::2]]
             self.trail_lim.append(len(self.trail))
             self._enqueue(l, -1)

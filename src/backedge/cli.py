@@ -113,8 +113,6 @@ FILE = arg("file")
 K = arg("--k", type=int, required=True)
 OUT = arg("--out", default=None)
 RENDER = arg("--render", choices=["paper"], default=None)
-SIZING_ONLY = arg("--sizing-only", action="store_true")
-VERTEX_BUDGET = arg("--vertex-budget", type=int, default=DEFAULT_VERTEX_BUDGET)
 
 
 def _render_ordering(ordering) -> str:
@@ -123,6 +121,14 @@ def _render_ordering(ordering) -> str:
 
 def _ordering_or_none(ordering) -> Optional[list]:
     return None if ordering is None else list(ordering)
+
+
+def _parse_ordering(spec: str, read) -> tuple[int, ...]:
+    """An ``--ordering`` spec; one that names a file is loaded through
+    ``read``, so the envelope digests it, while inline specs are not."""
+    if os.path.exists(spec):
+        return read(spec, parse_ordering)
+    return parse_ordering(spec)
 
 
 @verb("omega", "exact ordering clique number", FILE)
@@ -200,6 +206,14 @@ def _search_min_omega(args, deadline, read) -> Outcome:
 CONSTRUCT_ARITY = {
     "tt": 1, "c3": 0, "arrow": 2, "delta": 3, "lift": 2, "amplifier": 1, "pi": 1, "dk": 1,
 }
+# the kinds each kind-specific option applies to; these options default to
+# None, so an option that was given is one whose value is not None
+CONSTRUCT_OPTIONS = {
+    "--layout-out": ("amplifier", "pi"),
+    "--sizing-only": ("amplifier", "pi"),
+    "--audit-subsets": ("amplifier",),
+    "--vertex-budget": ("amplifier", "pi", "dk"),
+}
 
 
 @verb("construct", "build a named construction",
@@ -207,10 +221,10 @@ CONSTRUCT_ARITY = {
       arg("args", nargs="*", help="sizes or tournament files"),
       OUT,
       arg("--layout-out", default=None),
-      SIZING_ONLY,
-      arg("--audit-subsets", type=int, default=0,
+      arg("--sizing-only", action="store_true", default=None),
+      arg("--audit-subsets", type=int, default=None,
           help="amplifier only: sample N random subsets for the hitting audit"),
-      VERTEX_BUDGET)
+      arg("--vertex-budget", type=int, default=None))
 def _construct(args, deadline, read) -> Outcome:
     kind, specs = args.kind, args.args
     arity = CONSTRUCT_ARITY[kind]
@@ -219,6 +233,13 @@ def _construct(args, deadline, read) -> Outcome:
             f"construct {kind} takes {arity} argument{'' if arity == 1 else 's'}, "
             f"got {len(specs)}"
         )
+    stray = [
+        option for option, kinds in CONSTRUCT_OPTIONS.items()
+        if kind not in kinds and getattr(args, option[2:].replace("-", "_")) is not None
+    ]
+    if stray:
+        raise ValueError(f"construct {kind} does not take {', '.join(stray)}")
+    budget = DEFAULT_VERTEX_BUDGET if args.vertex_budget is None else args.vertex_budget
     # tt and dk take a size; elsewhere a number names a transitive tournament
     parts = [] if kind in ("tt", "dk") else [
         tt(int(s)) if s.isdigit() else read(s) for s in specs
@@ -246,12 +267,10 @@ def _construct(args, deadline, read) -> Outcome:
     elif kind in ("amplifier", "pi"):
         (base,) = parts
         sizing_fn = amplifier_sizing if kind == "amplifier" else pi_sizing
-        result["sizing"] = sizing_fn(base.n, vertex_budget=args.vertex_budget).to_dict()
+        result["sizing"] = sizing_fn(base.n, vertex_budget=budget).to_dict()
         if args.sizing_only:
             return Outcome(result)
-        res = (amplifier if kind == "amplifier" else pi)(
-            base, vertex_budget=args.vertex_budget
-        )
+        res = (amplifier if kind == "amplifier" else pi)(base, vertex_budget=budget)
         built, ordering, layout = res.tournament, res.ordering, res.layout
         if kind == "amplifier" and args.audit_subsets:
             rng = random.Random(args.seed)
@@ -270,7 +289,7 @@ def _construct(args, deadline, read) -> Outcome:
                 "seed": args.seed,
             }
     else:  # dk
-        out = d_family(int(specs[0]), vertex_budget=args.vertex_budget)
+        out = d_family(int(specs[0]), vertex_budget=budget)
         if not isinstance(out, Tournament):
             result["sizing"] = out.to_dict()
             return Outcome(result)
@@ -347,8 +366,8 @@ def _load_dimacs(path: str):
       arg("--gadget", required=True, help=".trn file of the companion tournament"),
       OUT,
       arg("--landmarks", default=None),
-      SIZING_ONLY,
-      VERTEX_BUDGET)
+      arg("--sizing-only", action="store_true"),
+      arg("--vertex-budget", type=int, default=DEFAULT_VERTEX_BUDGET))
 def _reduce(args, deadline, read) -> Outcome:
     formula = read(args.cnf, _load_dimacs)
     companion = read(args.gadget)
@@ -391,14 +410,14 @@ def _witness(args, deadline, read) -> Outcome:
         return Outcome({"ordering": list(ordering)})
     if args.ordering is None:
         raise ValueError("witness to-assignment needs --ordering")
-    assignment = assignment_from_ordering(instance, parse_ordering(args.ordering))
+    assignment = assignment_from_ordering(instance, _parse_ordering(args.ordering, read))
     return Outcome({"assignment": [int(v) for v in assignment]})
 
 
 @verb("verify-ordering", "scan an ordering's backedge graph",
       arg("--trn", required=True), arg("--ordering", required=True))
 def _verify_ordering(args, deadline, read) -> Outcome:
-    report = verify_ordering(read(args.trn), parse_ordering(args.ordering))
+    report = verify_ordering(read(args.trn), _parse_ordering(args.ordering, read))
     return Outcome(report.to_dict(), negative=not report.k4_free)
 
 

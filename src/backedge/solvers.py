@@ -308,8 +308,10 @@ def chi_decide(
         solver.add_clause([lit(var(0, c), False)])
 
     def add_cycle_cut(cycle: tuple[int, ...]) -> None:
-        for c in range(k):
-            solver.add_clause([lit(var(v, c), False) for v in cycle])
+        # the negative literal of var(v, c) is 2 * k * v + 1 + 2 * c
+        negs = [2 * k * v + 1 for v in cycle]
+        for c in range(0, 2 * k, 2):
+            solver.add_clause([l + c for l in negs])
 
     if isinstance(d, Tournament) and n <= 256:
         # in a tournament every directed cycle contains a directed triangle,
@@ -377,13 +379,18 @@ def _find_directed_cycle(d: Digraph, mask: int) -> Optional[tuple[int, ...]]:
 
 
 def chi(d: Digraph, *, deadline: Optional[Deadline] = None) -> ChiResult:
-    """Exact acyclic partition number with a witness partition."""
+    """Exact acyclic partition number with a witness partition.
+
+    ``conflicts`` sums the conflicts of every k tried, the refuted k below
+    the value included."""
     if d.n == 0:
         raise ValueError("chi of the empty digraph is undefined")
+    conflicts = 0
     for k in itertools.count(1):
         res = chi_decide(d, k, deadline=deadline)
+        conflicts += res.conflicts
         if res.decision:
-            return ChiResult(k, res.classes, res.conflicts)
+            return ChiResult(k, res.classes, conflicts)
     raise AssertionError("unreachable")
 
 

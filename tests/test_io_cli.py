@@ -13,6 +13,7 @@ from backedge.io import (
     parse_assignment,
     parse_ordering,
     save_tournament,
+    sha256_file,
     tournament_from_json_dict,
     tournament_from_text,
     tournament_to_json_dict,
@@ -202,6 +203,55 @@ def test_cli_construct_checks_argument_count(capsys):
         code, envelope = _run(capsys, "construct", *argv)
         assert code == 2
         assert f"takes {arity} argument" in envelope["result"]["error"]
+
+
+def test_cli_construct_rejects_options_of_other_kinds(capsys, tmp_path):
+    layout = str(tmp_path / "x.json")
+    code, envelope = _run(
+        capsys, "construct", "tt", "3", "--layout-out", layout,
+        "--audit-subsets", "5", "--sizing-only",
+    )
+    assert code == 2
+    assert envelope["result"]["error"] == (
+        "construct tt does not take --layout-out, --sizing-only, --audit-subsets"
+    )
+    assert not (tmp_path / "x.json").exists()
+    cases = [
+        (["pi", "3", "--audit-subsets", "0"], "--audit-subsets"),
+        (["dk", "3", "--sizing-only"], "--sizing-only"),
+        (["dk", "3", "--layout-out", layout], "--layout-out"),
+        (["c3", "--vertex-budget", "100000"], "--vertex-budget"),
+        (["arrow", "2", "3", "--vertex-budget", "10"], "--vertex-budget"),
+    ]
+    for argv, option in cases:
+        code, envelope = _run(capsys, "construct", *argv)
+        assert code == 2
+        assert envelope["result"]["error"] == f"construct {argv[0]} does not take {option}"
+    # each option still works on the kinds it applies to
+    code, envelope = _run(capsys, "construct", "amplifier", "3", "--audit-subsets", "5")
+    assert code == 0 and envelope["result"]["hitting_audit"]["trials"] == 5
+    code, envelope = _run(capsys, "construct", "pi", "3", "--sizing-only",
+                          "--vertex-budget", "10")
+    assert code == 0 and not envelope["result"]["sizing"]["materializable"]
+    code, envelope = _run(capsys, "construct", "dk", "2", "--vertex-budget", "100")
+    assert code == 0 and envelope["result"]["n"] == 63
+
+
+def test_cli_ordering_file_is_digested(capsys, tmp_path, r5_file):
+    ordering = tmp_path / "ord.json"
+    ordering.write_text("[0, 1, 2, 3, 4]\n")
+    code, envelope = _run(capsys, "verify-ordering", "--trn", r5_file,
+                          "--ordering", str(ordering))
+    assert code == 0
+    assert envelope["inputs"] == [
+        {"path": r5_file, "sha256": sha256_file(r5_file)},
+        {"path": str(ordering), "sha256": sha256_file(ordering)},
+    ]
+    # an inline spec is not a file and is not digested
+    code, envelope = _run(capsys, "verify-ordering", "--trn", r5_file,
+                          "--ordering", "0,1,2,3,4")
+    assert code == 0
+    assert [entry["path"] for entry in envelope["inputs"]] == [r5_file]
 
 
 def test_cli_inputs_list_files_read_before_an_error(capsys, tmp_path, surrogate):

@@ -253,6 +253,19 @@ def test_chi_deterministic():
     assert first.value == 2
 
 
+def test_chi_conflicts_sum_every_k_tried():
+    rng = random.Random(53)
+    refuted_work = 0
+    for n in (12, 16, 20):
+        t = labeled_tournament(n, rng.randrange(labeled_count(n)))
+        result = chi(t)
+        per_k = [chi_decide(t, k).conflicts for k in range(1, result.value + 1)]
+        assert result.conflicts == sum(per_k)
+        refuted_work += sum(per_k[:-1])
+    # the refuted k carry conflicts, so the last k alone would undercount
+    assert refuted_work > 0
+
+
 def test_forcing_negative_control_with_triangle_companion():
     # single arc v->u plus u => triangle => v: companion lacks the hitting
     # property, so nothing forces u before v at clique bound 2

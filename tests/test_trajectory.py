@@ -1,0 +1,76 @@
+"""Golden digest of the conflict-driven solver's search path.
+
+The solver is deterministic, so its decisions, learnt clauses and models are
+a fixed function of the input.  This test hashes what that search produces
+(per-k ``chi_decide`` verdicts, classes and conflict counts on seeded random
+tournaments and digraphs; models, conflict counts and the clause database,
+learnt clauses included, of seeded raw CNF runs with ``reset()`` and
+re-solves) and compares the hash with a recorded value.  A kernel change
+that keeps every answer correct but changes the search (tie-breaking, watch
+order, restarts, phase saving) changes the hash; a change that alters the
+search on purpose records the new digest and says so.
+"""
+
+import hashlib
+import itertools
+import random
+
+from backedge._sat import Solver, lit
+from backedge.core import Digraph
+from backedge.generation import labeled_count, labeled_tournament
+from backedge.solvers import chi_decide
+
+TRAJECTORY_DIGEST = "e0c4cb1ab0bc00533e26cdc21b9ef694112f8b221c464afb4fe6d2c51b962e73"
+
+
+def _chi_records():
+    rng = random.Random(20240501)
+    digraphs = [
+        labeled_tournament(n, rng.randrange(labeled_count(n)))
+        for n in range(8, 25)
+        for _ in range(2)
+    ]
+    # sparse digraphs have few triangles, so their cuts arrive lazily through
+    # reset() and re-solve
+    for n in range(8, 15):
+        arcs = [(u, v) for u in range(n) for v in range(n) if u != v and rng.random() < 0.3]
+        digraphs.append(Digraph.from_arcs(n, arcs))
+    for d in digraphs:
+        for k in itertools.count(1):
+            res = chi_decide(d, k)
+            yield (d.n, k, res.decision, res.classes, res.conflicts)
+            if res.decision:
+                break
+
+
+def _model_bits(model):
+    return None if model is None else sum(1 << v for v, value in enumerate(model) if value)
+
+
+def _cnf_records():
+    rng = random.Random(20240502)
+    for _ in range(16):
+        n_vars = rng.randint(40, 90)
+        solver = Solver(n_vars)
+        for _ in range(int(4.26 * n_vars)):
+            variables = rng.sample(range(n_vars), 3)
+            solver.add_clause([lit(v, rng.random() < 0.5) for v in variables])
+        for _ in range(4):
+            model = solver.solve()
+            learnt = tuple(tuple(sorted(clause)) for clause in solver.clauses)
+            yield (_model_bits(model), solver.conflicts, solver.n_vars, solver.ok, learnt)
+            if model is None:
+                break
+            # forbid part of the model and mention one fresh variable, so the
+            # next solve grows the solver and learns on top of kept clauses
+            solver.reset()
+            head = rng.sample(range(solver.n_vars), 6)
+            solver.add_clause([lit(v, not model[v]) for v in head] + [lit(solver.n_vars, True)])
+            solver.add_clause([lit(solver.n_vars - 1, False), lit(rng.randrange(n_vars), True)])
+
+
+def test_search_trajectory_is_pinned():
+    h = hashlib.sha256()
+    for record in itertools.chain(_chi_records(), _cnf_records()):
+        h.update(repr(record).encode())
+    assert h.hexdigest() == TRAJECTORY_DIGEST
