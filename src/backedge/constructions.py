@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from itertools import combinations, product
 from typing import Iterable, Iterator, Optional, Union
 
-from .core import Digraph, Tournament, check_minimum_ordering
+from .core import Digraph, Tournament, check_minimum_ordering, is_transitive
 from .solvers import omega
 
 DEFAULT_VERTEX_BUDGET = 100_000
@@ -253,27 +253,30 @@ def amplifier(
     """Tournament with the same ordering clique number as ``t`` in which every
     vertex subset or its complement contains a copy of ``t``.
 
-    Transitive bases take the short route ``t -> t``.  Otherwise n*m copies
+    Transitive bases take the short route ``t -> t``.  Any other base over
+    the vertex budget is refused before it is searched; otherwise n*m copies
     are chained front-to-back (m per block, one block per position of the
     base ordering) and the arc between equal-label vertices of two copies is
     flipped exactly when the base has the arc from the later copy's block
     vertex to the earlier copy's block vertex.
     """
+    n = t.n
+    transitive = is_transitive(t)
+    if not transitive:
+        sizing = amplifier_sizing(n, vertex_budget=vertex_budget)
+        if not sizing.materializable:
+            raise MaterializationRefused(sizing)
     result = omega(t)
     if omega_ordering is None:
         omega_ordering = result.witness
     else:
         omega_ordering = check_minimum_ordering(t, omega_ordering, result.value)
 
-    if result.value == 1:
+    if transitive:
         doubled = arrow(t, t)
-        ordering = tuple(omega_ordering) + tuple(v + t.n for v in omega_ordering)
+        ordering = tuple(omega_ordering) + tuple(v + n for v in omega_ordering)
         return BuiltTournament(doubled, ordering, None)
 
-    n = t.n
-    sizing = amplifier_sizing(n, vertex_budget=vertex_budget)
-    if not sizing.materializable:
-        raise MaterializationRefused(sizing)
     universe = sizing.parameter("label_universe")
     m = sizing.parameter("m")
     ncopies = n * m

@@ -168,20 +168,21 @@ def backedge_graph(d: Digraph, ordering: Sequence[int]) -> UndirectedGraph:
 
 
 def has_clique_in_mask(adj: Sequence[int], mask: int, k: int) -> Optional[tuple[int, ...]]:
-    """Search ``mask`` for a k-clique of the graph ``adj``; return the lexicographically
-    first witness found or None."""
+    """Lexicographically first k-clique of the graph ``adj`` inside the vertex
+    bitmask ``mask``, or None."""
     if k <= 0:
         return ()
-    if mask.bit_count() < k:
-        return None
-    if k == 1:
-        return ((mask & -mask).bit_length() - 1,)
-    for u in _bits(mask):
+    while mask.bit_count() >= k:
+        low = mask & -mask
+        u = low.bit_length() - 1
+        mask ^= low  # later candidates lie above u: keeps witnesses canonical
+        if k == 1:
+            return (u,)
         rest = adj[u] & mask
-        rest &= ~((1 << (u + 1)) - 1)  # only vertices above u: keeps witnesses canonical
-        sub = has_clique_in_mask(adj, rest, k - 1)
-        if sub is not None:
-            return (u, *sub)
+        if rest.bit_count() >= k - 1:
+            sub = has_clique_in_mask(adj, rest, k - 1)
+            if sub is not None:
+                return (u, *sub)
     return None
 
 
@@ -193,26 +194,15 @@ def has_clique(g: UndirectedGraph, k: int) -> Optional[tuple[int, ...]]:
 
 
 def clique_number(g: UndirectedGraph) -> int:
-    """Exact maximum clique size, by branch and bound over vertex bitmasks."""
+    """Exact maximum clique size: the largest k for which the clique search
+    finds a k-clique."""
     if g.n == 0:
         raise ValueError("clique number of the empty graph is undefined")
-    adj = g.adj
-    best = 1
-
-    def grow(mask: int, size: int) -> None:
-        nonlocal best
-        while mask:
-            if size + mask.bit_count() <= best:
-                return
-            low = mask & -mask
-            u = low.bit_length() - 1
-            mask ^= low
-            if size + 1 > best:
-                best = size + 1
-            grow(adj[u] & mask, size + 1)
-
-    grow((1 << g.n) - 1, 0)
-    return best
+    full = (1 << g.n) - 1
+    k = 1
+    while has_clique_in_mask(g.adj, full, k + 1) is not None:
+        k += 1
+    return k
 
 
 def check_minimum_ordering(d: Digraph, ordering: Sequence[int], value: int) -> tuple[int, ...]:
@@ -274,20 +264,46 @@ def is_transitive(t: Tournament) -> bool:
     return directed_triangle(t) is None
 
 
-def is_acyclic(d: Digraph, within: Optional[int] = None) -> bool:
-    """Kahn-style check that the (induced) digraph has no directed cycle."""
+def directed_cycle(d: Digraph, within: Optional[int] = None) -> Optional[tuple[int, ...]]:
+    """A directed cycle of the digraph induced on the vertex bitmask ``within``
+    (all vertices when None), listed along its arcs, or None when that
+    digraph is acyclic.
+
+    The first directed triangle is returned when there is one; otherwise the
+    first cycle closed by a depth-first search that starts from, and steps
+    to, the lowest vertices first."""
     mask = (1 << d.n) - 1 if within is None else within
-    indeg = {u: (d.cols[u] & mask).bit_count() for u in _bits(mask)}
-    queue = [u for u, deg in indeg.items() if deg == 0]
-    seen = 0
-    while queue:
-        u = queue.pop()
-        seen += 1
-        for v in _bits(d.rows[u] & mask):
-            indeg[v] -= 1
-            if indeg[v] == 0:
-                queue.append(v)
-    return seen == mask.bit_count()
+    rows = d.rows
+    done = 0
+    for start in _bits(mask):
+        if done >> start & 1:
+            continue
+        path = [start]
+        on_path = 1 << start
+        todo = [rows[start] & mask]  # per path vertex: out-neighbours not yet tried
+        while todo:
+            nxt = todo[-1] & ~done
+            if not nxt:
+                low = 1 << path.pop()
+                on_path ^= low
+                done |= low
+                todo.pop()
+                continue
+            low = nxt & -nxt
+            w = low.bit_length() - 1
+            if low & on_path:
+                # cyclic, so scan for a triangle; an acyclic mask skips the scan
+                return directed_triangle(d, mask) or tuple(path[path.index(w):])
+            todo[-1] = nxt ^ low
+            path.append(w)
+            on_path |= low
+            todo.append(rows[w] & mask)
+    return None
+
+
+def is_acyclic(d: Digraph, within: Optional[int] = None) -> bool:
+    """True iff the (induced) digraph has no directed cycle."""
+    return directed_cycle(d, within) is None
 
 
 def is_strong(t: Tournament) -> bool:

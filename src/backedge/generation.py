@@ -10,7 +10,6 @@ size extends the previous by a new last vertex (orderly generation).
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Iterator
 
 from .core import Tournament
 
@@ -78,27 +77,3 @@ def canonical_tournaments(n: int) -> tuple[Tournament, ...]:
             if is_canonical(candidate):
                 result.append(candidate)
     return tuple(result)
-
-
-def labeled_tournament(n: int, code: int) -> Tournament:
-    """Decode an upper-triangle bit code (one bit per pair i<j, 1 meaning
-    arc i->j) into a labeled tournament."""
-    rows = [0] * n
-    idx = 0
-    for i in range(n):
-        for j in range(i + 1, n):
-            if code >> idx & 1:
-                rows[i] |= 1 << j
-            else:
-                rows[j] |= 1 << i
-            idx += 1
-    return Tournament(n, tuple(rows))
-
-
-def labeled_count(n: int) -> int:
-    return 1 << (n * (n - 1) // 2)
-
-
-def all_labeled_tournaments(n: int) -> Iterator[Tournament]:
-    for code in range(labeled_count(n)):
-        yield labeled_tournament(n, code)

@@ -21,7 +21,7 @@ from .core import (
     Tournament,
     _backedge_masks,
     _bits,
-    directed_triangle,
+    directed_cycle,
     has_clique_in_mask,
     is_acyclic,
 )
@@ -251,7 +251,7 @@ def omega_by_enumeration(t: Digraph, *, deadline: Optional[Deadline] = None) -> 
         raise ValueError("omega of the empty tournament is undefined")
     full = (1 << n) - 1
     # every ordering of a non-acyclic digraph has a backward arc
-    floor = 1 if directed_triangle(t) is None and is_acyclic(t) else 2
+    floor = 1 if is_acyclic(t) else 2
     best = n
     scanned = 0
     for perm in itertools.permutations(range(n)):
@@ -333,7 +333,7 @@ def chi_decide(
             masks[c] |= 1 << v
         violated = None
         for mask in masks:
-            cycle = _find_directed_cycle(d, mask)
+            cycle = directed_cycle(d, mask)
             if cycle is not None:
                 violated = cycle
                 break
@@ -346,36 +346,6 @@ def chi_decide(
             return ChiDecideResult(True, classes, solver.conflicts)
         solver.reset()
         add_cycle_cut(violated)
-
-
-def _find_directed_cycle(d: Digraph, mask: int) -> Optional[tuple[int, ...]]:
-    tri = directed_triangle(d, mask)
-    if tri is not None:
-        return tri
-    state = {}  # 1 on stack, 2 done
-    for start in _bits(mask):
-        if start in state:
-            continue
-        stack = [(start, iter(list(_bits(d.rows[start] & mask))))]
-        state[start] = 1
-        path = [start]
-        while stack:
-            v, it = stack[-1]
-            advanced = False
-            for w in it:
-                if state.get(w) == 1:
-                    return tuple(path[path.index(w):])
-                if w not in state:
-                    state[w] = 1
-                    path.append(w)
-                    stack.append((w, iter(list(_bits(d.rows[w] & mask)))))
-                    advanced = True
-                    break
-            if not advanced:
-                state[v] = 2
-                path.pop()
-                stack.pop()
-    return None
 
 
 def chi(d: Digraph, *, deadline: Optional[Deadline] = None) -> ChiResult:
@@ -421,31 +391,16 @@ def forcing_holds(
 
 
 def min_order_with_omega(
-    k: int,
-    n_max: int,
-    *,
-    method: str = "branch-and-bound",
-    deadline: Optional[Deadline] = None,
+    k: int, n_max: int, *, deadline: Optional[Deadline] = None
 ) -> Optional[MinOrderResult]:
     """Smallest n <= n_max carrying a tournament of ordering clique number
-    exactly k, with the first such tournament in canonical generation order.
-
-    `method` selects how each candidate's value is computed:
-    "branch-and-bound" (the search solver) or "enumeration" (the plain
-    factorial oracle); both must agree, which the test suite exercises.
-    """
+    exactly k, with the first such tournament in canonical generation order."""
     if k < 1 or n_max < 1:
         raise ValueError("k and n_max must be positive")
-    if method not in ("branch-and-bound", "enumeration"):
-        raise ValueError(f"unknown method {method!r}")
     for n in range(1, n_max + 1):
         for t in canonical_tournaments(n):
             if deadline is not None:
                 deadline.check()
-            if method == "branch-and-bound":
-                value = omega(t, deadline=deadline).value
-            else:
-                value = omega_by_enumeration(t, deadline=deadline)
-            if value == k:
+            if omega(t, deadline=deadline).value == k:
                 return MinOrderResult(n, t)
     return None

@@ -186,7 +186,19 @@ def test_supplied_ordering_must_be_minimum():
     assert clique_number(backedge_graph(t, ordering)) == 3 > omega(t).value
     for construction in (amplifier, pi):
         with pytest.raises(ValueError, match="minimum"):
-            construction(t, ordering)
+            construction(t, ordering, vertex_budget=10**6)
+
+
+def test_amplifier_refuses_by_size_before_searching(monkeypatch):
+    def no_search(t, **kwargs):
+        raise AssertionError("omega must not run on an oversized base")
+
+    monkeypatch.setattr("backedge.constructions.omega", no_search)
+    with pytest.raises(MaterializationRefused):
+        amplifier(delta(tt(4), tt(4), tt(4)))
+    # an oversized base refuses before a supplied ordering is checked
+    with pytest.raises(MaterializationRefused):
+        amplifier(r5(), (0, 1, 2, 4, 3))
 
 
 def test_pi_c3_wiring(d2):

@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -12,9 +13,12 @@ from backedge.core import (
     backedge_graph,
     clique_number,
     contains_subtournament,
+    directed_cycle,
     directed_triangle,
     has_clique,
+    has_clique_in_mask,
     induced,
+    is_acyclic,
     is_forest,
     is_strong,
     is_transitive,
@@ -22,7 +26,8 @@ from backedge.core import (
     triangle_in_graph,
 )
 from backedge.gadgets import r5, var_base
-from backedge.generation import labeled_count, labeled_tournament
+
+from labeled import labeled_count, labeled_tournament
 
 
 def small_tournaments(max_n=6):
@@ -161,6 +166,111 @@ def test_is_forest_matches_union_find():
         forests += acyclic
         assert is_forest(g) == acyclic, index
     assert 0 < forests < labeled_count(n)
+
+
+def kahn_is_acyclic(d, within=None):
+    """Reference: repeatedly remove a vertex with no in-arc inside the mask."""
+    mask = (1 << d.n) - 1 if within is None else within
+    indeg = {u: (d.cols[u] & mask).bit_count() for u in range(d.n) if mask >> u & 1}
+    queue = [u for u, deg in indeg.items() if deg == 0]
+    seen = 0
+    while queue:
+        u = queue.pop()
+        seen += 1
+        for v in indeg:
+            if d.has_arc(u, v):
+                indeg[v] -= 1
+                if indeg[v] == 0:
+                    queue.append(v)
+    return seen == len(indeg)
+
+
+def branch_and_bound_clique_number(g):
+    """Reference: grow cliques over vertex bitmasks, pruning any branch that
+    cannot beat the best size found."""
+    best = 1
+
+    def grow(mask, size):
+        nonlocal best
+        while mask:
+            if size + mask.bit_count() <= best:
+                return
+            low = mask & -mask
+            mask ^= low
+            best = max(best, size + 1)
+            grow(g.adj[low.bit_length() - 1] & mask, size + 1)
+
+    grow((1 << g.n) - 1, 0)
+    return best
+
+
+def random_digraph(rng, n):
+    density = rng.choice((0.1, 0.2, 0.35, 0.6))
+    arcs = [(u, v) for u in range(n) for v in range(n) if u != v and rng.random() < density]
+    return Digraph.from_arcs(n, arcs)
+
+
+def random_graph(rng, n):
+    density = rng.choice((0.2, 0.5, 0.8))
+    edges = [(u, v) for u, v in itertools.combinations(range(n), 2) if rng.random() < density]
+    return UndirectedGraph.from_edges(n, edges)
+
+
+def test_directed_cycle_matches_kahn():
+    rng = random.Random(20241018)
+    cyclic = acyclic = 0
+    for trial in range(1200):
+        n = rng.randint(1, 9)
+        if trial % 2:
+            d = labeled_tournament(n, rng.randrange(labeled_count(n)))
+        else:
+            d = random_digraph(rng, n)
+        within = None if trial % 3 == 0 else rng.getrandbits(n)
+        mask = (1 << n) - 1 if within is None else within
+        cycle = directed_cycle(d, within)
+        assert is_acyclic(d, within) == (cycle is None)
+        assert (cycle is None) == kahn_is_acyclic(d, within), (d, within)
+        if cycle is None:
+            acyclic += 1
+            continue
+        cyclic += 1
+        assert len(set(cycle)) == len(cycle) >= 2
+        assert all(mask >> v & 1 for v in cycle)
+        for u, v in zip(cycle, cycle[1:] + cycle[:1]):
+            assert d.has_arc(u, v)
+    assert cyclic > 300 and acyclic > 300
+
+
+def test_clique_number_matches_branch_and_bound():
+    rng = random.Random(20241018)
+    for _ in range(300):
+        n = rng.randint(1, 12)
+        g = random_graph(rng, n)
+        assert clique_number(g) == branch_and_bound_clique_number(g)
+    for _ in range(100):
+        n = rng.randint(1, 9)
+        t = labeled_tournament(n, rng.randrange(labeled_count(n)))
+        g = backedge_graph(t, tuple(rng.sample(range(n), n)))
+        assert clique_number(g) == branch_and_bound_clique_number(g)
+
+
+def test_has_clique_in_mask_is_first_combination():
+    rng = random.Random(20241018)
+    for trial in range(400):
+        n = rng.randint(1, 10)
+        g = random_graph(rng, n)
+        mask = 0 if trial % 10 == 0 else rng.getrandbits(n)
+        inside = [v for v in range(n) if mask >> v & 1]
+        for k in range(6):
+            first = next(
+                (
+                    combo
+                    for combo in itertools.combinations(inside, k)
+                    if all(g.has_edge(u, v) for u, v in itertools.combinations(combo, 2))
+                ),
+                None,
+            )
+            assert has_clique_in_mask(g.adj, mask, k) == first, (g, mask, k)
 
 
 def test_reverse_and_induced():

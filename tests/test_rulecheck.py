@@ -5,7 +5,6 @@ import pytest
 
 from backedge.constructions import c3, tt
 from backedge.core import backedge_graph, components, is_strong
-from backedge.generation import labeled_count, labeled_tournament
 from backedge.rulecheck import (
     check_cell,
     check_rules,
@@ -14,6 +13,7 @@ from backedge.rulecheck import (
 )
 from backedge.solvers import enumerate_omega_orderings
 
+from labeled import labeled_count, labeled_tournament
 from r5_rule_table import R5_RULE_TABLE
 
 

@@ -18,7 +18,6 @@ from backedge.core import (
     reverse,
 )
 from backedge.gadgets import clause_base, r5, var_base
-from backedge.generation import labeled_count, labeled_tournament
 from backedge.solvers import (
     Deadline,
     chi,
@@ -30,6 +29,8 @@ from backedge.solvers import (
     omega_by_enumeration,
     omega_decide,
 )
+
+from labeled import labeled_count, labeled_tournament
 
 R5_FIRST_FIXED = [
     (0, 1, 2, 3, 4),

@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 from backedge.constructions import c3, tt
 from backedge.core import backedge_graph, clique_number
 from backedge.gadgets import r5
-from backedge.generation import labeled_count, labeled_tournament
 from backedge.solvers import omega_decide
 from backedge.subword import (
     PassInstance,
@@ -14,6 +13,8 @@ from backedge.subword import (
     solve_pass,
     to_pass,
 )
+
+from labeled import labeled_count, labeled_tournament
 
 
 def test_to_pass_examples():

@@ -17,8 +17,9 @@ import random
 
 from backedge._sat import Solver, lit
 from backedge.core import Digraph
-from backedge.generation import labeled_count, labeled_tournament
 from backedge.solvers import chi_decide
+
+from labeled import labeled_count, labeled_tournament
 
 TRAJECTORY_DIGEST = "e0c4cb1ab0bc00533e26cdc21b9ef694112f8b221c464afb4fe6d2c51b962e73"
 
