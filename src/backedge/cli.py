@@ -459,8 +459,17 @@ def _pass(args, deadline, read) -> Outcome:
     return Outcome(result, negative=permutation is None)
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argparse parser whose usage errors raise ValueError, so that ``run``
+    reports them in the envelope (exit 2) instead of exiting without one."""
+
+    def error(self, message: str):
+        self.print_usage(sys.stderr)
+        raise ValueError(f"{self.prog}: {message}")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="backedge",
         description="Exact toolkit for ordering-based clique numbers of tournaments.",
     )
@@ -478,11 +487,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def run(argv: Optional[list[str]] = None) -> int:
-    args = _build_parser().parse_args(argv)
-    budget = args.budget
-    if budget is None and os.environ.get(BUDGET_ENV_VAR):
-        budget = float(os.environ[BUDGET_ENV_VAR])
-    deadline = Deadline(budget)
     started = time.monotonic()
     inputs: list[str] = []
 
@@ -491,10 +495,15 @@ def run(argv: Optional[list[str]] = None) -> int:
         inputs.append(path)
         return loaded
 
+    budget: Optional[float] = None
     nodes: Optional[int] = None
     exhausted = False
     try:
-        outcome = args.handler(args, deadline, read)
+        args = _build_parser().parse_args(argv)
+        budget = args.budget
+        if budget is None and os.environ.get(BUDGET_ENV_VAR):
+            budget = float(os.environ[BUDGET_ENV_VAR])
+        outcome = args.handler(args, Deadline(budget), read)
         result, nodes = outcome.result, outcome.nodes
         exit_code = 1 if outcome.negative else 0
     except (ValueError, OSError, KeyError, IndexError, TypeError, json.JSONDecodeError) as exc:

@@ -25,6 +25,37 @@ def _bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
+# rows per block of _transpose: its strings peak at _TRANSPOSE_BLOCK * n
+# characters instead of n * n
+_TRANSPOSE_BLOCK = 256
+
+
+def _transpose(rows: Sequence[int], n: int) -> tuple[int, ...]:
+    """Column masks of the n x n bit matrix ``rows``: bit u of column v is bit
+    v of ``rows[u]``.  A block of rows is written as one string of binary
+    digits, last row first and each row highest bit first, so the column of
+    bit v is the strided slice at offset n - 1 - v, which ``int(..., 2)``
+    reads back in one C-level step."""
+    if n <= 8:
+        # one row per byte of a 64-bit word: three delta swaps transpose it
+        # (Hacker's Delight, section 7-3)
+        x = int.from_bytes(bytes(rows), "little")
+        t = (x ^ x >> 7) & 0x00AA00AA00AA00AA
+        x ^= t ^ t << 7
+        t = (x ^ x >> 14) & 0x0000CCCC0000CCCC
+        x ^= t ^ t << 14
+        t = (x ^ x >> 28) & 0x00000000F0F0F0F0
+        x ^= t ^ t << 28
+        return tuple(x.to_bytes(8, "little")[:n])
+    fmt = f"0{n}b"
+    cols: list[int] = []
+    for start in range(0, n, _TRANSPOSE_BLOCK):
+        text = "".join([format(row, fmt) for row in reversed(rows[start:start + _TRANSPOSE_BLOCK])])
+        block = [int(text[i::n], 2) << start for i in range(n - 1, -1, -1)]
+        cols = [col | part for col, part in zip(cols, block)] if start else block
+    return tuple(cols)
+
+
 @dataclass(frozen=True)
 class Digraph:
     """Irreflexive directed graph on vertices 0..n-1."""
@@ -39,15 +70,12 @@ class Digraph:
         if len(self.rows) != self.n:
             raise ValueError(f"expected {self.n} adjacency rows, got {len(self.rows)}")
         full = (1 << self.n) - 1
-        cols = [0] * self.n
         for u, row in enumerate(self.rows):
             if row & ~full:
                 raise ValueError(f"row {u} references a vertex >= {self.n}")
             if row >> u & 1:
                 raise ValueError(f"self-arc at vertex {u}")
-            for v in _bits(row):
-                cols[v] |= 1 << u
-        object.__setattr__(self, "cols", tuple(cols))
+        object.__setattr__(self, "cols", _transpose(self.rows, self.n))
         self._validate()
 
     def _validate(self) -> None:
@@ -86,6 +114,15 @@ class Tournament(Digraph):
     """Complete antisymmetric arc relation: exactly one arc per vertex pair."""
 
     def _validate(self) -> None:
+        # per vertex: no pair carries two arcs, and every other vertex is an
+        # in- or out-neighbour; only a failure pays for the pairwise scan,
+        # which names the first bad pair
+        full = (1 << self.n) - 1
+        for u, (row, col) in enumerate(zip(self.rows, self.cols)):
+            if row & col or row | col != full ^ (1 << u):
+                break
+        else:
+            return
         for u in range(self.n):
             ru = self.rows[u]
             for v in range(u + 1, self.n):

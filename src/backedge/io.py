@@ -6,15 +6,29 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from typing import Union
+from typing import Optional, Union
 
 from .core import Tournament
 
 
+def _format_row(row: int, n: int) -> str:
+    """The n-bit row mask as characters 0/1, column j at index j."""
+    return format(row, f"0{n}b")[::-1]
+
+
+def _parse_row(text: str) -> Optional[int]:
+    """The row mask of a string of characters 0/1 (column j at index j), or
+    None if it holds any other character.  The count check comes first
+    because ``int(..., 2)`` also accepts ``_``, a ``0b`` prefix, a sign and
+    surrounding whitespace."""
+    if text.count("0") + text.count("1") != len(text):
+        return None
+    return int(text[::-1], 2)
+
+
 def tournament_to_text(t: Tournament) -> str:
     lines = [f"tournament {t.n}"]
-    for u in range(t.n):
-        lines.append("".join("1" if t.rows[u] >> v & 1 else "0" for v in range(t.n)))
+    lines.extend(_format_row(row, t.n) for row in t.rows)
     return "\n".join(lines) + "\n"
 
 
@@ -36,12 +50,10 @@ def tournament_from_text(text: str) -> Tournament:
         row = line.strip()
         if len(row) != n:
             raise ValueError(f"line {i}: expected {n} entries, got {len(row)}")
-        bits = 0
-        for j, ch in enumerate(row):
-            if ch == "1":
-                bits |= 1 << j
-            elif ch != "0":
-                raise ValueError(f"line {i}, column {j + 1}: invalid character {ch!r}")
+        bits = _parse_row(row)
+        if bits is None:
+            j, ch = next((j, ch) for j, ch in enumerate(row) if ch not in "01")
+            raise ValueError(f"line {i}, column {j + 1}: invalid character {ch!r}")
         rows.append(bits)
     return Tournament(n, tuple(rows))
 
@@ -49,7 +61,7 @@ def tournament_from_text(text: str) -> Tournament:
 def tournament_to_json_dict(t: Tournament) -> dict:
     return {
         "n": t.n,
-        "rows": ["".join("1" if t.rows[u] >> v & 1 else "0" for v in range(t.n)) for u in range(t.n)],
+        "rows": [_format_row(row, t.n) for row in t.rows],
     }
 
 
@@ -62,15 +74,16 @@ def tournament_from_json_dict(data: dict) -> Tournament:
         raise ValueError(f"expected {n} rows, got {len(raw_rows)}")
     rows = []
     for i, raw in enumerate(raw_rows):
-        cells = list(raw) if isinstance(raw, str) else raw
-        if len(cells) != n:
-            raise ValueError(f"row {i}: expected {n} entries, got {len(cells)}")
-        bits = 0
-        for j, cell in enumerate(cells):
-            if str(cell) == "1":
-                bits |= 1 << j
-            elif str(cell) != "0":
-                raise ValueError(f"row {i}, column {j + 1}: cell must be 0 or 1, got {cell!r}")
+        if len(raw) != n:
+            raise ValueError(f"row {i}: expected {n} entries, got {len(raw)}")
+        bits = _parse_row(raw) if isinstance(raw, str) else None
+        if bits is None:  # a list row, or a string row with a bad cell to name
+            bits = 0
+            for j, cell in enumerate(raw):
+                if str(cell) == "1":
+                    bits |= 1 << j
+                elif str(cell) != "0":
+                    raise ValueError(f"row {i}, column {j + 1}: cell must be 0 or 1, got {cell!r}")
         rows.append(bits)
     return Tournament(n, tuple(rows))
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence, Union
 
 from .constructions import DEFAULT_VERTEX_BUDGET, MaterializationRefused, SizingReport, chain
-from .core import Tournament, backedge_graph, check_ordering, clique_number, triangle_in_graph
+from .core import Tournament, backedge_graph, check_ordering, clique_number
 from .gadgets import _assemble, check_companion, clause_base, var_base
 
 Literal = tuple[int, bool]  # (0-based variable index, polarity)
@@ -372,8 +372,8 @@ class OrderingReport:
 def verify_ordering(
     instance: Union[ReductionInstance, Tournament], ordering: Sequence[int]
 ) -> OrderingReport:
-    """Scan the backedge graph of the ordering for a 4-clique and a triangle."""
+    """Scan the backedge graph of the ordering for a 4-clique and a triangle:
+    one clique-number search answers both."""
     t = instance.tournament if isinstance(instance, ReductionInstance) else instance
-    graph = backedge_graph(t, ordering)
-    value = clique_number(graph)
-    return OrderingReport(value < 4, triangle_in_graph(graph) is not None, value)
+    value = clique_number(backedge_graph(t, ordering))
+    return OrderingReport(value < 4, value >= 3, value)

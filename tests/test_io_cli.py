@@ -193,6 +193,23 @@ def test_cli_construct_missing_args(capsys):
     assert code == 2
 
 
+def test_cli_usage_errors_print_an_envelope(capsys, r5_file):
+    code, envelope = _run(capsys, "omega")
+    assert code == 2
+    assert envelope["result"]["error"] == "backedge omega: the following arguments are required: file"
+    assert envelope["inputs"] == []
+    code, envelope = _run(capsys, "construct", "amplifier", "--vertex-budget", "20000", r5_file)
+    assert code == 2
+    assert envelope["result"]["error"] == f"backedge: unrecognized arguments: {r5_file}"
+    code, envelope = _run(capsys, "omega-decide", "--k", "two", r5_file)
+    assert code == 2 and "invalid int value: 'two'" in envelope["result"]["error"]
+    for argv in (["--help"], ["omega", "--help"]):
+        with pytest.raises(SystemExit) as exited:
+            run(argv)
+        assert exited.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: backedge")
+
+
 def test_cli_construct_checks_argument_count(capsys):
     cases = [
         (["tt", "3", "4"], 1), (["c3", "1"], 0), (["arrow", "2", "3", "4"], 2),

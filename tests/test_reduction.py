@@ -3,11 +3,12 @@ import itertools
 import pytest
 
 from backedge.constructions import MaterializationRefused, arrow, c3
-from backedge.core import backedge_graph, clique_number
+from backedge.core import backedge_graph, clique_number, triangle_in_graph
 from backedge.gadgets import assemble_clause_gadget, assemble_var_gadget
 from backedge.solvers import omega
 from backedge.reduction import (
     CnfFormula,
+    OrderingReport,
     assignment_from_ordering,
     build,
     instance_from_dict,
@@ -182,6 +183,32 @@ def test_adversarial_orderings_have_k4(instance):
                 if v not in set(instance.clause_blocks[0].orderings[2]))
     )
     assert not verify_ordering(instance, swapped).k4_free
+
+
+def test_verify_ordering_report_matches_separate_searches(instance):
+    # the satisfying, the adversarial and the swapped ordering of the tests
+    # above: one clique-number search gives the report that a clique-number
+    # search plus a triangle search gave
+    adversarial = []
+    adversarial.extend(instance.var_blocks[0].ordering_false)
+    for block in instance.var_blocks[1:]:
+        adversarial.extend(block.ordering_true)
+    adversarial.extend(instance.separator_ordering)
+    adversarial.extend(instance.clause_blocks[0].orderings[0])
+    adversarial.extend(instance.clause_blocks[1].orderings[2])
+    first = tuple(instance.clause_blocks[0].orderings[2])
+    swapped = first + tuple(v for v in range(instance.tournament.n) if v not in set(first))
+    orderings = (
+        ordering_from_assignment(instance, (True, False, True)),
+        tuple(adversarial),
+        swapped,
+    )
+    for ordering in orderings:
+        graph = backedge_graph(instance.tournament, ordering)
+        value = clique_number(graph)
+        expected = OrderingReport(value < 4, triangle_in_graph(graph) is not None, value)
+        assert verify_ordering(instance, ordering) == expected
+        assert verify_ordering(instance, ordering).to_dict() == expected.to_dict()
 
 
 def test_unreversed_chain_certified_ordering_is_k4_free(instance, surrogate):
