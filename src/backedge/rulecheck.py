@@ -25,12 +25,14 @@ from .core import (
     Tournament,
     _backedge_masks,
     _bits,
+    backedge_graph,
     check_minimum_ordering,
     check_ordering,
+    clique_number,
     components,
     is_strong,
 )
-from .solvers import Deadline, iter_orderings_with_clique_at_most, omega
+from .solvers import Deadline, iter_orderings_with_clique_at_most, omega, omega_decide
 
 
 @dataclass(frozen=True)
@@ -105,7 +107,7 @@ def _span_violation(
     inner: int,
     ordering: tuple[int, ...],
     pos: list[int],
-    adj: list[int],
+    adj: Sequence[int],
 ) -> Optional[RuleWitness]:
     """Rules 3 and 4: some v of ``outer`` with ``arcs[v]`` holding u and w of
     ``inner``, u before w, both inside the span of one component of the
@@ -135,14 +137,16 @@ def check_cell(t: Tournament, ordering: Sequence[int], x: int) -> CellResult:
     """Evaluate the four rules for one (minimum ordering, pivot) cell.
 
     Returns the first violated rule with a deterministic witness and records
-    every violated rule id; the ordering must achieve the minimum."""
+    every violated rule id; the ordering must achieve the minimum, which
+    one refutation of a smaller bound proves."""
     ordering = check_ordering(ordering, t.n)
     if not 0 <= x < t.n:
         raise ValueError(f"pivot {x} out of range")
-    check_minimum_ordering(t, ordering, omega(t).value)
-    return _evaluate_cell(
-        t, ordering, _positions(ordering), _backedge_masks(t.rows, ordering), x
-    )
+    g = backedge_graph(t, ordering)
+    value = clique_number(g)
+    if value > 1 and omega_decide(t, value - 1).decision:
+        raise ValueError("ordering does not achieve the minimum clique number")
+    return _evaluate_cell(t, ordering, _positions(ordering), g.adj, x)
 
 
 def _positions(ordering: tuple[int, ...]) -> list[int]:
@@ -153,7 +157,7 @@ def _positions(ordering: tuple[int, ...]) -> list[int]:
 
 
 def _evaluate_cell(
-    t: Tournament, ordering: tuple[int, ...], pos: list[int], adj: list[int], x: int
+    t: Tournament, ordering: tuple[int, ...], pos: list[int], adj: Sequence[int], x: int
 ) -> CellResult:
     """The rules at pivot ``x`` of a validated minimum ordering whose
     backedge masks are ``adj``."""

@@ -1,10 +1,12 @@
 """Exact solvers: ordering clique number, acyclic partition number, ordering
 enumeration, pairwise forcing, and extremal-witness search.
 
-The ordering searches build orderings left to right.  Once a prefix is
-fixed, every backedge among prefix vertices is determined, so the clique
-number of the partial backedge graph only grows along a branch; a branch
-dies the moment a placement completes a (k+1)-clique.
+The ordering searches build orderings left to right on an explicit stack.
+A prefix fixes every backedge among its vertices, and every backedge from
+an unplaced vertex into it.  Forward checking kills a prefix once some
+unplaced vertex beats a k-clique of its backedge graph, since placing that
+vertex must close a (k+1)-clique; only prefixes without a completion die,
+so surviving branches, their order and the first witnesses are unchanged.
 """
 
 from __future__ import annotations
@@ -111,12 +113,15 @@ def iter_orderings_with_clique_at_most(
     """All orderings whose backedge graph has clique number <= k, lexicographically.
 
     `before=(a, b)` restricts the stream to orderings placing a before b.
+    `stats.nodes` counts the prefixes that survive the forward check.
     """
     if k < 1:
         raise ValueError("clique bound must be positive")
     n = d.n
     if first_vertex is not None and not 0 <= first_vertex < n:
         raise ValueError(f"first vertex {first_vertex} out of range")
+    if deadline is not None:
+        deadline.check()
     if n == 0:
         yield ()
         return
@@ -125,39 +130,47 @@ def iter_orderings_with_clique_at_most(
     full = (1 << n) - 1
     badj = [0] * n
     seq: list[int] = []
-    blocked = 1 << before[1] if before is not None else 0
+    # b is held back while a is unplaced
+    gate, block = (1 << before[0], 1 << before[1]) if before is not None else (0, 0)
+    placed = 0
+    # avails[i]: the candidates still untried at position i of the prefix
+    avails = [(full if first_vertex is None else 1 << first_vertex) & ~block]
     node_count = 0
-
-    def rec(placed: int) -> Iterator[tuple[int, ...]]:
-        nonlocal node_count, blocked
-        if placed == full:
-            yield tuple(seq)
-            return
-        avail = full & ~placed & ~blocked
-        while avail:
-            low = avail & -avail
-            v = low.bit_length() - 1
-            avail ^= low
-            nb = rows[v] & placed
-            if k == 2:
-                bad = False
-                m = nb
-                while m:
-                    lb = m & -m
-                    if badj[lb.bit_length() - 1] & nb:
-                        bad = True
-                        break
-                    m ^= lb
-                if bad:
-                    continue
-            elif k == 1:
-                # only topological prefixes can complete: the vertex must
-                # create no backedge now (out-neighbors unplaced) and never
-                # (in-neighbors all placed)
-                if nb or cols[v] & ~placed & full:
-                    continue
-            elif has_clique_in_mask(badj, nb, k) is not None:
+    try:
+        while avails:
+            avail = avails[-1]
+            if not avail:
+                avails.pop()
+                if seq:
+                    v = seq.pop()
+                    low = 1 << v
+                    placed ^= low
+                    m = badj[v]
+                    badj[v] = 0
+                    while m:
+                        lb = m & -m
+                        badj[lb.bit_length() - 1] ^= low
+                        m ^= lb
                 continue
+            low = avail & -avail
+            avails[-1] = avail ^ low
+            v = low.bit_length() - 1
+            nb = rows[v] & placed
+            # forward check: an unplaced c with c -> v that beats a
+            # (k-1)-clique of nb closes a (k+1)-clique once it is placed
+            threats = cols[v] & ~placed
+            if k == 1:
+                if threats:
+                    continue
+            elif nb:
+                while threats:
+                    lb = threats & -threats
+                    hit = rows[lb.bit_length() - 1] & nb
+                    if hit and (k == 2 or has_clique_in_mask(badj, hit, k - 1)):
+                        break
+                    threats ^= lb
+                if threats:
+                    continue
             node_count += 1
             if deadline is not None and node_count & 0xFFF == 0:
                 deadline.check()
@@ -167,33 +180,11 @@ def iter_orderings_with_clique_at_most(
                 lb = m & -m
                 badj[lb.bit_length() - 1] |= low
                 m ^= lb
+            placed |= low
             seq.append(v)
-            unblock = before is not None and v == before[0]
-            if unblock:
-                blocked = 0
-            yield from rec(placed | low)
-            if unblock:
-                blocked = 1 << before[1]
-            seq.pop()
-            m = nb
-            while m:
-                lb = m & -m
-                badj[lb.bit_length() - 1] &= ~low
-                m ^= lb
-            badj[v] = 0
-
-    try:
-        if first_vertex is not None:
-            v = first_vertex
-            if not blocked >> v & 1:
-                node_count += 1
-                seq.append(v)
-                if before is not None and v == before[0]:
-                    blocked = 0
-                yield from rec(1 << v)
-                seq.pop()
-        else:
-            yield from rec(0)
+            if placed == full:
+                yield tuple(seq)
+            avails.append(full & ~placed & ~(block if gate & ~placed else 0))
     finally:
         if stats is not None:
             stats.nodes += node_count

@@ -78,10 +78,12 @@ def solve_pass(
     """Lexicographically smallest permutation of the alphabet avoiding every
     forbidden word as a subsequence, or None.
 
-    Depth-first over prefixes; a branch dies as soon as some forbidden word
-    is fully embedded in the prefix."""
+    Depth-first over prefixes with forward checking: a branch dies once a
+    forbidden word is embedded up to its still-unplaced last symbol."""
     n = instance.alphabet_size
     words = instance.forbidden
+    if any(len(word) == 1 for word in words):
+        return None
     touching: list[list[int]] = [[] for _ in range(n)]
     for idx, word in enumerate(words):
         for symbol in set(word):
@@ -101,23 +103,22 @@ def solve_pass(
             nodes += 1
             if deadline is not None and nodes & 0xFFF == 0:
                 deadline.check()
-            dead = False
+            used[s] = True
             advanced = []
             for idx in touching[s]:
                 word = words[idx]
-                if matched[idx] < len(word) and word[matched[idx]] == s:
+                if word[matched[idx]] == s:
                     matched[idx] += 1
                     advanced.append(idx)
-                    if matched[idx] == len(word):
-                        dead = True
-            if not dead:
-                used[s] = True
+                    if matched[idx] + 1 == len(word) and not used[word[-1]]:
+                        break
+            else:
                 prefix.append(s)
                 result = extend()
                 if result is not None:
                     return result
                 prefix.pop()
-                used[s] = False
+            used[s] = False
             for idx in advanced:
                 matched[idx] -= 1
         return None

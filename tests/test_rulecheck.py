@@ -170,6 +170,30 @@ def test_check_rules_searches_omega_once(circulant5, monkeypatch):
     assert len(calls) == 1
 
 
+def test_check_cell_proves_minimality_with_one_refutation(circulant5, monkeypatch):
+    import backedge.rulecheck
+    import backedge.solvers
+
+    calls = {"omega": 0, "omega_decide": 0}
+
+    def counting(name):
+        real = getattr(backedge.solvers, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+
+        return wrapper
+
+    for name in calls:
+        wrapped = counting(name)
+        monkeypatch.setattr(backedge.rulecheck, name, wrapped)
+        monkeypatch.setattr(backedge.solvers, name, wrapped)
+    cell = check_cell(circulant5, (0, 1, 2, 3, 4), 2)
+    assert cell.witness.rule == 2
+    assert calls == {"omega": 0, "omega_decide": 1}
+
+
 def test_r5_exclusion_consistent_with_embedding_search(circulant5, d2):
     from backedge.core import contains_subtournament
 
