@@ -22,6 +22,7 @@ from .solvers import (
     enumerate_omega_orderings,
     forcing_holds,
     min_order_with_omega,
+    minimum_ordering,
     omega,
     omega_by_enumeration,
     omega_decide,

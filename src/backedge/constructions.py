@@ -23,8 +23,8 @@ from dataclasses import dataclass
 from itertools import combinations, product
 from typing import Iterable, Iterator, Optional, Union
 
-from .core import Digraph, Tournament, check_minimum_ordering, is_transitive
-from .solvers import omega
+from .core import Digraph, Tournament, is_transitive
+from .solvers import minimum_ordering
 
 DEFAULT_VERTEX_BUDGET = 100_000
 
@@ -266,11 +266,7 @@ def amplifier(
         sizing = amplifier_sizing(n, vertex_budget=vertex_budget)
         if not sizing.materializable:
             raise MaterializationRefused(sizing)
-    result = omega(t)
-    if omega_ordering is None:
-        omega_ordering = result.witness
-    else:
-        omega_ordering = check_minimum_ordering(t, omega_ordering, result.value)
+    omega_ordering = minimum_ordering(t, omega_ordering).witness
 
     if transitive:
         doubled = arrow(t, t)
@@ -317,10 +313,7 @@ def pi(
     sizing = pi_sizing(n, vertex_budget=vertex_budget)
     if not sizing.materializable:
         raise MaterializationRefused(sizing)
-    if omega_ordering is None:
-        omega_ordering = omega(t).witness
-    else:
-        omega_ordering = check_minimum_ordering(t, omega_ordering, omega(t).value)
+    omega_ordering = minimum_ordering(t, omega_ordering).witness
 
     universe = sizing.parameter("label_universe")
     m = sizing.parameter("m")

@@ -242,15 +242,6 @@ def clique_number(g: UndirectedGraph) -> int:
     return k
 
 
-def check_minimum_ordering(d: Digraph, ordering: Sequence[int], value: int) -> tuple[int, ...]:
-    """Validate that ``ordering`` is a permutation whose backedge graph has
-    clique number ``value``, the known minimum, and return it as a tuple."""
-    ordering = check_ordering(ordering, d.n)
-    if clique_number(backedge_graph(d, ordering)) != value:
-        raise ValueError("ordering does not achieve the minimum clique number")
-    return ordering
-
-
 def triangle_in_graph(g: UndirectedGraph) -> Optional[tuple[int, int, int]]:
     """First triangle of ``g`` in lexicographic order, or None."""
     return has_clique_in_mask(g.adj, (1 << g.n) - 1, 3)

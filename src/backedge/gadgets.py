@@ -16,17 +16,15 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional
 
-from .core import Tournament, check_minimum_ordering, check_ordering
+from .core import Tournament, check_ordering
 from .solvers import (
     Deadline,
     SearchStats,
     iter_orderings_with_clique_at_most,
+    minimum_ordering,
     omega,
 )
 from .constructions import lift
-
-# companions of at most this many vertices get their value checked exactly
-COMPANION_VERIFY_LIMIT = 10
 
 VAR_BASE_MATRIX = (
     "011111000",
@@ -270,28 +268,15 @@ def verify_clause_base(*, deadline: Optional[Deadline] = None) -> GadgetVerifica
 
 def check_companion(
     w: Tournament, w_ordering: Optional[tuple[int, ...]]
-) -> tuple[tuple[int, ...], bool]:
-    """The companion's ordering (a minimum witness unless supplied) and
-    whether its value was checked exactly.  A companion of at most
-    ``COMPANION_VERIFY_LIMIT`` vertices must have ordering clique number 3,
-    and a supplied ordering must achieve it; larger companions are trusted."""
-    supplied = w_ordering is not None
-    if supplied:
-        w_ordering = check_ordering(w_ordering, w.n)
-        if w.n > COMPANION_VERIFY_LIMIT:
-            return w_ordering, False
-    result = omega(w)
-    if not supplied:
-        w_ordering = result.witness
-    if w.n > COMPANION_VERIFY_LIMIT:
-        return w_ordering, False
+) -> tuple[int, ...]:
+    """The companion's minimum ordering: its canonical witness, or
+    ``w_ordering`` once proved minimum.  Its ordering clique number must be 3."""
+    result = minimum_ordering(w, w_ordering)
     if result.value != 3:
         raise ValueError(
             f"companion tournament has ordering clique number {result.value}, need 3"
         )
-    if supplied:
-        w_ordering = check_minimum_ordering(w, w_ordering, 3)
-    return w_ordering, True
+    return result.witness
 
 
 def _assemble(
@@ -322,12 +307,12 @@ def assemble_var_gadget(
     base, the base beats ``w``, ``w`` beats the fresh vertex.  Marked arcs are
     re-indexed and every certified ordering is extended by ``w``'s ordering
     and the fresh vertex, keeping its recorded arc directions."""
-    w_ordering, _ = check_companion(w, w_ordering)
+    w_ordering = check_companion(w, w_ordering)
     return _assemble(var_base(), w, w_ordering)
 
 
 def assemble_clause_gadget(
     w: Tournament, w_ordering: Optional[tuple[int, ...]] = None
 ) -> MarkedGadget:
-    w_ordering, _ = check_companion(w, w_ordering)
+    w_ordering = check_companion(w, w_ordering)
     return _assemble(clause_base(), w, w_ordering)

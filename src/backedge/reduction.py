@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence, Union
 
 from .constructions import DEFAULT_VERTEX_BUDGET, MaterializationRefused, SizingReport, chain
-from .core import Tournament, backedge_graph, check_ordering, clique_number
+from .core import Tournament, backedge_graph, check_ordering, clique_number, induced
 from .gadgets import _assemble, check_companion, clause_base, var_base
 
 Literal = tuple[int, bool]  # (0-based variable index, polarity)
@@ -107,7 +107,7 @@ class ClauseBlock:
 @dataclass(frozen=True)
 class GadgetDescriptor:
     size: int
-    omega_checked: bool  # exactly verified (small) vs trusted
+    omega_checked: bool  # always True: build proves the companion's value
     genuine: bool  # carries the subset-hitting property (never materialized)
 
 
@@ -181,6 +181,10 @@ class ReductionInstance:
 
 
 def instance_from_dict(data: dict, tournament: Tournament) -> ReductionInstance:
+    """The instance a landmark file describes, rebuilt from its formula and
+    separator; the file is derived data, so it must be exactly what ``build``
+    writes for ``tournament``.  Only the gadget's ``omega_checked`` flag is
+    not compared: older files marked large companions unchecked."""
     formula = CnfFormula(
         data["formula"]["variables"],
         tuple(
@@ -188,37 +192,21 @@ def instance_from_dict(data: dict, tournament: Tournament) -> ReductionInstance:
             for clause in data["formula"]["clauses"]
         ),
     )
-    var_blocks = tuple(
-        VarBlock(
-            tuple(b["span"]),
-            tuple(b["f_plus"]),
-            tuple(b["f_minus"]),
-            tuple(b["ordering_true"]),
-            tuple(b["ordering_false"]),
-        )
-        for b in data["var_blocks"]
-    )
-    clause_blocks = tuple(
-        ClauseBlock(
-            tuple(b["span"]),
-            tuple(tuple(pair) for pair in b["landmarks"]),
-            tuple(tuple(o) for o in b["orderings"]),
-        )
-        for b in data["clause_blocks"]
-    )
-    return ReductionInstance(
-        tournament,
+    lo, hi = data["separator"]["span"]
+    n = tournament.n
+    if not 0 <= lo < hi <= n or sizing(formula, hi - lo).total_vertices != n:
+        raise ValueError("landmarks do not describe this tournament")
+    instance = build(
         formula,
-        var_blocks,
-        tuple(data["separator"]["span"]),
-        tuple(data["separator"]["ordering"]),
-        clause_blocks,
-        GadgetDescriptor(
-            data["gadget"]["size"],
-            data["gadget"]["omega_checked"],
-            data["gadget"]["genuine"],
-        ),
+        induced(tournament, range(lo, hi)),
+        tuple(v - lo for v in data["separator"]["ordering"]),
+        vertex_budget=n,
     )
+    if instance.tournament != tournament or instance.to_dict() != dict(
+        data, gadget=dict(data["gadget"], omega_checked=True)
+    ):
+        raise ValueError("landmarks do not describe this tournament")
+    return instance
 
 
 def sizing(
@@ -261,7 +249,7 @@ def build(
     report = sizing(formula, w.n, vertex_budget=vertex_budget)
     if not report.materializable:
         raise MaterializationRefused(report)
-    w_ordering, omega_checked = check_companion(w, w_ordering)
+    w_ordering = check_companion(w, w_ordering)
     var_gadget = _assemble(var_base(), w, w_ordering)
     clause_gadget = _assemble(clause_base(), w, w_ordering)
     n_vars, n_clauses = formula.variable_count, len(formula.clauses)
@@ -315,7 +303,7 @@ def build(
         (sep_start, sep_start + w.n),
         separator_ordering,
         tuple(clause_blocks),
-        GadgetDescriptor(w.n, omega_checked, False),
+        GadgetDescriptor(w.n, True, False),
     )
 
 

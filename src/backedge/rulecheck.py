@@ -25,14 +25,12 @@ from .core import (
     Tournament,
     _backedge_masks,
     _bits,
-    backedge_graph,
-    check_minimum_ordering,
     check_ordering,
-    clique_number,
     components,
+    has_clique_in_mask,
     is_strong,
 )
-from .solvers import Deadline, iter_orderings_with_clique_at_most, omega, omega_decide
+from .solvers import Deadline, iter_orderings_with_clique_at_most, minimum_ordering, omega
 
 
 @dataclass(frozen=True)
@@ -137,16 +135,11 @@ def check_cell(t: Tournament, ordering: Sequence[int], x: int) -> CellResult:
     """Evaluate the four rules for one (minimum ordering, pivot) cell.
 
     Returns the first violated rule with a deterministic witness and records
-    every violated rule id; the ordering must achieve the minimum, which
-    one refutation of a smaller bound proves."""
-    ordering = check_ordering(ordering, t.n)
+    every violated rule id; the ordering must achieve the minimum."""
     if not 0 <= x < t.n:
         raise ValueError(f"pivot {x} out of range")
-    g = backedge_graph(t, ordering)
-    value = clique_number(g)
-    if value > 1 and omega_decide(t, value - 1).decision:
-        raise ValueError("ordering does not achieve the minimum clique number")
-    return _evaluate_cell(t, ordering, _positions(ordering), g.adj, x)
+    ordering = minimum_ordering(t, ordering).witness
+    return _evaluate_cell(t, ordering, _positions(ordering), _backedge_masks(t.rows, ordering), x)
 
 
 def _positions(ordering: tuple[int, ...]) -> list[int]:
@@ -260,15 +253,17 @@ def check_rules(
     if not is_strong(t):
         raise ValueError("tournament must be strongly connected")
     value = omega(t, deadline=deadline).value
+    full = (1 << t.n) - 1
     cells = []
     excluded = True
     orderings = iter_orderings_with_clique_at_most(
         t, value, first_vertex=first_vertex, deadline=deadline
     )
     for ordering in orderings:
-        check_minimum_ordering(t, ordering, value)
         pos = _positions(ordering)
         adj = _backedge_masks(t.rows, ordering)
+        if has_clique_in_mask(adj, full, value + 1) is not None:
+            raise ValueError("ordering does not achieve the minimum clique number")
         for x in range(t.n):
             cell = _evaluate_cell(t, ordering, pos, adj, x)
             cells.append(cell)

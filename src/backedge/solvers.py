@@ -14,7 +14,7 @@ from __future__ import annotations
 import itertools
 import time
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Iterator, Optional, Sequence
 
 from ._sat import Solver, lit
 from .core import (
@@ -23,6 +23,9 @@ from .core import (
     Tournament,
     _backedge_masks,
     _bits,
+    backedge_graph,
+    check_ordering,
+    clique_number,
     directed_cycle,
     has_clique_in_mask,
     is_acyclic,
@@ -217,6 +220,31 @@ def omega(t: Digraph, *, deadline: Optional[Deadline] = None) -> OmegaResult:
         if res.decision:
             return OmegaResult(k, res.witness, nodes)
     raise AssertionError("unreachable")
+
+
+def minimum_ordering(
+    t: Digraph,
+    ordering: Optional[Sequence[int]] = None,
+    *,
+    deadline: Optional[Deadline] = None,
+) -> OmegaResult:
+    """Exact ordering clique number with a minimum ordering: the canonical
+    witness of `omega`, or ``ordering`` once it is proved minimum.
+
+    A supplied ordering whose backedge graph has clique number c is minimum
+    exactly when no ordering keeps the clique number at most c - 1, which one
+    refutation proves (c = 1 needs none)."""
+    if ordering is None:
+        return omega(t, deadline=deadline)
+    ordering = check_ordering(ordering, t.n)
+    value = clique_number(backedge_graph(t, ordering))
+    nodes = 0
+    if value > 1:
+        refutation = omega_decide(t, value - 1, deadline=deadline)
+        if refutation.decision:
+            raise ValueError("ordering does not achieve the minimum clique number")
+        nodes = refutation.nodes
+    return OmegaResult(value, ordering, nodes)
 
 
 def enumerate_omega_orderings(

@@ -78,8 +78,9 @@ def solve_pass(
     """Lexicographically smallest permutation of the alphabet avoiding every
     forbidden word as a subsequence, or None.
 
-    Depth-first over prefixes with forward checking: a branch dies once a
-    forbidden word is embedded up to its still-unplaced last symbol."""
+    Depth-first over prefixes, on an explicit stack, with forward checking:
+    a branch dies once a forbidden word is embedded up to its still-unplaced
+    last symbol."""
     n = instance.alphabet_size
     words = instance.forbidden
     if any(len(word) == 1 for word in words):
@@ -89,38 +90,43 @@ def solve_pass(
         for symbol in set(word):
             touching[symbol].append(idx)
     matched = [0] * len(words)
-    prefix: list[int] = []
     used = [False] * n
+    prefix: list[int] = []
+    # advanced[i]: the words whose match the i-th placed symbol extended
+    advanced: list[list[int]] = []
+    start = 0  # the current position tries its candidates from this symbol up
     nodes = 0
-
-    def extend() -> Optional[tuple[int, ...]]:
-        nonlocal nodes
-        if len(prefix) == n:
-            return tuple(prefix)
-        for s in range(n):
+    while len(prefix) < n:
+        for s in range(start, n):
             if used[s]:
                 continue
             nodes += 1
             if deadline is not None and nodes & 0xFFF == 0:
                 deadline.check()
             used[s] = True
-            advanced = []
+            moved = []
             for idx in touching[s]:
                 word = words[idx]
                 if word[matched[idx]] == s:
                     matched[idx] += 1
-                    advanced.append(idx)
+                    moved.append(idx)
                     if matched[idx] + 1 == len(word) and not used[word[-1]]:
                         break
             else:
-                prefix.append(s)
-                result = extend()
-                if result is not None:
-                    return result
-                prefix.pop()
+                break  # s survives the forward check: place it
             used[s] = False
-            for idx in advanced:
+            for idx in moved:
                 matched[idx] -= 1
-        return None
-
-    return extend()
+        else:
+            if not prefix:
+                return None
+            s = prefix.pop()
+            used[s] = False
+            for idx in advanced.pop():
+                matched[idx] -= 1
+            start = s + 1
+            continue
+        prefix.append(s)
+        advanced.append(moved)
+        start = 0
+    return tuple(prefix)

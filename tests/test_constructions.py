@@ -193,7 +193,7 @@ def test_amplifier_refuses_by_size_before_searching(monkeypatch):
     def no_search(t, **kwargs):
         raise AssertionError("omega must not run on an oversized base")
 
-    monkeypatch.setattr("backedge.constructions.omega", no_search)
+    monkeypatch.setattr("backedge.solvers.omega", no_search)
     with pytest.raises(MaterializationRefused):
         amplifier(delta(tt(4), tt(4), tt(4)))
     # an oversized base refuses before a supplied ordering is checked

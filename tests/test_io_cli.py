@@ -6,7 +6,7 @@ import jsonschema
 import pytest
 
 from backedge.cli import run
-from backedge.constructions import c3, pi
+from backedge.constructions import c3, pi, tt
 from backedge.gadgets import clause_base, r5, var_base
 from backedge.io import (
     load_tournament,
@@ -391,3 +391,40 @@ def test_cli_pass(capsys, tmp_path, r5_file):
     blocked.write_text(json.dumps({"alphabet": 1, "forbidden": [[0]]}))
     code, envelope = _run(capsys, "pass", "solve", str(blocked))
     assert code == 1 and envelope["result"]["found"] is False
+
+
+def test_cli_reduce_rejects_large_companion_of_wrong_value(capsys, tmp_path):
+    cnf = tmp_path / "phi.cnf"
+    cnf.write_text("p cnf 3 1\n1 2 3 0\n")
+    companion = tmp_path / "tt11.trn"
+    save_tournament(tt(11), companion)
+    code, envelope = _run(capsys, "reduce", "--cnf", str(cnf), "--gadget", str(companion))
+    assert code == 2 and "need 3" in envelope["result"]["error"]
+    assert [entry["path"] for entry in envelope["inputs"]] == [str(cnf), str(companion)]
+
+
+def test_cli_witness_rejects_another_instances_landmarks(capsys, tmp_path, surrogate):
+    gadget_file = tmp_path / "w7.trn"
+    save_tournament(surrogate, gadget_file)
+    files = {}
+    for name, text in (("a", "p cnf 3 1\n1 2 3 0\n"), ("b", "p cnf 4 2\n1 2 3 0\n-2 3 -4 0\n")):
+        cnf = tmp_path / f"{name}.cnf"
+        cnf.write_text(text)
+        files[name] = (tmp_path / f"{name}.trn", tmp_path / f"{name}.json")
+        code, envelope = _run(
+            capsys, "reduce", "--cnf", str(cnf), "--gadget", str(gadget_file),
+            "--out", str(files[name][0]), "--landmarks", str(files[name][1]),
+        )
+        assert code == 0
+    ord_file = tmp_path / "ord.json"
+    ord_file.write_text(json.dumps(list(range(74))))
+    for trn, landmarks in ((files["a"][0], files["b"][1]), (files["b"][0], files["a"][1])):
+        for extra in (("to-ordering", "--assign", "1,1,1,1"),
+                      ("to-assignment", "--ordering", str(ord_file))):
+            code, envelope = _run(
+                capsys, "witness", extra[0], "--trn", str(trn), "--landmarks", str(landmarks),
+                *extra[1:],
+            )
+            assert code == 2
+            assert envelope["result"]["error"] == "landmarks do not describe this tournament"
+            assert [entry["path"] for entry in envelope["inputs"]] == [str(trn), str(landmarks)]

@@ -1,8 +1,9 @@
 import itertools
+import json
 
 import pytest
 
-from backedge.constructions import MaterializationRefused, arrow, c3
+from backedge.constructions import MaterializationRefused, arrow, c3, tt
 from backedge.core import backedge_graph, clique_number, triangle_in_graph
 from backedge.gadgets import assemble_clause_gadget, assemble_var_gadget
 from backedge.solvers import omega
@@ -84,7 +85,7 @@ def test_build_vertex_count_and_bundles(instance, surrogate):
 
 
 def test_build_searches_companion_once(surrogate, monkeypatch):
-    import backedge.gadgets
+    import backedge.solvers
 
     calls = []
 
@@ -93,7 +94,7 @@ def test_build_searches_companion_once(surrogate, monkeypatch):
             calls.append(t)
         return omega(t, *args, **kwargs)
 
-    monkeypatch.setattr(backedge.gadgets, "omega", counting_omega)
+    monkeypatch.setattr(backedge.solvers, "omega", counting_omega)
     build(parse_dimacs(PHI), surrogate)
     assert len(calls) == 1
 
@@ -272,3 +273,43 @@ def test_instance_serialization_roundtrip(instance):
     data = instance.to_dict()
     rebuilt = instance_from_dict(data, instance.tournament)
     assert rebuilt == instance
+
+
+def test_build_rejects_large_companion_of_wrong_value():
+    with pytest.raises(ValueError, match="need 3"):
+        build(parse_dimacs(PHI), tt(11))
+
+
+def test_instance_from_dict_accepts_files_marking_the_companion_unchecked(instance):
+    data = instance.to_dict()
+    data["gadget"]["omega_checked"] = False
+    assert instance_from_dict(data, instance.tournament) == instance
+
+
+def test_instance_from_dict_rejects_edited_or_foreign_landmarks(instance, surrogate):
+    data = instance.to_dict()
+    edits = [
+        ("var_blocks", 0, "f_plus"),
+        ("clause_blocks", 1, "landmarks"),
+    ]
+    for key, index, field in edits:
+        edited = json.loads(json.dumps(data))
+        edited[key][index][field].reverse()
+        with pytest.raises(ValueError, match="landmarks do not describe this tournament"):
+            instance_from_dict(edited, instance.tournament)
+    edited = json.loads(json.dumps(data))
+    edited["gadget"]["genuine"] = True
+    with pytest.raises(ValueError, match="landmarks do not describe this tournament"):
+        instance_from_dict(edited, instance.tournament)
+    # another formula: of the same shape the rebuilt tournament differs, of
+    # a larger one the landmarks name vertices this instance lacks
+    same_shape = build(parse_dimacs("p cnf 3 2\n1 2 3 0\n-1 2 -3 0\n"), surrogate)
+    larger = build(parse_dimacs("p cnf 4 3\n1 2 3 0\n-1 -2 4 0\n2 3 -4 0\n"), surrogate)
+    assert same_shape.tournament.n == instance.tournament.n
+    for t, foreign in (
+        (instance.tournament, same_shape),
+        (instance.tournament, larger),
+        (larger.tournament, instance),
+    ):
+        with pytest.raises(ValueError, match="landmarks do not describe this tournament"):
+            instance_from_dict(foreign.to_dict(), t)

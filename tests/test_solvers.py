@@ -25,6 +25,7 @@ from backedge.solvers import (
     enumerate_omega_orderings,
     forcing_holds,
     min_order_with_omega,
+    minimum_ordering,
     omega,
     omega_by_enumeration,
     omega_decide,
@@ -352,3 +353,27 @@ def test_omega_scales_on_near_transitive_inputs():
     d2 = pi(c3()).tournament
     res = omega(d2)
     assert res.value == 2 and res.nodes == 63
+
+
+def test_minimum_ordering_agrees_with_omega():
+    rng = random.Random(2026)
+    for n in range(1, 10):
+        for _ in range(4):
+            t = labeled_tournament(n, rng.randrange(labeled_count(n)))
+            assert minimum_ordering(t) == omega(t)
+            value = omega(t).value
+            for ordering in enumerate_omega_orderings(t):
+                res = minimum_ordering(t, list(ordering))
+                assert (res.value, res.witness) == (value, ordering)
+
+
+def test_minimum_ordering_rejects_non_minimum_and_non_permutations():
+    t = r5()
+    assert clique_number(backedge_graph(t, (0, 1, 2, 4, 3))) == 3 > omega(t).value
+    with pytest.raises(ValueError, match="ordering does not achieve the minimum clique number"):
+        minimum_ordering(t, (0, 1, 2, 4, 3))
+    with pytest.raises(ValueError, match="not a permutation"):
+        minimum_ordering(t, (0, 1, 2, 3))
+    # a transitive ordering is minimum without any search
+    res = minimum_ordering(tt(6), range(6))
+    assert (res.value, res.witness, res.nodes) == (1, tuple(range(6)), 0)
