@@ -24,7 +24,7 @@ from itertools import combinations, product
 from typing import Iterable, Iterator, Optional, Union
 
 from .core import Digraph, Tournament, is_transitive
-from .solvers import minimum_ordering
+from .solvers import omega
 
 DEFAULT_VERTEX_BUDGET = 100_000
 
@@ -137,19 +137,13 @@ def c3() -> Tournament:
     return Tournament.from_arcs(3, [(0, 1), (1, 2), (2, 0)])
 
 
-def _as_digraph(x: Union[int, Digraph]) -> Digraph:
-    return tt(x) if isinstance(x, int) else x
-
-
-def chain(
-    blocks: Iterable[Union[int, Digraph]], flipped: Iterable[tuple[int, int]] = ()
-) -> Digraph:
+def chain(blocks: Iterable[Digraph], flipped: Iterable[tuple[int, int]] = ()) -> Digraph:
     """Disjoint union of the blocks, laid out front to back, plus every arc
     from an earlier block to a later one; then each pair ``(w, u)`` of
     ``flipped``, with ``w`` in a later block than ``u``, is reversed to run
     ``w -> u``.  ``flipped`` is consumed once, so it may be a generator.
     The result is a Tournament when every block is one, else a Digraph."""
-    blocks = [_as_digraph(b) for b in blocks]
+    blocks = list(blocks)
     total = sum(b.n for b in blocks)
     rows: list[int] = []
     for b in blocks:
@@ -163,25 +157,21 @@ def chain(
     return cls(total, tuple(rows))
 
 
-def arrow(d1: Union[int, Digraph], d2: Union[int, Digraph]) -> Digraph:
+def arrow(d1: Digraph, d2: Digraph) -> Digraph:
     """Disjoint union plus every arc from the first part to the second."""
     return chain([d1, d2])
 
 
-def delta(
-    t1: Union[int, Digraph], t2: Union[int, Digraph], t3: Union[int, Digraph]
-) -> Digraph:
+def delta(t1: Digraph, t2: Digraph, t3: Digraph) -> Digraph:
     """Three disjoint parts with all arcs part1->part2, part2->part3, part3->part1:
     the chain of the three parts with every part3-part1 arc flipped."""
-    t1, t2, t3 = _as_digraph(t1), _as_digraph(t2), _as_digraph(t3)
     n12 = t1.n + t2.n
     part1, part3 = range(t1.n), range(n12, n12 + t3.n)
     return chain([t1, t2, t3], product(part3, part1))
 
 
-def lift(d: Union[int, Digraph], w: Union[int, Digraph]) -> Lift:
-    """delta(1, d, w) with landmarks: the extra vertex is 0, then d, then w."""
-    d, w = _as_digraph(d), _as_digraph(w)
+def lift(d: Digraph, w: Digraph) -> Lift:
+    """delta(tt(1), d, w) with landmarks: the extra vertex is 0, then d, then w."""
     composite = delta(tt(1), d, w)
     return Lift(composite, 0, (1, 1 + d.n), (1 + d.n, 1 + d.n + w.n))
 
@@ -245,10 +235,7 @@ def pi_sizing(n: int, *, vertex_budget: int = DEFAULT_VERTEX_BUDGET) -> SizingRe
 
 
 def amplifier(
-    t: Tournament,
-    omega_ordering: Optional[tuple[int, ...]] = None,
-    *,
-    vertex_budget: int = DEFAULT_VERTEX_BUDGET,
+    t: Tournament, *, vertex_budget: int = DEFAULT_VERTEX_BUDGET
 ) -> BuiltTournament:
     """Tournament with the same ordering clique number as ``t`` in which every
     vertex subset or its complement contains a copy of ``t``.
@@ -266,11 +253,11 @@ def amplifier(
         sizing = amplifier_sizing(n, vertex_budget=vertex_budget)
         if not sizing.materializable:
             raise MaterializationRefused(sizing)
-    omega_ordering = minimum_ordering(t, omega_ordering).witness
+    omega_ordering = omega(t).witness
 
     if transitive:
         doubled = arrow(t, t)
-        ordering = tuple(omega_ordering) + tuple(v + n for v in omega_ordering)
+        ordering = omega_ordering + tuple(v + n for v in omega_ordering)
         return BuiltTournament(doubled, ordering, None)
 
     universe = sizing.parameter("label_universe")
@@ -297,23 +284,18 @@ def amplifier(
     return BuiltTournament(built, _copy_ordering(layout, omega_ordering), layout)
 
 
-def pi(
-    t: Tournament,
-    omega_ordering: Optional[tuple[int, ...]] = None,
-    *,
-    vertex_budget: int = DEFAULT_VERTEX_BUDGET,
-) -> BuiltTournament:
+def pi(t: Tournament, *, vertex_budget: int = DEFAULT_VERTEX_BUDGET) -> BuiltTournament:
     """Two-sided copy construction: m front copies, a middle copy, m back
     copies, chained front-to-back; the arc between a front and a back vertex
     is flipped exactly when their labels agree.  Front copy j and back copy j
-    share the same label map.  A supplied ordering must achieve the minimum."""
+    share the same label map."""
     if t.n == 0:
         raise ValueError("base tournament must be nonempty")
     n = t.n
     sizing = pi_sizing(n, vertex_budget=vertex_budget)
     if not sizing.materializable:
         raise MaterializationRefused(sizing)
-    omega_ordering = minimum_ordering(t, omega_ordering).witness
+    omega_ordering = omega(t).witness
 
     universe = sizing.parameter("label_universe")
     m = sizing.parameter("m")

@@ -11,8 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterator, Optional, Sequence
 
-Ordering = tuple  # permutation of 0..n-1; position 0 is the leftmost vertex
-
 
 class BudgetExhausted(Exception):
     """A solver hit its deadline before reaching an answer."""
@@ -115,19 +113,14 @@ class Tournament(Digraph):
 
     def _validate(self) -> None:
         # per vertex: no pair carries two arcs, and every other vertex is an
-        # in- or out-neighbour; only a failure pays for the pairwise scan,
-        # which names the first bad pair
+        # in- or out-neighbour.  The first failing u is the smaller end of the
+        # first bad pair, so the lowest bad bit of u names its other end.
         full = (1 << self.n) - 1
         for u, (row, col) in enumerate(zip(self.rows, self.cols)):
-            if row & col or row | col != full ^ (1 << u):
-                break
-        else:
-            return
-        for u in range(self.n):
-            ru = self.rows[u]
-            for v in range(u + 1, self.n):
-                if (ru >> v & 1) == (self.rows[v] >> u & 1):
-                    raise ValueError(f"pair ({u},{v}) must carry exactly one arc")
+            bad = row & col | (full ^ 1 << u) ^ (row | col)
+            if bad:
+                v = (bad & -bad).bit_length() - 1
+                raise ValueError(f"pair ({u},{v}) must carry exactly one arc")
 
 
 @dataclass(frozen=True)

@@ -17,13 +17,7 @@ from functools import lru_cache
 from typing import Optional
 
 from .core import Tournament, check_ordering
-from .solvers import (
-    Deadline,
-    SearchStats,
-    iter_orderings_with_clique_at_most,
-    minimum_ordering,
-    omega,
-)
+from .solvers import Deadline, SearchStats, iter_orderings_with_clique_at_most, omega
 from .constructions import lift
 
 VAR_BASE_MATRIX = (
@@ -266,12 +260,10 @@ def verify_clause_base(*, deadline: Optional[Deadline] = None) -> GadgetVerifica
     return report
 
 
-def check_companion(
-    w: Tournament, w_ordering: Optional[tuple[int, ...]]
-) -> tuple[int, ...]:
-    """The companion's minimum ordering: its canonical witness, or
-    ``w_ordering`` once proved minimum.  Its ordering clique number must be 3."""
-    result = minimum_ordering(w, w_ordering)
+def check_companion(w: Tournament) -> tuple[int, ...]:
+    """The companion's canonical minimum ordering; its ordering clique number
+    must be 3."""
+    result = omega(w)
     if result.value != 3:
         raise ValueError(
             f"companion tournament has ordering clique number {result.value}, need 3"
@@ -300,19 +292,13 @@ def _assemble(
     return MarkedGadget(lifted.digraph, marked, tuple(certs))
 
 
-def assemble_var_gadget(
-    w: Tournament, w_ordering: Optional[tuple[int, ...]] = None
-) -> MarkedGadget:
+def assemble_var_gadget(w: Tournament) -> MarkedGadget:
     """Lift the variable base over companion ``w``: a fresh vertex beats the
     base, the base beats ``w``, ``w`` beats the fresh vertex.  Marked arcs are
     re-indexed and every certified ordering is extended by ``w``'s ordering
     and the fresh vertex, keeping its recorded arc directions."""
-    w_ordering = check_companion(w, w_ordering)
-    return _assemble(var_base(), w, w_ordering)
+    return _assemble(var_base(), w, check_companion(w))
 
 
-def assemble_clause_gadget(
-    w: Tournament, w_ordering: Optional[tuple[int, ...]] = None
-) -> MarkedGadget:
-    w_ordering = check_companion(w, w_ordering)
-    return _assemble(clause_base(), w, w_ordering)
+def assemble_clause_gadget(w: Tournament) -> MarkedGadget:
+    return _assemble(clause_base(), w, check_companion(w))

@@ -113,15 +113,23 @@ def save_tournament(t: Tournament, path: Union[str, os.PathLike]) -> None:
 
 def parse_ordering(spec: str) -> tuple[int, ...]:
     """An ordering given inline ('4,0,1,3,2'), as a JSON list, or as a path
-    to a file holding either."""
+    to a file holding either.  Entries are JSON integers (not booleans) or
+    tokens of ASCII digits; ``int()`` alone would also take 1.9, true,
+    '+1' and '1_0'."""
     text = spec
     if os.path.exists(spec):
         with open(spec, "r", encoding="utf-8") as handle:
             text = handle.read()
     text = text.strip()
     if text.startswith("["):
-        return tuple(int(v) for v in json.loads(text))
-    return tuple(int(tok) for tok in text.replace(",", " ").split())
+        values = json.loads(text)
+        bad = [v for v in values if type(v) is not int or v < 0]
+    else:
+        values = text.replace(",", " ").split()
+        bad = [v for v in values if not (v.isascii() and v.isdigit())]
+    if bad:
+        raise ValueError(f"ordering entries must be non-negative integers, got {bad[0]!r}")
+    return tuple(int(v) for v in values)
 
 
 def parse_assignment(spec: str) -> tuple[bool, ...]:

@@ -10,7 +10,6 @@ flipped so that they point from the clause block into the variable block.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence, Union
 
@@ -182,9 +181,11 @@ class ReductionInstance:
 
 def instance_from_dict(data: dict, tournament: Tournament) -> ReductionInstance:
     """The instance a landmark file describes, rebuilt from its formula and
-    separator; the file is derived data, so it must be exactly what ``build``
-    writes for ``tournament``.  Only the gadget's ``omega_checked`` flag is
-    not compared: older files marked large companions unchecked."""
+    the companion at its separator span; the file is derived data, so it must
+    be exactly what ``build`` writes for ``tournament``, down to the
+    companion's canonical minimum ordering at the separator.  Only the
+    gadget's ``omega_checked`` flag is not compared: older files marked large
+    companions unchecked."""
     formula = CnfFormula(
         data["formula"]["variables"],
         tuple(
@@ -196,12 +197,7 @@ def instance_from_dict(data: dict, tournament: Tournament) -> ReductionInstance:
     n = tournament.n
     if not 0 <= lo < hi <= n or sizing(formula, hi - lo).total_vertices != n:
         raise ValueError("landmarks do not describe this tournament")
-    instance = build(
-        formula,
-        induced(tournament, range(lo, hi)),
-        tuple(v - lo for v in data["separator"]["ordering"]),
-        vertex_budget=n,
-    )
+    instance = build(formula, induced(tournament, range(lo, hi)), vertex_budget=n)
     if instance.tournament != tournament or instance.to_dict() != dict(
         data, gadget=dict(data["gadget"], omega_checked=True)
     ):
@@ -210,46 +206,28 @@ def instance_from_dict(data: dict, tournament: Tournament) -> ReductionInstance:
 
 
 def sizing(
-    formula: CnfFormula,
-    gadget_size: int,
-    *,
-    genuine_base_size: Optional[int] = None,
-    vertex_budget: int = DEFAULT_VERTEX_BUDGET,
+    formula: CnfFormula, gadget_size: int, *, vertex_budget: int = DEFAULT_VERTEX_BUDGET
 ) -> SizingReport:
-    """Exact vertex totals: n*(10+w) + w + m*(9+w).  With
-    ``genuine_base_size`` = t, the companion size w is replaced by the
-    amplifier total t^2 * C(t(t-1)+1, t): never materializable at desk scale."""
-    n, m = formula.variable_count, len(formula.clauses)
-    params: list[tuple[str, int]] = [("variables", n), ("clauses", m)]
-    if genuine_base_size is not None:
-        t = genuine_base_size
-        w = t * t * math.comb(t * (t - 1) + 1, t)
-        params += [("genuine_base", t), ("gadget_size", w)]
-    else:
-        w = gadget_size
-        params.append(("gadget_size", w))
+    """Exact vertex totals: n*(10+w) + w + m*(9+w) over a w-vertex companion."""
+    n, m, w = formula.variable_count, len(formula.clauses), gadget_size
     total = n * (10 + w) + w + m * (9 + w)
     return SizingReport(
         "reduction",
-        tuple(params),
+        (("variables", n), ("clauses", m), ("gadget_size", w)),
         total,
-        total <= vertex_budget and genuine_base_size is None,
+        total <= vertex_budget,
         vertex_budget,
     )
 
 
 def build(
-    formula: CnfFormula,
-    w: Tournament,
-    w_ordering: Optional[tuple[int, ...]] = None,
-    *,
-    vertex_budget: int = DEFAULT_VERTEX_BUDGET,
+    formula: CnfFormula, w: Tournament, *, vertex_budget: int = DEFAULT_VERTEX_BUDGET
 ) -> ReductionInstance:
     """Assemble the tournament for ``formula`` over companion ``w``."""
     report = sizing(formula, w.n, vertex_budget=vertex_budget)
     if not report.materializable:
         raise MaterializationRefused(report)
-    w_ordering = check_companion(w, w_ordering)
+    w_ordering = check_companion(w)
     var_gadget = _assemble(var_base(), w, w_ordering)
     clause_gadget = _assemble(clause_base(), w, w_ordering)
     n_vars, n_clauses = formula.variable_count, len(formula.clauses)

@@ -223,19 +223,14 @@ def omega(t: Digraph, *, deadline: Optional[Deadline] = None) -> OmegaResult:
 
 
 def minimum_ordering(
-    t: Digraph,
-    ordering: Optional[Sequence[int]] = None,
-    *,
-    deadline: Optional[Deadline] = None,
+    t: Digraph, ordering: Sequence[int], *, deadline: Optional[Deadline] = None
 ) -> OmegaResult:
-    """Exact ordering clique number with a minimum ordering: the canonical
-    witness of `omega`, or ``ordering`` once it is proved minimum.
+    """Exact ordering clique number with ``ordering``, once it is proved
+    minimum.
 
-    A supplied ordering whose backedge graph has clique number c is minimum
-    exactly when no ordering keeps the clique number at most c - 1, which one
+    An ordering whose backedge graph has clique number c is minimum exactly
+    when no ordering keeps the clique number at most c - 1, which one
     refutation proves (c = 1 needs none)."""
-    if ordering is None:
-        return omega(t, deadline=deadline)
     ordering = check_ordering(ordering, t.n)
     value = clique_number(backedge_graph(t, ordering))
     nodes = 0
@@ -248,21 +243,17 @@ def minimum_ordering(
 
 
 def enumerate_omega_orderings(
-    t: Digraph,
-    first_vertex: Optional[int] = None,
-    *,
-    deadline: Optional[Deadline] = None,
-    stats: Optional[SearchStats] = None,
+    t: Digraph, *, deadline: Optional[Deadline] = None, stats: Optional[SearchStats] = None
 ) -> Iterator[tuple[int, ...]]:
     """All orderings achieving the exact minimum clique number, in lexicographic
-    order, optionally restricted to those starting at `first_vertex`."""
+    order."""
     value = omega(t, deadline=deadline).value
     yield from iter_orderings_with_clique_at_most(
-        t, value, first_vertex=first_vertex, deadline=deadline, stats=stats
+        t, value, deadline=deadline, stats=stats
     )
 
 
-def omega_by_enumeration(t: Digraph, *, deadline: Optional[Deadline] = None) -> int:
+def omega_by_enumeration(t: Digraph) -> int:
     """Independent oracle: scan every permutation and take the minimum backedge
     clique number.  Exact but factorial; for cross-validating the search."""
     n = t.n
@@ -272,11 +263,7 @@ def omega_by_enumeration(t: Digraph, *, deadline: Optional[Deadline] = None) -> 
     # every ordering of a non-acyclic digraph has a backward arc
     floor = 1 if is_acyclic(t) else 2
     best = n
-    scanned = 0
     for perm in itertools.permutations(range(n)):
-        scanned += 1
-        if deadline is not None and scanned & 0x3FF == 0:
-            deadline.check()
         adj = _backedge_masks(t.rows, perm)
         if best == n or has_clique_in_mask(adj, full, best) is None:
             # exact value for this ordering: largest size still carrying a clique

@@ -35,10 +35,11 @@ class PassInstance:
 
     @classmethod
     def from_dict(cls, data: dict) -> "PassInstance":
-        return cls(
-            int(data["alphabet"]),
-            tuple(sorted(tuple(int(s) for s in w) for w in data["forbidden"])),
-        )
+        alphabet, forbidden = data["alphabet"], [tuple(w) for w in data["forbidden"]]
+        for value in (alphabet, *(s for w in forbidden for s in w)):
+            if type(value) is not int:
+                raise ValueError(f"alphabet and symbols must be integers, got {value!r}")
+        return cls(alphabet, tuple(sorted(forbidden)))
 
 
 def to_pass(t: Tournament) -> PassInstance:

@@ -30,7 +30,6 @@ from backedge.core import (
     directed_triangle,
     triangle_in_graph,
 )
-from backedge.gadgets import r5
 from backedge.solvers import omega
 
 
@@ -38,13 +37,13 @@ def test_tt_and_c3():
     assert tt(0).n == 0
     assert tt(4).has_arc(0, 3) and not tt(4).has_arc(3, 0)
     assert directed_triangle(c3()) is not None
-    assert delta(1, 1, 1).n == 3
-    assert contains_subtournament(delta(1, 1, 1), c3()) is not None
+    assert delta(tt(1), tt(1), tt(1)).n == 3
+    assert contains_subtournament(delta(tt(1), tt(1), tt(1)), c3()) is not None
 
 
 def test_arrow():
     assert arrow(tt(1), tt(1)) == tt(2)
-    assert arrow(1, 2) == tt(3)
+    assert arrow(tt(1), tt(2)) == tt(3)
     combined = arrow(c3(), c3())
     assert combined.n == 6
     assert combined.has_arc(0, 4)
@@ -57,20 +56,20 @@ def test_arrow():
     mixed = chain([c3(), sparse, tt(2)])
     assert type(mixed) is Digraph and mixed.n == 7
     # delta is the chain of its parts with every part3 -> part1 arc flipped
-    assert delta(c3(), sparse, 2) == chain([c3(), sparse, 2], product(range(5, 7), range(3)))
+    assert delta(c3(), sparse, tt(2)) == chain([c3(), sparse, tt(2)], product(range(5, 7), range(3)))
 
 
 def test_chain_flips_exactly_the_listed_pairs():
-    base = chain([c3(), c3(), 2])
+    base = chain([c3(), c3(), tt(2)])
     flips = {(4, 0), (7, 2), (6, 5)}
-    flipped = chain([c3(), c3(), 2], iter(flips))
+    flipped = chain([c3(), c3(), tt(2)], iter(flips))
     assert type(flipped) is Tournament
     for u, v in base.arcs():
         assert flipped.has_arc(v, u) == ((v, u) in flips)
 
 
 def test_delta_numeric_shorthand():
-    d = delta(1, 2, c3())
+    d = delta(tt(1), tt(2), c3())
     assert d.n == 6
     # part3 => part1
     assert d.has_arc(3, 0) and d.has_arc(0, 1)
@@ -180,25 +179,13 @@ def test_amplifier_budget_refusal():
     assert exc.value.report.total_vertices == 315
 
 
-def test_supplied_ordering_must_be_minimum():
-    t = r5()
-    ordering = (0, 1, 2, 4, 3)
-    assert clique_number(backedge_graph(t, ordering)) == 3 > omega(t).value
-    for construction in (amplifier, pi):
-        with pytest.raises(ValueError, match="minimum"):
-            construction(t, ordering, vertex_budget=10**6)
-
-
 def test_amplifier_refuses_by_size_before_searching(monkeypatch):
     def no_search(t, **kwargs):
         raise AssertionError("omega must not run on an oversized base")
 
-    monkeypatch.setattr("backedge.solvers.omega", no_search)
+    monkeypatch.setattr("backedge.constructions.omega", no_search)
     with pytest.raises(MaterializationRefused):
         amplifier(delta(tt(4), tt(4), tt(4)))
-    # an oversized base refuses before a supplied ordering is checked
-    with pytest.raises(MaterializationRefused):
-        amplifier(r5(), (0, 1, 2, 4, 3))
 
 
 def test_pi_c3_wiring(d2):

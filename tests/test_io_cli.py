@@ -269,6 +269,19 @@ def test_cli_ordering_file_is_digested(capsys, tmp_path, r5_file):
                           "--ordering", "0,1,2,3,4")
     assert code == 0
     assert [entry["path"] for entry in envelope["inputs"]] == [r5_file]
+    # entries that int() would coerce are rejected, not reinterpreted
+    tt3 = tmp_path / "tt3.trn"
+    save_tournament(tt(3), tt3)
+    for name, entries in (("float", "[0, 1.9, 2]"), ("bool", "[true, 0, 2]")):
+        bad = tmp_path / f"{name}.json"
+        bad.write_text(entries)
+        code, envelope = _run(capsys, "verify-ordering", "--trn", str(tt3),
+                              "--ordering", str(bad))
+        assert code == 2 and "non-negative integers" in envelope["result"]["error"]
+    code, envelope = _run(capsys, "verify-ordering", "--trn", str(tt3), "--ordering", "0,+1,2")
+    assert code == 2 and envelope["result"]["error"] == (
+        "ordering entries must be non-negative integers, got '+1'"
+    )
 
 
 def test_cli_inputs_list_files_read_before_an_error(capsys, tmp_path, surrogate):
@@ -391,6 +404,17 @@ def test_cli_pass(capsys, tmp_path, r5_file):
     blocked.write_text(json.dumps({"alphabet": 1, "forbidden": [[0]]}))
     code, envelope = _run(capsys, "pass", "solve", str(blocked))
     assert code == 1 and envelope["result"]["found"] is False
+
+    # a non-integer alphabet or symbol is rejected, not truncated
+    for i, data in enumerate((
+        {"alphabet": 3.7, "forbidden": [[0, 1.2, 2]]},
+        {"alphabet": "3", "forbidden": [[0, 1, 2]]},
+        {"alphabet": True, "forbidden": []},
+    )):
+        bad = tmp_path / f"bad{i}.json"
+        bad.write_text(json.dumps(data))
+        code, envelope = _run(capsys, "pass", "solve", str(bad))
+        assert code == 2 and "must be integers" in envelope["result"]["error"]
 
 
 def test_cli_reduce_rejects_large_companion_of_wrong_value(capsys, tmp_path):

@@ -72,9 +72,6 @@ def test_sizing_formulas(surrogate):
     assert sizing(one, 7).total_vertices == 3 * 17 + 7 + 16 == 74
     two = parse_dimacs(PHI)
     assert sizing(two, 7).total_vertices == 51 + 7 + 32 == 90
-    genuine = sizing(two, 0, genuine_base_size=7)
-    assert not genuine.materializable
-    assert genuine.parameter("gadget_size") == 49 * 32224114
 
 
 def test_build_vertex_count_and_bundles(instance, surrogate):
@@ -85,7 +82,7 @@ def test_build_vertex_count_and_bundles(instance, surrogate):
 
 
 def test_build_searches_companion_once(surrogate, monkeypatch):
-    import backedge.solvers
+    import backedge.gadgets
 
     calls = []
 
@@ -94,7 +91,7 @@ def test_build_searches_companion_once(surrogate, monkeypatch):
             calls.append(t)
         return omega(t, *args, **kwargs)
 
-    monkeypatch.setattr(backedge.solvers, "omega", counting_omega)
+    monkeypatch.setattr(backedge.gadgets, "omega", counting_omega)
     build(parse_dimacs(PHI), surrogate)
     assert len(calls) == 1
 

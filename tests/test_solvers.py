@@ -24,6 +24,7 @@ from backedge.solvers import (
     chi_decide,
     enumerate_omega_orderings,
     forcing_holds,
+    iter_orderings_with_clique_at_most,
     min_order_with_omega,
     minimum_ordering,
     omega,
@@ -81,7 +82,7 @@ def test_omega_witness_achieves_value():
 
 
 def test_enumerate_r5_orderings():
-    assert list(enumerate_omega_orderings(r5(), 0)) == R5_FIRST_FIXED
+    assert list(iter_orderings_with_clique_at_most(r5(), 2, first_vertex=0)) == R5_FIRST_FIXED
     assert len(list(enumerate_omega_orderings(r5()))) == 45
     assert len(list(enumerate_omega_orderings(c3()))) == 6
 
@@ -339,7 +340,7 @@ def test_enumerated_orderings_achieve_minimum(t):
 
 def test_delta_lift_omega_examples():
     assert omega(arrow(c3(), c3())).value == 2
-    assert omega(delta(1, 1, 1)).value == 2
+    assert omega(delta(tt(1), tt(1), tt(1))).value == 2
 
 
 def test_omega_scales_on_near_transitive_inputs():
@@ -360,7 +361,6 @@ def test_minimum_ordering_agrees_with_omega():
     for n in range(1, 10):
         for _ in range(4):
             t = labeled_tournament(n, rng.randrange(labeled_count(n)))
-            assert minimum_ordering(t) == omega(t)
             value = omega(t).value
             for ordering in enumerate_omega_orderings(t):
                 res = minimum_ordering(t, list(ordering))
