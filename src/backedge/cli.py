@@ -270,7 +270,8 @@ def _construct(args, deadline, read) -> Outcome:
         result["sizing"] = sizing_fn(base.n, vertex_budget=budget).to_dict()
         if args.sizing_only:
             return Outcome(result)
-        res = (amplifier if kind == "amplifier" else pi)(base, vertex_budget=budget)
+        construction = amplifier if kind == "amplifier" else pi
+        res = construction(base, vertex_budget=budget, deadline=deadline)
         built, ordering, layout = res.tournament, res.ordering, res.layout
         if kind == "amplifier" and args.audit_subsets:
             rng = random.Random(args.seed)
@@ -377,7 +378,7 @@ def _reduce(args, deadline, read) -> Outcome:
         result["vertices"] = report.total_vertices
         result["reversed_arcs"] = 12 * len(formula.clauses)
         return Outcome(result)
-    instance = build(formula, companion, vertex_budget=args.vertex_budget)
+    instance = build(formula, companion, vertex_budget=args.vertex_budget, deadline=deadline)
     result["vertices"] = instance.tournament.n
     result["reversed_arcs"] = len(instance.bundle_arcs())
     result["gadget"] = {
@@ -402,7 +403,7 @@ def _reduce(args, deadline, read) -> Outcome:
       arg("--ordering", default=None))
 def _witness(args, deadline, read) -> Outcome:
     t = read(args.trn)
-    instance = instance_from_dict(read(args.landmarks, read_json), t)
+    instance = instance_from_dict(read(args.landmarks, read_json), t, deadline=deadline)
     if args.direction == "to-ordering":
         if args.assign is None:
             raise ValueError("witness to-ordering needs --assign")

@@ -24,7 +24,7 @@ from itertools import combinations, product
 from typing import Iterable, Iterator, Optional, Union
 
 from .core import Digraph, Tournament, is_transitive
-from .solvers import omega
+from .solvers import Deadline, omega
 
 DEFAULT_VERTEX_BUDGET = 100_000
 
@@ -235,7 +235,8 @@ def pi_sizing(n: int, *, vertex_budget: int = DEFAULT_VERTEX_BUDGET) -> SizingRe
 
 
 def amplifier(
-    t: Tournament, *, vertex_budget: int = DEFAULT_VERTEX_BUDGET
+    t: Tournament, *, vertex_budget: int = DEFAULT_VERTEX_BUDGET,
+    deadline: Optional[Deadline] = None,
 ) -> BuiltTournament:
     """Tournament with the same ordering clique number as ``t`` in which every
     vertex subset or its complement contains a copy of ``t``.
@@ -253,7 +254,7 @@ def amplifier(
         sizing = amplifier_sizing(n, vertex_budget=vertex_budget)
         if not sizing.materializable:
             raise MaterializationRefused(sizing)
-    omega_ordering = omega(t).witness
+    omega_ordering = omega(t, deadline=deadline).witness
 
     if transitive:
         doubled = arrow(t, t)
@@ -284,7 +285,10 @@ def amplifier(
     return BuiltTournament(built, _copy_ordering(layout, omega_ordering), layout)
 
 
-def pi(t: Tournament, *, vertex_budget: int = DEFAULT_VERTEX_BUDGET) -> BuiltTournament:
+def pi(
+    t: Tournament, *, vertex_budget: int = DEFAULT_VERTEX_BUDGET,
+    deadline: Optional[Deadline] = None,
+) -> BuiltTournament:
     """Two-sided copy construction: m front copies, a middle copy, m back
     copies, chained front-to-back; the arc between a front and a back vertex
     is flipped exactly when their labels agree.  Front copy j and back copy j
@@ -295,7 +299,7 @@ def pi(t: Tournament, *, vertex_budget: int = DEFAULT_VERTEX_BUDGET) -> BuiltTou
     sizing = pi_sizing(n, vertex_budget=vertex_budget)
     if not sizing.materializable:
         raise MaterializationRefused(sizing)
-    omega_ordering = omega(t).witness
+    omega_ordering = omega(t, deadline=deadline).witness
 
     universe = sizing.parameter("label_universe")
     m = sizing.parameter("m")

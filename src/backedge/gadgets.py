@@ -260,10 +260,10 @@ def verify_clause_base(*, deadline: Optional[Deadline] = None) -> GadgetVerifica
     return report
 
 
-def check_companion(w: Tournament) -> tuple[int, ...]:
+def check_companion(w: Tournament, *, deadline: Optional[Deadline] = None) -> tuple[int, ...]:
     """The companion's canonical minimum ordering; its ordering clique number
     must be 3."""
-    result = omega(w)
+    result = omega(w, deadline=deadline)
     if result.value != 3:
         raise ValueError(
             f"companion tournament has ordering clique number {result.value}, need 3"

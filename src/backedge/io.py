@@ -32,6 +32,11 @@ def tournament_to_text(t: Tournament) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _digits(token: str) -> bool:
+    """ASCII digits only; ``int()`` would also take '+1', '1_0' and '١'."""
+    return token.isascii() and token.isdigit()
+
+
 def tournament_from_text(text: str) -> Tournament:
     lines = [line for line in text.splitlines() if line.strip()]
     if not lines:
@@ -39,10 +44,9 @@ def tournament_from_text(text: str) -> Tournament:
     header = lines[0].split()
     if len(header) != 2 or header[0] != "tournament":
         raise ValueError(f"line 1: expected 'tournament <n>', got {lines[0]!r}")
-    try:
-        n = int(header[1])
-    except ValueError:
-        raise ValueError(f"line 1: bad vertex count {header[1]!r}") from None
+    if not _digits(header[1]):
+        raise ValueError(f"line 1: bad vertex count {header[1]!r}")
+    n = int(header[1])
     if len(lines) - 1 != n:
         raise ValueError(f"expected {n} matrix rows, found {len(lines) - 1}")
     rows = []
@@ -114,8 +118,7 @@ def save_tournament(t: Tournament, path: Union[str, os.PathLike]) -> None:
 def parse_ordering(spec: str) -> tuple[int, ...]:
     """An ordering given inline ('4,0,1,3,2'), as a JSON list, or as a path
     to a file holding either.  Entries are JSON integers (not booleans) or
-    tokens of ASCII digits; ``int()`` alone would also take 1.9, true,
-    '+1' and '1_0'."""
+    tokens of ASCII digits; ``int()`` alone would also take 1.9 and true."""
     text = spec
     if os.path.exists(spec):
         with open(spec, "r", encoding="utf-8") as handle:
@@ -126,7 +129,7 @@ def parse_ordering(spec: str) -> tuple[int, ...]:
         bad = [v for v in values if type(v) is not int or v < 0]
     else:
         values = text.replace(",", " ").split()
-        bad = [v for v in values if not (v.isascii() and v.isdigit())]
+        bad = [v for v in values if not _digits(v)]
     if bad:
         raise ValueError(f"ordering entries must be non-negative integers, got {bad[0]!r}")
     return tuple(int(v) for v in values)

@@ -16,6 +16,8 @@ from typing import Iterator, Optional, Sequence, Union
 from .constructions import DEFAULT_VERTEX_BUDGET, MaterializationRefused, SizingReport, chain
 from .core import Tournament, backedge_graph, check_ordering, clique_number, induced
 from .gadgets import _assemble, check_companion, clause_base, var_base
+from .io import _digits
+from .solvers import Deadline
 
 Literal = tuple[int, bool]  # (0-based variable index, polarity)
 
@@ -47,7 +49,8 @@ class CnfFormula:
 
 def parse_dimacs(text: str) -> CnfFormula:
     """Parse DIMACS CNF; every clause must have exactly three distinct
-    variables.  Comment lines are ignored."""
+    variables.  Comment lines are ignored.  Numbers are ASCII digits, after
+    one leading '-' on a literal."""
     n_vars: Optional[int] = None
     n_clauses: Optional[int] = None
     clauses: list[tuple[Literal, Literal, Literal]] = []
@@ -58,13 +61,15 @@ def parse_dimacs(text: str) -> CnfFormula:
             continue
         if line.startswith("p"):
             parts = line.split()
-            if len(parts) != 4 or parts[1] != "cnf":
+            if len(parts) != 4 or parts[1] != "cnf" or not all(map(_digits, parts[2:])):
                 raise ValueError(f"line {lineno}: malformed problem line {line!r}")
             n_vars, n_clauses = int(parts[2]), int(parts[3])
             continue
         if n_vars is None:
             raise ValueError(f"line {lineno}: clause before problem line")
         for token in line.split():
+            if not _digits(token.removeprefix("-")):
+                raise ValueError(f"line {lineno}: malformed literal {token!r}")
             value = int(token)
             if value == 0:
                 if len(pending) != 3:
@@ -179,7 +184,9 @@ class ReductionInstance:
         }
 
 
-def instance_from_dict(data: dict, tournament: Tournament) -> ReductionInstance:
+def instance_from_dict(
+    data: dict, tournament: Tournament, *, deadline: Optional[Deadline] = None
+) -> ReductionInstance:
     """The instance a landmark file describes, rebuilt from its formula and
     the companion at its separator span; the file is derived data, so it must
     be exactly what ``build`` writes for ``tournament``, down to the
@@ -197,7 +204,8 @@ def instance_from_dict(data: dict, tournament: Tournament) -> ReductionInstance:
     n = tournament.n
     if not 0 <= lo < hi <= n or sizing(formula, hi - lo).total_vertices != n:
         raise ValueError("landmarks do not describe this tournament")
-    instance = build(formula, induced(tournament, range(lo, hi)), vertex_budget=n)
+    companion = induced(tournament, range(lo, hi))
+    instance = build(formula, companion, vertex_budget=n, deadline=deadline)
     if instance.tournament != tournament or instance.to_dict() != dict(
         data, gadget=dict(data["gadget"], omega_checked=True)
     ):
@@ -221,13 +229,14 @@ def sizing(
 
 
 def build(
-    formula: CnfFormula, w: Tournament, *, vertex_budget: int = DEFAULT_VERTEX_BUDGET
+    formula: CnfFormula, w: Tournament, *, vertex_budget: int = DEFAULT_VERTEX_BUDGET,
+    deadline: Optional[Deadline] = None,
 ) -> ReductionInstance:
     """Assemble the tournament for ``formula`` over companion ``w``."""
     report = sizing(formula, w.n, vertex_budget=vertex_budget)
     if not report.materializable:
         raise MaterializationRefused(report)
-    w_ordering = check_companion(w)
+    w_ordering = check_companion(w, deadline=deadline)
     var_gadget = _assemble(var_base(), w, w_ordering)
     clause_gadget = _assemble(clause_base(), w, w_ordering)
     n_vars, n_clauses = formula.variable_count, len(formula.clauses)

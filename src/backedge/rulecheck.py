@@ -14,6 +14,15 @@ Rule shapes (positions relative to the ordering, x the pivot):
      graph of the left side and both arcs v->u, v->w present;
   4. no tuple v < x <= a <= u < w <= b with an a-b path in the backedge
      graph of the right side and both arcs u->v, w->v present.
+
+Each minimum ordering is swept once: a left-to-right pass grows the
+components of the backedge graph on every prefix, a right-to-left pass on
+every suffix, and each component keeps the mask of the vertices placed
+inside its position span.  With a side as a vertex mask the rules become
+mask tests: rule 2 looks for an a whose right in-neighbours ``cols[a] &
+right`` the in-neighbours of some b split in two, and rules 3 and 4 for a v
+whose arcs into the other side put two bits inside one span mask.  Only the
+first violated rule of a cell builds its witness.
 """
 
 from __future__ import annotations
@@ -26,7 +35,6 @@ from .core import (
     _backedge_masks,
     _bits,
     check_ordering,
-    components,
     has_clique_in_mask,
     is_strong,
 )
@@ -82,53 +90,95 @@ class RuleReport:
         }
 
 
+def _lowest(mask: int) -> int:
+    return (mask & -mask).bit_length() - 1
+
+
+def _sweep(ordering: tuple[int, ...], adj: Sequence[int]) -> tuple:
+    """Positions, prefix masks ``upto`` (``upto[i]`` holds the vertices
+    before position i) and, for every position p, the components of the
+    backedge graph ``adj`` on ``ordering[:p]`` and on ``ordering[p:]``, each
+    as (vertex mask, span mask, lo, hi): it spans positions lo..hi, whose
+    vertices make up the span mask."""
+    n = len(ordering)
+    pos, upto = [0] * n, [0]
+    for i, y in enumerate(ordering):
+        pos[y] = i
+        upto.append(upto[-1] | 1 << y)
+    prefix: list[list[tuple]] = [[]]
+    suffix: list[list[tuple]] = [[]]
+    for side, positions in ((prefix, range(n)), (suffix, range(n - 1, -1, -1))):
+        for p in positions:
+            # the vertex at p joins every component (all on this side) it
+            # has a backedge into
+            back, mask, lo, hi, kept = adj[ordering[p]], upto[p + 1] ^ upto[p], p, p, []
+            for comp in side[-1]:
+                if comp[0] & back:
+                    mask |= comp[0]
+                    lo, hi = min(lo, comp[2]), max(hi, comp[3])
+                else:
+                    kept.append(comp)
+            kept.append((mask, upto[hi + 1] ^ upto[lo], lo, hi))
+            side.append(kept)
+    return pos, upto, prefix, suffix[::-1]
+
+
 def _rule2_violation(
     cols: tuple[int, ...], left: int, right: int
 ) -> Optional[RuleWitness]:
     """First a, b on the left with some c on the right beating both and some
-    d on the right beating a but not b; c and d are the smallest such."""
-    for a in _bits(left):
-        for b in _bits(left & ~(1 << a)):
-            cs = cols[a] & cols[b] & right
-            ds = cols[a] & ~cols[b] & right
-            if cs and ds:
-                c = (cs & -cs).bit_length() - 1
-                d = (ds & -ds).bit_length() - 1
-                return RuleWitness(2, (("a", a), ("b", b), ("c", c), ("d", d)))
+    d on the right beating a but not b; c and d are the smallest such.  c and
+    d differ, so an a beaten by fewer than two right vertices is skipped."""
+    rest = left
+    while rest:
+        a = rest & -rest
+        rest ^= a
+        beat = cols[a.bit_length() - 1] & right
+        others = left ^ a if beat & (beat - 1) else 0
+        while others:
+            b = others & -others
+            others ^= b
+            cs = beat & cols[b.bit_length() - 1]
+            if cs and cs != beat:
+                named = zip("abcd", (_lowest(a), _lowest(b), _lowest(cs), _lowest(beat ^ cs)))
+                return RuleWitness(2, tuple(named))
     return None
 
 
-def _span_violation(
-    rule: int,
-    arcs: tuple[int, ...],
-    outer: int,
-    inner: int,
-    ordering: tuple[int, ...],
-    pos: list[int],
-    adj: Sequence[int],
-) -> Optional[RuleWitness]:
-    """Rules 3 and 4: some v of ``outer`` with ``arcs[v]`` holding u and w of
-    ``inner``, u before w, both inside the span of one component of the
-    backedge graph on ``inner``; a and b are that span's end vertices, taken
+def _span_rule(arcs: tuple[int, ...], outer: int, inner: int, comps: list[tuple]) -> Optional[int]:
+    """Rules 3 and 4: the smallest v of ``outer`` whose ``arcs[v]`` holds at
+    least two vertices of ``inner`` inside the span of one component ``comps``
+    of the backedge graph on ``inner``, or None."""
+    spans = [comp[1] for comp in comps if comp[2] < comp[3]]
+    while spans and outer:
+        v = outer & -outer
+        outer ^= v
+        hits = arcs[v.bit_length() - 1] & inner
+        if hits & (hits - 1):
+            for span in spans:
+                both = hits & span
+                if both & (both - 1):
+                    return v.bit_length() - 1
+    return None
+
+
+def _span_witness(
+    rule: int, v: int, hits: int, comps: list[tuple], ordering: tuple[int, ...], sweep: tuple
+) -> RuleWitness:
+    """Rule 3 or 4's witness at the v ``_span_rule`` found, whose arcs into
+    the inner side are ``hits``: the smallest u, then the smallest w after u
+    covered by a common span; a and b are that span's end vertices, taken
     from the first such component by smallest vertex."""
-    spans = []
-    for comp in components(adj, inner):
-        at = [pos[y] for y in _bits(comp)]
-        spans.append((min(at), max(at)))
-    for v in _bits(outer):
-        hits = arcs[v] & inner
-        for u in _bits(hits):
-            for w in _bits(hits):
-                if pos[w] <= pos[u]:
-                    continue
-                for lo, hi in spans:
-                    if lo <= pos[u] and pos[w] <= hi:
-                        return RuleWitness(
-                            rule,
-                            (("a", ordering[lo]), ("b", ordering[hi]),
-                             ("u", u), ("v", v), ("w", w)),
-                        )
-    return None
+    pos, upto = sweep[:2]
+    for u in _bits(hits):
+        for w in _bits(hits & ~upto[pos[u] + 1]):
+            covering = [(_lowest(mask), lo, hi) for mask, _, lo, hi in comps
+                        if lo <= pos[u] and pos[w] <= hi]
+            if covering:
+                _, lo, hi = min(covering)
+                a, b = ordering[lo], ordering[hi]
+                return RuleWitness(rule, (("a", a), ("b", b), ("u", u), ("v", v), ("w", w)))
+    raise AssertionError(f"rule {rule} holds at v = {v}")
 
 
 def check_cell(t: Tournament, ordering: Sequence[int], x: int) -> CellResult:
@@ -139,38 +189,32 @@ def check_cell(t: Tournament, ordering: Sequence[int], x: int) -> CellResult:
     if not 0 <= x < t.n:
         raise ValueError(f"pivot {x} out of range")
     ordering = minimum_ordering(t, ordering).witness
-    return _evaluate_cell(t, ordering, _positions(ordering), _backedge_masks(t.rows, ordering), x)
+    return _evaluate_cell(t, ordering, _sweep(ordering, _backedge_masks(t.rows, ordering)), x)
 
 
-def _positions(ordering: tuple[int, ...]) -> list[int]:
-    pos = [0] * len(ordering)
-    for i, v in enumerate(ordering):
-        pos[v] = i
-    return pos
-
-
-def _evaluate_cell(
-    t: Tournament, ordering: tuple[int, ...], pos: list[int], adj: Sequence[int], x: int
-) -> CellResult:
-    """The rules at pivot ``x`` of a validated minimum ordering whose
-    backedge masks are ``adj``."""
-    left = 0
-    for v in ordering[:pos[x]]:
-        left |= 1 << v
-    right = ((1 << t.n) - 1) & ~left
-    found = (
-        None if left else RuleWitness(1, ()),
-        _rule2_violation(t.cols, left, right),
-        _span_violation(3, t.rows, right, left, ordering, pos, adj),
-        _span_violation(4, t.cols, left, right, ordering, pos, adj),
-    )
-    violations = [wit for wit in found if wit is not None]
-    return CellResult(
-        ordering,
-        x,
-        violations[0] if violations else None,
-        tuple(wit.rule for wit in violations),
-    )
+def _evaluate_cell(t: Tournament, ordering: tuple[int, ...], sweep: tuple, x: int) -> CellResult:
+    """The rules at pivot ``x`` of a validated minimum ordering, from its
+    ``_sweep``; only the first violated rule builds a witness."""
+    pos, upto, prefix, suffix = sweep
+    p = pos[x]
+    left = upto[p]
+    if not left:
+        # both sides of rules 2-4 need a vertex before x
+        return CellResult(ordering, x, RuleWitness(1, ()), (1,))
+    right = upto[-1] ^ left
+    rule2 = _rule2_violation(t.cols, left, right)
+    v3 = _span_rule(t.rows, right, left, prefix[p])
+    v4 = _span_rule(t.cols, left, right, suffix[p])
+    violated = tuple(rule for rule, found in ((2, rule2), (3, v3), (4, v4)) if found is not None)
+    if rule2 is not None:
+        witness = rule2
+    elif v3 is not None:
+        witness = _span_witness(3, v3, t.rows[v3] & left, prefix[p], ordering, sweep)
+    elif v4 is not None:
+        witness = _span_witness(4, v4, t.cols[v4] & right, suffix[p], ordering, sweep)
+    else:
+        witness = None
+    return CellResult(ordering, x, witness, violated)
 
 
 def validate_rule_witness(
@@ -260,12 +304,12 @@ def check_rules(
         t, value, first_vertex=first_vertex, deadline=deadline
     )
     for ordering in orderings:
-        pos = _positions(ordering)
         adj = _backedge_masks(t.rows, ordering)
         if has_clique_in_mask(adj, full, value + 1) is not None:
             raise ValueError("ordering does not achieve the minimum clique number")
+        sweep = _sweep(ordering, adj)
         for x in range(t.n):
-            cell = _evaluate_cell(t, ordering, pos, adj, x)
+            cell = _evaluate_cell(t, ordering, sweep, x)
             cells.append(cell)
             if cell.all_rules_hold:
                 excluded = False

@@ -20,6 +20,8 @@ class PassInstance:
     forbidden: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
+        if self.alphabet_size < 0:
+            raise ValueError(f"alphabet size {self.alphabet_size} is negative")
         for word in self.forbidden:
             if not 1 <= len(word) <= 3:
                 raise ValueError(f"forbidden word {word} has length {len(word)}")

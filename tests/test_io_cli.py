@@ -6,7 +6,7 @@ import jsonschema
 import pytest
 
 from backedge.cli import run
-from backedge.constructions import c3, pi, tt
+from backedge.constructions import arrow, c3, pi, tt
 from backedge.gadgets import clause_base, r5, var_base
 from backedge.io import (
     load_tournament,
@@ -452,3 +452,47 @@ def test_cli_witness_rejects_another_instances_landmarks(capsys, tmp_path, surro
             assert code == 2
             assert envelope["result"]["error"] == "landmarks do not describe this tournament"
             assert [entry["path"] for entry in envelope["inputs"]] == [str(trn), str(landmarks)]
+
+
+def test_cli_budget_bounds_the_companion_proof(capsys, tmp_path, surrogate):
+    # a 16-vertex value-3 companion: W7 followed by a transitive 9-vertex
+    # tail, whose minimum ordering takes far longer to prove than 1 ms
+    gadget_file = tmp_path / "big.trn"
+    save_tournament(arrow(surrogate, tt(9)), gadget_file)
+    cnf = tmp_path / "phi.cnf"
+    cnf.write_text("p cnf 3 1\n1 2 3 0\n")
+    inst_trn, inst_json = tmp_path / "inst.trn", tmp_path / "inst.json"
+    reduce_args = ("reduce", "--cnf", str(cnf), "--gadget", str(gadget_file))
+    code, envelope = _run(capsys, "--budget", "0.001", *reduce_args)
+    assert code == 3 and envelope["budget"]["exhausted"] is True
+    assert "exhausted" in envelope["result"]["error"]
+
+    code, _ = _run(capsys, *reduce_args, "--out", str(inst_trn), "--landmarks", str(inst_json))
+    assert code == 0
+    code, envelope = _run(
+        capsys, "--budget", "0.001", "witness", "to-ordering", "--trn", str(inst_trn),
+        "--landmarks", str(inst_json), "--assign", "1,1,1",
+    )
+    assert code == 3 and envelope["budget"]["exhausted"] is True
+
+
+def test_cli_rejects_signed_and_underscored_numbers(capsys, tmp_path, surrogate):
+    gadget_file = tmp_path / "w7.trn"
+    save_tournament(surrogate, gadget_file)
+    for i, text in enumerate(("p cnf +3 1\n1 2 3 0\n", "p cnf 3 1_0\n1 2 3 0\n",
+                              "p cnf 3 1\n+1 2 3 0\n", "p cnf 3 1\n1 2_0 3 0\n")):
+        cnf = tmp_path / f"bad{i}.cnf"
+        cnf.write_text(text)
+        code, envelope = _run(capsys, "reduce", "--cnf", str(cnf), "--gadget", str(gadget_file))
+        assert code == 2 and "malformed" in envelope["result"]["error"], text
+    trn = tmp_path / "signed.trn"
+    trn.write_text("tournament +3\n010\n001\n100\n")
+    code, envelope = _run(capsys, "omega", str(trn))
+    assert code == 2 and envelope["result"]["error"].endswith("line 1: bad vertex count '+3'")
+
+
+def test_cli_pass_rejects_negative_alphabet(capsys, tmp_path):
+    bad = tmp_path / "negative.json"
+    bad.write_text(json.dumps({"alphabet": -2, "forbidden": []}))
+    code, envelope = _run(capsys, "pass", "solve", str(bad))
+    assert code == 2 and "negative" in envelope["result"]["error"]

@@ -4,17 +4,135 @@ import random
 import pytest
 
 from backedge.constructions import c3, tt
-from backedge.core import backedge_graph, components, is_strong
+from backedge.core import _backedge_masks, _bits, backedge_graph, components, is_strong
+from backedge.generation import canonical_tournaments
 from backedge.rulecheck import (
+    CellResult,
+    RuleReport,
+    RuleWitness,
+    _sweep,
     check_cell,
     check_rules,
     excluded_from_family,
     validate_rule_witness,
 )
-from backedge.solvers import enumerate_omega_orderings, iter_orderings_with_clique_at_most
+from backedge.solvers import enumerate_omega_orderings, iter_orderings_with_clique_at_most, omega
 
 from labeled import labeled_count, labeled_tournament
 from r5_rule_table import R5_RULE_TABLE
+
+
+# The per-pivot rule evaluation that the one-sweep-per-ordering engine
+# replaced, kept as its oracle: it recomputes the components of each side for
+# every pivot and walks (v, u, w) triples.
+
+
+def _rule2_violation(cols, left, right):
+    """First a, b on the left with some c on the right beating both and some
+    d on the right beating a but not b; c and d are the smallest such."""
+    for a in _bits(left):
+        for b in _bits(left & ~(1 << a)):
+            cs = cols[a] & cols[b] & right
+            ds = cols[a] & ~cols[b] & right
+            if cs and ds:
+                c = (cs & -cs).bit_length() - 1
+                d = (ds & -ds).bit_length() - 1
+                return RuleWitness(2, (("a", a), ("b", b), ("c", c), ("d", d)))
+    return None
+
+
+def _span_violation(rule, arcs, outer, inner, ordering, pos, adj):
+    """Rules 3 and 4: some v of ``outer`` with ``arcs[v]`` holding u and w of
+    ``inner``, u before w, both inside the span of one component of the
+    backedge graph on ``inner``; a and b are that span's end vertices, taken
+    from the first such component by smallest vertex."""
+    spans = []
+    for comp in components(adj, inner):
+        at = [pos[y] for y in _bits(comp)]
+        spans.append((min(at), max(at)))
+    for v in _bits(outer):
+        hits = arcs[v] & inner
+        for u in _bits(hits):
+            for w in _bits(hits):
+                if pos[w] <= pos[u]:
+                    continue
+                for lo, hi in spans:
+                    if lo <= pos[u] and pos[w] <= hi:
+                        return RuleWitness(
+                            rule,
+                            (("a", ordering[lo]), ("b", ordering[hi]),
+                             ("u", u), ("v", v), ("w", w)),
+                        )
+    return None
+
+
+def oracle_cell(t, ordering, x):
+    pos = [0] * t.n
+    for i, v in enumerate(ordering):
+        pos[v] = i
+    adj = _backedge_masks(t.rows, ordering)
+    left = 0
+    for v in ordering[:pos[x]]:
+        left |= 1 << v
+    right = ((1 << t.n) - 1) & ~left
+    found = (
+        None if left else RuleWitness(1, ()),
+        _rule2_violation(t.cols, left, right),
+        _span_violation(3, t.rows, right, left, ordering, pos, adj),
+        _span_violation(4, t.cols, left, right, ordering, pos, adj),
+    )
+    violations = [wit for wit in found if wit is not None]
+    return CellResult(
+        ordering,
+        x,
+        violations[0] if violations else None,
+        tuple(wit.rule for wit in violations),
+    )
+
+
+def oracle_report(t, first_vertex=None):
+    value = omega(t).value
+    cells = tuple(
+        oracle_cell(t, ordering, x)
+        for ordering in iter_orderings_with_clique_at_most(t, value, first_vertex=first_vertex)
+        for x in range(t.n)
+    )
+    excluded = all(not cell.all_rules_hold for cell in cells)
+    return RuleReport(value, first_vertex, cells, excluded)
+
+
+def strong_classes(n):
+    return [t for t in canonical_tournaments(n) if is_strong(t)]
+
+
+def test_rule_tables_match_the_oracle(circulant5, surrogate):
+    cases = [(circulant5, None), (circulant5, 0), (surrogate, None)]
+    for n in range(3, 7):
+        for t in strong_classes(n):
+            cases += [(t, first) for first in (None, *range(n))]
+    rng = random.Random(53)
+    sevens = []
+    while len(sevens) < 20:
+        t = labeled_tournament(7, rng.randrange(labeled_count(7)))
+        if is_strong(t):
+            sevens.append(t)
+    cases += [(t, None) for t in sevens]
+    for t, first in cases:
+        assert check_rules(t, first).to_dict() == oracle_report(t, first).to_dict(), (t, first)
+
+
+def test_published_cells_match_the_oracle(circulant5):
+    for row in R5_RULE_TABLE:
+        ordering, x, _, _ = to_zero_based(row)
+        assert check_cell(circulant5, ordering, x) == oracle_cell(circulant5, ordering, x), row
+
+
+@pytest.mark.slow
+def test_rule_tables_match_the_oracle_on_every_strong_7_vertex_class():
+    classes = strong_classes(7)
+    assert len(classes) == 353
+    for t in classes:
+        assert check_rules(t).to_dict() == oracle_report(t).to_dict(), t
 
 
 def to_zero_based(row):
@@ -136,15 +254,23 @@ def test_path_predicate_matches_plain_union_find(circulant5):
     for ordering in enumerate_omega_orderings(t):
         pos = {v: i for i, v in enumerate(ordering)}
         g = backedge_graph(t, ordering)
+        _, _, prefix, suffix = _sweep(ordering, g.adj)
         for x in range(5):
             left = sorted(v for v in range(5) if pos[v] < pos[x])
             right = sorted(v for v in range(5) if pos[v] >= pos[x])
-            for side in (left, right):
+            for side, swept in ((left, prefix[pos[x]]), (right, suffix[pos[x]])):
                 mask = sum(1 << v for v in side)
                 comps = list(components(g.adj, mask))
                 assert sum(comps) == mask
                 smallest = [(c & -c).bit_length() - 1 for c in comps]
                 assert smallest == sorted(smallest)
+                # the sweep grows the same components, with their spans
+                spans = []
+                for c in comps:
+                    at = [pos[v] for v in _bits(c)]
+                    lo, hi = min(at), max(at)
+                    spans.append((c, sum(1 << v for v in ordering[lo:hi + 1]), lo, hi))
+                assert sorted(swept, key=lambda comp: comp[0] & -comp[0]) == spans
                 for a in side:
                     for b in side:
                         together = any(c >> a & c >> b & 1 for c in comps)
