@@ -373,36 +373,45 @@ def contains_subtournament(
     if pn == 0:
         return ()
     # degree pre-filter: host vertex must dominate the pattern vertex's degrees
+    degrees = [(row.bit_count(), col.bit_count()) for row, col in zip(host.rows, host.cols)]
     allowed = []
     for p in range(pn):
         po, pi = pattern.rows[p].bit_count(), pattern.cols[p].bit_count()
         mask = 0
-        for h in range(hn):
-            if host.rows[h].bit_count() >= po and host.cols[h].bit_count() >= pi:
+        for h, (ho, hi) in enumerate(degrees):
+            if ho >= po and hi >= pi:
                 mask |= 1 << h
         if not mask:
             return None
         allowed.append(mask)
 
+    prows, hrows, hcols = pattern.rows, host.rows, host.cols
     image = [0] * pn
-
-    def assign(p: int, used: int) -> bool:
-        cand = allowed[p] & ~used
-        for q in range(p):
-            if pattern.rows[p] >> q & 1:
-                cand &= host.cols[image[q]]  # need image[p] -> image[q]
-            else:
-                cand &= host.rows[image[q]]
-            if not cand:
-                return False
-        for h in _bits(cand):
-            image[p] = h
-            if p + 1 == pn or assign(p + 1, used | 1 << h):
-                return True
-        return False
-
-    # pattern vertex p's constraint uses arcs toward already-assigned q < p,
-    # i.e. cand needs arc image[p] -> image[q] iff p -> q in the pattern
-    if assign(0, 0):
-        return tuple(image)
+    used = 0  # images of the pattern vertices below the one being assigned
+    # cands[p]: host candidates for pattern vertex p not yet tried
+    cands = [allowed[0]]
+    while cands:
+        cand = cands[-1]
+        p = len(cands) - 1
+        if not cand:
+            cands.pop()
+            if p:
+                used ^= 1 << image[p - 1]
+            continue
+        low = cand & -cand
+        cands[-1] = cand ^ low
+        image[p] = low.bit_length() - 1
+        if p + 1 == pn:
+            return tuple(image)
+        # pattern vertex p + 1 maps to a host vertex h with h -> image[q]
+        # iff p + 1 -> q in the pattern, for every q <= p
+        nxt = allowed[p + 1] & ~(used | low)
+        row = prows[p + 1]
+        for q in range(p + 1):
+            nxt &= hcols[image[q]] if row >> q & 1 else hrows[image[q]]
+            if not nxt:
+                break
+        if nxt:
+            used |= low
+            cands.append(nxt)
     return None

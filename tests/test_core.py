@@ -290,6 +290,27 @@ def test_contains_subtournament_basics():
     assert image is not None
 
 
+def test_contains_subtournament_witness_is_lexicographically_first():
+    # brute force over every injection in lexicographic order
+    rng = random.Random(11)
+    for _ in range(150):
+        hn, pn = rng.randint(1, 6), rng.randint(1, 4)
+        host = labeled_tournament(hn, rng.randrange(labeled_count(hn)))
+        pattern = labeled_tournament(pn, rng.randrange(labeled_count(pn)))
+        first = next(
+            (image for image in itertools.permutations(range(hn), pn)
+             if all(pattern.has_arc(p, q) == host.has_arc(image[p], image[q])
+                    for p in range(pn) for q in range(pn) if p != q)),
+            None,
+        )
+        assert contains_subtournament(host, pattern) == first, (host, pattern)
+
+
+def test_contains_subtournament_has_no_recursion_limit():
+    assert contains_subtournament(tt(1500), tt(1200)) == tuple(range(1200))
+    assert contains_subtournament(reverse(tt(1500)), tt(1200)) == tuple(range(1199, -1, -1))
+
+
 @settings(max_examples=60)
 @given(small_tournaments())
 def test_pair_partition_forward_vs_backedge(t):

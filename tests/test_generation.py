@@ -1,17 +1,126 @@
+import hashlib
+import inspect
+import json
+
 import pytest
 
 from backedge.core import Tournament, contains_subtournament
-from backedge.generation import canonical_tournaments, is_canonical, staircase
+from backedge.generation import canonical_tournaments, is_canonical
 
 from labeled import labeled_count, labeled_tournament
 
-# numbers of tournaments up to isomorphism, n = 1..7
-KNOWN_CLASS_COUNTS = [1, 1, 2, 4, 12, 56, 456]
+# numbers of tournaments up to isomorphism, n = 1..8 (OEIS A000568)
+KNOWN_CLASS_COUNTS = [1, 1, 2, 4, 12, 56, 456, 6880]
+
+# sha256 of json.dumps([t.rows for t in canonical_tournaments(7)]): the
+# representatives and their order are outputs (the companion W7 is the first
+# value-3 tournament among them)
+CLASSES_7_DIGEST = "150b0b4d16b25951095d870554fffaa1b583bde7eb64a806c68241b5286cd8e1"
 
 
-@pytest.mark.parametrize("n", range(1, 8))
+# The recursive relabeling search that the mask-parallel one replaced, kept
+# as its oracle: it tries the free vertices for each position one by one and
+# compares their column of the staircase encoding bit by bit.
+
+
+def staircase(t: Tournament) -> tuple[int, ...]:
+    bits = []
+    for j in range(t.n):
+        for i in range(j):
+            bits.append(t.rows[i] >> j & 1)
+    return tuple(bits)
+
+
+def oracle_is_canonical(t: Tournament) -> bool:
+    n = t.n
+    rows = t.rows
+    target = staircase(t)
+    used = [False] * n
+    chosen: list[int] = []
+
+    def smaller_exists(idx: int) -> bool:
+        if len(chosen) == n:
+            return False
+        for w in range(n):
+            if used[w]:
+                continue
+            verdict = 0
+            for off, s in enumerate(chosen):
+                bit = rows[s] >> w & 1
+                if bit != target[idx + off]:
+                    verdict = -1 if bit < target[idx + off] else 1
+                    break
+            if verdict == -1:
+                return True
+            if verdict == 1:
+                continue
+            used[w] = True
+            chosen.append(w)
+            if smaller_exists(idx + len(chosen) - 1):
+                return True
+            chosen.pop()
+            used[w] = False
+        return False
+
+    return not smaller_exists(0)
+
+
+def candidates(n):
+    """Every extension of every (n - 1)-vertex class by a last vertex, in
+    generation order; bit i of the pattern is the arc from the new vertex to i."""
+    for t in canonical_tournaments(n - 1):
+        for pattern in range(1 << (n - 1)):
+            rows = [row | (0 if pattern >> i & 1 else 1 << (n - 1)) for i, row in enumerate(t.rows)]
+            yield Tournament(n, (*rows, pattern))
+
+
+def check_against_oracle(n):
+    """Agreement on every candidate, and the accepted ones in order are the
+    generated classes, rows and columns alike; returns the candidate count."""
+    accepted = []
+    checked = 0
+    for candidate in candidates(n):
+        checked += 1
+        verdict = is_canonical(candidate)
+        assert verdict == oracle_is_canonical(candidate), candidate
+        if verdict:
+            accepted.append(candidate)
+    assert tuple(accepted) == canonical_tournaments(n)
+    assert [t.cols for t in accepted] == [t.cols for t in canonical_tournaments(n)]
+    return checked
+
+
+@pytest.mark.parametrize(
+    "n", [*range(1, 8), pytest.param(8, marks=pytest.mark.slow)]
+)
 def test_canonical_counts(n):
     assert len(canonical_tournaments(n)) == KNOWN_CLASS_COUNTS[n - 1]
+
+
+@pytest.mark.parametrize("n", range(2, 8))
+def test_is_canonical_matches_oracle_on_every_candidate(n):
+    check_against_oracle(n)
+
+
+@pytest.mark.slow
+def test_is_canonical_matches_oracle_on_every_8_vertex_candidate():
+    assert check_against_oracle(8) == 58368
+
+
+def test_canonical_order_is_pinned():
+    rows = [t.rows for t in canonical_tournaments(7)]
+    assert hashlib.sha256(json.dumps(rows).encode()).hexdigest() == CLASSES_7_DIGEST
+
+
+def test_canonical_cache_is_keyed_by_n_alone():
+    # the bench asserts a cold cache through cache_info() before its first job
+    assert list(inspect.signature(canonical_tournaments).parameters) == ["n"]
+    canonical_tournaments.cache_clear()
+    assert canonical_tournaments.cache_info().currsize == 0
+    first = canonical_tournaments(4)
+    assert canonical_tournaments.cache_info().currsize == 4  # n = 1..4
+    assert canonical_tournaments(4) is first
+    assert canonical_tournaments.cache_info().hits >= 1
 
 
 def test_canonical_covers_all_labeled_up_to_iso():
