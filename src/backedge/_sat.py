@@ -8,11 +8,20 @@ Literal convention: variable v >= 0 yields literals 2*v (positive) and
 2*v + 1 (negative).  Values are kept per literal: ``val[l]`` is 1 when l is
 true, -1 when it is false and 0 while its variable is unassigned, so
 ``val[l ^ 1] == -val[l]`` always holds.
+
+Clauses enter through one loader, `Solver.add_clauses`, which takes them in
+order and simplifies each against the root assignment as it comes, so a unit
+early in a batch shortens or drops the clauses after it; `add_clause` is the
+one-clause call of it.  A clause watches its literals at positions 0 and 1,
+and ``watches[l]`` lists the clauses watching ``l ^ 1``, the literal that
+``l`` falsifies.  During propagation a watch list is only popped while it is
+scanned (a clause leaves it for the list of a non-false literal, never of
+the literal being scanned), so the scan tracks the list's length itself.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 
 def lit(var: int, positive: bool) -> int:
@@ -51,48 +60,68 @@ class Solver:
         self.phase.extend([False] * extra)
 
     def add_clause(self, lits: Sequence[int]) -> None:
-        """Add a clause (list of literals).  May be called between solve() runs."""
+        """Add one clause; see `add_clauses`."""
+        self.add_clauses((lits,))
+
+    def add_clauses(self, clauses: Iterable[Sequence[int]]) -> None:
+        """Add clauses in order.  May be called between solve() runs, at
+        decision level 0 only.
+
+        Each clause keeps the first occurrence of each literal, in order, and
+        a tautology is dropped.  The variables of the literals a clause
+        mentions exist from then on (for a tautology, those read before the
+        clashing literal).  Already-false literals are dropped, a satisfied
+        clause is dropped, and a unit is assigned and propagated at once, so
+        later clauses of the same call see it.  An empty or conflicting clause
+        clears ``ok``, and every later clause is ignored.
+        """
         if not self.ok:
             return
-        seen = set()
-        clause = []
-        for l in lits:
-            if l ^ 1 in seen:
-                clause = None  # tautology
-                break
-            if l not in seen:
-                seen.add(l)
-                clause.append(l)
-        # the variables of the literals read so far exist from now on
-        if seen:
-            top = max(seen) >> 1
-            if top >= self.n_vars:
-                self._grow(top + 1)
-        if clause is None:
-            return
-        # at the root level, drop already-false literals and detect units
-        if self.trail_lim:
-            raise RuntimeError("clauses may only be added at decision level 0")
-        val = self.val
-        free = []
-        for l in clause:
-            value = val[l]
-            if value == 1:
-                return
-            if value == 0:
-                free.append(l)
-        if not free:
-            self.ok = False
-            return
-        if len(free) == 1:
-            self._enqueue(free[0], -1)
-            if self._propagate() is not None:
+        value_of = self.val.__getitem__
+        db = self.clauses
+        watches = self.watches
+        at_root = not self.trail_lim
+        for lits in clauses:
+            clause = list(lits)
+            if len({l >> 1 for l in clause}) < len(clause):
+                # a repeated variable: drop repeats, or the whole tautology
+                seen = set()
+                kept = []
+                for l in clause:
+                    if l ^ 1 in seen:
+                        kept = None
+                        break
+                    if l not in seen:
+                        seen.add(l)
+                        kept.append(l)
+                if kept is None:
+                    self._grow((max(seen) >> 1) + 1)
+                    continue
+                clause = kept
+            try:
+                values = list(map(value_of, clause))
+            except IndexError:  # a literal past n_vars; _grow extends val in place
+                self._grow((max(clause) >> 1) + 1)
+                values = list(map(value_of, clause))
+            if not at_root:
+                raise RuntimeError("clauses may only be added at decision level 0")
+            if any(values):
+                if 1 in values:
+                    continue
+                clause = [l for l, value in zip(clause, values) if not value]
+            if len(clause) > 1:
+                idx = len(db)
+                db.append(clause)
+                watches[clause[0] ^ 1].append(idx)
+                watches[clause[1] ^ 1].append(idx)
+            elif clause:
+                self._enqueue(clause[0], -1)
+                if self._propagate() is not None:
+                    self.ok = False
+                    return
+            else:
                 self.ok = False
-            return
-        idx = len(self.clauses)
-        self.clauses.append(free)
-        self.watches[free[0] ^ 1].append(idx)
-        self.watches[free[1] ^ 1].append(idx)
+                return
 
     def _enqueue(self, l: int, reason: int) -> bool:
         value = self.val[l]
@@ -121,8 +150,11 @@ class Solver:
             qhead += 1
             false_lit = l ^ 1
             watch = watches[l]
+            # only this scan pops from watch, and it never appends to it
+            # (a clause moves to watches[q ^ 1] with q non-false, q != l ^ 1)
+            end = len(watch)
             i = 0
-            while i < len(watch):
+            while i < end:
                 ci = watch[i]
                 clause = clauses[ci]
                 # ensure the falsified literal sits at position 1
@@ -134,15 +166,19 @@ class Solver:
                 if val[first] == 1:
                     i += 1
                     continue
-                for j in range(2, len(clause)):
+                size = len(clause)
+                j = 2
+                while j < size:
                     q = clause[j]
                     if val[q] != -1:
-                        clause[j] = clause[1]
+                        clause[j] = false_lit
                         clause[1] = q
                         watches[q ^ 1].append(ci)
-                        watch[i] = watch[-1]
+                        end -= 1
+                        watch[i] = watch[end]
                         watch.pop()
                         break
+                    j += 1
                 else:
                     # unit or conflict
                     if val[first] == -1:
@@ -163,24 +199,28 @@ class Solver:
         clauses = self.clauses
         trail = self.trail
         level = self.level
+        reason = self.reason
         activity = self.activity
+        var_inc = self.var_inc
         learnt = [0]
         seen = [False] * self.n_vars
         counter = 0
-        l = -1
         idx = len(trail) - 1
         cur_level = len(self.trail_lim)
         clause = clauses[confl]
         while True:
-            for q in clause if l == -1 else clause[1:]:
+            # a reason clause's implied literal stays seen, so it is skipped
+            for q in clause:
                 v = q >> 1
                 if not seen[v] and level[v] > 0:
                     seen[v] = True
-                    activity[v] += self.var_inc
-                    if activity[v] > 1e100:
+                    act = activity[v] + var_inc
+                    activity[v] = act
+                    if act > 1e100:
                         for u in range(self.n_vars):
                             activity[u] *= 1e-100
-                        self.var_inc *= 1e-100
+                        var_inc *= 1e-100
+                        self.var_inc = var_inc
                     if level[v] == cur_level:
                         counter += 1
                     else:
@@ -191,23 +231,21 @@ class Solver:
                 if seen[l >> 1]:
                     break
             counter -= 1
-            seen[l >> 1] = False
             if counter == 0:
                 break
-            # put the implied literal first so the slice from 1 skips it
-            clause = clauses[self.reason[l >> 1]]
-            if clause[0] != l:
-                k = clause.index(l)
-                clause[0], clause[k] = clause[k], clause[0]
+            clause = clauses[reason[l >> 1]]
         learnt[0] = l ^ 1
         if len(learnt) == 1:
             return learnt, 0
-        bj = max(level[q >> 1] for q in learnt[1:])
-        # move a max-level literal to position 1 for watching
-        for k in range(1, len(learnt)):
-            if level[learnt[k] >> 1] == bj:
-                learnt[1], learnt[k] = learnt[k], learnt[1]
-                break
+        # move the first max-level literal to position 1 for watching
+        k = 1
+        bj = level[learnt[1] >> 1]
+        for j in range(2, len(learnt)):
+            lv = level[learnt[j] >> 1]
+            if lv > bj:
+                bj = lv
+                k = j
+        learnt[1], learnt[k] = learnt[k], learnt[1]
         return learnt, bj
 
     def _backjump(self, target: int) -> None:

@@ -16,7 +16,7 @@ import time
 from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
 
-from ._sat import Solver, lit
+from ._sat import Solver
 from .core import (
     BudgetExhausted,
     Digraph,
@@ -288,7 +288,9 @@ def chi_decide(
     Encodes class membership as booleans and refutes/extends with a
     conflict-driven search; directed-cycle constraints are seeded for all
     triangles of moderate-size tournaments and otherwise added lazily each
-    time a candidate class turns out cyclic.
+    time a candidate class turns out cyclic.  The deadline is polled once
+    per first vertex of the seeded triangles and once per lazy-cut round,
+    besides every 256 conflicts inside the search.
     """
     if k < 1:
         raise ValueError("class count must be positive")
@@ -302,38 +304,41 @@ def chi_decide(
         return ChiDecideResult(True, tuple((v,) for v in range(n)))
 
     solver = Solver(n * k)
+    # var(v, c) = v * k + c has the negative literal negs[v] + 2 * c
+    negs = [2 * k * v + 1 for v in range(n)]
+    shifts = range(0, 2 * k, 2)
 
-    def var(v: int, c: int) -> int:
-        return v * k + c
+    def seed_clauses() -> Iterator[list[int]]:
+        for base in negs:
+            yield [base - 1 + c for c in shifts]
+        # classes are interchangeable: pin vertex 0 to class 0 (literal 0 is
+        # var(0, 0) true, literal 1 + c is var(0, c // 2) false)
+        yield [0]
+        for c in shifts[1:]:
+            yield [1 + c]
+        if isinstance(d, Tournament) and n <= 256:
+            # in a tournament every directed cycle contains a directed
+            # triangle, so triangle cuts alone are complete
+            rows, cols = d.rows, d.cols
+            for u in range(n):
+                if deadline is not None:
+                    deadline.check()
+                a = negs[u]
+                high = ~((1 << (u + 1)) - 1)
+                for v in _bits(rows[u] & high):
+                    b = negs[v]
+                    for w in _bits(rows[v] & cols[u] & high):
+                        e = negs[w]
+                        for c in shifts:
+                            yield [a + c, b + c, e + c]
 
-    for v in range(n):
-        solver.add_clause([lit(var(v, c), True) for c in range(k)])
-    # classes are interchangeable: pin vertex 0 to class 0
-    solver.add_clause([lit(var(0, 0), True)])
-    for c in range(1, k):
-        solver.add_clause([lit(var(0, c), False)])
-
-    def add_cycle_cut(cycle: tuple[int, ...]) -> None:
-        # the negative literal of var(v, c) is 2 * k * v + 1 + 2 * c
-        negs = [2 * k * v + 1 for v in cycle]
-        for c in range(0, 2 * k, 2):
-            solver.add_clause([l + c for l in negs])
-
-    if isinstance(d, Tournament) and n <= 256:
-        # in a tournament every directed cycle contains a directed triangle,
-        # so triangle cuts alone are complete
-        rows, cols = d.rows, d.cols
-        for u in range(n):
-            high = ~((1 << (u + 1)) - 1)
-            for v in _bits(rows[u] & high):
-                for w in _bits(rows[v] & cols[u] & high):
-                    add_cycle_cut((u, v, w))
+    solver.add_clauses(seed_clauses())
 
     while True:
         model = solver.solve(deadline=deadline)
         if model is None:
             return ChiDecideResult(False, None, solver.conflicts)
-        color = [min(c for c in range(k) if model[var(v, c)]) for v in range(n)]
+        color = [min(c for c in range(k) if model[v * k + c]) for v in range(n)]
         masks = [0] * k
         for v, c in enumerate(color):
             masks[c] |= 1 << v
@@ -350,8 +355,11 @@ def chi_decide(
                 if masks[c]
             )
             return ChiDecideResult(True, classes, solver.conflicts)
+        if deadline is not None:
+            deadline.check()
         solver.reset()
-        add_cycle_cut(violated)
+        cut = [negs[v] for v in violated]
+        solver.add_clauses([l + c for l in cut] for c in shifts)
 
 
 def chi(d: Digraph, *, deadline: Optional[Deadline] = None) -> ChiResult:

@@ -1,5 +1,6 @@
 import json
 import math
+import random
 from importlib import resources
 
 import jsonschema
@@ -20,6 +21,7 @@ from backedge.io import (
 )
 
 from cli_schemas import ENVELOPE_SCHEMA, RESULT_SCHEMAS
+from labeled import labeled_count, labeled_tournament
 
 
 def test_trn_roundtrip(tmp_path):
@@ -473,6 +475,16 @@ def test_cli_budget_bounds_the_companion_proof(capsys, tmp_path, surrogate):
         capsys, "--budget", "0.001", "witness", "to-ordering", "--trn", str(inst_trn),
         "--landmarks", str(inst_json), "--assign", "1,1,1",
     )
+    assert code == 3 and envelope["budget"]["exhausted"] is True
+
+
+def test_cli_budget_bounds_chi_cut_seeding(capsys, tmp_path):
+    # a 200-vertex tournament has about 330,000 directed triangles, so seeding
+    # their cuts takes far longer than the budget, before any conflict
+    rng = random.Random(13)
+    path = tmp_path / "t200.trn"
+    save_tournament(labeled_tournament(200, rng.randrange(labeled_count(200))), path)
+    code, envelope = _run(capsys, "--budget", "0.2", "chi-decide", "--k", "3", str(path))
     assert code == 3 and envelope["budget"]["exhausted"] is True
 
 

@@ -1,5 +1,7 @@
 """Fuzz the built-in conflict-driven solver against brute force."""
 
+import collections
+import copy
 import itertools
 import random
 
@@ -119,3 +121,279 @@ def test_unit_and_empty_clause_handling():
     solver3 = Solver(1)
     solver3.add_clause([lit(0, True), lit(0, False)])  # tautology dropped
     assert solver3.solve() is not None
+
+
+# --- oracles: the per-clause loader and the propagation loop they replaced ---
+
+
+def add_clause_oracle(solver, lits):
+    """One clause at a time, as `Solver.add_clause` loaded clauses before the
+    bulk loader; returns what happened to the clause."""
+    if not solver.ok:
+        return "ignored"
+    seen = set()
+    clause = []
+    for l in lits:
+        if l ^ 1 in seen:
+            clause = None  # tautology
+            break
+        if l not in seen:
+            seen.add(l)
+            clause.append(l)
+    grew = False
+    if seen:
+        top = max(seen) >> 1
+        if top >= solver.n_vars:
+            solver._grow(top + 1)
+            grew = True
+    if clause is None:
+        return "tautology"
+    if solver.trail_lim:
+        raise RuntimeError("clauses may only be added at decision level 0")
+    val = solver.val
+    free = []
+    for l in clause:
+        value = val[l]
+        if value == 1:
+            return "satisfied"
+        if value == 0:
+            free.append(l)
+    if not free:
+        solver.ok = False
+        return "empty"
+    if len(free) == 1:
+        solver._enqueue(free[0], -1)
+        if solver._propagate() is not None:
+            solver.ok = False
+            return "conflict"
+        return "unit"
+    idx = len(solver.clauses)
+    solver.clauses.append(free)
+    solver.watches[free[0] ^ 1].append(idx)
+    solver.watches[free[1] ^ 1].append(idx)
+    if len(free) < len(lits):
+        return "shortened"
+    return "grew" if grew else "added"
+
+
+class ReferenceSolver(Solver):
+    """The solver with the propagation loop and conflict analysis it had
+    before they were tightened; the search must not tell them apart."""
+
+    def _propagate(self):
+        val = self.val
+        clauses = self.clauses
+        watches = self.watches
+        level = self.level
+        reason = self.reason
+        trail = self.trail
+        cur_level = len(self.trail_lim)
+        qhead = self.qhead
+        while qhead < len(trail):
+            l = trail[qhead]
+            qhead += 1
+            false_lit = l ^ 1
+            watch = watches[l]
+            i = 0
+            while i < len(watch):
+                ci = watch[i]
+                clause = clauses[ci]
+                first = clause[0]
+                if first == false_lit:
+                    first = clause[1]
+                    clause[0] = first
+                    clause[1] = false_lit
+                if val[first] == 1:
+                    i += 1
+                    continue
+                for j in range(2, len(clause)):
+                    q = clause[j]
+                    if val[q] != -1:
+                        clause[j] = clause[1]
+                        clause[1] = q
+                        watches[q ^ 1].append(ci)
+                        watch[i] = watch[-1]
+                        watch.pop()
+                        break
+                else:
+                    if val[first] == -1:
+                        self.qhead = qhead
+                        return ci
+                    val[first] = 1
+                    val[first ^ 1] = -1
+                    v = first >> 1
+                    level[v] = cur_level
+                    reason[v] = ci
+                    trail.append(first)
+                    i += 1
+        self.qhead = qhead
+        return None
+
+    def _analyze(self, confl):
+        clauses = self.clauses
+        trail = self.trail
+        level = self.level
+        activity = self.activity
+        learnt = [0]
+        seen = [False] * self.n_vars
+        counter = 0
+        l = -1
+        idx = len(trail) - 1
+        cur_level = len(self.trail_lim)
+        clause = clauses[confl]
+        while True:
+            for q in clause if l == -1 else clause[1:]:
+                v = q >> 1
+                if not seen[v] and level[v] > 0:
+                    seen[v] = True
+                    activity[v] += self.var_inc
+                    if activity[v] > 1e100:
+                        for u in range(self.n_vars):
+                            activity[u] *= 1e-100
+                        self.var_inc *= 1e-100
+                    if level[v] == cur_level:
+                        counter += 1
+                    else:
+                        learnt.append(q)
+            while True:
+                l = trail[idx]
+                idx -= 1
+                if seen[l >> 1]:
+                    break
+            counter -= 1
+            seen[l >> 1] = False
+            if counter == 0:
+                break
+            clause = clauses[self.reason[l >> 1]]
+            if clause[0] != l:
+                k = clause.index(l)
+                clause[0], clause[k] = clause[k], clause[0]
+        learnt[0] = l ^ 1
+        if len(learnt) == 1:
+            return learnt, 0
+        bj = max(level[q >> 1] for q in learnt[1:])
+        for k in range(1, len(learnt)):
+            if level[learnt[k] >> 1] == bj:
+                learnt[1], learnt[k] = learnt[k], learnt[1]
+                break
+        return learnt, bj
+
+
+def solver_state(solver):
+    return (
+        solver.n_vars, solver.ok, solver.clauses, solver.watches, solver.val,
+        solver.trail, solver.trail_lim, solver.qhead, solver.level, solver.reason,
+        solver.activity, solver.phase, solver.var_inc, solver.conflicts,
+    )
+
+
+def messy_clauses(rng, n_vars, count):
+    """Clauses with repeated literals, tautologies, units and literals of
+    variables past n_vars."""
+    clauses = []
+    for _ in range(count):
+        width = rng.choice((1, 2, 2, 3, 3, 3, 4))
+        lits = [lit(rng.randrange(n_vars + 2), rng.random() < 0.5) for _ in range(width)]
+        if rng.random() < 0.15:
+            lits.insert(rng.randrange(len(lits) + 1), rng.choice(lits))
+        if rng.random() < 0.1:
+            lits.insert(rng.randrange(len(lits) + 1), rng.choice(lits) ^ 1)
+        clauses.append(lits)
+    if rng.random() < 0.25:
+        clauses.insert(rng.randrange(len(clauses) + 1), [])
+    return clauses
+
+
+def solved_then_reset(rng, n_vars):
+    """A solver back at level 0 after a solve on random 3-CNF, so it may hold
+    learnt clauses and root units."""
+    solver = Solver(n_vars)
+    solver.add_clauses(
+        [lit(v, rng.random() < 0.5) for v in rng.sample(range(n_vars), 3)]
+        for _ in range(4 * n_vars)
+    )
+    solver.solve()
+    solver.reset()
+    return solver
+
+
+def test_add_clauses_matches_per_clause_loading():
+    rng = random.Random(107)
+    outcomes = collections.Counter()
+    with_learnt = 0
+    for trial in range(400):
+        if trial % 2:
+            n_vars = rng.randint(10, 30)
+            bulk = solved_then_reset(rng, n_vars)
+            with_learnt += len(bulk.clauses) > 4 * n_vars
+        else:
+            n_vars = rng.randint(3, 12)
+            bulk = Solver(n_vars)
+        single = copy.deepcopy(bulk)
+        clauses = messy_clauses(rng, n_vars, rng.randint(1, 3 * n_vars))
+        bulk.add_clauses(iter(clauses))
+        for clause in clauses:
+            outcomes[add_clause_oracle(single, clause)] += 1
+        assert solver_state(bulk) == solver_state(single)
+        # the caller's lists are copied, never kept and reordered
+        assert all(c is not d for c in bulk.clauses for d in clauses)
+    for outcome in ("added", "grew", "shortened", "satisfied", "tautology",
+                    "unit", "conflict", "empty", "ignored"):
+        assert outcomes[outcome] > 0, outcome
+    assert with_learnt > 50
+
+
+def test_add_clauses_refuses_above_level_zero_like_per_clause_loading():
+    rng = random.Random(109)
+    raised = 0
+    for _ in range(60):
+        n_vars = rng.randint(4, 10)
+        bulk = Solver(n_vars)
+        bulk.add_clauses(random_clauses(rng, n_vars, 2 * n_vars))
+        if bulk.solve() is None or not bulk.trail_lim:
+            continue
+        single = copy.deepcopy(bulk)
+        clauses = messy_clauses(rng, n_vars, 6)
+        errors = []
+        for solver, load in ((bulk, lambda s: s.add_clauses(clauses)),
+                             (single, lambda s: [add_clause_oracle(s, c) for c in clauses])):
+            try:
+                load(solver)
+                errors.append(None)
+            except RuntimeError as exc:
+                errors.append(str(exc))
+        assert errors[0] == errors[1]
+        raised += errors[0] is not None
+        assert solver_state(bulk) == solver_state(single)
+    assert raised > 20
+
+
+def test_search_matches_the_reference_propagation_loop():
+    rng = random.Random(113)
+    conflicts = 0
+    for _ in range(40):
+        n_vars = rng.randint(20, 60)
+        clauses = [
+            [lit(v, rng.random() < 0.5) for v in rng.sample(range(n_vars), 3)]
+            for _ in range(int(4.2 * n_vars))
+        ]
+        solvers = [Solver(n_vars), ReferenceSolver(n_vars)]
+        for solver in solvers:
+            solver.add_clauses(clauses)
+        for _ in range(5):
+            models = [solver.solve() for solver in solvers]
+            assert models[0] == models[1]
+            assert solver_state(solvers[0]) == solver_state(solvers[1])
+            if models[0] is None:
+                break
+            # forbid part of the model and mention a fresh variable
+            head = rng.sample(range(n_vars), 5)
+            extra = [
+                [lit(v, not models[0][v]) for v in head] + [lit(solvers[0].n_vars, True)],
+                [lit(solvers[0].n_vars - 1, False), lit(rng.randrange(n_vars), True)],
+            ]
+            for solver in solvers:
+                solver.reset()
+                solver.add_clauses(extra)
+        conflicts += solvers[0].conflicts
+    assert conflicts > 1000

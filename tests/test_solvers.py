@@ -247,6 +247,14 @@ def test_chi_deep_search_on_larger_tournaments():
         assert covered == (1 << n) - 1
 
 
+def test_chi_decide_polls_the_deadline_while_seeding_cuts():
+    # solve polls only every 256 conflicts; this call needs far fewer
+    t = labeled_tournament(12, random.Random(29).randrange(labeled_count(12)))
+    assert chi_decide(t, 2).conflicts < 256
+    with pytest.raises(BudgetExhausted):
+        chi_decide(t, 2, deadline=Deadline(0))
+
+
 def test_chi_deterministic():
     t = arrow(c3(), c3())
     assert isinstance(t, Tournament)
