@@ -27,6 +27,7 @@ from .core import (
     check_ordering,
     clique_number,
     directed_cycle,
+    directed_triangle,
     has_clique_in_mask,
     is_acyclic,
 )
@@ -291,6 +292,20 @@ def chi_decide(
     time a candidate class turns out cyclic.  The deadline is polled once
     per first vertex of the seeded triangles and once per lazy-cut round,
     besides every 256 conflicts inside the search.
+
+    Classes are interchangeable, so vertex 0 is pinned to class 0.  For
+    k >= 3 the symmetry among the other classes is broken on two more
+    vertices: a and b of the first directed triangle 0 -> a -> b -> 0
+    (lowest a, then lowest b), or a, b = 1, 2 when vertex 0 lies on none.
+    Vertex a takes class 0 or 1, b takes class 0, 1 or 2, and b takes
+    class 2 only when a takes class 1.  Any acyclic partition can be
+    relabelled to meet this by swapping classes other than 0: first move a
+    into class 1 unless it is in class 0.  If a is in class 0 and b in class
+    2 or above, move b into class 1, which a is not in.  Otherwise, if b is
+    in class 3 or above, move b into class 2, which holds neither 0 nor a.
+    Swaps keep every class acyclic, so no partition is lost.  On a triangle
+    the class-0 cut keeps b out of a's class 0, so a in class 0 fixes b in
+    class 1, which is why the triangle is chosen.
     """
     if k < 1:
         raise ValueError("class count must be positive")
@@ -316,6 +331,19 @@ def chi_decide(
         yield [0]
         for c in shifts[1:]:
             yield [1 + c]
+        if k >= 3:
+            # the docstring's a and b: a in class 0 or 1, b in class 0, 1 or
+            # 2, and b in class 0 or 1 while a is in class 0.  The first
+            # directed triangle starts at vertex 0 if any triangle does.
+            triangle = directed_triangle(d)
+            pair = triangle[1:] if triangle is not None and triangle[0] == 0 else (1, 2)
+            na, nb = (negs[v] for v in pair)
+            for c in shifts[2:]:
+                yield [na + c]
+            for c in shifts[2:]:
+                yield [na, nb + c]
+            for c in shifts[3:]:
+                yield [nb + c]
         if isinstance(d, Tournament) and n <= 256:
             # in a tournament every directed cycle contains a directed
             # triangle, so triangle cuts alone are complete
@@ -329,8 +357,14 @@ def chi_decide(
                     b = negs[v]
                     for w in _bits(rows[v] & cols[u] & high):
                         e = negs[w]
-                        for c in shifts:
-                            yield [a + c, b + c, e + c]
+                        if u:
+                            for c in shifts:
+                                yield [a + c, b + c, e + c]
+                        else:
+                            # the pins satisfy the cuts of classes 1.. and
+                            # falsify vertex 0's literal in class 0; this is
+                            # the clause the loader would keep
+                            yield [b, e]
 
     solver.add_clauses(seed_clauses())
 

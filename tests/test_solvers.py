@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from backedge import solvers
+from backedge._sat import Solver
 from backedge.constructions import arrow, c3, delta, tt
 from backedge.core import (
     BudgetExhausted,
@@ -12,12 +14,14 @@ from backedge.core import (
     Tournament,
     backedge_graph,
     clique_number,
+    directed_cycle,
     induced,
     is_acyclic,
     is_transitive,
     reverse,
 )
 from backedge.gadgets import clause_base, r5, var_base
+from backedge.generation import canonical_tournaments
 from backedge.solvers import (
     Deadline,
     chi,
@@ -197,19 +201,19 @@ def test_chi_on_general_digraph_lazy_path():
     assert chi(cycle).value == 2
 
 
+def brute_chi(d):
+    for k in range(1, d.n + 1):
+        for colors in itertools.product(range(k), repeat=d.n):
+            masks = [0] * k
+            for v, color in enumerate(colors):
+                masks[color] |= 1 << v
+            if all(is_acyclic(d, m) for m in masks if m):
+                return k
+    raise AssertionError
+
+
 def test_chi_random_digraphs_against_brute_force():
     rng = random.Random(37)
-
-    def brute_chi(d):
-        for k in range(1, d.n + 1):
-            for colors in itertools.product(range(k), repeat=d.n):
-                masks = [0] * k
-                for v, color in enumerate(colors):
-                    masks[color] |= 1 << v
-                if all(is_acyclic(d, m) for m in masks if m):
-                    return k
-        raise AssertionError
-
     for _ in range(25):
         n = rng.randint(2, 6)
         arcs = []
@@ -225,6 +229,171 @@ def test_chi_random_digraphs_against_brute_force():
             for v in cls:
                 mask |= 1 << v
             assert is_acyclic(d, mask)
+
+
+def pin_only_chi_decide(d, k):
+    """chi_decide's formula with vertex 0 pinned to class 0 as its only
+    symmetry break: one class clause per vertex, the pin, all triangle cuts
+    of a tournament up to 256 vertices, lazy cycle cuts.  Returns the
+    verdict, the classes and the solver."""
+    n = d.n
+    if k == 1:
+        ok = is_acyclic(d)
+        return ok, (tuple(range(n)),) if ok else None, None
+    if k >= n:
+        return True, tuple((v,) for v in range(n)), None
+    solver = Solver(n * k)
+    for v in range(n):
+        solver.add_clause([2 * (v * k + c) for c in range(k)])
+    solver.add_clause([0])
+    for c in range(1, k):
+        solver.add_clause([2 * c + 1])
+    if isinstance(d, Tournament) and n <= 256:
+        # each triangle u -> v -> w -> u once, from its lowest vertex u
+        for u, v, w in itertools.product(range(n), repeat=3):
+            if u < min(v, w) and d.has_arc(u, v) and d.has_arc(v, w) and d.has_arc(w, u):
+                for c in range(k):
+                    solver.add_clause([2 * (x * k + c) + 1 for x in (u, v, w)])
+    while True:
+        model = solver.solve()
+        if model is None:
+            return False, None, solver
+        color = [min(c for c in range(k) if model[v * k + c]) for v in range(n)]
+        for c in range(k):
+            cycle = directed_cycle(d, sum(1 << v for v in range(n) if color[v] == c))
+            if cycle is not None:
+                break
+        if cycle is None:
+            classes = tuple(
+                tuple(v for v in range(n) if color[v] == c) for c in range(k) if c in color
+            )
+            return True, classes, solver
+        solver.reset()
+        for c in range(k):
+            solver.add_clause([2 * (v * k + c) + 1 for v in cycle])
+
+
+def assert_acyclic_partition(d, classes, k):
+    assert len(classes) <= k
+    assert sorted(v for cls in classes for v in cls) == list(range(d.n))
+    for cls in classes:
+        assert is_acyclic(d, sum(1 << v for v in cls))
+
+
+def chi_against_pin_only(d):
+    """chi of d, after checking chi_decide against the pin-only oracle for
+    every k up to chi and one more (while k < n), witnesses included."""
+    value = None
+    for k in itertools.count(1):
+        decision, classes, _ = pin_only_chi_decide(d, k)
+        res = chi_decide(d, k)
+        assert res.decision == decision, (d, k)
+        if decision:
+            assert_acyclic_partition(d, classes, k)
+            assert_acyclic_partition(d, res.classes, k)
+            value = value or k
+            if k > value or k + 1 >= d.n:
+                return value
+
+
+def triangle_through_zero(d):
+    return any(
+        d.has_arc(0, a) and d.has_arc(a, b) and d.has_arc(b, 0)
+        for a in range(1, d.n)
+        for b in range(1, d.n)
+    )
+
+
+def source_zero(n, code):
+    # vertex 0 beats every other vertex, so it lies on no directed triangle
+    return labeled_tournament(n, code | (1 << (n - 1)) - 1)
+
+
+def test_chi_decide_matches_pin_only_oracle_on_every_small_tournament():
+    for n in range(1, 6):
+        for code in range(labeled_count(n)):
+            chi_against_pin_only(labeled_tournament(n, code))
+
+
+def test_chi_decide_matches_pin_only_oracle_and_brute_force_on_classes_6_and_7():
+    for n in (6, 7):
+        values = [chi_against_pin_only(t) for t in canonical_tournaments(n)]
+        assert values == [brute_chi(t) for t in canonical_tournaments(n)]
+    # four 7-vertex tournaments need three acyclic classes (Neumann-Lara 1994)
+    assert values.count(3) == 4
+
+
+def test_chi_decide_matches_pin_only_oracle_on_seeded_tournaments():
+    rng = random.Random(61)
+    values = []
+    for n in range(12, 25):
+        for _ in range(2):
+            code = rng.randrange(labeled_count(n))
+            values.append(chi_against_pin_only(labeled_tournament(n, code)))
+        # no triangle through vertex 0: symmetry broken on vertices 1 and 2
+        values.append(chi_against_pin_only(source_zero(n, rng.randrange(labeled_count(n)))))
+    # the refutations include k = 3
+    assert max(values) == 4
+
+
+def test_chi_decide_matches_pin_only_oracle_on_sparse_digraphs():
+    rng = random.Random(67)
+    digraphs = []
+    for n in range(6, 15):
+        for _ in range(4):
+            arcs = [(u, v) for u in range(n) for v in range(n) if u != v and rng.random() < 0.3]
+            digraphs.append(Digraph.from_arcs(n, arcs))
+    # plain digraphs take the lazy-cut path, with and without a triangle
+    # through vertex 0
+    for n in (9, 11, 13):
+        code = rng.randrange(labeled_count(n))
+        digraphs.append(Digraph(n, labeled_tournament(n, code).rows))
+        digraphs.append(Digraph(n, source_zero(n, code).rows))
+    # digons make classes independent sets of a graph: triangle 3-4-5, 6
+    # adjacent to 4 and 5, 7 to 3 and 5, and 0, 1, 2 to 6 and 7, so every
+    # 3-partition puts 0, 1 and 2 in the class of 5, and 0 is on no triangle
+    edges = [(3, 4), (4, 5), (3, 5), (6, 4), (6, 5), (7, 3), (7, 5)]
+    edges += [(u, v) for u in (0, 1, 2) for v in (6, 7)]
+    digraphs.append(Digraph.from_arcs(8, edges + [(v, u) for u, v in edges]))
+    on_triangle = [triangle_through_zero(d) for d in digraphs]
+    assert any(on_triangle) and not all(on_triangle)
+    values = [chi_against_pin_only(d) for d in digraphs]
+    assert max(values) >= 3
+
+
+@pytest.mark.slow
+def test_chi_decide_matches_pin_only_oracle_on_60_tournaments_22_to_24():
+    rng = random.Random(71)
+    for n in (22, 23, 24):
+        for _ in range(20):
+            chi_against_pin_only(labeled_tournament(n, rng.randrange(labeled_count(n))))
+
+
+def test_two_class_formulas_are_the_pin_only_formula(monkeypatch, d2):
+    made = []
+
+    class RecordingSolver(Solver):
+        def __init__(self, n_vars):
+            super().__init__(n_vars)
+            made.append(self)
+
+    monkeypatch.setattr(solvers, "Solver", RecordingSolver)
+    rng = random.Random(73)
+    digraphs = [d2.tournament, source_zero(14, rng.randrange(labeled_count(14)))]
+    digraphs += [labeled_tournament(n, rng.randrange(labeled_count(n))) for n in (8, 16, 24)]
+    digraphs.append(Digraph.from_arcs(9, [(v, (v + 1) % 9) for v in range(9)] + [(0, 4), (4, 0)]))
+    for d in digraphs:
+        res = chi_decide(d, 2)
+        decision, _, oracle = pin_only_chi_decide(d, 2)
+        # same clauses in the same order, learnt ones included: same search
+        assert (res.decision, made[-1].clauses, made[-1].trail) == (
+            decision,
+            oracle.clauses,
+            oracle.trail,
+        )
+        assert res.conflicts == oracle.conflicts
+    res = chi_decide(d2.tournament, 2)
+    assert (res.decision, res.conflicts) == (False, 3)
 
 
 def test_chi_deep_search_on_larger_tournaments():

@@ -1,14 +1,16 @@
-"""Golden digest of the conflict-driven solver's search path.
+"""Golden digests of the conflict-driven solver's search path.
 
 The solver is deterministic, so its decisions, learnt clauses and models are
-a fixed function of the input.  This test hashes what that search produces
-(per-k ``chi_decide`` verdicts, classes and conflict counts on seeded random
-tournaments and digraphs; models, conflict counts and the clause database,
-learnt clauses included, of seeded raw CNF runs with ``reset()`` and
-re-solves) and compares the hash with a recorded value.  A kernel change
-that keeps every answer correct but changes the search (tie-breaking, watch
-order, restarts, phase saving) changes the hash; a change that alters the
-search on purpose records the new digest and says so.
+a fixed function of the input.  Two digests hash what that search produces.
+``CNF_DIGEST`` covers models, conflict counts and the clause database, learnt
+clauses included, of seeded raw CNF runs with ``reset()`` and re-solves: it
+pins the kernel in ``_sat``.  ``CHI_DIGEST`` covers per-k ``chi_decide``
+verdicts, classes and conflict counts on seeded random tournaments and
+digraphs: it pins the kernel together with the partition encoding.  A kernel
+change that keeps every answer correct but changes the search (tie-breaking,
+watch order, restarts, phase saving) changes both hashes; an encoding change
+changes only the second.  A change that alters the search on purpose records
+the new digest and says so.
 """
 
 import hashlib
@@ -21,7 +23,8 @@ from backedge.solvers import chi_decide
 
 from labeled import labeled_count, labeled_tournament
 
-TRAJECTORY_DIGEST = "e0c4cb1ab0bc00533e26cdc21b9ef694112f8b221c464afb4fe6d2c51b962e73"
+CNF_DIGEST = "d6bdf5254fa2f00d856a5942caece72404ac0eb0dd1bf05dd48a8fb8569ec451"
+CHI_DIGEST = "2660794509cd15e23201eb86946fa160e84ee3a4a9cd76d5b413f36593c0bcc0"
 
 
 def _chi_records():
@@ -70,8 +73,16 @@ def _cnf_records():
             solver.add_clause([lit(solver.n_vars - 1, False), lit(rng.randrange(n_vars), True)])
 
 
-def test_search_trajectory_is_pinned():
+def _digest(records):
     h = hashlib.sha256()
-    for record in itertools.chain(_chi_records(), _cnf_records()):
+    for record in records:
         h.update(repr(record).encode())
-    assert h.hexdigest() == TRAJECTORY_DIGEST
+    return h.hexdigest()
+
+
+def test_search_trajectory_is_pinned():
+    assert _digest(_cnf_records()) == CNF_DIGEST
+
+
+def test_chi_trajectory_is_pinned():
+    assert _digest(_chi_records()) == CHI_DIGEST
