@@ -507,7 +507,7 @@ def run(argv: Optional[list[str]] = None) -> int:
         outcome = args.handler(args, Deadline(budget), read)
         result, nodes = outcome.result, outcome.nodes
         exit_code = 1 if outcome.negative else 0
-    except (ValueError, OSError, KeyError, IndexError, TypeError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError, KeyError, IndexError, TypeError) as exc:
         result = {"error": str(exc) or f"missing or malformed arguments for {args.verb}"}
         exit_code = 2
     except MaterializationRefused as exc:

@@ -21,9 +21,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import combinations, product
-from typing import Iterable, Iterator, Optional, Union
+from typing import Callable, Iterable, Optional, Union
 
-from .core import Digraph, Tournament, is_transitive
+from .core import Digraph, Tournament, _bits, is_transitive
 from .solvers import Deadline, omega
 
 DEFAULT_VERTEX_BUDGET = 100_000
@@ -176,62 +176,73 @@ def lift(d: Digraph, w: Digraph) -> Lift:
     return Lift(composite, 0, (1, 1 + d.n), (1 + d.n, 1 + d.n + w.n))
 
 
-def _colex_subsets(universe: int, size: int) -> tuple[tuple[int, ...], ...]:
-    return tuple(
-        sorted(combinations(range(universe), size), key=lambda s: tuple(reversed(s)))
+def _copy_sizing(
+    construction: str, n: int, universe: int, copies: Callable[[int], int],
+    vertex_budget: int,
+) -> SizingReport:
+    """Sizing of ``copies(m)`` copies of an n-vertex base, m = C(universe, n)."""
+    if n < 1:
+        raise ValueError("base size must be positive")
+    m = math.comb(universe, n)
+    ncopies = copies(m)
+    total = n * ncopies
+    return SizingReport(
+        construction,
+        (("n", n), ("label_universe", universe), ("m", m), ("copies", ncopies)),
+        total,
+        total <= vertex_budget,
+        vertex_budget,
     )
-
-
-def _label_flips(
-    layout: CopyLayout,
-    omega_ordering: tuple[int, ...],
-    pairs: Iterable[tuple[CopyInfo, CopyInfo]],
-) -> Iterator[tuple[int, int]]:
-    """For each (earlier, later) pair of copies, the pairs ``(w, u)`` joining
-    the two vertices that carry the same label, ``w`` in the later copy."""
-    vertex_of = [dict(zip(labels, omega_ordering)) for labels in layout.subsets]
-    for a, b in pairs:
-        for label in set(layout.subsets[a.family]).intersection(layout.subsets[b.family]):
-            yield b.start + vertex_of[b.family][label], a.start + vertex_of[a.family][label]
-
-
-def _copy_ordering(layout: CopyLayout, omega_ordering: tuple[int, ...]) -> tuple[int, ...]:
-    """Each copy in turn, ordered by the base's minimum ordering."""
-    return tuple(c.start + v for c in layout.copies for v in omega_ordering)
 
 
 def amplifier_sizing(
     n: int, *, vertex_budget: int = DEFAULT_VERTEX_BUDGET
 ) -> SizingReport:
     """Vertex count n^2 * C(n(n-1)+1, n) of the amplifier over an n-vertex base."""
-    if n < 1:
-        raise ValueError("base size must be positive")
-    universe = n * (n - 1) + 1
-    m = math.comb(universe, n)
-    total = n * n * m
-    return SizingReport(
-        "amplifier",
-        (("n", n), ("label_universe", universe), ("m", m), ("copies", n * m)),
-        total,
-        total <= vertex_budget,
-        vertex_budget,
-    )
+    return _copy_sizing("amplifier", n, n * (n - 1) + 1, lambda m: n * m, vertex_budget)
 
 
 def pi_sizing(n: int, *, vertex_budget: int = DEFAULT_VERTEX_BUDGET) -> SizingReport:
     """Vertex count n * (2*C(2n-1, n) + 1) of the two-sided construction."""
-    if n < 1:
-        raise ValueError("base size must be positive")
-    universe = 2 * n - 1
-    m = math.comb(universe, n)
-    total = n * (2 * m + 1)
-    return SizingReport(
-        "pi",
-        (("n", n), ("label_universe", universe), ("m", m), ("copies", 2 * m + 1)),
-        total,
-        total <= vertex_budget,
-        vertex_budget,
+    return _copy_sizing("pi", n, 2 * n - 1, lambda m: 2 * m + 1, vertex_budget)
+
+
+def _copy_construction(
+    t: Tournament,
+    sizing: SizingReport,
+    deadline: Optional[Deadline],
+    blocks: Iterable[tuple[str, Iterable[Optional[int]]]],
+    flip: Callable[[int, int, tuple[int, ...]], bool],
+) -> BuiltTournament:
+    """Copies of ``t`` chained front to back, with label-matched arcs flipped.
+
+    ``blocks`` gives, block by block, the role of its copies and the label
+    family of each (None: unlabelled).  For each earlier copy a and later
+    copy b with ``flip(a.block, b.block, base_ordering)``, the arc between
+    their two vertices of equal label is reversed.  Refuses an oversized
+    request before the base is searched.
+    """
+    if not sizing.materializable:
+        raise MaterializationRefused(sizing)
+    order = omega(t, deadline=deadline).witness
+    n, universe = t.n, sizing.parameter("label_universe")
+    subsets = tuple(sorted(combinations(range(universe), n), key=lambda s: s[::-1]))
+    pos = {v: i for i, v in enumerate(order)}
+    copies = []
+    for block, (role, families) in enumerate(blocks):
+        for family in families:
+            psi = None if family is None else tuple(subsets[family][pos[v]] for v in range(n))
+            copies.append(CopyInfo(role, block, family, len(copies) * n, n, psi))
+    vertex_of = [dict(zip(labels, order)) for labels in subsets]
+    flipped = (
+        (b.start + vertex_of[b.family][label], a.start + vertex_of[a.family][label])
+        for a, b in combinations(copies, 2)
+        if flip(a.block, b.block, order)
+        for label in set(subsets[a.family]).intersection(subsets[b.family])
     )
+    built = chain([t] * len(copies), flipped)
+    ordering = tuple(c.start + v for c in copies for v in order)
+    return BuiltTournament(built, ordering, CopyLayout(n, universe, subsets, tuple(copies)))
 
 
 def amplifier(
@@ -249,40 +260,14 @@ def amplifier(
     vertex to the earlier copy's block vertex.
     """
     n = t.n
-    transitive = is_transitive(t)
-    if not transitive:
-        sizing = amplifier_sizing(n, vertex_budget=vertex_budget)
-        if not sizing.materializable:
-            raise MaterializationRefused(sizing)
-    omega_ordering = omega(t, deadline=deadline).witness
-
-    if transitive:
-        doubled = arrow(t, t)
-        ordering = omega_ordering + tuple(v + n for v in omega_ordering)
-        return BuiltTournament(doubled, ordering, None)
-
-    universe = sizing.parameter("label_universe")
-    m = sizing.parameter("m")
-    ncopies = n * m
-
-    pos = {v: i for i, v in enumerate(omega_ordering)}
-    subsets = _colex_subsets(universe, n)
-    copies = []
-    for c in range(ncopies):
-        family = c % m
-        psi = tuple(subsets[family][pos[v]] for v in range(n))
-        copies.append(CopyInfo("copy", c // m, family, c * n, n, psi))
-    layout = CopyLayout(n, universe, subsets, tuple(copies))
-    # flip matching-label arcs between copies of distinct blocks when the base
-    # arc runs from the later block's vertex to the earlier block's vertex
-    pairs = (
-        (a, b)
-        for a, b in combinations(copies, 2)
-        if a.block != b.block
-        and t.has_arc(omega_ordering[b.block], omega_ordering[a.block])
+    if is_transitive(t):
+        order = omega(t, deadline=deadline).witness
+        return BuiltTournament(arrow(t, t), order + tuple(v + n for v in order), None)
+    sizing = amplifier_sizing(n, vertex_budget=vertex_budget)
+    return _copy_construction(
+        t, sizing, deadline, [("copy", range(sizing.parameter("m")))] * n,
+        lambda early, late, order: early != late and t.has_arc(order[late], order[early]),
     )
-    built = chain([t] * ncopies, _label_flips(layout, omega_ordering, pairs))
-    return BuiltTournament(built, _copy_ordering(layout, omega_ordering), layout)
 
 
 def pi(
@@ -295,30 +280,12 @@ def pi(
     share the same label map."""
     if t.n == 0:
         raise ValueError("base tournament must be nonempty")
-    n = t.n
-    sizing = pi_sizing(n, vertex_budget=vertex_budget)
-    if not sizing.materializable:
-        raise MaterializationRefused(sizing)
-    omega_ordering = omega(t, deadline=deadline).witness
-
-    universe = sizing.parameter("label_universe")
-    m = sizing.parameter("m")
-    ncopies = 2 * m + 1
-    pos = {v: i for i, v in enumerate(omega_ordering)}
-    subsets = _colex_subsets(universe, n)
-    psi_family = [tuple(subsets[j][pos[v]] for v in range(n)) for j in range(m)]
-
-    copies = []
-    for j in range(m):
-        copies.append(CopyInfo("A", 0, j, j * n, n, psi_family[j]))
-    copies.append(CopyInfo("B", 1, None, m * n, n, None))
-    for j in range(m):
-        copies.append(CopyInfo("C", 2, j, (m + 1 + j) * n, n, psi_family[j]))
-    layout = CopyLayout(n, universe, subsets, tuple(copies))
-
-    front, back = copies[:m], copies[m + 1:]
-    built = chain([t] * ncopies, _label_flips(layout, omega_ordering, product(front, back)))
-    return BuiltTournament(built, _copy_ordering(layout, omega_ordering), layout)
+    sizing = pi_sizing(t.n, vertex_budget=vertex_budget)
+    families = range(sizing.parameter("m"))
+    return _copy_construction(
+        t, sizing, deadline, [("A", families), ("B", [None]), ("C", families)],
+        lambda early, late, order: (early, late) == (0, 2),
+    )
 
 
 def d_family(
@@ -349,10 +316,8 @@ def cross_copy_backward_arcs(
     the construction flipped; handy for structural audits."""
     flipped = []
     for idx, ci in enumerate(layout.copies):
+        mask = ((1 << ci.size) - 1) << ci.start
         for cj in layout.copies[idx + 1:]:
             for w in cj.vertices():
-                row = t.rows[w]
-                for u in ci.vertices():
-                    if row >> u & 1:
-                        flipped.append((w, u))
+                flipped.extend((w, u) for u in _bits(t.rows[w] & mask))
     return flipped

@@ -124,6 +124,9 @@ def iter_orderings_with_clique_at_most(
     n = d.n
     if first_vertex is not None and not 0 <= first_vertex < n:
         raise ValueError(f"first vertex {first_vertex} out of range")
+    for vertex in before or ():
+        if not 0 <= vertex < n:
+            raise ValueError(f"vertex {vertex} out of range")
     if deadline is not None:
         deadline.check()
     if n == 0:

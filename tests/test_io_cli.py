@@ -159,6 +159,12 @@ def test_cli_forcing(capsys, r5_file):
     assert code in (0, 1)
 
 
+@pytest.mark.parametrize("u, v", [("0", "9"), ("9", "0"), ("-1", "0")])
+def test_cli_forcing_rejects_missing_vertex(capsys, r5_file, u, v):
+    code, envelope = _run(capsys, "forcing", "--u", u, "--v", v, "--k", "2", r5_file)
+    assert code == 2 and "out of range" in envelope["result"]["error"]
+
+
 def test_cli_search_min_omega(capsys):
     code, envelope = _run(capsys, "search-min-omega", "--k", "2", "--nmax", "3")
     assert code == 0

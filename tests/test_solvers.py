@@ -473,6 +473,15 @@ def test_forcing_bare_arc_not_vacuous():
         forcing_holds(d, 0, 0, 1)
 
 
+def test_forcing_rejects_vertices_outside_the_tournament():
+    t = r5()
+    for u, v in [(0, 9), (9, 0), (-1, 0), (0, 5)]:
+        with pytest.raises(ValueError, match="out of range"):
+            forcing_holds(t, u, v, 2)
+    with pytest.raises(ValueError, match="vertex 5 out of range"):
+        next(iter_orderings_with_clique_at_most(t, 2, before=(0, 5)))
+
+
 def test_forcing_antisymmetry_unless_vacuous():
     rng = random.Random(29)
     for _ in range(20):
