@@ -12,7 +12,11 @@ true, -1 when it is false and 0 while its variable is unassigned, so
 Clauses enter through one loader, `Solver.add_clauses`, which takes them in
 order and simplifies each against the root assignment as it comes, so a unit
 early in a batch shortens or drops the clauses after it; `add_clause` is the
-one-clause call of it.  A clause watches its literals at positions 0 and 1,
+one-clause call of it.  A clause of two or three literals on distinct
+unassigned variables, loaded at decision level 0, has nothing to drop, grow
+or propagate, so a screen keeps it as given; other clauses take the general
+path, to the same state.  Loading pauses the cyclic garbage collector (kept
+clauses hold no cycles).  A clause watches its literals at positions 0 and 1,
 and ``watches[l]`` lists the clauses watching ``l ^ 1``, the literal that
 ``l`` falsifies.  During propagation a watch list is only popped while it is
 scanned (a clause leaves it for the list of a non-false literal, never of
@@ -21,6 +25,7 @@ the literal being scanned), so the scan tracks the list's length itself.
 
 from __future__ import annotations
 
+import gc
 from typing import Iterable, Optional, Sequence
 
 
@@ -77,51 +82,69 @@ class Solver:
         """
         if not self.ok:
             return
-        value_of = self.val.__getitem__
-        db = self.clauses
-        watches = self.watches
-        at_root = not self.trail_lim
-        for lits in clauses:
-            clause = list(lits)
-            if len({l >> 1 for l in clause}) < len(clause):
-                # a repeated variable: drop repeats, or the whole tautology
-                seen = set()
-                kept = []
-                for l in clause:
-                    if l ^ 1 in seen:
-                        kept = None
-                        break
-                    if l not in seen:
-                        seen.add(l)
-                        kept.append(l)
-                if kept is None:
-                    self._grow((max(seen) >> 1) + 1)
-                    continue
-                clause = kept
-            try:
-                values = list(map(value_of, clause))
-            except IndexError:  # a literal past n_vars; _grow extends val in place
-                self._grow((max(clause) >> 1) + 1)
-                values = list(map(value_of, clause))
-            if not at_root:
-                raise RuntimeError("clauses may only be added at decision level 0")
-            if any(values):
-                if 1 in values:
-                    continue
-                clause = [l for l, value in zip(clause, values) if not value]
-            if len(clause) > 1:
+        collecting = gc.isenabled()
+        gc.disable()
+        try:
+            val = self.val
+            db = self.clauses
+            watches = self.watches
+            at_root = not self.trail_lim
+            for lits in clauses:
+                clause = list(lits)
+                size = len(clause) if at_root else 0
+                fresh = False
+                try:  # the screen of the module docstring
+                    if size == 3:
+                        a, b, c = clause
+                        fresh = (a ^ b) > 1 and (a ^ c) > 1 and (b ^ c) > 1 and not (
+                            val[a] or val[b] or val[c])
+                    elif size == 2:
+                        a, b = clause
+                        fresh = (a ^ b) > 1 and not (val[a] or val[b])
+                except IndexError:  # a literal past n_vars
+                    pass
+                if not fresh:
+                    # drop repeated literals, or the whole tautology
+                    seen = set()
+                    kept = []
+                    for l in clause:
+                        if l ^ 1 in seen:
+                            kept = None
+                            break
+                        if l not in seen:
+                            seen.add(l)
+                            kept.append(l)
+                    if kept is None:
+                        self._grow((max(seen) >> 1) + 1)
+                        continue
+                    clause = kept
+                    try:
+                        values = list(map(val.__getitem__, clause))
+                    except IndexError:  # a literal past n_vars; _grow extends val in place
+                        self._grow((max(clause) >> 1) + 1)
+                        values = list(map(val.__getitem__, clause))
+                    if not at_root:
+                        raise RuntimeError("clauses may only be added at decision level 0")
+                    if any(values):
+                        if 1 in values:
+                            continue
+                        clause = [l for l, value in zip(clause, values) if not value]
+                    if not clause:
+                        self.ok = False
+                        return
+                    if len(clause) == 1:
+                        self._enqueue(clause[0], -1)
+                        if self._propagate() is not None:
+                            self.ok = False
+                            return
+                        continue
                 idx = len(db)
                 db.append(clause)
                 watches[clause[0] ^ 1].append(idx)
                 watches[clause[1] ^ 1].append(idx)
-            elif clause:
-                self._enqueue(clause[0], -1)
-                if self._propagate() is not None:
-                    self.ok = False
-                    return
-            else:
-                self.ok = False
-                return
+        finally:
+            if collecting:
+                gc.enable()
 
     def _enqueue(self, l: int, reason: int) -> bool:
         value = self.val[l]

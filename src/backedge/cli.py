@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import random
 import sys
@@ -239,6 +240,8 @@ def _construct(args, deadline, read) -> Outcome:
     ]
     if stray:
         raise ValueError(f"construct {kind} does not take {', '.join(stray)}")
+    if args.audit_subsets is not None and args.audit_subsets < 1:
+        raise ValueError(f"--audit-subsets must be at least 1, got {args.audit_subsets}")
     budget = DEFAULT_VERTEX_BUDGET if args.vertex_budget is None else args.vertex_budget
     # tt and dk take a size; elsewhere a number names a transitive tournament
     parts = [] if kind in ("tt", "dk") else [
@@ -501,9 +504,12 @@ def run(argv: Optional[list[str]] = None) -> int:
     exhausted = False
     try:
         args = _build_parser().parse_args(argv)
-        budget = args.budget
-        if budget is None and os.environ.get(BUDGET_ENV_VAR):
-            budget = float(os.environ[BUDGET_ENV_VAR])
+        limit = args.budget
+        if limit is None and os.environ.get(BUDGET_ENV_VAR):
+            limit = float(os.environ[BUDGET_ENV_VAR])
+        if limit is not None and not 0 <= limit < math.inf:
+            raise ValueError(f"budget must be a finite number of seconds >= 0, got {limit}")
+        budget = limit  # only a valid budget reaches the envelope
         outcome = args.handler(args, Deadline(budget), read)
         result, nodes = outcome.result, outcome.nodes
         exit_code = 1 if outcome.negative else 0
@@ -528,7 +534,7 @@ def run(argv: Optional[list[str]] = None) -> int:
         "budget": {"limit_s": budget, "exhausted": exhausted},
         "version": __version__,
     }
-    json.dump(envelope, sys.stdout, indent=1)
+    json.dump(envelope, sys.stdout, indent=1, allow_nan=False)
     sys.stdout.write("\n")
     return exit_code
 

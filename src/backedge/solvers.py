@@ -354,20 +354,17 @@ def chi_decide(
             for u in range(n):
                 if deadline is not None:
                     deadline.check()
-                a = negs[u]
                 high = ~((1 << (u + 1)) - 1)
-                for v in _bits(rows[u] & high):
-                    b = negs[v]
-                    for w in _bits(rows[v] & cols[u] & high):
-                        e = negs[w]
-                        if u:
-                            for c in shifts:
-                                yield [a + c, b + c, e + c]
-                        else:
-                            # the pins satisfy the cuts of classes 1.. and
-                            # falsify vertex 0's literal in class 0; this is
-                            # the clause the loader would keep
-                            yield [b, e]
+                pairs = [(negs[v], negs[w]) for v in _bits(rows[u] & high)
+                         for w in _bits(rows[v] & cols[u] & high)]
+                if u:
+                    a = negs[u]
+                    yield from [[a + c, b + c, e + c] for b, e in pairs for c in shifts]
+                else:
+                    # the pins satisfy the cuts of classes 1.. and falsify
+                    # vertex 0's literal in class 0; this is the clause the
+                    # loader would keep
+                    yield from [[b, e] for b, e in pairs]
 
     solver.add_clauses(seed_clauses())
 

@@ -327,6 +327,34 @@ def test_cli_budget_env_var(capsys, monkeypatch):
     assert code == 0 and envelope["budget"]["limit_s"] == 120
 
 
+def _reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e400", "-1", "-0.5"])
+def test_cli_rejects_budgets_that_are_not_finite_and_non_negative(
+        capsys, monkeypatch, r5_file, value):
+    code = run([f"--budget={value}", "omega", r5_file])
+    envelope = json.loads(capsys.readouterr().out, parse_constant=_reject_constant)
+    assert code == 2 and "budget must be a finite number" in envelope["result"]["error"]
+    assert envelope["budget"] == {"limit_s": None, "exhausted": False}
+    monkeypatch.setenv("BACKEDGE_BUDGET", value)
+    code, envelope = _run(capsys, "omega", r5_file)
+    assert code == 2 and "budget must be a finite number" in envelope["result"]["error"]
+
+
+def test_cli_accepts_a_zero_budget(capsys, r5_file):
+    code, envelope = _run(capsys, "--budget", "0", "chi-decide", "--k", "2", r5_file)
+    assert code == 3 and envelope["budget"] == {"limit_s": 0, "exhausted": True}
+
+
+@pytest.mark.parametrize("count", ["0", "-5"])
+def test_cli_rejects_audit_counts_below_one(capsys, count):
+    code, envelope = _run(capsys, "construct", "amplifier", "3", "--audit-subsets", count)
+    assert code == 2
+    assert envelope["result"]["error"] == f"--audit-subsets must be at least 1, got {count}"
+
+
 def test_cli_amplifier_budget_refusal(capsys, r5_file):
     # non-transitive 5-vertex base: 25 * C(21, 5) vertices, over budget
     code, envelope = _run(capsys, "construct", "amplifier", r5_file)

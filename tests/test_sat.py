@@ -2,10 +2,16 @@
 
 import collections
 import copy
+import gc
 import itertools
 import random
 
+import pytest
+
 from backedge._sat import Solver, lit
+from backedge.core import BudgetExhausted
+from backedge.gadgets import r5
+from backedge.solvers import Deadline, chi_decide
 
 
 def brute_force(n_vars, clauses):
@@ -366,6 +372,91 @@ def test_add_clauses_refuses_above_level_zero_like_per_clause_loading():
         raised += errors[0] is not None
         assert solver_state(bulk) == solver_state(single)
     assert raised > 20
+
+
+def short_clauses(rng, n_vars, count):
+    """Two- and three-literal clauses, the widths the loader screens, with
+    repeated and clashing literals and variables up to n_vars + 1."""
+    clauses = []
+    for _ in range(count):
+        lits = [lit(rng.randrange(n_vars + 2), rng.random() < 0.5)
+                for _ in range(rng.choice((2, 3, 3)))]
+        if rng.random() < 0.15:
+            lits[rng.randrange(len(lits))] = rng.choice(lits) ^ rng.randrange(2)
+        clauses.append(lits)
+    return clauses
+
+
+def test_add_clauses_screen_matches_per_clause_loading():
+    rng = random.Random(127)
+    outcomes = collections.Counter()
+    for trial in range(300):
+        n_vars = rng.randint(4, 14)
+        bulk = Solver(n_vars)
+        # root units, so that later clauses are shortened, satisfied or units
+        bulk.add_clauses([lit(v, rng.random() < 0.5)] for v in rng.sample(range(n_vars), trial % 4))
+        single = copy.deepcopy(bulk)
+        clauses = short_clauses(rng, n_vars, rng.randint(1, 3 * n_vars))
+        bulk.add_clauses(iter(clauses))
+        for clause in clauses:
+            outcomes[add_clause_oracle(single, clause)] += 1
+        assert solver_state(bulk) == solver_state(single)
+    for outcome in ("added", "grew", "shortened", "satisfied", "tautology",
+                    "unit", "conflict"):
+        assert outcomes[outcome] > 0, outcome
+    assert outcomes["added"] > outcomes["shortened"]
+
+
+def test_add_clauses_screen_refuses_above_level_zero():
+    rng = random.Random(131)
+    raised = 0
+    for _ in range(40):
+        n_vars = rng.randint(6, 12)
+        bulk = Solver(n_vars)
+        bulk.add_clauses(short_clauses(rng, n_vars - 2, n_vars))
+        free = [v for v in range(bulk.n_vars) if not bulk.val[2 * v]]
+        if not bulk.ok or not free:
+            continue
+        # one decision, which leaves variables unassigned above the root
+        bulk.trail_lim.append(len(bulk.trail))
+        bulk._enqueue(lit(rng.choice(free), True), -1)
+        if bulk._propagate() is not None:
+            continue
+        single = copy.deepcopy(bulk)
+        # the screened shape (distinct unassigned variables, some past
+        # n_vars) is kept at the root; above it, it is refused
+        free = [v for v in range(bulk.n_vars) if not bulk.val[2 * v]]
+        free += range(bulk.n_vars, bulk.n_vars + 2)
+        clause = [lit(v, rng.random() < 0.5) for v in rng.sample(free, rng.choice((2, 3)))]
+        with pytest.raises(RuntimeError, match="decision level 0"):
+            bulk.add_clauses([clause])
+        with pytest.raises(RuntimeError, match="decision level 0"):
+            add_clause_oracle(single, clause)
+        assert solver_state(bulk) == solver_state(single)
+        raised += 1
+    assert raised > 20
+
+
+def test_add_clauses_restores_the_collector():
+    t = r5()
+    was_enabled = gc.isenabled()
+    try:
+        for enabled in (True, False):
+            (gc.enable if enabled else gc.disable)()
+            assert chi_decide(t, 2).decision
+            assert gc.isenabled() == enabled
+            # the seed generator's deadline poll raises inside add_clauses
+            with pytest.raises(BudgetExhausted):
+                chi_decide(t, 2, deadline=Deadline(0))
+            assert gc.isenabled() == enabled
+            solver = Solver(4)
+            solver.add_clauses([[0, 2, 4], [1, 6], [0, 3]])
+            assert solver.solve() is not None and solver.trail_lim
+            with pytest.raises(RuntimeError, match="decision level 0"):
+                solver.add_clauses([[1, 3, 5]])
+            assert gc.isenabled() == enabled
+    finally:
+        (gc.enable if was_enabled else gc.disable)()
 
 
 def test_search_matches_the_reference_propagation_loop():
