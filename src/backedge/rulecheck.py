@@ -23,18 +23,33 @@ mask tests: rule 2 looks for an a whose right in-neighbours ``cols[a] &
 right`` the in-neighbours of some b split in two, and rules 3 and 4 for a v
 whose arcs into the other side put two bits inside one span mask.  Only the
 first violated rule of a cell builds its witness.
+
+The orderings of one call share work.  Rule 2 depends only on the left
+set, so its outcome is kept by left mask.  The prefix components, rule 3
+and the first witness among rules 1-3 depend only on the ordering before
+the pivot, and the ordering search yields orderings in lexicographic order,
+so consecutive ones share long prefixes: only the pivot positions past the
+shared prefix are evaluated again.  The suffix pass and rule 4 run afresh
+for every ordering.  ``check_cell`` evaluates its ordering the same way,
+from nothing.
+
+``check_rules(t, first_vertex=f)`` keeps only the orderings that start with
+f.  Relabeling by an automorphism maps cells to cells, so this loses no
+verdict when some automorphism maps f to each vertex; for any other
+tournament it would drop cells, and the call is refused.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .core import (
     Tournament,
     _backedge_masks,
     _bits,
     check_ordering,
+    contains_subtournament,
     has_clique_in_mask,
     is_strong,
 )
@@ -94,33 +109,44 @@ def _lowest(mask: int) -> int:
     return (mask & -mask).bit_length() - 1
 
 
+def _components(
+    ordering: tuple[int, ...], adj: Sequence[int], upto: Sequence[int],
+    positions: Iterable[int], comps: list[tuple],
+) -> Iterator[list[tuple]]:
+    """From the components ``comps``, add the vertex at each of ``positions``
+    in turn and yield the components after each: run left to right from a
+    prefix they give the components of the backedge graph ``adj`` on each
+    longer prefix, run right to left from ``[]`` those on each longer
+    suffix.  A component is (vertex mask, span mask, lo, hi): it spans
+    positions lo..hi, whose vertices make up the span mask."""
+    for p in positions:
+        # the vertex at p joins every component (all on its side) it has a
+        # backedge into
+        back, mask, lo, hi, kept = adj[ordering[p]], upto[p + 1] ^ upto[p], p, p, []
+        for comp in comps:
+            if comp[0] & back:
+                mask |= comp[0]
+                lo, hi = min(lo, comp[2]), max(hi, comp[3])
+            else:
+                kept.append(comp)
+        kept.append((mask, upto[hi + 1] ^ upto[lo], lo, hi))
+        comps = kept
+        yield comps
+
+
 def _sweep(ordering: tuple[int, ...], adj: Sequence[int]) -> tuple:
-    """Positions, prefix masks ``upto`` (``upto[i]`` holds the vertices
-    before position i) and, for every position p, the components of the
-    backedge graph ``adj`` on ``ordering[:p]`` and on ``ordering[p:]``, each
-    as (vertex mask, span mask, lo, hi): it spans positions lo..hi, whose
-    vertices make up the span mask."""
+    """A whole ordering at once: positions, prefix masks ``upto`` (``upto[i]``
+    holds the vertices before position i) and, for every position p, the
+    components of the backedge graph ``adj`` on ``ordering[:p]`` and on
+    ``ordering[p:]``."""
     n = len(ordering)
     pos, upto = [0] * n, [0]
     for i, y in enumerate(ordering):
         pos[y] = i
         upto.append(upto[-1] | 1 << y)
-    prefix: list[list[tuple]] = [[]]
-    suffix: list[list[tuple]] = [[]]
-    for side, positions in ((prefix, range(n)), (suffix, range(n - 1, -1, -1))):
-        for p in positions:
-            # the vertex at p joins every component (all on this side) it
-            # has a backedge into
-            back, mask, lo, hi, kept = adj[ordering[p]], upto[p + 1] ^ upto[p], p, p, []
-            for comp in side[-1]:
-                if comp[0] & back:
-                    mask |= comp[0]
-                    lo, hi = min(lo, comp[2]), max(hi, comp[3])
-                else:
-                    kept.append(comp)
-            kept.append((mask, upto[hi + 1] ^ upto[lo], lo, hi))
-            side.append(kept)
-    return pos, upto, prefix, suffix[::-1]
+    prefix = [[], *_components(ordering, adj, upto, range(n), [])]
+    suffix = [*_components(ordering, adj, upto, range(n - 1, -1, -1), [])][::-1]
+    return pos, upto, prefix, suffix + [[]]
 
 
 def _rule2_violation(
@@ -163,22 +189,96 @@ def _span_rule(arcs: tuple[int, ...], outer: int, inner: int, comps: list[tuple]
 
 
 def _span_witness(
-    rule: int, v: int, hits: int, comps: list[tuple], ordering: tuple[int, ...], sweep: tuple
+    rule: int, v: int, hits: int, comps: list[tuple], ordering: tuple[int, ...],
+    pos: Sequence[int], upto: Sequence[int],
 ) -> RuleWitness:
     """Rule 3 or 4's witness at the v ``_span_rule`` found, whose arcs into
     the inner side are ``hits``: the smallest u, then the smallest w after u
     covered by a common span; a and b are that span's end vertices, taken
     from the first such component by smallest vertex."""
-    pos, upto = sweep[:2]
     for u in _bits(hits):
-        for w in _bits(hits & ~upto[pos[u] + 1]):
-            covering = [(_lowest(mask), lo, hi) for mask, _, lo, hi in comps
-                        if lo <= pos[u] and pos[w] <= hi]
-            if covering:
-                _, lo, hi = min(covering)
-                a, b = ordering[lo], ordering[hi]
-                return RuleWitness(rule, (("a", a), ("b", b), ("u", u), ("v", v), ("w", w)))
+        # each span holding u: its smallest w of ``hits`` after u
+        later = hits & ~upto[pos[u] + 1]
+        covering = [(_lowest(later & span), _lowest(mask), lo, hi)
+                    for mask, span, lo, hi in comps if span >> u & 1 and later & span]
+        if covering:
+            w, _, lo, hi = min(covering)
+            a, b = ordering[lo], ordering[hi]
+            return RuleWitness(rule, (("a", a), ("b", b), ("u", u), ("v", v), ("w", w)))
     raise AssertionError(f"rule {rule} holds at v = {v}")
+
+
+# both sides of rules 2-4 need a vertex before the pivot
+_RULE1 = RuleWitness(1, ())
+
+
+class _Cells:
+    """The cells of a tournament's minimum orderings, one ordering at a time,
+    keeping for the next ordering the work that depends on part of one:
+    rule 2's outcome by left set, and, along the prefix the next ordering
+    shares, the prefix components and each pivot position's rule 2 and 3
+    outcome (violated rules and first witness)."""
+
+    def __init__(self, t: Tournament):
+        self.t = t
+        self.rule2: dict[int, Optional[RuleWitness]] = {}
+        self.ordering: tuple[int, ...] = ()
+        # upto[i]: the vertices before position i of self.ordering
+        self.upto = [0]
+        # prefix[p]: the components on ordering[:p]; lefts[p]: the first
+        # witness and the violated rules of rules 1-3 at pivot position p
+        self.prefix: list[list[tuple]] = [[]]
+        self.lefts: list[tuple] = [(_RULE1, (1,))]
+
+    def cells(self, ordering: tuple[int, ...], adj: Sequence[int]) -> list[CellResult]:
+        """The cells of a validated minimum ordering with backedge masks
+        ``adj``, by pivot; only the first violated rule builds a witness."""
+        t = self.t
+        n, rows, cols, rule2 = t.n, t.rows, t.cols, self.rule2
+        keep = 0
+        for old, new in zip(self.ordering, ordering):
+            if old != new:
+                break
+            keep += 1
+        self.ordering = ordering
+        upto, prefix, lefts = self.upto, self.prefix, self.lefts
+        del upto[keep + 1:], prefix[keep + 1:], lefts[keep + 1:]
+        for y in ordering[keep:]:
+            upto.append(upto[-1] | 1 << y)
+        full = upto[-1]
+        pos = [0] * n
+        for i, y in enumerate(ordering):
+            pos[y] = i
+        prefix.extend(_components(ordering, adj, upto, range(keep, n - 1), prefix[keep]))
+        for p in range(keep + 1, n):
+            left = upto[p]
+            if left in rule2:
+                witness = rule2[left]
+            else:
+                witness = rule2[left] = _rule2_violation(cols, left, full ^ left)
+            v3 = _span_rule(rows, full ^ left, left, prefix[p])
+            if witness is not None:
+                lefts.append((witness, (2,) if v3 is None else (2, 3)))
+            elif v3 is not None:
+                witness = _span_witness(3, v3, rows[v3] & left, prefix[p], ordering, pos, upto)
+                lefts.append((witness, (3,)))
+            else:
+                lefts.append((None, ()))
+        cells: list = [None] * n
+        cells[ordering[0]] = CellResult(ordering, ordering[0], _RULE1, (1,))
+        positions = range(n - 1, 0, -1)
+        for p, suffix in zip(positions, _components(ordering, adj, upto, positions, [])):
+            left = upto[p]
+            witness, violated = lefts[p]
+            v4 = _span_rule(cols, left, full ^ left, suffix)
+            if v4 is not None:
+                violated += (4,)
+                if witness is None:
+                    witness = _span_witness(
+                        4, v4, cols[v4] & ~left, suffix, ordering, pos, upto
+                    )
+            cells[ordering[p]] = CellResult(ordering, ordering[p], witness, violated)
+        return cells
 
 
 def check_cell(t: Tournament, ordering: Sequence[int], x: int) -> CellResult:
@@ -189,32 +289,7 @@ def check_cell(t: Tournament, ordering: Sequence[int], x: int) -> CellResult:
     if not 0 <= x < t.n:
         raise ValueError(f"pivot {x} out of range")
     ordering = minimum_ordering(t, ordering).witness
-    return _evaluate_cell(t, ordering, _sweep(ordering, _backedge_masks(t.rows, ordering)), x)
-
-
-def _evaluate_cell(t: Tournament, ordering: tuple[int, ...], sweep: tuple, x: int) -> CellResult:
-    """The rules at pivot ``x`` of a validated minimum ordering, from its
-    ``_sweep``; only the first violated rule builds a witness."""
-    pos, upto, prefix, suffix = sweep
-    p = pos[x]
-    left = upto[p]
-    if not left:
-        # both sides of rules 2-4 need a vertex before x
-        return CellResult(ordering, x, RuleWitness(1, ()), (1,))
-    right = upto[-1] ^ left
-    rule2 = _rule2_violation(t.cols, left, right)
-    v3 = _span_rule(t.rows, right, left, prefix[p])
-    v4 = _span_rule(t.cols, left, right, suffix[p])
-    violated = tuple(rule for rule, found in ((2, rule2), (3, v3), (4, v4)) if found is not None)
-    if rule2 is not None:
-        witness = rule2
-    elif v3 is not None:
-        witness = _span_witness(3, v3, t.rows[v3] & left, prefix[p], ordering, sweep)
-    elif v4 is not None:
-        witness = _span_witness(4, v4, t.cols[v4] & right, suffix[p], ordering, sweep)
-    else:
-        witness = None
-    return CellResult(ordering, x, witness, violated)
+    return _Cells(t).cells(ordering, _backedge_masks(t.rows, ordering))[x]
 
 
 def validate_rule_witness(
@@ -285,34 +360,60 @@ def validate_rule_witness(
     raise ValueError(f"unknown rule {rule}")
 
 
+def _swap(t: Tournament, a: int) -> Tournament:
+    """``t`` with vertices 0 and ``a`` exchanged."""
+    flip = 1 | 1 << a
+    rows = [row ^ flip if (row ^ row >> a) & 1 else row for row in t.rows]
+    rows[0], rows[a] = rows[a], rows[0]
+    return Tournament(t.n, tuple(rows))
+
+
+def _maps_onto_every_vertex(t: Tournament, f: int) -> bool:
+    """Whether, for every vertex v, some automorphism of ``t`` maps f to v.
+    With f and v relabeled 0, such an automorphism is an embedding of one
+    relabeled copy into the other that fixes 0, and the lexicographically
+    first embedding fixes 0 exactly when one does."""
+    pattern = _swap(t, f)
+    return all(contains_subtournament(_swap(t, v), pattern)[0] == 0 for v in range(t.n))
+
+
 def check_rules(
     t: Tournament,
     first_vertex: Optional[int] = None,
     *,
     deadline: Optional[Deadline] = None,
 ) -> RuleReport:
-    """Evaluate every cell: all minimum orderings (optionally restricted to a
-    fixed first vertex, sound for vertex-transitive tournaments) times all
-    pivots.  Verdict ``excluded`` iff every cell breaks some rule."""
+    """Evaluate every cell: all minimum orderings times all pivots.  Verdict
+    ``excluded`` iff every cell breaks some rule.
+
+    ``first_vertex=f`` keeps the orderings that start with f.  That loses no
+    verdict only when some automorphism maps f to each vertex (t is
+    vertex-transitive); for any other t it raises ValueError."""
     if not is_strong(t):
         raise ValueError("tournament must be strongly connected")
+    if first_vertex is not None:
+        if not 0 <= first_vertex < t.n:
+            raise ValueError(f"first vertex {first_vertex} out of range")
+        if not _maps_onto_every_vertex(t, first_vertex):
+            raise ValueError(
+                f"first vertex {first_vertex} is not mapped onto every vertex by an "
+                "automorphism; fixing it would drop cells"
+            )
     value = omega(t, deadline=deadline).value
     full = (1 << t.n) - 1
-    cells = []
-    excluded = True
+    cells: list[CellResult] = []
+    table = _Cells(t)
     orderings = iter_orderings_with_clique_at_most(
         t, value, first_vertex=first_vertex, deadline=deadline
     )
     for ordering in orderings:
+        if deadline is not None:
+            deadline.check()
         adj = _backedge_masks(t.rows, ordering)
         if has_clique_in_mask(adj, full, value + 1) is not None:
             raise ValueError("ordering does not achieve the minimum clique number")
-        sweep = _sweep(ordering, adj)
-        for x in range(t.n):
-            cell = _evaluate_cell(t, ordering, sweep, x)
-            cells.append(cell)
-            if cell.all_rules_hold:
-                excluded = False
+        cells += table.cells(ordering, adj)
+    excluded = all(cell.witness is not None for cell in cells)
     return RuleReport(value, first_vertex, tuple(cells), excluded)
 
 

@@ -8,6 +8,7 @@ import pytest
 
 from backedge.cli import run
 from backedge.constructions import arrow, c3, pi, tt
+from backedge.core import Tournament
 from backedge.gadgets import clause_base, r5, var_base
 from backedge.io import (
     load_tournament,
@@ -427,6 +428,17 @@ def test_cli_check_rules(capsys, r5_file):
     jsonschema.validate(envelope["result"], RESULT_SCHEMAS["check-rules"])
     assert envelope["result"]["excluded"] is True
     assert len(envelope["result"]["rendered"]) == 45
+
+
+def test_cli_check_rules_refuses_a_first_vertex_no_automorphism_moves(capsys, tmp_path):
+    # no minimum ordering of this tournament starts with vertex 0
+    path = tmp_path / "t5.trn"
+    save_tournament(Tournament(5, (16, 9, 3, 21, 6)), path)
+    code, envelope = _run(capsys, "check-rules", str(path), "--first-vertex", "0")
+    assert code == 2 and "automorphism" in envelope["result"]["error"]
+    code, envelope = _run(capsys, "check-rules", str(path))
+    assert code == 0 and envelope["result"]["excluded"] is False
+    assert len(envelope["result"]["cells"]) == 230
 
 
 def test_cli_pass(capsys, tmp_path, r5_file):

@@ -4,7 +4,15 @@ import random
 import pytest
 
 from backedge.constructions import c3, tt
-from backedge.core import _backedge_masks, _bits, backedge_graph, components, is_strong
+from backedge.core import (
+    BudgetExhausted,
+    Tournament,
+    _backedge_masks,
+    _bits,
+    backedge_graph,
+    components,
+    is_strong,
+)
 from backedge.generation import canonical_tournaments
 from backedge.rulecheck import (
     CellResult,
@@ -16,7 +24,12 @@ from backedge.rulecheck import (
     excluded_from_family,
     validate_rule_witness,
 )
-from backedge.solvers import enumerate_omega_orderings, iter_orderings_with_clique_at_most, omega
+from backedge.solvers import (
+    Deadline,
+    enumerate_omega_orderings,
+    iter_orderings_with_clique_at_most,
+    omega,
+)
 
 from labeled import labeled_count, labeled_tournament
 from r5_rule_table import R5_RULE_TABLE
@@ -105,11 +118,23 @@ def strong_classes(n):
     return [t for t in canonical_tournaments(n) if is_strong(t)]
 
 
+def orbit(t, f):
+    """The images of f under the automorphisms of t, by trying all n!
+    relabelings."""
+    return {
+        perm[f]
+        for perm in itertools.permutations(range(t.n))
+        if all(t.has_arc(perm[u], perm[v]) for u, v in t.arcs())
+    }
+
+
 def test_rule_tables_match_the_oracle(circulant5, surrogate):
     cases = [(circulant5, None), (circulant5, 0), (surrogate, None)]
     for n in range(3, 7):
         for t in strong_classes(n):
-            cases += [(t, first) for first in (None, *range(n))]
+            # a fixed first vertex is refused unless t is vertex-transitive
+            firsts = range(n) if len(orbit(t, 0)) == n else ()
+            cases += [(t, first) for first in (None, *firsts)]
     rng = random.Random(53)
     sevens = []
     while len(sevens) < 20:
@@ -119,6 +144,78 @@ def test_rule_tables_match_the_oracle(circulant5, surrogate):
     cases += [(t, None) for t in sevens]
     for t, first in cases:
         assert check_rules(t, first).to_dict() == oracle_report(t, first).to_dict(), (t, first)
+
+
+def test_rule_tables_match_the_oracle_and_check_cell_on_8_vertex_tournaments():
+    rng = random.Random(8)
+    tournaments = []
+    while len(tournaments) < 3:
+        t = labeled_tournament(8, rng.randrange(labeled_count(8)))
+        if is_strong(t):
+            tournaments.append(t)
+    for t in tournaments:
+        report = check_rules(t)
+        assert report.to_dict() == oracle_report(t).to_dict(), t
+        for cell in report.cells:
+            assert check_cell(t, cell.ordering, cell.pivot) == cell, (t, cell)
+    # the seeds give both verdicts
+    assert {check_rules(t).excluded for t in tournaments} == {False, True}
+
+
+def test_first_vertex_needs_an_automorphism_onto_every_vertex(circulant5):
+    # with vertex 0 first, this tournament has no minimum ordering at all,
+    # so a run fixing it would have no cells and call it excluded
+    t5 = Tournament(5, (16, 9, 3, 21, 6))
+    full = check_rules(t5)
+    assert len(full.cells) == 230 and not full.excluded
+    assert not list(iter_orderings_with_clique_at_most(t5, full.omega_value, first_vertex=0))
+    with pytest.raises(ValueError, match="automorphism"):
+        check_rules(t5, first_vertex=0)
+    with pytest.raises(ValueError, match="out of range"):
+        check_rules(circulant5, first_vertex=5)
+    for f in range(5):
+        report = check_rules(circulant5, first_vertex=f)
+        assert report.excluded and len(report.cells) == 45
+        assert report.to_dict() == oracle_report(circulant5, f).to_dict()
+    refused = accepted = 0
+    for n in range(3, 7):
+        for t in strong_classes(n):
+            full = check_rules(t)
+            for f in range(n):
+                if len(orbit(t, f)) == n:
+                    accepted += 1
+                    assert check_rules(t, f).excluded == full.excluded, (t, f)
+                else:
+                    refused += 1
+                    with pytest.raises(ValueError, match="automorphism"):
+                        check_rules(t, f)
+    # c3 and r5 are the only vertex-transitive strong classes up to 6 vertices
+    assert (accepted, refused) == (3 + 5, 4 + 5 * 5 + 35 * 6)
+
+
+class PollCounter(Deadline):
+    """A deadline that counts its polls and expires at poll ``limit``."""
+
+    def __init__(self, limit=None):
+        super().__init__()
+        self.limit, self.polls = limit, 0
+
+    def check(self):
+        self.polls += 1
+        if self.polls == self.limit:
+            raise BudgetExhausted(f"poll {self.polls}")
+
+
+def test_check_rules_polls_its_deadline_for_every_ordering(circulant5, surrogate):
+    for t in (circulant5, surrogate):
+        counter = PollCounter()
+        report = check_rules(t, deadline=counter)
+        orderings = len(report.cells) // t.n
+        assert counter.polls > orderings
+        # a budget that runs out at any poll, the last included, stops the run
+        for limit in (1, counter.polls - orderings, counter.polls // 2, counter.polls):
+            with pytest.raises(BudgetExhausted):
+                check_rules(t, deadline=PollCounter(limit))
 
 
 def test_published_cells_match_the_oracle(circulant5):
