@@ -2,6 +2,7 @@
 
 from .core import (
     BudgetExhausted,
+    Deadline,
     Digraph,
     Tournament,
     UndirectedGraph,
@@ -16,7 +17,6 @@ from .core import (
     reverse,
 )
 from .solvers import (
-    Deadline,
     chi,
     chi_decide,
     enumerate_omega_orderings,

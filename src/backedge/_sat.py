@@ -28,6 +28,8 @@ from __future__ import annotations
 import gc
 from typing import Iterable, Optional, Sequence
 
+from .core import Deadline
+
 
 def lit(var: int, positive: bool) -> int:
     return 2 * var + (0 if positive else 1)
@@ -302,7 +304,7 @@ class Solver:
             return -1
         return lit(best, self.phase[best])
 
-    def solve(self, deadline=None) -> Optional[list[bool]]:
+    def solve(self, deadline: Deadline = Deadline()) -> Optional[list[bool]]:
         """Return a model as a list of booleans, or None when unsatisfiable."""
         if not self.ok:
             return None
@@ -316,7 +318,7 @@ class Solver:
             if confl is not None:
                 self.conflicts += 1
                 conflicts_here += 1
-                if deadline is not None and self.conflicts % 256 == 0:
+                if self.conflicts % 256 == 0:
                     deadline.check()
                 if not self.trail_lim:
                     self.ok = False

@@ -38,7 +38,7 @@ from .constructions import (
     pi_sizing,
     tt,
 )
-from .core import BudgetExhausted, Tournament, directed_triangle
+from .core import BudgetExhausted, Deadline, Tournament, contains_subtournament, induced
 from .gadgets import (
     clause_base,
     r5,
@@ -67,7 +67,6 @@ from .reduction import (
 )
 from .rulecheck import check_rules
 from .solvers import (
-    Deadline,
     SearchStats,
     chi,
     chi_decide,
@@ -278,15 +277,15 @@ def _construct(args, deadline, read) -> Outcome:
         built, ordering, layout = res.tournament, res.ordering, res.layout
         if kind == "amplifier" and args.audit_subsets:
             rng = random.Random(args.seed)
-            full = (1 << built.n) - 1
             ok = 0
             for _ in range(args.audit_subsets):
+                deadline.check()
                 subset = rng.getrandbits(built.n)
-                if (
-                    directed_triangle(built, subset) is not None
-                    or directed_triangle(built, full & ~subset) is not None
-                ):
-                    ok += 1
+                for bit in (1, 0):
+                    side = [v for v in range(built.n) if subset >> v & 1 == bit]
+                    if contains_subtournament(induced(built, side), base) is not None:
+                        ok += 1
+                        break
             result["hitting_audit"] = {
                 "trials": args.audit_subsets,
                 "hit": ok,

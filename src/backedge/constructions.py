@@ -23,8 +23,8 @@ from dataclasses import dataclass
 from itertools import combinations, product
 from typing import Callable, Iterable, Optional, Union
 
-from .core import Digraph, Tournament, _bits, is_transitive
-from .solvers import Deadline, omega
+from .core import Deadline, Digraph, Tournament, _bits, is_transitive
+from .solvers import omega
 
 DEFAULT_VERTEX_BUDGET = 100_000
 
@@ -210,7 +210,7 @@ def pi_sizing(n: int, *, vertex_budget: int = DEFAULT_VERTEX_BUDGET) -> SizingRe
 def _copy_construction(
     t: Tournament,
     sizing: SizingReport,
-    deadline: Optional[Deadline],
+    deadline: Deadline,
     blocks: Iterable[tuple[str, Iterable[Optional[int]]]],
     flip: Callable[[int, int, tuple[int, ...]], bool],
 ) -> BuiltTournament:
@@ -247,7 +247,7 @@ def _copy_construction(
 
 def amplifier(
     t: Tournament, *, vertex_budget: int = DEFAULT_VERTEX_BUDGET,
-    deadline: Optional[Deadline] = None,
+    deadline: Deadline = Deadline(),
 ) -> BuiltTournament:
     """Tournament with the same ordering clique number as ``t`` in which every
     vertex subset or its complement contains a copy of ``t``.
@@ -272,7 +272,7 @@ def amplifier(
 
 def pi(
     t: Tournament, *, vertex_budget: int = DEFAULT_VERTEX_BUDGET,
-    deadline: Optional[Deadline] = None,
+    deadline: Deadline = Deadline(),
 ) -> BuiltTournament:
     """Two-sided copy construction: m front copies, a middle copy, m back
     copies, chained front-to-back; the arc between a front and a back vertex

@@ -8,12 +8,27 @@ searches cheap, and makes every object immutable and hashable.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Iterator, Optional, Sequence
 
 
 class BudgetExhausted(Exception):
     """A solver hit its deadline before reaching an answer."""
+
+
+class Deadline:
+    """Wall-clock budget polled by solvers; `check` raises BudgetExhausted.
+    ``Deadline()`` sets no limit."""
+
+    def __init__(self, seconds: Optional[float] = None):
+        self.seconds = seconds
+        self._end = None if seconds is None else time.monotonic() + seconds
+
+    def check(self) -> None:
+        if self._end is not None and time.monotonic() > self._end:
+            raise BudgetExhausted(f"budget of {self.seconds}s exhausted")
 
 
 def _bits(mask: int) -> Iterator[int]:
@@ -84,18 +99,6 @@ class Digraph:
         rows = [0] * n
         for u, v in arcs:
             rows[u] |= 1 << v
-        return cls(n, tuple(rows))
-
-    @classmethod
-    def from_matrix(cls, matrix: Sequence[Sequence[int]] | Sequence[str]):
-        n = len(matrix)
-        rows = []
-        for row in matrix:
-            bits = 0
-            for j, cell in enumerate(row):
-                if int(cell):
-                    bits |= 1 << j
-            rows.append(bits)
         return cls(n, tuple(rows))
 
     def has_arc(self, u: int, v: int) -> bool:
@@ -346,14 +349,13 @@ def induced(d: Digraph, vertices: Sequence[int]) -> Digraph:
     for v in keep:
         if not 0 <= v < d.n:
             raise ValueError(f"vertex {v} out of range")
-    index = {v: i for i, v in enumerate(keep)}
-    rows = []
-    for v in keep:
-        bits = 0
-        for w in _bits(d.rows[v]):
-            if w in index:
-                bits |= 1 << index[w]
-        rows.append(bits)
+    if not keep:
+        return type(d)(0, ())
+    # bit w of a row is character n - 1 - w of its binary string: the kept
+    # characters, highest vertex first, are the renumbered row's digits
+    fmt = f"0{d.n}b"
+    pick = itemgetter(*[d.n - 1 - v for v in reversed(keep)])
+    rows = [int("".join(pick(format(d.rows[v], fmt))), 2) for v in keep]
     return type(d)(len(keep), tuple(rows))
 
 

@@ -14,10 +14,10 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional
 
-from .core import Tournament, check_ordering
-from .solvers import Deadline, SearchStats, iter_orderings_with_clique_at_most, omega
+from .core import Deadline, Tournament, check_ordering
+from .io import _parse_row
+from .solvers import SearchStats, iter_orderings_with_clique_at_most, omega
 from .constructions import lift
 
 VAR_BASE_MATRIX = (
@@ -50,6 +50,10 @@ R5_MATRIX = (
     "10001",
     "11000",
 )
+
+
+def _from_rows(matrix: tuple[str, ...]) -> Tournament:
+    return Tournament(len(matrix), tuple(map(_parse_row, matrix)))
 
 
 class GadgetPropertyError(AssertionError):
@@ -132,7 +136,7 @@ class GadgetVerification:
 @lru_cache(maxsize=None)
 def var_base() -> MarkedGadget:
     """9-vertex gadget: exactly one of uv, wx is forward in minimum orderings."""
-    t = Tournament.from_matrix(VAR_BASE_MATRIX)
+    t = _from_rows(VAR_BASE_MATRIX)
     return MarkedGadget(
         t,
         (("uv", (6, 8)), ("wx", (7, 2))),
@@ -155,7 +159,7 @@ def var_base() -> MarkedGadget:
 def clause_base() -> MarkedGadget:
     """8-vertex gadget: at least one of uv, wx, yz is backward; each ordering
     below leaves exactly one of them backward."""
-    t = Tournament.from_matrix(CLAUSE_BASE_MATRIX)
+    t = _from_rows(CLAUSE_BASE_MATRIX)
     return MarkedGadget(
         t,
         (("uv", (4, 5)), ("wx", (1, 3)), ("yz", (7, 2))),
@@ -182,14 +186,14 @@ def clause_base() -> MarkedGadget:
 @lru_cache(maxsize=None)
 def r5() -> Tournament:
     """The 5-vertex circulant: arcs i -> i+1 and i -> i+2 (mod 5)."""
-    return Tournament.from_matrix(R5_MATRIX)
+    return _from_rows(R5_MATRIX)
 
 
 def _scan_gadget(
     gadget: MarkedGadget,
     check,
     failure_message: str,
-    deadline: Optional[Deadline],
+    deadline: Deadline,
 ) -> GadgetVerification:
     """Stream every minimum ordering of the gadget, applying `check` to the
     tuple of forward-flags of the marked arcs."""
@@ -221,7 +225,7 @@ def _scan_gadget(
     )
 
 
-def verify_var_base(*, deadline: Optional[Deadline] = None) -> GadgetVerification:
+def verify_var_base(*, deadline: Deadline = Deadline()) -> GadgetVerification:
     """Exhaustively check the variable gadget: minimum value 2, and exactly
     one of the two marked arcs forward in every minimum ordering, with both
     polarities realized."""
@@ -240,7 +244,7 @@ def verify_var_base(*, deadline: Optional[Deadline] = None) -> GadgetVerificatio
     return report
 
 
-def verify_clause_base(*, deadline: Optional[Deadline] = None) -> GadgetVerification:
+def verify_clause_base(*, deadline: Deadline = Deadline()) -> GadgetVerification:
     """Exhaustively check the clause gadget: minimum value 2, at least one
     marked arc backward in every minimum ordering, and each pair of marked
     arcs simultaneously forward in some minimum ordering."""
@@ -260,7 +264,7 @@ def verify_clause_base(*, deadline: Optional[Deadline] = None) -> GadgetVerifica
     return report
 
 
-def check_companion(w: Tournament, *, deadline: Optional[Deadline] = None) -> tuple[int, ...]:
+def check_companion(w: Tournament, *, deadline: Deadline = Deadline()) -> tuple[int, ...]:
     """The companion's canonical minimum ordering; its ordering clique number
     must be 3."""
     result = omega(w, deadline=deadline)

@@ -14,10 +14,9 @@ from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence, Union
 
 from .constructions import DEFAULT_VERTEX_BUDGET, MaterializationRefused, SizingReport, chain
-from .core import Tournament, backedge_graph, check_ordering, clique_number, induced
+from .core import Deadline, Tournament, backedge_graph, check_ordering, clique_number, induced
 from .gadgets import _assemble, check_companion, clause_base, var_base
 from .io import _digits
-from .solvers import Deadline
 
 Literal = tuple[int, bool]  # (0-based variable index, polarity)
 
@@ -185,7 +184,7 @@ class ReductionInstance:
 
 
 def instance_from_dict(
-    data: dict, tournament: Tournament, *, deadline: Optional[Deadline] = None
+    data: dict, tournament: Tournament, *, deadline: Deadline = Deadline()
 ) -> ReductionInstance:
     """The instance a landmark file describes, rebuilt from its formula and
     the companion at its separator span; the file is derived data, so it must
@@ -230,7 +229,7 @@ def sizing(
 
 def build(
     formula: CnfFormula, w: Tournament, *, vertex_budget: int = DEFAULT_VERTEX_BUDGET,
-    deadline: Optional[Deadline] = None,
+    deadline: Deadline = Deadline(),
 ) -> ReductionInstance:
     """Assemble the tournament for ``formula`` over companion ``w``."""
     report = sizing(formula, w.n, vertex_budget=vertex_budget)

@@ -45,6 +45,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .core import (
+    Deadline,
     Tournament,
     _backedge_masks,
     _bits,
@@ -53,7 +54,7 @@ from .core import (
     has_clique_in_mask,
     is_strong,
 )
-from .solvers import Deadline, iter_orderings_with_clique_at_most, minimum_ordering, omega
+from .solvers import iter_orderings_with_clique_at_most, minimum_ordering, omega
 
 
 @dataclass(frozen=True)
@@ -132,21 +133,6 @@ def _components(
         kept.append((mask, upto[hi + 1] ^ upto[lo], lo, hi))
         comps = kept
         yield comps
-
-
-def _sweep(ordering: tuple[int, ...], adj: Sequence[int]) -> tuple:
-    """A whole ordering at once: positions, prefix masks ``upto`` (``upto[i]``
-    holds the vertices before position i) and, for every position p, the
-    components of the backedge graph ``adj`` on ``ordering[:p]`` and on
-    ``ordering[p:]``."""
-    n = len(ordering)
-    pos, upto = [0] * n, [0]
-    for i, y in enumerate(ordering):
-        pos[y] = i
-        upto.append(upto[-1] | 1 << y)
-    prefix = [[], *_components(ordering, adj, upto, range(n), [])]
-    suffix = [*_components(ordering, adj, upto, range(n - 1, -1, -1), [])][::-1]
-    return pos, upto, prefix, suffix + [[]]
 
 
 def _rule2_violation(
@@ -381,7 +367,7 @@ def check_rules(
     t: Tournament,
     first_vertex: Optional[int] = None,
     *,
-    deadline: Optional[Deadline] = None,
+    deadline: Deadline = Deadline(),
 ) -> RuleReport:
     """Evaluate every cell: all minimum orderings times all pivots.  Verdict
     ``excluded`` iff every cell breaks some rule.
@@ -407,8 +393,7 @@ def check_rules(
         t, value, first_vertex=first_vertex, deadline=deadline
     )
     for ordering in orderings:
-        if deadline is not None:
-            deadline.check()
+        deadline.check()
         adj = _backedge_masks(t.rows, ordering)
         if has_clique_in_mask(adj, full, value + 1) is not None:
             raise ValueError("ordering does not achieve the minimum clique number")
@@ -421,7 +406,7 @@ def excluded_from_family(
     t: Tournament,
     first_vertex: Optional[int] = None,
     *,
-    deadline: Optional[Deadline] = None,
+    deadline: Deadline = Deadline(),
 ) -> bool:
     """True when every cell is violated, hence the tournament embeds in no
     member of the recursive family."""

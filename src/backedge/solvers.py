@@ -12,13 +12,12 @@ so surviving branches, their order and the first witnesses are unchanged.
 from __future__ import annotations
 
 import itertools
-import time
 from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
 
 from ._sat import Solver
 from .core import (
-    BudgetExhausted,
+    Deadline,
     Digraph,
     Tournament,
     _backedge_masks,
@@ -32,21 +31,6 @@ from .core import (
     is_acyclic,
 )
 from .generation import canonical_tournaments
-
-
-class Deadline:
-    """Wall-clock budget polled by solvers; `check` raises BudgetExhausted."""
-
-    def __init__(self, seconds: Optional[float] = None):
-        self.seconds = seconds
-        self._end = None if seconds is None else time.monotonic() + seconds
-
-    def expired(self) -> bool:
-        return self._end is not None and time.monotonic() > self._end
-
-    def check(self) -> None:
-        if self.expired():
-            raise BudgetExhausted(f"budget of {self.seconds}s exhausted")
 
 
 @dataclass
@@ -111,7 +95,7 @@ def iter_orderings_with_clique_at_most(
     *,
     first_vertex: Optional[int] = None,
     before: Optional[tuple[int, int]] = None,
-    deadline: Optional[Deadline] = None,
+    deadline: Deadline = Deadline(),
     stats: Optional[SearchStats] = None,
 ) -> Iterator[tuple[int, ...]]:
     """All orderings whose backedge graph has clique number <= k, lexicographically.
@@ -127,8 +111,7 @@ def iter_orderings_with_clique_at_most(
     for vertex in before or ():
         if not 0 <= vertex < n:
             raise ValueError(f"vertex {vertex} out of range")
-    if deadline is not None:
-        deadline.check()
+    deadline.check()
     if n == 0:
         yield ()
         return
@@ -179,7 +162,7 @@ def iter_orderings_with_clique_at_most(
                 if threats:
                     continue
             node_count += 1
-            if deadline is not None and node_count & 0xFFF == 0:
+            if node_count & 0xFFF == 0:
                 deadline.check()
             badj[v] = nb
             m = nb
@@ -198,7 +181,7 @@ def iter_orderings_with_clique_at_most(
 
 
 def omega_decide(
-    t: Digraph, k: int, *, deadline: Optional[Deadline] = None
+    t: Digraph, k: int, *, deadline: Deadline = Deadline()
 ) -> DecideResult:
     """Does some ordering keep the backedge clique number at most k?
 
@@ -212,7 +195,7 @@ def omega_decide(
     return DecideResult(witness is not None, witness, stats.nodes)
 
 
-def omega(t: Digraph, *, deadline: Optional[Deadline] = None) -> OmegaResult:
+def omega(t: Digraph, *, deadline: Deadline = Deadline()) -> OmegaResult:
     """Exact ordering clique number with canonical witness, by incremental
     decision calls."""
     if t.n == 0:
@@ -227,7 +210,7 @@ def omega(t: Digraph, *, deadline: Optional[Deadline] = None) -> OmegaResult:
 
 
 def minimum_ordering(
-    t: Digraph, ordering: Sequence[int], *, deadline: Optional[Deadline] = None
+    t: Digraph, ordering: Sequence[int], *, deadline: Deadline = Deadline()
 ) -> OmegaResult:
     """Exact ordering clique number with ``ordering``, once it is proved
     minimum.
@@ -247,7 +230,7 @@ def minimum_ordering(
 
 
 def enumerate_omega_orderings(
-    t: Digraph, *, deadline: Optional[Deadline] = None, stats: Optional[SearchStats] = None
+    t: Digraph, *, deadline: Deadline = Deadline(), stats: Optional[SearchStats] = None
 ) -> Iterator[tuple[int, ...]]:
     """All orderings achieving the exact minimum clique number, in lexicographic
     order."""
@@ -284,7 +267,7 @@ def omega_by_enumeration(t: Digraph) -> int:
 
 
 def chi_decide(
-    d: Digraph, k: int, *, deadline: Optional[Deadline] = None
+    d: Digraph, k: int, *, deadline: Deadline = Deadline()
 ) -> ChiDecideResult:
     """Can the vertices be split into k classes, each inducing an acyclic
     subdigraph?
@@ -352,8 +335,7 @@ def chi_decide(
             # triangle, so triangle cuts alone are complete
             rows, cols = d.rows, d.cols
             for u in range(n):
-                if deadline is not None:
-                    deadline.check()
+                deadline.check()
                 high = ~((1 << (u + 1)) - 1)
                 pairs = [(negs[v], negs[w]) for v in _bits(rows[u] & high)
                          for w in _bits(rows[v] & cols[u] & high)]
@@ -389,14 +371,13 @@ def chi_decide(
                 if masks[c]
             )
             return ChiDecideResult(True, classes, solver.conflicts)
-        if deadline is not None:
-            deadline.check()
+        deadline.check()
         solver.reset()
         cut = [negs[v] for v in violated]
         solver.add_clauses([l + c for l in cut] for c in shifts)
 
 
-def chi(d: Digraph, *, deadline: Optional[Deadline] = None) -> ChiResult:
+def chi(d: Digraph, *, deadline: Deadline = Deadline()) -> ChiResult:
     """Exact acyclic partition number with a witness partition.
 
     ``conflicts`` sums the conflicts of every k tried, the refuted k below
@@ -413,7 +394,7 @@ def chi(d: Digraph, *, deadline: Optional[Deadline] = None) -> ChiResult:
 
 
 def forcing_holds(
-    d: Digraph, u: int, v: int, k: int, *, deadline: Optional[Deadline] = None
+    d: Digraph, u: int, v: int, k: int, *, deadline: Deadline = Deadline()
 ) -> ForcingResult:
     """Does every ordering with backedge clique number <= k place u before v?
 
@@ -439,7 +420,7 @@ def forcing_holds(
 
 
 def min_order_with_omega(
-    k: int, n_max: int, *, deadline: Optional[Deadline] = None
+    k: int, n_max: int, *, deadline: Deadline = Deadline()
 ) -> Optional[MinOrderResult]:
     """Smallest n <= n_max carrying a tournament of ordering clique number
     exactly k, with the first such tournament in canonical generation order."""
@@ -447,8 +428,7 @@ def min_order_with_omega(
         raise ValueError("k and n_max must be positive")
     for n in range(1, n_max + 1):
         for t in canonical_tournaments(n):
-            if deadline is not None:
-                deadline.check()
+            deadline.check()
             if omega(t, deadline=deadline).value == k:
                 return MinOrderResult(n, t)
     return None

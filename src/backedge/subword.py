@@ -10,8 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .core import Tournament, _bits
-from .solvers import Deadline
+from .core import Deadline, Tournament, _bits
 
 
 @dataclass(frozen=True)
@@ -76,7 +75,7 @@ def is_tournament_closed(instance: PassInstance) -> bool:
 
 
 def solve_pass(
-    instance: PassInstance, *, deadline: Optional[Deadline] = None
+    instance: PassInstance, *, deadline: Deadline = Deadline()
 ) -> Optional[tuple[int, ...]]:
     """Lexicographically smallest permutation of the alphabet avoiding every
     forbidden word as a subsequence, or None.
@@ -104,7 +103,7 @@ def solve_pass(
             if used[s]:
                 continue
             nodes += 1
-            if deadline is not None and nodes & 0xFFF == 0:
+            if nodes & 0xFFF == 0:
                 deadline.check()
             used[s] = True
             moved = []

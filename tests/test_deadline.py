@@ -1,0 +1,79 @@
+"""Every library entry point that takes ``deadline=`` hands it down to a poll,
+and runs without a limit when the argument is omitted."""
+
+import random
+
+import pytest
+
+from backedge import Deadline as PackageDeadline
+from backedge.constructions import amplifier, c3, pi
+from backedge.core import BudgetExhausted, Deadline
+from backedge.gadgets import check_companion, r5, verify_clause_base, verify_var_base
+from backedge.reduction import build, instance_from_dict, parse_dimacs
+from backedge.solvers import (
+    Deadline as SolversDeadline,
+    enumerate_omega_orderings,
+    min_order_with_omega,
+    minimum_ordering,
+)
+from backedge.subword import solve_pass, to_pass
+
+from labeled import labeled_count, labeled_tournament
+
+
+class FirstPoll(Deadline):
+    """A deadline that counts its polls and expires at the first one."""
+
+    def __init__(self):
+        super().__init__()
+        self.polls = 0
+
+    def check(self):
+        self.polls += 1
+        raise BudgetExhausted(f"poll {self.polls}")
+
+
+def _entry_points(surrogate):
+    """Each entry point as a call taking only the optional ``deadline``."""
+    phi = parse_dimacs("p cnf 3 1\n1 2 3 0\n")
+    instance = build(phi, surrogate)
+    # a 13-vertex tournament's pass instance: no solution, past 4,096 nodes
+    rng = random.Random(1)
+    pass13 = to_pass(labeled_tournament(13, rng.randrange(labeled_count(13))))
+    r5_minimum = next(enumerate_omega_orderings(r5()))
+    return {
+        "amplifier": lambda **kw: amplifier(c3(), **kw),
+        "pi": lambda **kw: pi(c3(), **kw),
+        "build": lambda **kw: build(phi, surrogate, **kw),
+        "instance_from_dict": lambda **kw: instance_from_dict(
+            instance.to_dict(), instance.tournament, **kw
+        ),
+        "check_companion": lambda **kw: check_companion(surrogate, **kw),
+        "verify_var_base": verify_var_base,
+        "verify_clause_base": verify_clause_base,
+        "enumerate_omega_orderings": lambda **kw: list(enumerate_omega_orderings(r5(), **kw)),
+        "minimum_ordering": lambda **kw: minimum_ordering(r5(), r5_minimum, **kw),
+        "min_order_with_omega": lambda **kw: min_order_with_omega(2, 5, **kw),
+        "solve_pass": lambda **kw: solve_pass(pass13, **kw),
+    }
+
+
+ENTRY_POINTS = [
+    "amplifier", "pi", "build", "instance_from_dict", "check_companion",
+    "verify_var_base", "verify_clause_base", "enumerate_omega_orderings",
+    "minimum_ordering", "min_order_with_omega", "solve_pass",
+]
+
+
+@pytest.mark.parametrize("name", ENTRY_POINTS)
+def test_entry_point_passes_its_deadline_to_a_poll(name, surrogate):
+    call = _entry_points(surrogate)[name]
+    deadline = FirstPoll()
+    with pytest.raises(BudgetExhausted, match="poll 1"):
+        call(deadline=deadline)
+    assert deadline.polls == 1
+    call()  # no deadline given: no limit
+
+
+def test_deadline_resolves_from_the_package_and_the_solvers():
+    assert PackageDeadline is SolversDeadline is Deadline

@@ -1,6 +1,8 @@
+import itertools
 import json
 import math
 import random
+import time
 from importlib import resources
 
 import jsonschema
@@ -8,7 +10,7 @@ import pytest
 
 from backedge.cli import run
 from backedge.constructions import arrow, c3, pi, tt
-from backedge.core import Tournament
+from backedge.core import Tournament, is_strong
 from backedge.gadgets import clause_base, r5, var_base
 from backedge.io import (
     load_tournament,
@@ -19,7 +21,9 @@ from backedge.io import (
     tournament_from_json_dict,
     tournament_from_text,
     tournament_to_json_dict,
+    write_json,
 )
+from backedge.subword import to_pass
 
 from cli_schemas import ENVELOPE_SCHEMA, RESULT_SCHEMAS
 from labeled import labeled_count, labeled_tournament
@@ -356,6 +360,14 @@ def test_cli_rejects_audit_counts_below_one(capsys, count):
     assert envelope["result"]["error"] == f"--audit-subsets must be at least 1, got {count}"
 
 
+def test_cli_amplifier_audit_looks_for_copies_of_the_base(capsys):
+    # amplifier(tt3) is tt6: every subset or its complement holds a tt3, and
+    # no subset holds a directed triangle
+    code, envelope = _run(capsys, "construct", "amplifier", "3", "--audit-subsets", "5")
+    assert code == 0
+    assert envelope["result"]["hitting_audit"] == {"trials": 5, "hit": 5, "seed": 20240901}
+
+
 def test_cli_amplifier_budget_refusal(capsys, r5_file):
     # non-transitive 5-vertex base: 25 * C(21, 5) vertices, over budget
     code, envelope = _run(capsys, "construct", "amplifier", r5_file)
@@ -532,6 +544,52 @@ def test_cli_budget_bounds_chi_cut_seeding(capsys, tmp_path):
     save_tournament(labeled_tournament(200, rng.randrange(labeled_count(200))), path)
     code, envelope = _run(capsys, "--budget", "0.2", "chi-decide", "--k", "3", str(path))
     assert code == 3 and envelope["budget"]["exhausted"] is True
+
+
+def _random_tournament(n, seed):
+    rng = random.Random(seed)
+    return labeled_tournament(n, rng.randrange(labeled_count(n)))
+
+
+# what a 0.05 s budget may overrun by: loading the input, and the work
+# between two polls
+BUDGET_SLACK_S = 0.5
+
+
+def test_cli_budget_bounds_each_verbs_wall_time(capsys, tmp_path, surrogate):
+    # every input below runs for more than a second without a budget (about
+    # 1.2 s for check-rules, over 4 s for omega and forcing on a 2-vCPU VM)
+    def saved(name, t):
+        path = tmp_path / name
+        save_tournament(t, path)
+        return str(path)
+
+    t18 = saved("t18.trn", _random_tournament(18, 5))
+    draws = (_random_tournament(10, seed) for seed in itertools.count(100))
+    strong10 = next(t for t in draws if is_strong(t))
+    pass24 = tmp_path / "pass24.json"
+    write_json(pass24, to_pass(_random_tournament(24, 1)).to_dict())
+    cnf = tmp_path / "phi.cnf"
+    cnf.write_text("p cnf 3 1\n1 2 3 0\n")
+    cases = [
+        ("omega", t18),
+        ("orderings", saved("t12.trn", _random_tournament(12, 5))),
+        ("forcing", "--u", "0", "--v", "1", "--k", "3", t18),
+        ("chi-decide", "--k", "3", saved("t200.trn", _random_tournament(200, 13))),
+        ("check-rules", saved("strong10.trn", strong10)),
+        ("pass", "solve", str(pass24)),
+        ("reduce", "--cnf", str(cnf), "--gadget", saved("w18.trn", arrow(surrogate, tt(11)))),
+    ]
+    for argv in cases:
+        started = time.monotonic()
+        code, envelope = _run(capsys, "--budget", "0.05", *argv)
+        elapsed = time.monotonic() - started
+        assert code == 3 and envelope["budget"]["exhausted"] is True, argv
+        assert elapsed < 0.05 + BUDGET_SLACK_S, (argv, elapsed)
+    # the gadget scans take milliseconds, so only a zero budget stops them
+    for name in ("var", "clause"):
+        code, envelope = _run(capsys, "--budget", "0", "gadget", "verify", name)
+        assert code == 3 and envelope["budget"]["exhausted"] is True, name
 
 
 def test_cli_rejects_signed_and_underscored_numbers(capsys, tmp_path, surrogate):

@@ -18,7 +18,7 @@ from backedge.rulecheck import (
     CellResult,
     RuleReport,
     RuleWitness,
-    _sweep,
+    _components,
     check_cell,
     check_rules,
     excluded_from_family,
@@ -351,7 +351,9 @@ def test_path_predicate_matches_plain_union_find(circulant5):
     for ordering in enumerate_omega_orderings(t):
         pos = {v: i for i, v in enumerate(ordering)}
         g = backedge_graph(t, ordering)
-        _, _, prefix, suffix = _sweep(ordering, g.adj)
+        upto = [sum(1 << v for v in ordering[:i]) for i in range(6)]
+        prefix = [[], *_components(ordering, g.adj, upto, range(5), [])]
+        suffix = [*_components(ordering, g.adj, upto, range(4, -1, -1), [])][::-1]
         for x in range(5):
             left = sorted(v for v in range(5) if pos[v] < pos[x])
             right = sorted(v for v in range(5) if pos[v] >= pos[x])
