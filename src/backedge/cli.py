@@ -20,7 +20,7 @@ import os
 import random
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable, Optional
 
 from . import __version__
@@ -383,11 +383,7 @@ def _reduce(args, deadline, read) -> Outcome:
     instance = build(formula, companion, vertex_budget=args.vertex_budget, deadline=deadline)
     result["vertices"] = instance.tournament.n
     result["reversed_arcs"] = len(instance.bundle_arcs())
-    result["gadget"] = {
-        "size": instance.gadget.size,
-        "omega_checked": instance.gadget.omega_checked,
-        "genuine": instance.gadget.genuine,
-    }
+    result["gadget"] = asdict(instance.gadget)
     if args.out:
         save_tournament(instance.tournament, args.out)
         result["out"] = args.out

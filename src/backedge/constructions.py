@@ -49,10 +49,7 @@ class SizingReport:
     budget: int
 
     def parameter(self, name: str) -> int:
-        for key, value in self.parameters:
-            if key == name:
-                return value
-        raise KeyError(name)
+        return dict(self.parameters)[name]
 
     def to_dict(self) -> dict:
         return {

@@ -72,10 +72,7 @@ class CertifiedOrdering:
     forward: tuple[tuple[str, bool], ...]  # marked-arc name -> is it forward
 
     def is_forward(self, arc_name: str) -> bool:
-        for name, fwd in self.forward:
-            if name == arc_name:
-                return fwd
-        raise KeyError(arc_name)
+        return dict(self.forward)[arc_name]
 
 
 @dataclass(frozen=True)
@@ -99,16 +96,10 @@ class MarkedGadget:
                     )
 
     def arc(self, name: str) -> tuple[int, int]:
-        for arc_name, pair in self.marked_arcs:
-            if arc_name == name:
-                return pair
-        raise KeyError(name)
+        return dict(self.marked_arcs)[name]
 
     def certified(self, name: str) -> CertifiedOrdering:
-        for cert in self.certified_orderings:
-            if cert.name == name:
-                return cert
-        raise KeyError(name)
+        return {cert.name: cert for cert in self.certified_orderings}[name]
 
 
 @dataclass(frozen=True)

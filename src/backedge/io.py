@@ -69,15 +69,36 @@ def tournament_to_json_dict(t: Tournament) -> dict:
     }
 
 
+def _check_json(value: object, shape: object, where: str) -> None:
+    """Raise a ValueError naming the first part of JSON ``value``, called ``where``,
+    that lacks ``shape``: a dict lists required keys, ``[s]`` is a list of any
+    length, a longer list one of exactly that length, and None takes anything."""
+    if isinstance(shape, (dict, list)) and not isinstance(value, type(shape)):
+        kind = "an object" if isinstance(shape, dict) else "a list"
+        raise ValueError(f"{where} must be {kind}, got {type(value).__name__}")
+    if isinstance(shape, dict):
+        for key, inner in shape.items():
+            if key not in value:
+                raise ValueError(f"{where} has no key {key!r}")
+            _check_json(value[key], inner, f"{where}.{key}")
+    elif shape is not None:
+        if len(shape) > 1 and len(value) != len(shape):
+            raise ValueError(f"{where} must hold {len(shape)} items, got {len(value)}")
+        for i, item in enumerate(value):
+            _check_json(item, shape[min(i, len(shape) - 1)], f"{where}[{i}]")
+
+
 def tournament_from_json_dict(data: dict) -> Tournament:
-    n = data["n"]
+    _check_json(data, {"n": None, "rows": [None]}, "tournament")
+    n, raw_rows = data["n"], data["rows"]
     if type(n) is not int:
         raise ValueError(f"n must be an integer, got {n!r}")
-    raw_rows = data["rows"]
     if len(raw_rows) != n:
         raise ValueError(f"expected {n} rows, got {len(raw_rows)}")
     rows = []
     for i, raw in enumerate(raw_rows):
+        if not isinstance(raw, (str, list)):
+            raise ValueError(f"row {i}: expected a string or a list, got {type(raw).__name__}")
         if len(raw) != n:
             raise ValueError(f"row {i}: expected {n} entries, got {len(raw)}")
         bits = _parse_row(raw) if isinstance(raw, str) else None

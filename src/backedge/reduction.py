@@ -10,13 +10,13 @@ flipped so that they point from the clause block into the variable block.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Iterator, Optional, Sequence, Union
 
 from .constructions import DEFAULT_VERTEX_BUDGET, MaterializationRefused, SizingReport, chain
 from .core import Deadline, Tournament, backedge_graph, check_ordering, clique_number, induced
 from .gadgets import _assemble, check_companion, clause_base, var_base
-from .io import _digits
+from .io import _check_json, _digits
 
 Literal = tuple[int, bool]  # (0-based variable index, polarity)
 
@@ -175,11 +175,7 @@ class ReductionInstance:
                 }
                 for b in self.clause_blocks
             ],
-            "gadget": {
-                "size": self.gadget.size,
-                "omega_checked": self.gadget.omega_checked,
-                "genuine": self.gadget.genuine,
-            },
+            "gadget": asdict(self.gadget),
         }
 
 
@@ -192,6 +188,8 @@ def instance_from_dict(
     companion's canonical minimum ordering at the separator.  Only the
     gadget's ``omega_checked`` flag is not compared: older files marked large
     companions unchecked."""
+    _check_json(data, {"formula": {"variables": None, "clauses": [[[None, None]]]},
+                       "separator": {"span": [None, None]}, "gadget": {}}, "landmarks")
     formula = CnfFormula(
         data["formula"]["variables"],
         tuple(
@@ -336,11 +334,7 @@ class OrderingReport:
     max_clique_found: int
 
     def to_dict(self) -> dict:
-        return {
-            "k4_free": self.k4_free,
-            "has_triangle": self.has_triangle,
-            "max_clique_found": self.max_clique_found,
-        }
+        return asdict(self)
 
 
 def verify_ordering(

@@ -274,10 +274,10 @@ def chi_decide(
 
     Encodes class membership as booleans and refutes/extends with a
     conflict-driven search; directed-cycle constraints are seeded for all
-    triangles of moderate-size tournaments and otherwise added lazily each
-    time a candidate class turns out cyclic.  The deadline is polled once
-    per first vertex of the seeded triangles and once per lazy-cut round,
-    besides every 256 conflicts inside the search.
+    triangles of moderate-size tournaments and otherwise cut lazily, through
+    `Solver.solve_with_cuts`, from each cyclic candidate class, for every k.
+    The deadline is polled once per first vertex while seeding, once per round
+    of cuts in the driver, and every 256 conflicts inside the search.
 
     Classes are interchangeable, so vertex 0 is pinned to class 0.  For
     k >= 3 the symmetry among the other classes is broken on two more
@@ -296,11 +296,6 @@ def chi_decide(
     if k < 1:
         raise ValueError("class count must be positive")
     n = d.n
-    if n == 0:
-        return ChiDecideResult(True, ())
-    if k == 1:
-        ok = is_acyclic(d)
-        return ChiDecideResult(ok, (tuple(range(n)),) if ok else None)
     if k >= n:
         return ChiDecideResult(True, tuple((v,) for v in range(n)))
 
@@ -350,31 +345,22 @@ def chi_decide(
 
     solver.add_clauses(seed_clauses())
 
-    while True:
-        model = solver.solve(deadline=deadline)
-        if model is None:
-            return ChiDecideResult(False, None, solver.conflicts)
-        color = [min(c for c in range(k) if model[v * k + c]) for v in range(n)]
-        masks = [0] * k
-        for v, c in enumerate(color):
-            masks[c] |= 1 << v
-        violated = None
-        for mask in masks:
+    def class_masks(model: list[bool]) -> list[int]:
+        masks = [0] * k  # a vertex joins its lowest true class
+        for v in range(n):
+            masks[model[v * k:v * k + k].index(True)] |= 1 << v
+        return masks
+
+    def separate(model: list[bool]) -> list[list[int]]:
+        for mask in class_masks(model):  # the first cyclic class, cut in every class
             cycle = directed_cycle(d, mask)
             if cycle is not None:
-                violated = cycle
-                break
-        if violated is None:
-            classes = tuple(
-                tuple(v for v in range(n) if color[v] == c)
-                for c in range(k)
-                if masks[c]
-            )
-            return ChiDecideResult(True, classes, solver.conflicts)
-        deadline.check()
-        solver.reset()
-        cut = [negs[v] for v in violated]
-        solver.add_clauses([l + c for l in cut] for c in shifts)
+                return [[negs[v] + c for v in cycle] for c in shifts]
+        return []
+
+    model = solver.solve_with_cuts(separate, deadline)
+    classes = None if model is None else tuple(tuple(_bits(m)) for m in class_masks(model) if m)
+    return ChiDecideResult(model is not None, classes, solver.conflicts)
 
 
 def chi(d: Digraph, *, deadline: Deadline = Deadline()) -> ChiResult:

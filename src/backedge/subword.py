@@ -11,6 +11,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .core import Deadline, Tournament, _bits
+from .io import _check_json
 
 
 @dataclass(frozen=True)
@@ -36,6 +37,7 @@ class PassInstance:
 
     @classmethod
     def from_dict(cls, data: dict) -> "PassInstance":
+        _check_json(data, {"alphabet": None, "forbidden": [[None]]}, "pass instance")
         alphabet, forbidden = data["alphabet"], [tuple(w) for w in data["forbidden"]]
         for value in (alphabet, *(s for w in forbidden for s in w)):
             if type(value) is not int:

@@ -23,7 +23,8 @@ from backedge.io import (
     tournament_to_json_dict,
     write_json,
 )
-from backedge.subword import to_pass
+from backedge.reduction import instance_from_dict
+from backedge.subword import PassInstance, to_pass
 
 from cli_schemas import ENVELOPE_SCHEMA, RESULT_SCHEMAS
 from labeled import labeled_count, labeled_tournament
@@ -89,6 +90,68 @@ def test_json_mirror_rejects_non_integer_n(capsys, tmp_path):
     bad.write_text(json.dumps({"n": True, "rows": ["0"]}))
     code, envelope = _run(capsys, "omega", str(bad))
     assert code == 2 and "error" in envelope["result"]
+
+
+def _malformed_json_error(capsys, tmp_path, payload, *argv):
+    """Run a verb on ``payload`` written as bad.json (named by "BAD" in
+    ``argv``); it must exit 2, and its error message is returned."""
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(payload))
+    code, envelope = _run(capsys, *(str(bad) if a == "BAD" else a for a in argv))
+    assert code == 2
+    return envelope["result"]["error"].replace(str(bad), "bad.json")
+
+
+def test_omega_names_rows_that_are_not_a_list(capsys, tmp_path):
+    error = _malformed_json_error(capsys, tmp_path, {"n": 2, "rows": 5}, "omega", "BAD")
+    assert error == "bad.json: tournament.rows must be a list, got int"
+
+
+def test_omega_names_the_missing_rows_key(capsys, tmp_path):
+    error = _malformed_json_error(capsys, tmp_path, {"n": 2}, "omega", "BAD")
+    assert error == "bad.json: tournament has no key 'rows'"
+
+
+def test_pass_solve_names_the_missing_forbidden_key(capsys, tmp_path):
+    error = _malformed_json_error(capsys, tmp_path, {"alphabet": 3}, "pass", "solve", "BAD")
+    assert error == "pass instance has no key 'forbidden'"
+
+
+def test_pass_solve_rejects_a_list_for_an_instance(capsys, tmp_path):
+    error = _malformed_json_error(capsys, tmp_path, [], "pass", "solve", "BAD")
+    assert error == "pass instance must be an object, got list"
+
+
+def test_witness_rejects_a_list_for_landmarks(capsys, tmp_path, r5_file):
+    error = _malformed_json_error(
+        capsys, tmp_path, [1, 2], "witness", "to-ordering", "--trn", str(r5_file),
+        "--landmarks", "BAD", "--assign", "1",
+    )
+    assert error == "landmarks must be an object, got list"
+
+
+def test_json_readers_name_the_first_misshapen_part():
+    cases = [
+        (tournament_from_json_dict, {"n": 1, "rows": [5]},
+         "row 0: expected a string or a list, got int"),
+        (PassInstance.from_dict, {"alphabet": 3, "forbidden": [[0, 1], 2]},
+         "pass instance.forbidden[1] must be a list, got int"),
+        (lambda data: instance_from_dict(data, r5()),
+         {"formula": {"variables": 3, "clauses": [[[0, True], [1], [2, False]]]},
+          "separator": {"span": [0, 5]}, "gadget": {}},
+         "landmarks.formula.clauses[0][1] must hold 2 items, got 1"),
+        (lambda data: instance_from_dict(data, r5()),
+         {"formula": {"variables": 3, "clauses": []}, "separator": {}, "gadget": {}},
+         "landmarks.separator has no key 'span'"),
+        (lambda data: instance_from_dict(data, r5()),
+         {"formula": {"variables": 3, "clauses": []}, "separator": {"span": [0, 5]},
+          "gadget": []},
+         "landmarks.gadget must be an object, got list"),
+    ]
+    for reader, data, message in cases:
+        with pytest.raises(ValueError) as info:
+            reader(data)
+        assert str(info.value) == message
 
 
 def test_parse_helpers(tmp_path):

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from backedge import solvers
 from backedge._sat import Solver
-from backedge.constructions import arrow, c3, delta, tt
+from backedge.constructions import amplifier, arrow, c3, delta, tt
 from backedge.core import (
     BudgetExhausted,
     Digraph,
@@ -394,6 +394,46 @@ def test_two_class_formulas_are_the_pin_only_formula(monkeypatch, d2):
         assert res.conflicts == oracle.conflicts
     res = chi_decide(d2.tournament, 2)
     assert (res.decision, res.conflicts) == (False, 3)
+
+
+def test_chi_decide_refutes_the_amplifier_through_lazy_rounds(monkeypatch):
+    # 315 vertices: above 256 no triangle cut is seeded, so every cycle cut
+    # of this refutation enters in a round of Solver.solve_with_cuts
+    made = []
+
+    class CountingSolver(Solver):
+        def __init__(self, n_vars):
+            super().__init__(n_vars)
+            self.solves = 0
+            made.append(self)
+
+        def solve(self, deadline=Deadline()):
+            self.solves += 1
+            return super().solve(deadline)
+
+    monkeypatch.setattr(solvers, "Solver", CountingSolver)
+    res = chi_decide(amplifier(c3()).tournament, 2)
+    assert (res.decision, res.classes, res.conflicts) == (False, None, 21)
+    assert made[-1].solves > 1
+
+
+def test_chi_decide_with_one_class_is_acyclicity():
+    rng = random.Random(79)
+    digraphs = [t for n in range(1, 7) for t in canonical_tournaments(n)]
+    for n in range(2, 13):
+        for _ in range(3):
+            arcs = [(u, v) for u in range(n) for v in range(n) if u != v and rng.random() < 0.15]
+            digraphs.append(Digraph.from_arcs(n, arcs))
+    # both sides of the 256-vertex switch between seeded and lazy triangle cuts
+    digraphs += [tt(300), arrow(tt(297), c3())]
+    verdicts = set()
+    for d in digraphs:
+        acyclic = is_acyclic(d)
+        verdicts.add((acyclic, isinstance(d, Tournament)))
+        classes = (tuple(range(d.n)),) if acyclic else None
+        res = chi_decide(d, 1)
+        assert (res.decision, res.classes, res.conflicts) == (acyclic, classes, 0), d
+    assert len(verdicts) == 4
 
 
 def test_chi_deep_search_on_larger_tournaments():
