@@ -298,6 +298,7 @@ def _construct(args, deadline, read) -> Outcome:
             return Outcome(result)
         built = out
 
+    deadline.check()  # before any file is written
     result["n"] = built.n
     if ordering is not None:
         result["ordering"] = list(ordering)
@@ -381,6 +382,7 @@ def _reduce(args, deadline, read) -> Outcome:
         result["reversed_arcs"] = 12 * len(formula.clauses)
         return Outcome(result)
     instance = build(formula, companion, vertex_budget=args.vertex_budget, deadline=deadline)
+    deadline.check()  # before any file is written
     result["vertices"] = instance.tournament.n
     result["reversed_arcs"] = len(instance.bundle_arcs())
     result["gadget"] = asdict(instance.gadget)

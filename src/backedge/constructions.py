@@ -143,15 +143,22 @@ def chain(blocks: Iterable[Digraph], flipped: Iterable[tuple[int, int]] = ()) ->
     blocks = list(blocks)
     total = sum(b.n for b in blocks)
     rows: list[int] = []
+    cols: list[int] = []
+    # columns come from the blocks' columns as rows from their rows, so the
+    # result needs no transpose: every earlier block beats a block's vertices
     for b in blocks:
         start = len(rows)
         later = ((1 << (total - start - b.n)) - 1) << (start + b.n)
+        earlier = (1 << start) - 1
         rows.extend((row << start) | later for row in b.rows)
+        cols.extend((col << start) | earlier for col in b.cols)
     for w, u in flipped:
         rows[u] &= ~(1 << w)
         rows[w] |= 1 << u
+        cols[w] &= ~(1 << u)
+        cols[u] |= 1 << w
     cls = Tournament if all(isinstance(b, Tournament) for b in blocks) else Digraph
-    return cls(total, tuple(rows))
+    return cls._with_cols(total, tuple(rows), tuple(cols))
 
 
 def arrow(d1: Digraph, d2: Digraph) -> Digraph:
@@ -238,6 +245,7 @@ def _copy_construction(
         for label in set(subsets[a.family]).intersection(subsets[b.family])
     )
     built = chain([t] * len(copies), flipped)
+    deadline.check()
     ordering = tuple(c.start + v for c in copies for v in order)
     return BuiltTournament(built, ordering, CopyLayout(n, universe, subsets, tuple(copies)))
 

@@ -78,6 +78,25 @@ class Digraph:
     cols: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        self._check_rows()
+        object.__setattr__(self, "cols", _transpose(self.rows, self.n))
+        self._validate()
+
+    @classmethod
+    def _with_cols(cls, n: int, rows: tuple[int, ...], cols: tuple[int, ...]):
+        """The digraph on ``rows`` whose column masks ``cols`` are known by
+        construction: the caller guarantees they are the transpose of
+        ``rows``.  Rows are checked and ``_validate`` runs as in the
+        constructor; only the transpose is skipped."""
+        d = cls.__new__(cls)
+        object.__setattr__(d, "n", n)
+        object.__setattr__(d, "rows", rows)
+        d._check_rows()
+        object.__setattr__(d, "cols", cols)
+        d._validate()
+        return d
+
+    def _check_rows(self) -> None:
         if self.n < 0:
             raise ValueError("vertex count must be non-negative")
         if len(self.rows) != self.n:
@@ -88,8 +107,6 @@ class Digraph:
                 raise ValueError(f"row {u} references a vertex >= {self.n}")
             if row >> u & 1:
                 raise ValueError(f"self-arc at vertex {u}")
-        object.__setattr__(self, "cols", _transpose(self.rows, self.n))
-        self._validate()
 
     def _validate(self) -> None:
         pass

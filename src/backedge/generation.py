@@ -29,8 +29,10 @@ straight from its parent's and the pattern.  They describe a tournament by
 construction (the parent is one, and the pattern orients each new pair
 once), so validating them, and transposing rows into columns, would be
 work that proves nothing.  Only the accepted candidates, the ones returned
-(6,880 of 58,368 at n = 8), become ``Tournament`` objects, and those are
-validated as every tournament is.
+(6,880 of 58,368 at n = 8), become ``Tournament`` objects.  They take the
+columns the search already holds, in O(n) big-int steps, and are validated
+as every tournament is; only rows read from files or passed in by callers
+are transposed.
 """
 
 from __future__ import annotations
@@ -102,5 +104,5 @@ def canonical_tournaments(n: int) -> tuple[Tournament, ...]:
             rows.append(pattern)
             cols.append(below ^ pattern)
             if not _smaller_relabeling(n, cols):
-                result.append(Tournament(n, tuple(rows)))
+                result.append(Tournament._with_cols(n, tuple(rows), tuple(cols)))
     return tuple(result)

@@ -72,7 +72,12 @@ def tournament_to_json_dict(t: Tournament) -> dict:
 def _check_json(value: object, shape: object, where: str) -> None:
     """Raise a ValueError naming the first part of JSON ``value``, called ``where``,
     that lacks ``shape``: a dict lists required keys, ``[s]`` is a list of any
-    length, a longer list one of exactly that length, and None takes anything."""
+    length, a longer list one of exactly that length, ``int`` an integer that
+    is not a boolean, and None takes anything."""
+    if shape is int:
+        if type(value) is not int:
+            raise ValueError(f"{where} must be an integer, got {value!r}")
+        return
     if isinstance(shape, (dict, list)) and not isinstance(value, type(shape)):
         kind = "an object" if isinstance(shape, dict) else "a list"
         raise ValueError(f"{where} must be {kind}, got {type(value).__name__}")
@@ -89,10 +94,8 @@ def _check_json(value: object, shape: object, where: str) -> None:
 
 
 def tournament_from_json_dict(data: dict) -> Tournament:
-    _check_json(data, {"n": None, "rows": [None]}, "tournament")
+    _check_json(data, {"n": int, "rows": [None]}, "tournament")
     n, raw_rows = data["n"], data["rows"]
-    if type(n) is not int:
-        raise ValueError(f"n must be an integer, got {n!r}")
     if len(raw_rows) != n:
         raise ValueError(f"expected {n} rows, got {len(raw_rows)}")
     rows = []

@@ -188,8 +188,8 @@ def instance_from_dict(
     companion's canonical minimum ordering at the separator.  Only the
     gadget's ``omega_checked`` flag is not compared: older files marked large
     companions unchecked."""
-    _check_json(data, {"formula": {"variables": None, "clauses": [[[None, None]]]},
-                       "separator": {"span": [None, None]}, "gadget": {}}, "landmarks")
+    _check_json(data, {"formula": {"variables": int, "clauses": [[[int, None]]]},
+                       "separator": {"span": [int, int]}, "gadget": {}}, "landmarks")
     formula = CnfFormula(
         data["formula"]["variables"],
         tuple(
@@ -234,8 +234,11 @@ def build(
     if not report.materializable:
         raise MaterializationRefused(report)
     w_ordering = check_companion(w, deadline=deadline)
+    deadline.check()
     var_gadget = _assemble(var_base(), w, w_ordering)
+    deadline.check()
     clause_gadget = _assemble(clause_base(), w, w_ordering)
+    deadline.check()
     n_vars, n_clauses = formula.variable_count, len(formula.clauses)
     size_a = var_gadget.tournament.n  # 10 + w.n
     size_b = clause_gadget.tournament.n  # 9 + w.n
@@ -279,6 +282,7 @@ def build(
         [var_gadget.tournament] * n_vars + [w] + [clause_gadget.tournament] * n_clauses,
         _bundle(formula, var_blocks, clause_blocks),
     )
+    deadline.check()
     assert tournament.n == report.total_vertices
     return ReductionInstance(
         tournament,

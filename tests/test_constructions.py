@@ -24,13 +24,17 @@ from backedge.constructions import (
 from backedge.core import (
     Digraph,
     Tournament,
+    _transpose,
     backedge_graph,
     clique_number,
     contains_subtournament,
     directed_triangle,
     triangle_in_graph,
 )
+from backedge.gadgets import r5
 from backedge.solvers import omega
+
+from labeled import labeled_count, labeled_tournament
 
 
 def test_tt_and_c3():
@@ -66,6 +70,49 @@ def test_chain_flips_exactly_the_listed_pairs():
     assert type(flipped) is Tournament
     for u, v in base.arcs():
         assert flipped.has_arc(v, u) == ((v, u) in flips)
+
+
+def _random_block(rng, n):
+    if rng.random() < 0.5:
+        return labeled_tournament(n, rng.randrange(labeled_count(n)))
+    arcs = [(u, v) for u in range(n) for v in range(n) if u != v and rng.random() < 0.3]
+    return Digraph.from_arcs(n, arcs)
+
+
+def test_chain_columns_match_the_transpose():
+    # chain builds its columns from the blocks' columns and the flips; the
+    # string transpose of its rows is the oracle
+    rng = random.Random(20)
+    for _ in range(400):
+        blocks = [_random_block(rng, rng.randint(0, 6)) for _ in range(rng.randint(0, 5))]
+        total = sum(b.n for b in blocks)
+        firsts = [sum(b.n for b in blocks[:i]) for i in range(len(blocks))]
+        pairs = []
+        if total >= 2:
+            for _ in range(rng.randint(0, 8)):
+                w, u = rng.sample(range(total), 2)
+                pairs.append((max(w, u), min(w, u)))
+            pairs += pairs[:2]  # a pair flipped twice
+            for b, first in zip(blocks, firsts):
+                if b.n >= 2:  # a pair inside one block, either way round
+                    pairs.append(tuple(first + v for v in rng.sample(range(b.n), 2)))
+        built = chain(blocks, pairs)
+        assert built.n == total
+        assert built.cols == _transpose(built.rows, total), (blocks, pairs)
+        assert type(built) is (
+            Tournament if all(isinstance(b, Tournament) for b in blocks) else Digraph
+        )
+
+
+@pytest.mark.parametrize("build", [lambda: pi(c3()), lambda: pi(r5()), lambda: amplifier(c3())])
+def test_copy_construction_columns_match_the_transpose(build):
+    t = build().tournament
+    assert t.cols == _transpose(t.rows, t.n)
+
+
+def test_chain_refuses_a_pair_flipped_onto_itself():
+    with pytest.raises(ValueError, match="self-arc at vertex 1"):
+        chain([c3(), c3()], [(1, 1)])
 
 
 def test_delta_numeric_shorthand():

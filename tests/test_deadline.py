@@ -6,6 +6,7 @@ import random
 import pytest
 
 from backedge import Deadline as PackageDeadline
+from backedge import constructions, reduction
 from backedge.constructions import amplifier, c3, pi
 from backedge.core import BudgetExhausted, Deadline
 from backedge.gadgets import check_companion, r5, verify_clause_base, verify_var_base
@@ -77,3 +78,43 @@ def test_entry_point_passes_its_deadline_to_a_poll(name, surrogate):
 
 def test_deadline_resolves_from_the_package_and_the_solvers():
     assert PackageDeadline is SolversDeadline is Deadline
+
+
+class PollLog(Deadline):
+    """A deadline without a limit that logs each poll into ``log``."""
+
+    def __init__(self, log):
+        super().__init__()
+        self.log = log
+
+    def check(self):
+        self.log.append("poll")
+
+
+def _log_returns(monkeypatch, module, names, log):
+    """Make each function ``names`` of ``module`` log its name when it returns."""
+    for name in names:
+        def logged(*args, _real=getattr(module, name), _name=name, **kwargs):
+            result = _real(*args, **kwargs)
+            log.append(_name)
+            return result
+        monkeypatch.setattr(module, name, logged)
+
+
+def test_build_polls_after_every_stage(monkeypatch, surrogate):
+    # the companion proof, both gadget assemblies and the final chain are each
+    # followed by a poll, so a budget spent in any of them stops the build
+    log = []
+    _log_returns(monkeypatch, reduction, ("check_companion", "_assemble", "chain"), log)
+    build(parse_dimacs("p cnf 3 1\n1 2 3 0\n"), surrogate, deadline=PollLog(log))
+    stages = [i for i, event in enumerate(log) if event != "poll"]
+    assert [log[i] for i in stages] == ["check_companion", "_assemble", "_assemble", "chain"]
+    assert all(log[i + 1] == "poll" for i in stages)
+
+
+@pytest.mark.parametrize("construction", [amplifier, pi])
+def test_copy_constructions_poll_after_chaining(monkeypatch, construction):
+    log = []
+    _log_returns(monkeypatch, constructions, ("chain",), log)
+    construction(c3(), deadline=PollLog(log))
+    assert log[-2:] == ["chain", "poll"]

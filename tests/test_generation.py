@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from backedge.core import Tournament, contains_subtournament
+from backedge.core import Tournament, _transpose, contains_subtournament
 from backedge.generation import canonical_tournaments, is_canonical
 
 from labeled import labeled_count, labeled_tournament
@@ -130,6 +130,12 @@ def test_canonical_covers_all_labeled_up_to_iso():
         t = labeled_tournament(4, code)
         hits = [c for c in canon if contains_subtournament(t, c) is not None]
         assert len(hits) == 1
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_canonical_columns_match_the_transpose(n):
+    for t in canonical_tournaments(n):
+        assert t.cols == _transpose(t.rows, n)
 
 
 def test_canonical_representatives_are_canonical():

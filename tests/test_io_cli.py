@@ -8,6 +8,7 @@ from importlib import resources
 import jsonschema
 import pytest
 
+from backedge import cli
 from backedge.cli import run
 from backedge.constructions import arrow, c3, pi, tt
 from backedge.core import Tournament, is_strong
@@ -128,6 +129,35 @@ def test_witness_rejects_a_list_for_landmarks(capsys, tmp_path, r5_file):
         "--landmarks", "BAD", "--assign", "1",
     )
     assert error == "landmarks must be an object, got list"
+
+
+LANDMARKS_R5 = {"formula": {"variables": 3, "clauses": [[[0, True], [1, True], [2, True]]]},
+                "separator": {"span": [0, 5]}, "gadget": {}}
+
+
+@pytest.mark.parametrize("part, value, message", [
+    ("span", ["a", 5], "landmarks.separator.span[0] must be an integer, got 'a'"),
+    ("span", [0, 5.0], "landmarks.separator.span[1] must be an integer, got 5.0"),
+    ("variables", "3", "landmarks.formula.variables must be an integer, got '3'"),
+    ("variables", True, "landmarks.formula.variables must be an integer, got True"),
+    ("literal", ["x", True],
+     "landmarks.formula.clauses[0][1][0] must be an integer, got 'x'"),
+])
+def test_witness_names_a_landmark_leaf_of_the_wrong_type(
+    capsys, tmp_path, r5_file, part, value, message
+):
+    payload = json.loads(json.dumps(LANDMARKS_R5))
+    if part == "span":
+        payload["separator"]["span"] = value
+    elif part == "variables":
+        payload["formula"]["variables"] = value
+    else:
+        payload["formula"]["clauses"][0][1] = value
+    error = _malformed_json_error(
+        capsys, tmp_path, payload, "witness", "to-ordering", "--trn", str(r5_file),
+        "--landmarks", "BAD", "--assign", "1,1,1",
+    )
+    assert error == message
 
 
 def test_json_readers_name_the_first_misshapen_part():
@@ -653,6 +683,63 @@ def test_cli_budget_bounds_each_verbs_wall_time(capsys, tmp_path, surrogate):
     for name in ("var", "clause"):
         code, envelope = _run(capsys, "--budget", "0", "gadget", "verify", name)
         assert code == 3 and envelope["budget"]["exhausted"] is True, name
+
+
+def _random_cnf(rng, n_vars, n_clauses):
+    lines = [f"p cnf {n_vars} {n_clauses}"]
+    for _ in range(n_clauses):
+        variables = rng.sample(range(1, n_vars + 1), 3)
+        lines.append(" ".join(str(v if rng.random() < 0.5 else -v) for v in variables) + " 0")
+    return "\n".join(lines) + "\n"
+
+
+def test_cli_budget_bounds_a_large_reduction(capsys, tmp_path, surrogate):
+    # 100 variables and 500 clauses over W7 make a 9,707-vertex instance,
+    # whose assembly and 94 MB .trn take far longer than the budget
+    cnf = tmp_path / "phi.cnf"
+    cnf.write_text(_random_cnf(random.Random(3), 100, 500))
+    gadget_file = tmp_path / "w7.trn"
+    save_tournament(surrogate, gadget_file)
+    out = tmp_path / "inst.trn"
+    started = time.monotonic()
+    code, envelope = _run(
+        capsys, "--budget", "0.05", "reduce", "--cnf", str(cnf), "--gadget", str(gadget_file),
+        "--out", str(out),
+    )
+    elapsed = time.monotonic() - started
+    assert code == 3 and envelope["budget"]["exhausted"] is True
+    assert elapsed < 0.05 + BUDGET_SLACK_S and not out.exists()
+
+
+def _then_sleep(real, seconds):
+    """``real``, followed by a sleep: a stand-in for a slow build."""
+    def slow(*args, **kwargs):
+        result = real(*args, **kwargs)
+        time.sleep(seconds)
+        return result
+    return slow
+
+
+def test_cli_budget_is_polled_before_any_file_is_written(
+    capsys, monkeypatch, tmp_path, surrogate
+):
+    monkeypatch.setattr(cli, "build", _then_sleep(cli.build, 0.3))
+    monkeypatch.setattr(cli, "pi", _then_sleep(cli.pi, 0.3))
+    cnf = tmp_path / "phi.cnf"
+    cnf.write_text("p cnf 3 1\n1 2 3 0\n")
+    gadget_file, base = tmp_path / "w7.trn", tmp_path / "c3.trn"
+    save_tournament(surrogate, gadget_file)
+    save_tournament(c3(), base)
+    outputs = [tmp_path / name for name in ("inst.trn", "inst.json", "d2.trn", "layout.json")]
+    for argv in (
+        ("reduce", "--cnf", str(cnf), "--gadget", str(gadget_file),
+         "--out", str(outputs[0]), "--landmarks", str(outputs[1])),
+        ("construct", "pi", str(base), "--out", str(outputs[2]),
+         "--layout-out", str(outputs[3])),
+    ):
+        code, envelope = _run(capsys, "--budget", "0.1", *argv)
+        assert code == 3 and envelope["budget"]["exhausted"] is True, argv
+    assert not any(path.exists() for path in outputs)
 
 
 def test_cli_rejects_signed_and_underscored_numbers(capsys, tmp_path, surrogate):
