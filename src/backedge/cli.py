@@ -20,7 +20,7 @@ import os
 import random
 import sys
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 from . import __version__
@@ -376,16 +376,13 @@ def _reduce(args, deadline, read) -> Outcome:
     formula = read(args.cnf, _load_dimacs)
     companion = read(args.gadget)
     report = reduction_sizing(formula, companion.n, vertex_budget=args.vertex_budget)
-    result = {"sizing": report.to_dict()}
+    # each literal flips 4 arcs, and a clause block's three landmark pairs are disjoint
+    result = {"sizing": report.to_dict(), "vertices": report.total_vertices,
+              "reversed_arcs": 12 * len(formula.clauses)}
     if args.sizing_only:
-        result["vertices"] = report.total_vertices
-        result["reversed_arcs"] = 12 * len(formula.clauses)
         return Outcome(result)
     instance = build(formula, companion, vertex_budget=args.vertex_budget, deadline=deadline)
     deadline.check()  # before any file is written
-    result["vertices"] = instance.tournament.n
-    result["reversed_arcs"] = len(instance.bundle_arcs())
-    result["gadget"] = asdict(instance.gadget)
     if args.out:
         save_tournament(instance.tournament, args.out)
         result["out"] = args.out

@@ -179,8 +179,8 @@ def sha256_file(path: Union[str, os.PathLike]) -> str:
 
 def write_json(path: Union[str, os.PathLike], payload: dict) -> None:
     with open(path, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, indent=1)
-        handle.write("\n")
+        # json.dumps without indent takes the C encoder; json.dump never does
+        handle.write(json.dumps(payload) + "\n")
 
 
 def read_json(path: Union[str, os.PathLike]) -> dict:

@@ -6,6 +6,13 @@ the companion tournament, and one clause block per clause, all front-to-
 back; then, for every literal occurrence, the four arcs between the
 literal's variable-block marked pair and the clause-block marked pair are
 flipped so that they point from the clause block into the variable block.
+
+For these instances, a satisfying assignment gives an ordering whose
+backedge graph is K4-free, and the separator copy of the companion gives
+omega >= 3, so omega(T_phi) = 3 for a satisfiable phi.  The converse is not
+established for the lifted gadgets ``build`` materializes, and it fails: the
+eight sign patterns on three variables form an unsatisfiable formula whose
+instance has a K4-free ordering.
 """
 
 from __future__ import annotations
@@ -107,13 +114,6 @@ class ClauseBlock:
     orderings: tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]
 
 
-@dataclass(frozen=True)
-class GadgetDescriptor:
-    size: int
-    omega_checked: bool  # always True: build proves the companion's value
-    genuine: bool  # carries the subset-hitting property (never materialized)
-
-
 def _bundle(
     formula: CnfFormula,
     var_blocks: Sequence[VarBlock],
@@ -138,7 +138,6 @@ class ReductionInstance:
     separator_span: tuple[int, int]
     separator_ordering: tuple[int, ...]
     clause_blocks: tuple[ClauseBlock, ...]
-    gadget: GadgetDescriptor
 
     def bundle_arcs(self) -> set[tuple[int, int]]:
         """The flipped arcs, as (clause-block vertex, variable-block vertex)."""
@@ -175,7 +174,6 @@ class ReductionInstance:
                 }
                 for b in self.clause_blocks
             ],
-            "gadget": asdict(self.gadget),
         }
 
 
@@ -185,11 +183,9 @@ def instance_from_dict(
     """The instance a landmark file describes, rebuilt from its formula and
     the companion at its separator span; the file is derived data, so it must
     be exactly what ``build`` writes for ``tournament``, down to the
-    companion's canonical minimum ordering at the separator.  Only the
-    gadget's ``omega_checked`` flag is not compared: older files marked large
-    companions unchecked."""
+    companion's canonical minimum ordering at the separator."""
     _check_json(data, {"formula": {"variables": int, "clauses": [[[int, None]]]},
-                       "separator": {"span": [int, int]}, "gadget": {}}, "landmarks")
+                       "separator": {"span": [int, int]}}, "landmarks")
     formula = CnfFormula(
         data["formula"]["variables"],
         tuple(
@@ -203,9 +199,7 @@ def instance_from_dict(
         raise ValueError("landmarks do not describe this tournament")
     companion = induced(tournament, range(lo, hi))
     instance = build(formula, companion, vertex_budget=n, deadline=deadline)
-    if instance.tournament != tournament or instance.to_dict() != dict(
-        data, gadget=dict(data["gadget"], omega_checked=True)
-    ):
+    if instance.tournament != tournament or instance.to_dict() != data:
         raise ValueError("landmarks do not describe this tournament")
     return instance
 
@@ -245,38 +239,22 @@ def build(
     sep_start = n_vars * size_a
     clause_start = sep_start + w.n
 
-    var_blocks = []
-    for i in range(n_vars):
-        offset = i * size_a
-        fp = var_gadget.arc("uv")
-        fm = var_gadget.arc("wx")
-        var_blocks.append(
-            VarBlock(
-                (offset, offset + size_a),
-                (fp[0] + offset, fp[1] + offset),
-                (fm[0] + offset, fm[1] + offset),
-                tuple(v + offset for v in var_gadget.certified("uv-forward").ordering),
-                tuple(v + offset for v in var_gadget.certified("wx-forward").ordering),
-            )
-        )
-    separator_ordering = tuple(v + sep_start for v in w_ordering)
-    clause_blocks = []
-    backward_names = ("uv-backward", "wx-backward", "yz-backward")
-    for j in range(n_clauses):
-        offset = clause_start + j * size_b
-        landmarks = tuple(
-            (a + offset, b + offset)
-            for a, b in (
-                clause_gadget.arc("uv"),
-                clause_gadget.arc("wx"),
-                clause_gadget.arc("yz"),
-            )
-        )
-        orderings = tuple(
-            tuple(v + offset for v in clause_gadget.certified(name).ordering)
-            for name in backward_names
-        )
-        clause_blocks.append(ClauseBlock((offset, offset + size_b), landmarks, orderings))
+    fp, fm = var_gadget.arc("uv"), var_gadget.arc("wx")
+    true_order = var_gadget.certified("uv-forward").ordering
+    false_order = var_gadget.certified("wx-forward").ordering
+    var_blocks = tuple(
+        VarBlock((o, o + size_a), (fp[0] + o, fp[1] + o), (fm[0] + o, fm[1] + o),
+                 tuple(v + o for v in true_order), tuple(v + o for v in false_order))
+        for o in range(0, sep_start, size_a)
+    )
+    names = ("uv", "wx", "yz")
+    marks = [clause_gadget.arc(name) for name in names]
+    orders = [clause_gadget.certified(f"{name}-backward").ordering for name in names]
+    clause_blocks = tuple(
+        ClauseBlock((o, o + size_b), tuple((a + o, b + o) for a, b in marks),
+                    tuple(tuple(v + o for v in order) for order in orders))
+        for o in range(clause_start, clause_start + n_clauses * size_b, size_b)
+    )
 
     tournament = chain(
         [var_gadget.tournament] * n_vars + [w] + [clause_gadget.tournament] * n_clauses,
@@ -287,11 +265,10 @@ def build(
     return ReductionInstance(
         tournament,
         formula,
-        tuple(var_blocks),
-        (sep_start, sep_start + w.n),
-        separator_ordering,
-        tuple(clause_blocks),
-        GadgetDescriptor(w.n, True, False),
+        var_blocks,
+        (sep_start, clause_start),
+        tuple(v + sep_start for v in w_ordering),
+        clause_blocks,
     )
 
 

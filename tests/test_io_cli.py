@@ -24,7 +24,7 @@ from backedge.io import (
     tournament_to_json_dict,
     write_json,
 )
-from backedge.reduction import instance_from_dict
+from backedge.reduction import build, instance_from_dict, parse_dimacs
 from backedge.subword import PassInstance, to_pass
 
 from cli_schemas import ENVELOPE_SCHEMA, RESULT_SCHEMAS
@@ -168,15 +168,11 @@ def test_json_readers_name_the_first_misshapen_part():
          "pass instance.forbidden[1] must be a list, got int"),
         (lambda data: instance_from_dict(data, r5()),
          {"formula": {"variables": 3, "clauses": [[[0, True], [1], [2, False]]]},
-          "separator": {"span": [0, 5]}, "gadget": {}},
+          "separator": {"span": [0, 5]}},
          "landmarks.formula.clauses[0][1] must hold 2 items, got 1"),
         (lambda data: instance_from_dict(data, r5()),
-         {"formula": {"variables": 3, "clauses": []}, "separator": {}, "gadget": {}},
+         {"formula": {"variables": 3, "clauses": []}, "separator": {}},
          "landmarks.separator has no key 'span'"),
-        (lambda data: instance_from_dict(data, r5()),
-         {"formula": {"variables": 3, "clauses": []}, "separator": {"span": [0, 5]},
-          "gadget": []},
-         "landmarks.gadget must be an object, got list"),
     ]
     for reader, data, message in cases:
         with pytest.raises(ValueError) as info:
@@ -568,6 +564,24 @@ def test_cli_pass(capsys, tmp_path, r5_file):
         bad.write_text(json.dumps(data))
         code, envelope = _run(capsys, "pass", "solve", str(bad))
         assert code == 2 and "must be integers" in envelope["result"]["error"]
+
+
+def test_cli_reduce_sizing_only_reports_what_build_builds(capsys, tmp_path, surrogate):
+    companion = tmp_path / "w7.trn"
+    save_tournament(surrogate, companion)
+    cnf = tmp_path / "phi.cnf"
+    for text in ("p cnf 3 0\n", "p cnf 3 1\n1 2 3 0\n", "p cnf 3 2\n1 2 3 0\n-1 -2 3 0\n",
+                 "p cnf 5 4\n1 -2 3 0\n-1 4 5 0\n2 3 -5 0\n-3 -4 1 0\n"):
+        cnf.write_text(text)
+        instance = build(parse_dimacs(text), surrogate)
+        expected = (instance.tournament.n, len(instance.bundle_arcs()))
+        for extra in ((), ("--sizing-only",)):
+            code, envelope = _run(
+                capsys, "reduce", "--cnf", str(cnf), "--gadget", str(companion), *extra
+            )
+            assert code == 0
+            result = envelope["result"]
+            assert (result["vertices"], result["reversed_arcs"]) == expected
 
 
 def test_cli_reduce_rejects_large_companion_of_wrong_value(capsys, tmp_path):
