@@ -14,6 +14,7 @@ files the verb read, in read order, also when the verb then fails.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import math
 import os
@@ -47,12 +48,11 @@ from .gadgets import (
     verify_var_base,
 )
 from .io import (
-    load_tournament,
+    ordering_from_text,
     parse_assignment,
-    parse_ordering,
-    read_json,
+    parse_json,
+    parse_tournament,
     save_tournament,
-    sha256_file,
     tournament_to_json_dict,
     write_json,
 )
@@ -119,28 +119,24 @@ def _render_ordering(ordering) -> str:
     return "<".join(str(v + 1) for v in ordering)
 
 
-def _ordering_or_none(ordering) -> Optional[list]:
-    return None if ordering is None else list(ordering)
-
-
 def _parse_ordering(spec: str, read) -> tuple[int, ...]:
     """An ``--ordering`` spec; one that names a file is loaded through
     ``read``, so the envelope digests it, while inline specs are not."""
     if os.path.exists(spec):
-        return read(spec, parse_ordering)
-    return parse_ordering(spec)
+        return read(spec, ordering_from_text)
+    return ordering_from_text(spec)
 
 
 @verb("omega", "exact ordering clique number", FILE)
 def _omega(args, deadline, read) -> Outcome:
     res = omega(read(args.file), deadline=deadline)
-    return Outcome({"value": res.value, "witness": list(res.witness)}, res.nodes)
+    return Outcome({"value": res.value, "witness": res.witness}, res.nodes)
 
 
 @verb("omega-decide", "is the ordering clique number <= k?", FILE, K)
 def _omega_decide(args, deadline, read) -> Outcome:
     res = omega_decide(read(args.file), args.k, deadline=deadline)
-    result = {"decision": res.decision, "witness": _ordering_or_none(res.witness)}
+    result = {"decision": res.decision, "witness": res.witness}
     return Outcome(result, res.nodes, not res.decision)
 
 
@@ -150,12 +146,9 @@ def _orderings(args, deadline, read) -> Outcome:
     t = read(args.file)
     stats = SearchStats()
     value = omega(t, deadline=deadline).value
-    orderings = [
-        list(o)
-        for o in iter_orderings_with_clique_at_most(
-            t, value, first_vertex=args.first, deadline=deadline, stats=stats
-        )
-    ]
+    orderings = list(iter_orderings_with_clique_at_most(
+        t, value, first_vertex=args.first, deadline=deadline, stats=stats
+    ))
     return Outcome(
         {"omega": value, "count": len(orderings), "orderings": orderings}, stats.nodes
     )
@@ -164,18 +157,13 @@ def _orderings(args, deadline, read) -> Outcome:
 @verb("chi", "exact acyclic partition number", FILE)
 def _chi(args, deadline, read) -> Outcome:
     res = chi(read(args.file), deadline=deadline)
-    return Outcome(
-        {"value": res.value, "classes": [list(c) for c in res.classes]}, res.conflicts
-    )
+    return Outcome({"value": res.value, "classes": res.classes}, res.conflicts)
 
 
 @verb("chi-decide", "do k acyclic classes suffice?", FILE, K)
 def _chi_decide(args, deadline, read) -> Outcome:
     res = chi_decide(read(args.file), args.k, deadline=deadline)
-    result = {
-        "decision": res.decision,
-        "classes": None if res.classes is None else [list(c) for c in res.classes],
-    }
+    result = {"decision": res.decision, "classes": res.classes}
     return Outcome(result, res.conflicts, not res.decision)
 
 
@@ -183,11 +171,7 @@ def _chi_decide(args, deadline, read) -> Outcome:
       FILE, arg("--u", type=int, required=True), arg("--v", type=int, required=True), K)
 def _forcing(args, deadline, read) -> Outcome:
     res = forcing_holds(read(args.file), args.u, args.v, args.k, deadline=deadline)
-    result = {
-        "holds": res.holds,
-        "vacuous": res.vacuous,
-        "counterexample": _ordering_or_none(res.counterexample),
-    }
+    result = {"holds": res.holds, "vacuous": res.vacuous, "counterexample": res.counterexample}
     return Outcome(result, res.nodes, not res.holds)
 
 
@@ -262,9 +246,7 @@ def _construct(args, deadline, read) -> Outcome:
         lifted = lift(*parts)
         built = lifted.digraph
         result["landmarks"] = {
-            "v": lifted.v,
-            "inner_span": list(lifted.inner_span),
-            "outer_span": list(lifted.outer_span),
+            "v": lifted.v, "inner_span": lifted.inner_span, "outer_span": lifted.outer_span,
         }
     elif kind in ("amplifier", "pi"):
         (base,) = parts
@@ -301,7 +283,7 @@ def _construct(args, deadline, read) -> Outcome:
     deadline.check()  # before any file is written
     result["n"] = built.n
     if ordering is not None:
-        result["ordering"] = list(ordering)
+        result["ordering"] = ordering
     if args.out:
         save_tournament(built, args.out)
         result["out"] = args.out
@@ -325,13 +307,9 @@ def _gadget(args, deadline, read) -> Outcome:
     else:
         gadget = var_base() if args.name == "var" else clause_base()
         gadget_t = gadget.tournament
-        marked = {name: list(pair) for name, pair in gadget.marked_arcs}
+        marked = dict(gadget.marked_arcs)
         certified = [
-            {
-                "name": cert.name,
-                "ordering": list(cert.ordering),
-                "forward": dict(cert.forward),
-            }
+            {"name": cert.name, "ordering": cert.ordering, "forward": dict(cert.forward)}
             for cert in gadget.certified_orderings
         ]
     rendered = [f"{c['name']}: {_render_ordering(c['ordering'])}" for c in certified]
@@ -360,11 +338,6 @@ def _gadget(args, deadline, read) -> Outcome:
     return Outcome(result, report.nodes)
 
 
-def _load_dimacs(path: str):
-    with open(path, "r", encoding="utf-8") as handle:
-        return parse_dimacs(handle.read())
-
-
 @verb("reduce", "compile a 3-SAT formula to a tournament",
       arg("--cnf", required=True),
       arg("--gadget", required=True, help=".trn file of the companion tournament"),
@@ -373,7 +346,7 @@ def _load_dimacs(path: str):
       arg("--sizing-only", action="store_true"),
       arg("--vertex-budget", type=int, default=DEFAULT_VERTEX_BUDGET))
 def _reduce(args, deadline, read) -> Outcome:
-    formula = read(args.cnf, _load_dimacs)
+    formula = read(args.cnf, parse_dimacs)
     companion = read(args.gadget)
     report = reduction_sizing(formula, companion.n, vertex_budget=args.vertex_budget)
     # each literal flips 4 arcs, and a clause block's three landmark pairs are disjoint
@@ -400,12 +373,12 @@ def _reduce(args, deadline, read) -> Outcome:
       arg("--ordering", default=None))
 def _witness(args, deadline, read) -> Outcome:
     t = read(args.trn)
-    instance = instance_from_dict(read(args.landmarks, read_json), t, deadline=deadline)
+    instance = instance_from_dict(read(args.landmarks, parse_json), t, deadline=deadline)
     if args.direction == "to-ordering":
         if args.assign is None:
             raise ValueError("witness to-ordering needs --assign")
         ordering = ordering_from_assignment(instance, parse_assignment(args.assign))
-        return Outcome({"ordering": list(ordering)})
+        return Outcome({"ordering": ordering})
     if args.ordering is None:
         raise ValueError("witness to-assignment needs --ordering")
     assignment = assignment_from_ordering(instance, _parse_ordering(args.ordering, read))
@@ -451,9 +424,9 @@ def _pass(args, deadline, read) -> Outcome:
             write_json(args.out, instance.to_dict())
             result["out"] = args.out
         return Outcome(result)
-    instance = PassInstance.from_dict(read(args.file, read_json))
+    instance = PassInstance.from_dict(read(args.file, parse_json))
     permutation = solve_pass(instance, deadline=deadline)
-    result = {"found": permutation is not None, "permutation": _ordering_or_none(permutation)}
+    result = {"found": permutation is not None, "permutation": permutation}
     return Outcome(result, negative=permutation is None)
 
 
@@ -486,12 +459,20 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def run(argv: Optional[list[str]] = None) -> int:
     started = time.monotonic()
-    inputs: list[str] = []
+    inputs: list[dict] = []
 
-    def read(path: str, loader: Callable = load_tournament):
-        loaded = loader(path)
-        inputs.append(path)
-        return loaded
+    def read(path: str, parse: Optional[Callable[[str], object]] = None):
+        """The one place an input file becomes a value: it is read once and
+        digested as read, as a pipe cannot be read twice and ``--out`` may
+        overwrite it.  ``parse`` takes the text; a tournament by default."""
+        with open(path, "rb") as handle:
+            data = handle.read()
+        digest = hashlib.sha256(data).hexdigest()
+        text = data.decode("utf-8")
+        del data  # the bytes are not held while the text is parsed
+        value = parse_tournament(text, path) if parse is None else parse(text)
+        inputs.append({"path": path, "sha256": digest})
+        return value
 
     budget: Optional[float] = None
     nodes: Optional[int] = None
@@ -507,8 +488,8 @@ def run(argv: Optional[list[str]] = None) -> int:
         outcome = args.handler(args, Deadline(budget), read)
         result, nodes = outcome.result, outcome.nodes
         exit_code = 1 if outcome.negative else 0
-    except (ValueError, OSError, KeyError, IndexError, TypeError) as exc:
-        result = {"error": str(exc) or f"missing or malformed arguments for {args.verb}"}
+    except (ValueError, OSError) as exc:
+        result = {"error": str(exc)}
         exit_code = 2
     except MaterializationRefused as exc:
         result = {"error": str(exc), "sizing": exc.report.to_dict()}
@@ -521,7 +502,7 @@ def run(argv: Optional[list[str]] = None) -> int:
 
     envelope = {
         "command": " ".join(argv if argv is not None else sys.argv[1:]),
-        "inputs": [{"path": path, "sha256": sha256_file(path)} for path in inputs],
+        "inputs": inputs,
         "result": result,
         "elapsed_ms": round((time.monotonic() - started) * 1000, 3),
         "nodes_explored": nodes,

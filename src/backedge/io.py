@@ -6,6 +6,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+from pathlib import Path
 from typing import Optional, Union
 
 from .core import Tournament
@@ -116,17 +117,20 @@ def tournament_from_json_dict(data: dict) -> Tournament:
     return Tournament(n, tuple(rows))
 
 
-def load_tournament(path: Union[str, os.PathLike]) -> Tournament:
-    """Read a tournament from .trn text or its JSON mirror (sniffed)."""
-    with open(path, "r", encoding="utf-8") as handle:
-        text = handle.read()
-    stripped = text.lstrip()
+def parse_tournament(text: str, where: Union[str, os.PathLike]) -> Tournament:
+    """A tournament from .trn text or its JSON mirror (sniffed); errors name
+    ``where``, the text's source."""
     try:
-        if stripped.startswith("{"):
-            return tournament_from_json_dict(json.loads(text))
+        if text.lstrip().startswith("{"):
+            return tournament_from_json_dict(parse_json(text))
         return tournament_from_text(text)
     except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None
+        raise ValueError(f"{where}: {exc}") from None
+
+
+def load_tournament(path: Union[str, os.PathLike]) -> Tournament:
+    """Read a tournament from .trn text or its JSON mirror (sniffed)."""
+    return parse_tournament(Path(path).read_text(encoding="utf-8"), path)
 
 
 def save_tournament(t: Tournament, path: Union[str, os.PathLike]) -> None:
@@ -139,17 +143,13 @@ def save_tournament(t: Tournament, path: Union[str, os.PathLike]) -> None:
         handle.write(payload)
 
 
-def parse_ordering(spec: str) -> tuple[int, ...]:
-    """An ordering given inline ('4,0,1,3,2'), as a JSON list, or as a path
-    to a file holding either.  Entries are JSON integers (not booleans) or
-    tokens of ASCII digits; ``int()`` alone would also take 1.9 and true."""
-    text = spec
-    if os.path.exists(spec):
-        with open(spec, "r", encoding="utf-8") as handle:
-            text = handle.read()
+def ordering_from_text(text: str) -> tuple[int, ...]:
+    """An ordering written inline ('4,0,1,3,2') or as a JSON list.  Entries
+    are JSON integers (not booleans) or tokens of ASCII digits; ``int()``
+    alone would also take 1.9 and true."""
     text = text.strip()
     if text.startswith("["):
-        values = json.loads(text)
+        values = parse_json(text)
         bad = [v for v in values if type(v) is not int or v < 0]
     else:
         values = text.replace(",", " ").split()
@@ -157,6 +157,13 @@ def parse_ordering(spec: str) -> tuple[int, ...]:
     if bad:
         raise ValueError(f"ordering entries must be non-negative integers, got {bad[0]!r}")
     return tuple(int(v) for v in values)
+
+
+def parse_ordering(spec: str) -> tuple[int, ...]:
+    """An ordering given inline, or as a path to a file holding one."""
+    if os.path.exists(spec):
+        spec = Path(spec).read_text(encoding="utf-8")
+    return ordering_from_text(spec)
 
 
 def parse_assignment(spec: str) -> tuple[bool, ...]:
@@ -170,11 +177,7 @@ def parse_assignment(spec: str) -> tuple[bool, ...]:
 
 
 def sha256_file(path: Union[str, os.PathLike]) -> str:
-    digest = hashlib.sha256()
-    with open(path, "rb") as handle:
-        for chunk in iter(lambda: handle.read(65536), b""):
-            digest.update(chunk)
-    return digest.hexdigest()
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
 def write_json(path: Union[str, os.PathLike], payload: dict) -> None:
@@ -183,6 +186,9 @@ def write_json(path: Union[str, os.PathLike], payload: dict) -> None:
         handle.write(json.dumps(payload) + "\n")
 
 
-def read_json(path: Union[str, os.PathLike]) -> dict:
-    with open(path, "r", encoding="utf-8") as handle:
-        return json.load(handle)
+def parse_json(text: str):
+    """``json.loads``, where nesting too deep to decode is a ValueError too."""
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise ValueError("JSON nested too deeply") from None

@@ -17,6 +17,7 @@ instance has a K4-free ordering.
 
 from __future__ import annotations
 
+import json
 from dataclasses import asdict, dataclass
 from typing import Iterator, Optional, Sequence, Union
 
@@ -88,6 +89,8 @@ def parse_dimacs(text: str) -> CnfFormula:
                 if abs(value) > n_vars:
                     raise ValueError(f"line {lineno}: variable {abs(value)} out of range")
                 pending.append(value)
+    if n_vars is None:
+        raise ValueError("no problem line 'p cnf <variables> <clauses>'")
     if pending:
         raise ValueError("unterminated clause at end of input")
     if n_clauses is not None and len(clauses) != n_clauses:
@@ -199,7 +202,11 @@ def instance_from_dict(
         raise ValueError("landmarks do not describe this tournament")
     companion = induced(tournament, range(lo, hi))
     instance = build(formula, companion, vertex_budget=n, deadline=deadline)
-    if instance.tournament != tournament or instance.to_dict() != data:
+    expected = instance.to_dict()
+    # 1 == 1.0 == True, so the JSON texts are compared too; equal values
+    # first, which bound the depth json.dumps recurses to
+    if (instance.tournament != tournament or expected != data
+            or json.dumps(expected, sort_keys=True) != json.dumps(data, sort_keys=True)):
         raise ValueError("landmarks do not describe this tournament")
     return instance
 

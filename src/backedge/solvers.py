@@ -101,7 +101,7 @@ def iter_orderings_with_clique_at_most(
     """All orderings whose backedge graph has clique number <= k, lexicographically.
 
     `before=(a, b)` restricts the stream to orderings placing a before b.
-    `stats.nodes` counts the prefixes that survive the forward check.
+    `stats.nodes` counts the prefixes that survive the forward check, updated before each yield.
     """
     if k < 1:
         raise ValueError("clique bound must be positive")
@@ -125,59 +125,60 @@ def iter_orderings_with_clique_at_most(
     placed = 0
     # avails[i]: the candidates still untried at position i of the prefix
     avails = [(full if first_vertex is None else 1 << first_vertex) & ~block]
-    node_count = 0
-    try:
-        while avails:
-            avail = avails[-1]
-            if not avail:
-                avails.pop()
-                if seq:
-                    v = seq.pop()
-                    low = 1 << v
-                    placed ^= low
-                    m = badj[v]
-                    badj[v] = 0
-                    while m:
-                        lb = m & -m
-                        badj[lb.bit_length() - 1] ^= low
-                        m ^= lb
+    if stats is None:
+        stats = SearchStats()
+    node_count = flushed = 0  # the deadline poll reads the running total
+    while avails:
+        avail = avails[-1]
+        if not avail:
+            avails.pop()
+            if seq:
+                v = seq.pop()
+                low = 1 << v
+                placed ^= low
+                m = badj[v]
+                badj[v] = 0
+                while m:
+                    lb = m & -m
+                    badj[lb.bit_length() - 1] ^= low
+                    m ^= lb
+            continue
+        low = avail & -avail
+        avails[-1] = avail ^ low
+        v = low.bit_length() - 1
+        nb = rows[v] & placed
+        # forward check: an unplaced c with c -> v that beats a
+        # (k-1)-clique of nb closes a (k+1)-clique once it is placed
+        threats = cols[v] & ~placed
+        if k == 1:
+            if threats:
                 continue
-            low = avail & -avail
-            avails[-1] = avail ^ low
-            v = low.bit_length() - 1
-            nb = rows[v] & placed
-            # forward check: an unplaced c with c -> v that beats a
-            # (k-1)-clique of nb closes a (k+1)-clique once it is placed
-            threats = cols[v] & ~placed
-            if k == 1:
-                if threats:
-                    continue
-            elif nb:
-                while threats:
-                    lb = threats & -threats
-                    hit = rows[lb.bit_length() - 1] & nb
-                    if hit and (k == 2 or has_clique_in_mask(badj, hit, k - 1)):
-                        break
-                    threats ^= lb
-                if threats:
-                    continue
-            node_count += 1
-            if node_count & 0xFFF == 0:
-                deadline.check()
-            badj[v] = nb
-            m = nb
-            while m:
-                lb = m & -m
-                badj[lb.bit_length() - 1] |= low
-                m ^= lb
-            placed |= low
-            seq.append(v)
-            if placed == full:
-                yield tuple(seq)
-            avails.append(full & ~placed & ~(block if gate & ~placed else 0))
-    finally:
-        if stats is not None:
-            stats.nodes += node_count
+        elif nb:
+            while threats:
+                lb = threats & -threats
+                hit = rows[lb.bit_length() - 1] & nb
+                if hit and (k == 2 or has_clique_in_mask(badj, hit, k - 1)):
+                    break
+                threats ^= lb
+            if threats:
+                continue
+        node_count += 1
+        if node_count & 0xFFF == 0:
+            deadline.check()
+        badj[v] = nb
+        m = nb
+        while m:
+            lb = m & -m
+            badj[lb.bit_length() - 1] |= low
+            m ^= lb
+        placed |= low
+        seq.append(v)
+        if placed == full:
+            stats.nodes += node_count - flushed
+            flushed = node_count
+            yield tuple(seq)
+        avails.append(full & ~placed & ~(block if gate & ~placed else 0))
+    stats.nodes += node_count - flushed
 
 
 def omega_decide(

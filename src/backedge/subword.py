@@ -7,6 +7,7 @@ instances decides whether the ordering clique number is at most 2.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -65,15 +66,14 @@ def is_subsequence(word: Sequence[int], sequence: Sequence[int]) -> bool:
 def is_tournament_closed(instance: PassInstance) -> bool:
     """Closure predicate: whenever words abc and dbe share their middle
     symbol, the crossed words abe and dbc must also be forbidden.  Reported,
-    never enforced."""
-    triples = {w for w in instance.forbidden if len(w) == 3}
-    for a, b, c in triples:
-        for d, b2, e in triples:
-            if b2 != b:
-                continue
-            if (a, b, e) not in triples or (d, b, c) not in triples:
-                return False
-    return True
+    never enforced.  That holds exactly when, for each middle symbol, the
+    (first, last) pairs of its words are every first with every last."""
+    firsts, lasts, pairs = defaultdict(set), defaultdict(set), defaultdict(set)
+    for a, b, c in (w for w in instance.forbidden if len(w) == 3):
+        firsts[b].add(a)
+        lasts[b].add(c)
+        pairs[b].add((a, c))
+    return all(len(pairs[b]) == len(firsts[b]) * len(lasts[b]) for b in pairs)
 
 
 def solve_pass(

@@ -1,12 +1,17 @@
+import contextlib
+import io
 import itertools
 import json
 import math
+import os
 import random
 import time
 from importlib import resources
 
 import jsonschema
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from backedge import cli
 from backedge.cli import run
@@ -776,3 +781,175 @@ def test_cli_pass_rejects_negative_alphabet(capsys, tmp_path):
     bad.write_text(json.dumps({"alphabet": -2, "forbidden": []}))
     code, envelope = _run(capsys, "pass", "solve", str(bad))
     assert code == 2 and "negative" in envelope["result"]["error"]
+
+
+def test_cli_digests_a_piped_input_as_read(capsys, tmp_path, r5_file):
+    read_end, write_end = os.pipe()
+    try:
+        with open(r5_file, "rb") as handle:
+            os.write(write_end, handle.read())
+        os.close(write_end)
+        code, envelope = _run(capsys, "omega", f"/dev/fd/{read_end}")
+    finally:
+        os.close(read_end)
+    assert code == 0 and envelope["result"]["value"] == 2
+    assert envelope["inputs"][0]["sha256"] == sha256_file(r5_file)
+
+
+def test_cli_digests_an_input_that_out_overwrites(capsys, tmp_path, r5_file):
+    before = sha256_file(r5_file)
+    code, envelope = _run(capsys, "construct", "arrow", r5_file, "2", "--out", r5_file)
+    assert code == 0 and load_tournament(r5_file).n == 7
+    assert envelope["inputs"] == [{"path": r5_file, "sha256": before}]
+
+
+DEEP_LIST = "[" * 200_000 + "]" * 200_000
+
+
+@pytest.mark.parametrize("role", ["tournament", "ordering", "pass", "landmarks"])
+def test_cli_rejects_deeply_nested_json(capsys, tmp_path, r5_file, role):
+    deep = tmp_path / "deep.json"
+    deep.write_text('{"n": 1, "rows": %s}' % DEEP_LIST if role == "tournament" else DEEP_LIST)
+    argv = {
+        "tournament": ("omega", str(deep)),
+        "ordering": ("verify-ordering", "--trn", r5_file, "--ordering", str(deep)),
+        "pass": ("pass", "solve", str(deep)),
+        "landmarks": ("witness", "to-ordering", "--trn", r5_file, "--landmarks", str(deep),
+                      "--assign", "1"),
+    }[role]
+    code, envelope = _run(capsys, *argv)
+    assert code == 2 and envelope["result"]["error"].endswith("JSON nested too deeply")
+
+
+@pytest.mark.parametrize("text", ["", "c a comment\nc and another\n"])
+def test_cli_reduce_names_a_missing_problem_line(capsys, tmp_path, r5_file, text):
+    cnf = tmp_path / "phi.cnf"
+    cnf.write_text(text)
+    code, envelope = _run(capsys, "reduce", "--cnf", str(cnf), "--gadget", r5_file)
+    assert code == 2
+    assert envelope["result"]["error"] == "no problem line 'p cnf <variables> <clauses>'"
+
+
+def _reduced(tmp_path, surrogate, capsys):
+    """The README formula over W7, reduced to inst.trn and inst.json."""
+    gadget_file, cnf = tmp_path / "w7.trn", tmp_path / "phi.cnf"
+    save_tournament(surrogate, gadget_file)
+    cnf.write_text("p cnf 3 2\n1 2 3 0\n-1 -2 3 0\n")
+    inst_trn, inst_json = tmp_path / "inst.trn", tmp_path / "inst.json"
+    code, _ = _run(capsys, "reduce", "--cnf", str(cnf), "--gadget", str(gadget_file),
+                   "--out", str(inst_trn), "--landmarks", str(inst_json))
+    assert code == 0
+    return inst_trn, inst_json
+
+
+@pytest.mark.parametrize("part, value", [
+    ("polarity", 1), ("polarity", 1.0), ("span", [0.0, 17.0]),
+])
+def test_cli_witness_rejects_landmark_leaves_of_another_json_type(
+    capsys, tmp_path, surrogate, part, value
+):
+    inst_trn, inst_json = _reduced(tmp_path, surrogate, capsys)
+    landmarks = json.loads(inst_json.read_text())
+    if part == "polarity":
+        landmarks["formula"]["clauses"][0][0][1] = value
+    else:
+        landmarks["var_blocks"][0]["span"] = value
+    inst_json.write_text(json.dumps(landmarks))
+    code, envelope = _run(capsys, "witness", "to-ordering", "--trn", str(inst_trn),
+                          "--landmarks", str(inst_json), "--assign", "1,0,1")
+    assert code == 2
+    assert envelope["result"]["error"] == "landmarks do not describe this tournament"
+
+
+def test_cli_pass_from_tournament_answers_tt40_within_budget(capsys, tmp_path):
+    trn = tmp_path / "tt40.trn"
+    save_tournament(tt(40), trn)
+    code, envelope = _run(capsys, "--budget", "0.5", "pass", "from-tournament", str(trn))
+    assert code == 0 and envelope["result"]["tournament_closed"] is True
+    assert envelope["elapsed_ms"] < 500
+
+
+_JSON_KEYS = ["n", "rows", "alphabet", "forbidden", "formula", "variables", "clauses",
+              "separator", "span", "var_blocks", "clause_blocks"]
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 20) | st.floats() | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.sampled_from(_JSON_KEYS) | st.text(max_size=2), inner, max_size=4),
+    max_leaves=12,
+)
+_TRN_TEXT = st.builds(
+    lambda header, rows, newline: newline.join([header, *rows]),
+    st.sampled_from(["tournament 3", "tournament 2", "tournament 0", "tournament x",
+                     "tournament", "tournament 3 3", "digraph 3", ""]),
+    st.lists(st.text(alphabet="01x \t", max_size=4), max_size=4),
+    st.sampled_from(["\n", "\r\n", "\r"]),
+)
+_DIMACS_TEXT = st.lists(
+    st.sampled_from(["p cnf 3 1", "p cnf 4 2", "p cnf 0 0", "p cnf 3", "p dimacs 3 1",
+                     "c note", "%", "", "1 2 3 0", "-1 2 -4 0", "1 1 2 0", "1 2 0",
+                     "1 2", "3 0", "0", "7 8 9 0", "-0", "x", "1 -2 3 0 2 3 4 0"]),
+    max_size=5,
+).map("\n".join)
+
+
+def _mutated(draw, value):
+    """``value`` with one part, found by a random walk, replaced or removed."""
+    if not isinstance(value, (dict, list)) or not value or draw(st.booleans()):
+        return draw(_JSON_VALUES)
+    keys = list(value) if isinstance(value, dict) else list(range(len(value)))
+    key = draw(st.sampled_from(keys))
+    copy = dict(value) if isinstance(value, dict) else list(value)
+    if draw(st.integers(0, 4)) == 0:
+        del copy[key]
+    else:
+        copy[key] = _mutated(draw, copy[key])
+    return copy
+
+
+@pytest.fixture(scope="module")
+def fuzz_files(tmp_path_factory, surrogate):
+    folder = tmp_path_factory.mktemp("fuzz")
+    w7, cnf = folder / "w7.trn", folder / "phi.cnf"
+    save_tournament(surrogate, w7)
+    cnf.write_text("p cnf 3 2\n1 2 3 0\n-1 -2 3 0\n")
+    inst_trn, inst_json = folder / "inst.trn", folder / "inst.json"
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert run(["reduce", "--cnf", str(cnf), "--gadget", str(w7),
+                    "--out", str(inst_trn), "--landmarks", str(inst_json)]) == 0
+    r5_trn = folder / "r5.trn"
+    save_tournament(r5(), r5_trn)
+    return folder, str(w7), str(inst_trn), json.loads(inst_json.read_text()), str(r5_trn)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_cli_answers_every_malformed_input_with_an_envelope(fuzz_files, data):
+    folder, w7, inst_trn, landmarks, r5_trn = fuzz_files
+    path = str(folder / "input")
+    kind = data.draw(st.sampled_from(["json", "landmarks", "trn", "dimacs"]))
+    if kind == "json":
+        text = json.dumps(data.draw(_JSON_VALUES))
+        runs = [("omega", path), ("verify-ordering", "--trn", r5_trn, "--ordering", path),
+                ("pass", "solve", path),
+                ("witness", "to-ordering", "--trn", inst_trn, "--landmarks", path,
+                 "--assign", "1,0,1")]
+    elif kind == "landmarks":
+        text = json.dumps(_mutated(data.draw, landmarks))
+        runs = [("witness", "to-ordering", "--trn", inst_trn, "--landmarks", path,
+                 "--assign", "1,0,1"),
+                ("witness", "to-assignment", "--trn", inst_trn, "--landmarks", path,
+                 "--ordering", ",".join(map(str, range(90))))]
+    elif kind == "trn":
+        text = data.draw(_TRN_TEXT)
+        runs = [("omega", path), ("verify-ordering", "--trn", path, "--ordering", "0,1,2")]
+    else:
+        text = data.draw(_DIMACS_TEXT)
+        runs = [("reduce", "--cnf", path, "--gadget", w7)]
+    with open(path, "w", encoding="utf-8", newline="") as handle:
+        handle.write(text)
+    for argv in runs:
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = run(list(argv))
+        assert code in (0, 1, 2, 3), argv
+        jsonschema.validate(json.loads(out.getvalue()), ENVELOPE_SCHEMA)

@@ -9,6 +9,7 @@ import pytest
 
 from backedge.constructions import tt
 from backedge.core import Digraph, Tournament, has_clique_in_mask, reverse
+from backedge.gadgets import r5
 from backedge.solvers import SearchStats, iter_orderings_with_clique_at_most, omega
 
 from labeled import labeled_count, labeled_tournament
@@ -187,3 +188,13 @@ def test_long_transitive_inputs_need_no_recursion():
     assert res.value == 1 and res.witness == tuple(range(1500))
     res = omega(reverse(tt(1500)))
     assert res.value == 1 and res.witness == tuple(reversed(range(1500)))
+
+
+def test_stats_are_current_while_the_stream_is_held_open():
+    stats = SearchStats()
+    stream = iter_orderings_with_clique_at_most(r5(), 2, stats=stats)
+    next(stream)
+    assert stats.nodes == 5
+    for _ in stream:
+        pass
+    assert stats.nodes == 140

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -86,6 +88,34 @@ def test_closure_predicate():
     assert is_tournament_closed(closed)
     open_instance = PassInstance(5, ((0, 1, 2), (3, 1, 4)))
     assert not is_tournament_closed(open_instance)
+
+
+def closed_by_pairs(instance):
+    """Reference closure predicate: every two words sharing a middle symbol
+    have both crossed words forbidden too."""
+    triples = {w for w in instance.forbidden if len(w) == 3}
+    for a, b, c in triples:
+        for d, b2, e in triples:
+            if b2 == b and ((a, b, e) not in triples or (d, b, c) not in triples):
+                return False
+    return True
+
+
+def test_closure_predicate_matches_the_pairwise_reference():
+    rng = random.Random(7)
+    closed_seen = 0
+    for _ in range(3000):
+        n = rng.randint(1, 6)
+        words = {tuple(rng.randrange(n) for _ in range(3)) for _ in range(rng.randint(0, 12))}
+        if rng.random() < 0.3:  # close under crossing, so both answers occur often
+            middles = {b for _, b, _ in words}
+            words = {(a, b, e) for b in middles for a, m, _ in words if m == b
+                     for _, m2, e in words if m2 == b}
+        instance = PassInstance(n, tuple(sorted(words)))
+        expected = closed_by_pairs(instance)
+        closed_seen += expected
+        assert is_tournament_closed(instance) == expected, words
+    assert 300 < closed_seen < 2700
 
 
 def test_serialization_roundtrip():
