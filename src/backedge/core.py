@@ -184,11 +184,18 @@ class UndirectedGraph:
         return sum(row.bit_count() for row in self.adj) // 2
 
 
+def _quote(value: object) -> str:
+    """``repr(value)`` for an error message, cut after 40 characters with its
+    full length stated, so that the message stays short whatever the input."""
+    text = repr(value)
+    return text if len(text) <= 40 else f"{text[:40]}... ({len(text):,} characters)"
+
+
 def check_ordering(ordering: Sequence[int], n: int) -> tuple[int, ...]:
     """Validate that ``ordering`` is a permutation of 0..n-1 and return it as a tuple."""
     ordering = tuple(ordering)
     if len(ordering) != n or set(ordering) != set(range(n)):
-        raise ValueError(f"ordering {ordering!r} is not a permutation of 0..{n - 1}")
+        raise ValueError(f"ordering {_quote(ordering)} is not a permutation of 0..{n - 1}")
     return ordering
 
 

@@ -9,7 +9,7 @@ import os
 from pathlib import Path
 from typing import Optional, Union
 
-from .core import Tournament
+from .core import Tournament, _quote
 
 
 def _format_row(row: int, n: int) -> str:
@@ -44,9 +44,9 @@ def tournament_from_text(text: str) -> Tournament:
         raise ValueError("line 1: empty input")
     header = lines[0].split()
     if len(header) != 2 or header[0] != "tournament":
-        raise ValueError(f"line 1: expected 'tournament <n>', got {lines[0]!r}")
+        raise ValueError(f"line 1: expected 'tournament <n>', got {_quote(lines[0])}")
     if not _digits(header[1]):
-        raise ValueError(f"line 1: bad vertex count {header[1]!r}")
+        raise ValueError(f"line 1: bad vertex count {_quote(header[1])}")
     n = int(header[1])
     if len(lines) - 1 != n:
         raise ValueError(f"expected {n} matrix rows, found {len(lines) - 1}")
@@ -77,7 +77,7 @@ def _check_json(value: object, shape: object, where: str) -> None:
     is not a boolean, and None takes anything."""
     if shape is int:
         if type(value) is not int:
-            raise ValueError(f"{where} must be an integer, got {value!r}")
+            raise ValueError(f"{where} must be an integer, got {_quote(value)}")
         return
     if isinstance(shape, (dict, list)) and not isinstance(value, type(shape)):
         kind = "an object" if isinstance(shape, dict) else "a list"
@@ -112,7 +112,7 @@ def tournament_from_json_dict(data: dict) -> Tournament:
                 if str(cell) == "1":
                     bits |= 1 << j
                 elif str(cell) != "0":
-                    raise ValueError(f"row {i}, column {j + 1}: cell must be 0 or 1, got {cell!r}")
+                    raise ValueError(f"row {i}, column {j + 1}: cell must be 0 or 1, got {_quote(cell)}")
         rows.append(bits)
     return Tournament(n, tuple(rows))
 
@@ -155,7 +155,7 @@ def ordering_from_text(text: str) -> tuple[int, ...]:
         values = text.replace(",", " ").split()
         bad = [v for v in values if not _digits(v)]
     if bad:
-        raise ValueError(f"ordering entries must be non-negative integers, got {bad[0]!r}")
+        raise ValueError(f"ordering entries must be non-negative integers, got {_quote(bad[0])}")
     return tuple(int(v) for v in values)
 
 
@@ -171,7 +171,7 @@ def parse_assignment(spec: str) -> tuple[bool, ...]:
     values = []
     for tok in spec.replace(",", " ").split():
         if tok not in ("0", "1"):
-            raise ValueError(f"assignment entries must be 0 or 1, got {tok!r}")
+            raise ValueError(f"assignment entries must be 0 or 1, got {_quote(tok)}")
         values.append(tok == "1")
     return tuple(values)
 

@@ -24,7 +24,7 @@ from typing import Iterator, Optional, Sequence, Union
 from .constructions import DEFAULT_VERTEX_BUDGET, MaterializationRefused, SizingReport, chain
 from .core import Deadline, Tournament, backedge_graph, check_ordering, clique_number, induced
 from .gadgets import _assemble, check_companion, clause_base, var_base
-from .io import _check_json, _digits
+from .io import _check_json, _digits, _quote
 
 Literal = tuple[int, bool]  # (0-based variable index, polarity)
 
@@ -69,14 +69,14 @@ def parse_dimacs(text: str) -> CnfFormula:
         if line.startswith("p"):
             parts = line.split()
             if len(parts) != 4 or parts[1] != "cnf" or not all(map(_digits, parts[2:])):
-                raise ValueError(f"line {lineno}: malformed problem line {line!r}")
+                raise ValueError(f"line {lineno}: malformed problem line {_quote(line)}")
             n_vars, n_clauses = int(parts[2]), int(parts[3])
             continue
         if n_vars is None:
             raise ValueError(f"line {lineno}: clause before problem line")
         for token in line.split():
             if not _digits(token.removeprefix("-")):
-                raise ValueError(f"line {lineno}: malformed literal {token!r}")
+                raise ValueError(f"line {lineno}: malformed literal {_quote(token)}")
             value = int(token)
             if value == 0:
                 if len(pending) != 3:

@@ -11,7 +11,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .core import Deadline, Tournament, _bits
+from .core import Deadline, Tournament, _bits, _quote
 from .io import _check_json
 
 
@@ -42,7 +42,7 @@ class PassInstance:
         alphabet, forbidden = data["alphabet"], [tuple(w) for w in data["forbidden"]]
         for value in (alphabet, *(s for w in forbidden for s in w)):
             if type(value) is not int:
-                raise ValueError(f"alphabet and symbols must be integers, got {value!r}")
+                raise ValueError(f"alphabet and symbols must be integers, got {_quote(value)}")
         return cls(alphabet, tuple(sorted(forbidden)))
 
 

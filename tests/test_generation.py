@@ -1,21 +1,23 @@
 import hashlib
 import inspect
 import json
+import random
 
 import pytest
 
 from backedge.core import Tournament, _transpose, contains_subtournament
-from backedge.generation import canonical_tournaments, is_canonical
+from backedge.generation import _pattern_masks, canonical_tournaments, is_canonical
 
 from labeled import labeled_count, labeled_tournament
 
 # numbers of tournaments up to isomorphism, n = 1..8 (OEIS A000568)
 KNOWN_CLASS_COUNTS = [1, 1, 2, 4, 12, 56, 456, 6880]
 
-# sha256 of json.dumps([t.rows for t in canonical_tournaments(7)]): the
-# representatives and their order are outputs (the companion W7 is the first
-# value-3 tournament among them)
+# sha256 of json.dumps([t.rows for t in canonical_tournaments(n)]) for n = 7
+# and 8: the representatives and their order are outputs (the companion W7 is
+# the first value-3 tournament among the 7-vertex ones)
 CLASSES_7_DIGEST = "150b0b4d16b25951095d870554fffaa1b583bde7eb64a806c68241b5286cd8e1"
+CLASSES_8_DIGEST = "1ddd606a558db4ed05554c6ce7a89f4a856df9fc23b5dcb5223362c2d39f4766"
 
 
 # The recursive relabeling search that the mask-parallel one replaced, kept
@@ -90,9 +92,7 @@ def check_against_oracle(n):
     return checked
 
 
-@pytest.mark.parametrize(
-    "n", [*range(1, 8), pytest.param(8, marks=pytest.mark.slow)]
-)
+@pytest.mark.parametrize("n", range(1, 9))
 def test_canonical_counts(n):
     assert len(canonical_tournaments(n)) == KNOWN_CLASS_COUNTS[n - 1]
 
@@ -108,8 +108,28 @@ def test_is_canonical_matches_oracle_on_every_8_vertex_candidate():
 
 
 def test_canonical_order_is_pinned():
-    rows = [t.rows for t in canonical_tournaments(7)]
-    assert hashlib.sha256(json.dumps(rows).encode()).hexdigest() == CLASSES_7_DIGEST
+    for n, digest in ((7, CLASSES_7_DIGEST), (8, CLASSES_8_DIGEST)):
+        rows = [t.rows for t in canonical_tournaments(n)]
+        assert hashlib.sha256(json.dumps(rows).encode()).hexdigest() == digest, n
+
+
+def test_is_canonical_searches_from_the_empty_prefix():
+    # generation resumes the relabeling search below a tied prefix;
+    # is_canonical must still search every relabeling of any labeled input
+    rng = random.Random(9)
+    for _ in range(300):
+        t = labeled_tournament(9, rng.getrandbits(36))
+        assert is_canonical(t) == oracle_is_canonical(t), t.rows
+    assert all(is_canonical(t) for t in canonical_tournaments(8))
+
+
+@pytest.mark.parametrize("m", range(1, 9))
+def test_pattern_masks_hold_bit_v_of_every_pattern(m):
+    # bit x of X[v] is bit v of pattern x, and no other bit is set
+    masks = _pattern_masks(m)
+    assert len(masks) == m
+    for v, mask in enumerate(masks):
+        assert mask == sum(1 << x for x in range(1 << m) if x >> v & 1)
 
 
 def test_canonical_cache_is_keyed_by_n_alone():

@@ -821,6 +821,36 @@ def test_cli_rejects_deeply_nested_json(capsys, tmp_path, r5_file, role):
     assert code == 2 and envelope["result"]["error"].endswith("JSON nested too deeply")
 
 
+LONG_TOKEN = "7" * 50 + "x" * 100_000
+LONG_INPUTS = {
+    # no '{', so read as .trn: a 400,000-character line 1
+    "deep.json": (DEEP_LIST, "omega"),
+    "count.trn": (f"tournament {LONG_TOKEN}\n", "omega"),
+    "literal.cnf": (f"p cnf 3 1\n1 2 {LONG_TOKEN} 0\n", "reduce"),
+    "problem.cnf": (f"p cnf 3 {LONG_TOKEN}\n", "reduce"),
+    "ordering.json": (json.dumps(list(range(100_000))), "verify-ordering"),
+    "pass.json": (json.dumps({"alphabet": LONG_TOKEN, "forbidden": []}), "pass"),
+    "cell.json": (json.dumps({"n": 2, "rows": [[0, LONG_TOKEN], "00"]}), "omega"),
+}
+
+
+@pytest.mark.parametrize("name", LONG_INPUTS)
+def test_cli_errors_quote_a_bounded_part_of_the_input(capsys, tmp_path, r5_file, name):
+    text, verb = LONG_INPUTS[name]
+    path = tmp_path / name
+    path.write_text(text)
+    argv = {
+        "omega": ("omega", str(path)),
+        "reduce": ("reduce", "--cnf", str(path), "--gadget", r5_file),
+        "verify-ordering": ("verify-ordering", "--trn", r5_file, "--ordering", str(path)),
+        "pass": ("pass", "solve", str(path)),
+    }[verb]
+    code = run(list(argv))
+    out = capsys.readouterr().out
+    assert code == 2 and len(out) < 2048, out[:200]
+    assert "characters)" in json.loads(out)["result"]["error"]
+
+
 @pytest.mark.parametrize("text", ["", "c a comment\nc and another\n"])
 def test_cli_reduce_names_a_missing_problem_line(capsys, tmp_path, r5_file, text):
     cnf = tmp_path / "phi.cnf"
