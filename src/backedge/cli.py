@@ -39,8 +39,11 @@ from .constructions import (
     pi_sizing,
     tt,
 )
-from .core import BudgetExhausted, Deadline, Tournament, contains_subtournament, induced
+from .core import (
+    BudgetExhausted, Deadline, Tournament, _quote, contains_subtournament, induced,
+)
 from .gadgets import (
+    MarkedGadget,
     clause_base,
     r5,
     var_base,
@@ -48,6 +51,7 @@ from .gadgets import (
     verify_var_base,
 )
 from .io import (
+    _digits,
     ordering_from_text,
     parse_assignment,
     parse_json,
@@ -227,15 +231,18 @@ def _construct(args, deadline, read) -> Outcome:
         raise ValueError(f"--audit-subsets must be at least 1, got {args.audit_subsets}")
     budget = DEFAULT_VERTEX_BUDGET if args.vertex_budget is None else args.vertex_budget
     # tt and dk take a size; elsewhere a number names a transitive tournament
-    parts = [] if kind in ("tt", "dk") else [
-        tt(int(s)) if s.isdigit() else read(s) for s in specs
-    ]
+    if kind in ("tt", "dk"):
+        if not _digits(specs[0]):
+            raise ValueError(f"construct {kind} takes a size, got {_quote(specs[0])}")
+        parts = [int(specs[0])]
+    else:
+        parts = [tt(int(s)) if _digits(s) else read(s) for s in specs]
     result: dict = {"kind": kind}
     ordering = None
     layout = None
 
     if kind == "tt":
-        built = tt(int(specs[0]))
+        built = tt(*parts)
     elif kind == "c3":
         built = c3()
     elif kind == "arrow":
@@ -274,7 +281,7 @@ def _construct(args, deadline, read) -> Outcome:
                 "seed": args.seed,
             }
     else:  # dk
-        out = d_family(int(specs[0]), vertex_budget=budget)
+        out = d_family(*parts, vertex_budget=budget)
         if not isinstance(out, Tournament):
             result["sizing"] = out.to_dict()
             return Outcome(result)
@@ -300,23 +307,20 @@ def _construct(args, deadline, read) -> Outcome:
       arg("name", choices=["var", "clause", "r5"]),
       RENDER)
 def _gadget(args, deadline, read) -> Outcome:
-    if args.name == "r5":
-        gadget_t = r5()
-        marked = {}
-        certified = []
-    else:
-        gadget = var_base() if args.name == "var" else clause_base()
-        gadget_t = gadget.tournament
-        marked = dict(gadget.marked_arcs)
-        certified = [
-            {"name": cert.name, "ordering": cert.ordering, "forward": dict(cert.forward)}
-            for cert in gadget.certified_orderings
-        ]
+    # r5 is shown as a gadget without marked arcs or certified orderings
+    gadget = MarkedGadget(r5()) if args.name == "r5" else (
+        var_base() if args.name == "var" else clause_base())
+    marked = dict(gadget.marked_arcs)
+    certified = [
+        {"name": cert.name, "ordering": cert.ordering,
+         "forward": dict(zip(marked, gadget.forward(cert.ordering)))}
+        for cert in gadget.certified_orderings
+    ]
     rendered = [f"{c['name']}: {_render_ordering(c['ordering'])}" for c in certified]
     if args.action == "show":
         result = {
             "name": args.name,
-            "tournament": tournament_to_json_dict(gadget_t),
+            "tournament": tournament_to_json_dict(gadget.tournament),
             "marked_arcs": marked,
             "certified_orderings": certified,
         }

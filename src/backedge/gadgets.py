@@ -6,7 +6,10 @@ gadget carries three disjoint arcs of which at least one is always
 backward, while any two can simultaneously be forward.  The 5-vertex
 circulant is the counterexample tournament of the rule-check module.
 
-All matrices are embedded as constants; vertex ids are 0-based.
+A marked arc's direction is read from its ends' positions in an ordering.
+The verifier checks the coupling on every minimum ordering, the value 2,
+and that the certified orderings, which witness the patterns each gadget
+must realize, are minimum.  Matrices are constants; vertex ids are 0-based.
 """
 
 from __future__ import annotations
@@ -69,17 +72,13 @@ class GadgetPropertyError(AssertionError):
 class CertifiedOrdering:
     name: str
     ordering: tuple[int, ...]
-    forward: tuple[tuple[str, bool], ...]  # marked-arc name -> is it forward
-
-    def is_forward(self, arc_name: str) -> bool:
-        return dict(self.forward)[arc_name]
 
 
 @dataclass(frozen=True)
 class MarkedGadget:
     tournament: Tournament
-    marked_arcs: tuple[tuple[str, tuple[int, int]], ...]
-    certified_orderings: tuple[CertifiedOrdering, ...]
+    marked_arcs: tuple[tuple[str, tuple[int, int]], ...] = ()
+    certified_orderings: tuple[CertifiedOrdering, ...] = ()
 
     def __post_init__(self) -> None:
         for name, (a, b) in self.marked_arcs:
@@ -87,13 +86,14 @@ class MarkedGadget:
                 raise ValueError(f"marked arc {name}={a}->{b} is absent")
         for cert in self.certified_orderings:
             check_ordering(cert.ordering, self.tournament.n)
-            pos = {v: i for i, v in enumerate(cert.ordering)}
-            for name, (a, b) in self.marked_arcs:
-                if cert.is_forward(name) != (pos[a] < pos[b]):
-                    raise ValueError(
-                        f"ordering {cert.name!r} does not realize the recorded "
-                        f"direction of {name}"
-                    )
+
+    def forward(self, ordering: tuple[int, ...]) -> tuple[bool, ...]:
+        """Whether each marked arc points forward in ``ordering``, in
+        marked-arc order."""
+        pos = [0] * self.tournament.n
+        for i, v in enumerate(ordering):
+            pos[v] = i
+        return tuple(pos[a] < pos[b] for _, (a, b) in self.marked_arcs)
 
     def arc(self, name: str) -> tuple[int, int]:
         return dict(self.marked_arcs)[name]
@@ -132,16 +132,8 @@ def var_base() -> MarkedGadget:
         t,
         (("uv", (6, 8)), ("wx", (7, 2))),
         (
-            CertifiedOrdering(
-                "uv-forward",
-                (0, 1, 2, 3, 4, 5, 6, 7, 8),
-                (("uv", True), ("wx", False)),
-            ),
-            CertifiedOrdering(
-                "wx-forward",
-                (5, 7, 1, 8, 0, 2, 3, 4, 6),
-                (("uv", False), ("wx", True)),
-            ),
+            CertifiedOrdering("uv-forward", (0, 1, 2, 3, 4, 5, 6, 7, 8)),
+            CertifiedOrdering("wx-forward", (5, 7, 1, 8, 0, 2, 3, 4, 6)),
         ),
     )
 
@@ -155,21 +147,9 @@ def clause_base() -> MarkedGadget:
         t,
         (("uv", (4, 5)), ("wx", (1, 3)), ("yz", (7, 2))),
         (
-            CertifiedOrdering(
-                "yz-backward",
-                (0, 1, 2, 3, 4, 5, 6, 7),
-                (("uv", True), ("wx", True), ("yz", False)),
-            ),
-            CertifiedOrdering(
-                "wx-backward",
-                (3, 6, 4, 7, 0, 1, 5, 2),
-                (("uv", True), ("wx", False), ("yz", True)),
-            ),
-            CertifiedOrdering(
-                "uv-backward",
-                (0, 1, 3, 5, 6, 4, 7, 2),
-                (("uv", False), ("wx", True), ("yz", True)),
-            ),
+            CertifiedOrdering("yz-backward", (0, 1, 2, 3, 4, 5, 6, 7)),
+            CertifiedOrdering("wx-backward", (3, 6, 4, 7, 0, 1, 5, 2)),
+            CertifiedOrdering("uv-backward", (0, 1, 3, 5, 6, 4, 7, 2)),
         ),
     )
 
@@ -186,28 +166,34 @@ def _scan_gadget(
     failure_message: str,
     deadline: Deadline,
 ) -> GadgetVerification:
-    """Stream every minimum ordering of the gadget, applying `check` to the
-    tuple of forward-flags of the marked arcs."""
+    """Stream every minimum ordering of the gadget, applying `check` to its
+    forward-flags.  The minimum value must be 2, and every certified
+    ordering must be among the minimum orderings."""
     t = gadget.tournament
     start = time.monotonic()
-    value = omega(t, deadline=deadline).value
+    result = omega(t, deadline=deadline)
+    if result.value != 2:
+        raise GadgetPropertyError(
+            f"ordering clique number is {result.value}, not 2", result.witness
+        )
     stats = SearchStats()
     count = 0
     patterns = set()
-    arcs = [pair for _, pair in gadget.marked_arcs]
+    uncertified = {cert.ordering: cert.name for cert in gadget.certified_orderings}
     for ordering in iter_orderings_with_clique_at_most(
-        t, value, deadline=deadline, stats=stats
+        t, result.value, deadline=deadline, stats=stats
     ):
-        pos = [0] * t.n
-        for i, v in enumerate(ordering):
-            pos[v] = i
-        flags = tuple(pos[a] < pos[b] for a, b in arcs)
+        flags = gadget.forward(ordering)
         if not check(flags):
             raise GadgetPropertyError(failure_message, ordering)
         patterns.add(flags)
+        uncertified.pop(ordering, None)
         count += 1
+    if uncertified:
+        ordering, name = next(iter(uncertified.items()))
+        raise GadgetPropertyError(f"certified ordering {name!r} is not minimum", ordering)
     return GadgetVerification(
-        value,
+        result.value,
         count,
         True,
         tuple(sorted(patterns)),
@@ -218,41 +204,20 @@ def _scan_gadget(
 
 def verify_var_base(*, deadline: Deadline = Deadline()) -> GadgetVerification:
     """Exhaustively check the variable gadget: minimum value 2, and exactly
-    one of the two marked arcs forward in every minimum ordering, with both
-    polarities realized."""
-    gadget = var_base()
-    report = _scan_gadget(
-        gadget,
-        lambda flags: flags[0] != flags[1],
-        "both or neither marked arc forward",
-        deadline,
-    )
-    for wanted in ((True, False), (False, True)):
-        if wanted not in report.patterns:
-            raise GadgetPropertyError(
-                f"polarity pattern {wanted} never occurs", ()
-            )
-    return report
+    one of the two marked arcs forward in every minimum ordering.  Both
+    polarities are realized by the certified orderings, which are checked
+    to be minimum."""
+    return _scan_gadget(var_base(), lambda flags: flags[0] != flags[1],
+                        "both or neither marked arc forward", deadline)
 
 
 def verify_clause_base(*, deadline: Deadline = Deadline()) -> GadgetVerification:
-    """Exhaustively check the clause gadget: minimum value 2, at least one
-    marked arc backward in every minimum ordering, and each pair of marked
-    arcs simultaneously forward in some minimum ordering."""
-    gadget = clause_base()
-    report = _scan_gadget(
-        gadget,
-        lambda flags: not all(flags),
-        "all three marked arcs forward",
-        deadline,
-    )
-    for i in range(3):
-        for j in range(i + 1, 3):
-            if not any(p[i] and p[j] for p in report.patterns):
-                raise GadgetPropertyError(
-                    f"marked arcs {i} and {j} never simultaneously forward", ()
-                )
-    return report
+    """Exhaustively check the clause gadget: minimum value 2, and at least
+    one marked arc backward in every minimum ordering.  Each pair of marked
+    arcs is simultaneously forward in a certified ordering, and those are
+    checked to be minimum."""
+    return _scan_gadget(clause_base(), lambda flags: not all(flags),
+                        "all three marked arcs forward", deadline)
 
 
 def check_companion(w: Tournament, *, deadline: Deadline = Deadline()) -> tuple[int, ...]:
@@ -283,7 +248,7 @@ def _assemble(
             + tuple(v + outer_off for v in w_ordering)
             + (lifted.v,)
         )
-        certs.append(CertifiedOrdering(cert.name, extended, cert.forward))
+        certs.append(CertifiedOrdering(cert.name, extended))
     return MarkedGadget(lifted.digraph, marked, tuple(certs))
 
 
@@ -291,7 +256,7 @@ def assemble_var_gadget(w: Tournament) -> MarkedGadget:
     """Lift the variable base over companion ``w``: a fresh vertex beats the
     base, the base beats ``w``, ``w`` beats the fresh vertex.  Marked arcs are
     re-indexed and every certified ordering is extended by ``w``'s ordering
-    and the fresh vertex, keeping its recorded arc directions."""
+    and the fresh vertex, which keeps the base's marked-arc directions."""
     return _assemble(var_base(), w, check_companion(w))
 
 

@@ -39,19 +39,21 @@ def _digits(token: str) -> bool:
 
 
 def tournament_from_text(text: str) -> Tournament:
-    lines = [line for line in text.splitlines() if line.strip()]
+    # blank lines are skipped, but errors give the line's number in the file
+    lines = [(i, line) for i, line in enumerate(text.splitlines(), start=1) if line.strip()]
     if not lines:
         raise ValueError("line 1: empty input")
-    header = lines[0].split()
+    (first, head), *body = lines
+    header = head.split()
     if len(header) != 2 or header[0] != "tournament":
-        raise ValueError(f"line 1: expected 'tournament <n>', got {_quote(lines[0])}")
+        raise ValueError(f"line {first}: expected 'tournament <n>', got {_quote(head)}")
     if not _digits(header[1]):
-        raise ValueError(f"line 1: bad vertex count {_quote(header[1])}")
+        raise ValueError(f"line {first}: bad vertex count {_quote(header[1])}")
     n = int(header[1])
-    if len(lines) - 1 != n:
-        raise ValueError(f"expected {n} matrix rows, found {len(lines) - 1}")
+    if len(body) != n:
+        raise ValueError(f"expected {n} matrix rows, found {len(body)}")
     rows = []
-    for i, line in enumerate(lines[1:], start=2):
+    for i, line in body:
         row = line.strip()
         if len(row) != n:
             raise ValueError(f"line {i}: expected {n} entries, got {len(row)}")

@@ -67,6 +67,8 @@ def parse_dimacs(text: str) -> CnfFormula:
         if not line or line.startswith("c") or line.startswith("%"):
             continue
         if line.startswith("p"):
+            if n_vars is not None:
+                raise ValueError(f"line {lineno}: second problem line")
             parts = line.split()
             if len(parts) != 4 or parts[1] != "cnf" or not all(map(_digits, parts[2:])):
                 raise ValueError(f"line {lineno}: malformed problem line {_quote(line)}")

@@ -59,17 +59,18 @@ def reference_check(n, rows, tournament):
 
 def reference_from_text(text):
     """Per-character .trn parser; returns (n, rows) or raises."""
-    lines = [line for line in text.splitlines() if line.strip()]
+    lines = [(i, line) for i, line in enumerate(text.splitlines(), start=1) if line.strip()]
     if not lines:
         raise ValueError("line 1: empty input")
-    header = lines[0].split()
+    first, head = lines[0]
+    header = head.split()
     if len(header) != 2 or header[0] != "tournament":
-        raise ValueError(f"line 1: expected 'tournament <n>', got {lines[0]!r}")
+        raise ValueError(f"line {first}: expected 'tournament <n>', got {head!r}")
     n = int(header[1])
     if len(lines) - 1 != n:
         raise ValueError(f"expected {n} matrix rows, found {len(lines) - 1}")
     rows = []
-    for i, line in enumerate(lines[1:], start=2):
+    for i, line in lines[1:]:
         row = line.strip()
         if len(row) != n:
             raise ValueError(f"line {i}: expected {n} entries, got {len(row)}")

@@ -3,6 +3,7 @@ import hashlib
 import pytest
 
 from backedge.core import (
+    Deadline,
     backedge_graph,
     clique_number,
     contains_subtournament,
@@ -14,7 +15,10 @@ from backedge.gadgets import (
     CLAUSE_BASE_MATRIX,
     R5_MATRIX,
     VAR_BASE_MATRIX,
+    CertifiedOrdering,
     GadgetPropertyError,
+    MarkedGadget,
+    _scan_gadget,
     assemble_clause_gadget,
     assemble_var_gadget,
     clause_base,
@@ -109,28 +113,49 @@ def test_verify_clause_base():
 
 
 def test_marked_gadget_validation_catches_wrong_direction():
-    from backedge.gadgets import CertifiedOrdering, MarkedGadget
-
-    with pytest.raises(ValueError):
-        MarkedGadget(
-            var_base().tournament,
-            (("uv", (6, 8)),),
-            (CertifiedOrdering("bad", tuple(range(9)), (("uv", False),)),),
-        )
     with pytest.raises(ValueError):
         MarkedGadget(var_base().tournament, (("uv", (8, 6)),), ())
+
+
+def test_certified_names_match_derived_directions():
+    var = var_base()
+    assert var.forward(var.certified("uv-forward").ordering) == (True, False)
+    assert var.forward(var.certified("wx-forward").ordering) == (False, True)
+    clause = clause_base()
+    names = [name for name, _ in clause.marked_arcs]
+    for name in names:
+        flags = clause.forward(clause.certified(f"{name}-backward").ordering)
+        assert flags == tuple(other != name for other in names)
+
+
+def test_scan_rejects_a_certified_ordering_that_is_not_minimum():
+    base = var_base()
+    ordering = (0, 1, 2, 3, 4, 5, 6, 8, 7)
+    assert clique_number(backedge_graph(base.tournament, ordering)) == 3
+    gadget = MarkedGadget(
+        base.tournament, base.marked_arcs, (CertifiedOrdering("bad", ordering),)
+    )
+    with pytest.raises(GadgetPropertyError, match="'bad' is not minimum") as caught:
+        _scan_gadget(gadget, lambda flags: True, "unused", Deadline())
+    assert caught.value.ordering == ordering
+
+
+def test_scan_rejects_a_value_other_than_two(surrogate):
+    with pytest.raises(GadgetPropertyError, match="is 3, not 2") as caught:
+        _scan_gadget(MarkedGadget(surrogate), lambda flags: True, "unused", Deadline())
+    assert caught.value.ordering == omega(surrogate).witness
 
 
 def test_assemble_var_gadget(surrogate):
     gadget = assemble_var_gadget(surrogate)
     assert gadget.tournament.n == 10 + surrogate.n
     assert contains_subtournament(gadget.tournament, surrogate) is not None
+    base = var_base()
     for cert in gadget.certified_orderings:
         g = backedge_graph(gadget.tournament, cert.ordering)
         assert clique_number(g) == 3
-        pos = {v: i for i, v in enumerate(cert.ordering)}
-        for name, (a, b) in gadget.marked_arcs:
-            assert cert.is_forward(name) == (pos[a] < pos[b])
+        # the lift keeps the base's marked-arc directions
+        assert gadget.forward(cert.ordering) == base.forward(base.certified(cert.name).ordering)
 
 
 def test_assemble_clause_gadget(surrogate):

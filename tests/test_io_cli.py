@@ -73,6 +73,11 @@ def test_trn_errors():
         tournament_from_text("tournament 2\n01\n10\n")
     with pytest.raises(ValueError, match="rows"):
         tournament_from_text("tournament 3\n010\n001\n")
+    # blank lines are skipped but still counted in the line numbers
+    with pytest.raises(ValueError, match=r"^line 4, column 2: "):
+        tournament_from_text("tournament 2\n\n01\n0x\n")
+    with pytest.raises(ValueError, match=r"^line 3: bad vertex count"):
+        tournament_from_text("\n  \ntournament x\n")
 
 
 def test_json_mirror_rejects_non_binary_cells(capsys, tmp_path):
@@ -410,6 +415,15 @@ def test_cli_inputs_list_files_read_before_an_error(capsys, tmp_path, surrogate)
 def test_cli_construct_numeric_args(capsys):
     code, envelope = _run(capsys, "construct", "arrow", "2", "3")
     assert code == 0 and envelope["result"]["n"] == 5
+    # a size is ASCII digits; int() would also take these
+    for kind in ("tt", "dk"):
+        for size in ("+3", "\u0663", "1_0", " 3"):
+            code, envelope = _run(capsys, "construct", kind, size)
+            assert code == 2, (kind, size)
+            assert envelope["result"]["error"] == f"construct {kind} takes a size, got {size!r}"
+    # a part that is not ASCII digits is read as a file name
+    code, envelope = _run(capsys, "construct", "arrow", "\u00b2", "2")
+    assert code == 2 and "invalid literal" not in envelope["result"]["error"]
     code, envelope = _run(capsys, "construct", "delta", "1", "1", "1")
     assert code == 0 and envelope["result"]["n"] == 3
     code, envelope = _run(capsys, "construct", "lift", "2", "3")
@@ -759,6 +773,16 @@ def test_cli_budget_is_polled_before_any_file_is_written(
         code, envelope = _run(capsys, "--budget", "0.1", *argv)
         assert code == 3 and envelope["budget"]["exhausted"] is True, argv
     assert not any(path.exists() for path in outputs)
+
+
+def test_cli_reduce_rejects_a_second_problem_line(capsys, tmp_path, surrogate):
+    # read as a 5-variable formula, the file would pass the sizing step
+    cnf, companion = tmp_path / "phi.cnf", tmp_path / "w7.trn"
+    cnf.write_text("p cnf 3 1\n1 2 3 0\np cnf 5 1\n")
+    save_tournament(surrogate, companion)
+    code, envelope = _run(capsys, "reduce", "--sizing-only", "--cnf", str(cnf),
+                          "--gadget", str(companion))
+    assert code == 2 and envelope["result"]["error"].endswith("line 3: second problem line")
 
 
 def test_cli_rejects_signed_and_underscored_numbers(capsys, tmp_path, surrogate):

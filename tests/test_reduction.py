@@ -59,6 +59,8 @@ def test_parse_dimacs_rejects_bad_header():
         parse_dimacs("p dimacs 3 1\n1 2 3 0\n")
     with pytest.raises(ValueError, match="before problem line"):
         parse_dimacs("1 2 3 0\n")
+    with pytest.raises(ValueError, match="^line 3: second problem line$"):
+        parse_dimacs("p cnf 3 1\n1 2 3 0\np cnf 5 1\n")
 
 
 def test_formula_satisfies():
