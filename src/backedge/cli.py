@@ -272,7 +272,7 @@ def _construct(args, deadline, read) -> Outcome:
                 subset = rng.getrandbits(built.n)
                 for bit in (1, 0):
                     side = [v for v in range(built.n) if subset >> v & 1 == bit]
-                    if contains_subtournament(induced(built, side), base) is not None:
+                    if contains_subtournament(induced(built, side), base, deadline) is not None:
                         ok += 1
                         break
             result["hitting_audit"] = {

@@ -383,61 +383,144 @@ def induced(d: Digraph, vertices: Sequence[int]) -> Digraph:
     return type(d)(len(keep), tuple(rows))
 
 
+# the embedding search narrows the candidate masks of the next _LOOKAHEAD
+# pattern vertices after each placement: a wider window backs up sooner, and
+# its stack holds up to _LOOKAHEAD masks per pattern vertex
+_LOOKAHEAD = 8
+
+
+def _degree_masks(hrows: Sequence[int], prows: Sequence[int]) -> list[int]:
+    """Per pattern vertex, the host vertices whose out- and in-degrees are at
+    least its own: an out-degree between the pattern vertex's and that plus
+    the host's extra vertices."""
+    hn, pn = len(hrows), len(prows)
+    at_least = [0] * (hn + 1)  # at_least[d]: host vertices of out-degree >= d
+    for h, row in enumerate(hrows):
+        at_least[row.bit_count()] |= 1 << h
+    for d in range(hn - 1, -1, -1):
+        at_least[d] |= at_least[d + 1]
+    return [at_least[po] & ~at_least[po + hn - pn + 1]
+            for po in (row.bit_count() for row in prows)]
+
+
+def _first_embedding(
+    hrows: Sequence[int],
+    hcols: Sequence[int],
+    prows: Sequence[int],
+    allowed: list[int],
+    above: int,
+    deadline: Deadline,
+) -> Optional[tuple[int, ...]]:
+    """Lexicographically first embedding of the tournament ``prows`` into the
+    tournament ``hrows``/``hcols`` that maps each pattern vertex p into
+    ``allowed[p]`` and each vertex of the bitmask ``above`` above the image
+    of vertex 0, or None."""
+    pn = len(prows)
+    width = _LOOKAHEAD
+    image = [0] * pn
+    high = -1  # the host vertices above image[0]
+    # windows[p]: candidate masks of pattern vertices p, p + 1, ... (at most
+    # width of them) given the images of 0..p-1; its first entry holds the
+    # candidates for p not yet tried
+    windows = [allowed[:width]]
+    nodes = 0
+    while windows:
+        window = windows[-1]
+        cand = window[0]
+        if not cand:
+            windows.pop()
+            continue
+        p = len(windows) - 1
+        low = cand & -cand
+        window[0] = cand ^ low
+        h = low.bit_length() - 1
+        image[p] = h
+        if p + 1 == pn:
+            return tuple(image)
+        # pattern vertex j maps to a host vertex x with x -> h iff j -> p;
+        # neither mask holds h itself
+        row, col = hrows[h], hcols[h]
+        nxt = [m & (col if prows[j] >> p & 1 else row)
+               for j, m in enumerate(window[1:], p + 1)]
+        if not p and above:
+            high = ~((low << 1) - 1)
+            nxt = [m & high if above >> j & 1 else m for j, m in enumerate(nxt, 1)]
+        j = p + width  # enters the window: narrowed by every image so far
+        if j < pn:
+            m = allowed[j] & high if above >> j & 1 else allowed[j]
+            r = prows[j]
+            for q in range(p + 1):
+                m &= hcols[image[q]] if r >> q & 1 else hrows[image[q]]
+                if not m:
+                    break
+            nxt.append(m)
+        if all(nxt):
+            nodes += 1
+            if nodes & 0xFFF == 0:
+                deadline.check()
+            windows.append(nxt)
+    return None
+
+
+def _orbit(t: Tournament, deadline: Deadline = Deadline()) -> int:
+    """Bitmask of the vertices onto which some automorphism of ``t`` maps
+    vertex 0.
+
+    An automorphism mapping 0 to q is an embedding of ``t`` into itself with
+    image[0] = q.  It is searched for only when q has vertex 0's out-degree
+    and is not yet known to be in the orbit: each automorphism found puts
+    the whole cycle through 0 of its permutation there."""
+    rows = t.rows
+    orbit = 1
+    allowed: list[int] = []
+    for q in range(1, t.n):
+        if orbit >> q & 1 or rows[q].bit_count() != rows[0].bit_count():
+            continue
+        allowed = allowed or _degree_masks(rows, rows)
+        sigma = _first_embedding(rows, t.cols, rows, [1 << q, *allowed[1:]], 0, deadline)
+        if sigma is None:
+            continue
+        v = q
+        while v:
+            orbit |= 1 << v
+            v = sigma[v]
+    return orbit
+
+
 def contains_subtournament(
-    host: Tournament, pattern: Tournament
+    host: Tournament, pattern: Tournament, deadline: Deadline = Deadline()
 ) -> Optional[tuple[int, ...]]:
     """Arc-preserving injection of the pattern's vertices into the host.
 
     Returns a tuple mapping pattern vertex i to its host image, or None.
     Pattern vertices are assigned in ascending id order and host candidates
-    tried ascending, so witnesses are deterministic.  Because both objects
-    are tournaments, any arc-preserving image is automatically induced.
+    tried ascending, so the witness is the lexicographically first
+    embedding.  Because both objects are tournaments, any arc-preserving
+    image is automatically induced.
+
+    Each pattern vertex starts from the host vertices whose out- and
+    in-degrees are at least its own.  After each placement the search
+    narrows the candidates of the next ``_LOOKAHEAD`` pattern vertices by the
+    new image's row or column (forward checking), and backs up as soon as
+    one of them is empty; a vertex entering that window is narrowed by every
+    image so far.  The stack so holds O(pattern.n * _LOOKAHEAD) masks.
+
+    Symmetry break: let O be the vertices that some automorphism of the
+    pattern maps vertex 0 onto (``_orbit``).  The search requires
+    image[q] > image[0] for every q in O, which keeps the first embedding φ:
+    if φ(q) < φ(0) with σ(0) = q for an automorphism σ, then φ∘σ is an
+    embedding that starts lower than φ.
+
+    ``deadline`` is polled on entry and every 4,096 search nodes.
     """
+    deadline.check()
     pn, hn = pattern.n, host.n
     if pn > hn:
         return None
     if pn == 0:
         return ()
-    # degree pre-filter: host vertex must dominate the pattern vertex's degrees
-    degrees = [(row.bit_count(), col.bit_count()) for row, col in zip(host.rows, host.cols)]
-    allowed = []
-    for p in range(pn):
-        po, pi = pattern.rows[p].bit_count(), pattern.cols[p].bit_count()
-        mask = 0
-        for h, (ho, hi) in enumerate(degrees):
-            if ho >= po and hi >= pi:
-                mask |= 1 << h
-        if not mask:
-            return None
-        allowed.append(mask)
-
-    prows, hrows, hcols = pattern.rows, host.rows, host.cols
-    image = [0] * pn
-    used = 0  # images of the pattern vertices below the one being assigned
-    # cands[p]: host candidates for pattern vertex p not yet tried
-    cands = [allowed[0]]
-    while cands:
-        cand = cands[-1]
-        p = len(cands) - 1
-        if not cand:
-            cands.pop()
-            if p:
-                used ^= 1 << image[p - 1]
-            continue
-        low = cand & -cand
-        cands[-1] = cand ^ low
-        image[p] = low.bit_length() - 1
-        if p + 1 == pn:
-            return tuple(image)
-        # pattern vertex p + 1 maps to a host vertex h with h -> image[q]
-        # iff p + 1 -> q in the pattern, for every q <= p
-        nxt = allowed[p + 1] & ~(used | low)
-        row = prows[p + 1]
-        for q in range(p + 1):
-            nxt &= hcols[image[q]] if row >> q & 1 else hrows[image[q]]
-            if not nxt:
-                break
-        if nxt:
-            used |= low
-            cands.append(nxt)
-    return None
+    allowed = _degree_masks(host.rows, pattern.rows)
+    if not all(allowed):
+        return None
+    above = _orbit(pattern, deadline) & ~1
+    return _first_embedding(host.rows, host.cols, pattern.rows, allowed, above, deadline)

@@ -49,8 +49,8 @@ from .core import (
     Tournament,
     _backedge_masks,
     _bits,
+    _orbit,
     check_ordering,
-    contains_subtournament,
     has_clique_in_mask,
     is_strong,
 )
@@ -354,15 +354,6 @@ def _swap(t: Tournament, a: int) -> Tournament:
     return Tournament(t.n, tuple(rows))
 
 
-def _maps_onto_every_vertex(t: Tournament, f: int) -> bool:
-    """Whether, for every vertex v, some automorphism of ``t`` maps f to v.
-    With f and v relabeled 0, such an automorphism is an embedding of one
-    relabeled copy into the other that fixes 0, and the lexicographically
-    first embedding fixes 0 exactly when one does."""
-    pattern = _swap(t, f)
-    return all(contains_subtournament(_swap(t, v), pattern)[0] == 0 for v in range(t.n))
-
-
 def check_rules(
     t: Tournament,
     first_vertex: Optional[int] = None,
@@ -377,16 +368,17 @@ def check_rules(
     vertex-transitive); for any other t it raises ValueError."""
     if not is_strong(t):
         raise ValueError("tournament must be strongly connected")
+    full = (1 << t.n) - 1
     if first_vertex is not None:
         if not 0 <= first_vertex < t.n:
             raise ValueError(f"first vertex {first_vertex} out of range")
-        if not _maps_onto_every_vertex(t, first_vertex):
+        # relabeled 0, f must have every vertex in its orbit
+        if _orbit(_swap(t, first_vertex), deadline) != full:
             raise ValueError(
                 f"first vertex {first_vertex} is not mapped onto every vertex by an "
                 "automorphism; fixing it would drop cells"
             )
     value = omega(t, deadline=deadline).value
-    full = (1 << t.n) - 1
     cells: list[CellResult] = []
     table = _Cells(t)
     orderings = iter_orderings_with_clique_at_most(

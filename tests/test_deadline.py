@@ -8,7 +8,7 @@ import pytest
 from backedge import Deadline as PackageDeadline
 from backedge import constructions, reduction
 from backedge.constructions import amplifier, c3, pi
-from backedge.core import BudgetExhausted, Deadline
+from backedge.core import BudgetExhausted, Deadline, contains_subtournament
 from backedge.gadgets import check_companion, r5, verify_clause_base, verify_var_base
 from backedge.reduction import build, instance_from_dict, parse_dimacs
 from backedge.solvers import (
@@ -56,13 +56,14 @@ def _entry_points(surrogate):
         "minimum_ordering": lambda **kw: minimum_ordering(r5(), r5_minimum, **kw),
         "min_order_with_omega": lambda **kw: min_order_with_omega(2, 5, **kw),
         "solve_pass": lambda **kw: solve_pass(pass13, **kw),
+        "contains_subtournament": lambda **kw: contains_subtournament(r5(), c3(), **kw),
     }
 
 
 ENTRY_POINTS = [
     "amplifier", "pi", "build", "instance_from_dict", "check_companion",
     "verify_var_base", "verify_clause_base", "enumerate_omega_orderings",
-    "minimum_ordering", "min_order_with_omega", "solve_pass",
+    "minimum_ordering", "min_order_with_omega", "solve_pass", "contains_subtournament",
 ]
 
 
