@@ -148,17 +148,14 @@ class Solver:
             if collecting:
                 gc.enable()
 
-    def _enqueue(self, l: int, reason: int) -> bool:
-        value = self.val[l]
-        if value:
-            return value == 1
+    def _enqueue(self, l: int, reason: int) -> None:
+        """Assign literal ``l`` true at the current level; ``l`` is unassigned."""
         self.val[l] = 1
         self.val[l ^ 1] = -1
         v = l >> 1
         self.level[v] = len(self.trail_lim)
         self.reason[v] = reason
         self.trail.append(l)
-        return True
 
     def _propagate(self) -> Optional[int]:
         """Unit propagation; returns a conflicting clause index or None."""

@@ -49,17 +49,6 @@ def _transpose(rows: Sequence[int], n: int) -> tuple[int, ...]:
     digits, last row first and each row highest bit first, so the column of
     bit v is the strided slice at offset n - 1 - v, which ``int(..., 2)``
     reads back in one C-level step."""
-    if n <= 8:
-        # one row per byte of a 64-bit word: three delta swaps transpose it
-        # (Hacker's Delight, section 7-3)
-        x = int.from_bytes(bytes(rows), "little")
-        t = (x ^ x >> 7) & 0x00AA00AA00AA00AA
-        x ^= t ^ t << 7
-        t = (x ^ x >> 14) & 0x0000CCCC0000CCCC
-        x ^= t ^ t << 14
-        t = (x ^ x >> 28) & 0x00000000F0F0F0F0
-        x ^= t ^ t << 28
-        return tuple(x.to_bytes(8, "little")[:n])
     fmt = f"0{n}b"
     cols: list[int] = []
     for start in range(0, n, _TRANSPOSE_BLOCK):

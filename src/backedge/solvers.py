@@ -341,7 +341,10 @@ def chi_decide(
                 else:
                     # the pins satisfy the cuts of classes 1.. and falsify
                     # vertex 0's literal in class 0; this is the clause the
-                    # loader would keep
+                    # loader would keep.  The full cuts give the same clauses
+                    # and conflicts, but each fails the loader's screen: chi on
+                    # 120 random tournaments with n = 22-24 ran 6-19% slower
+                    # (best of 3, 2-vCPU Xeon VM).
                     yield from [[b, e] for b, e in pairs]
 
     solver.add_clauses(seed_clauses())
@@ -386,8 +389,8 @@ def forcing_holds(
     """Does every ordering with backedge clique number <= k place u before v?
 
     False comes with a counterexample ordering.  When no ordering achieves
-    clique number <= k at all, the claim holds vacuously and the result is
-    flagged as such.
+    clique number <= k at all (`omega_decide`, whose nodes are counted too),
+    the claim holds vacuously and the result is flagged as such.
     """
     if u == v:
         raise ValueError("u and v must differ")
@@ -400,10 +403,8 @@ def forcing_holds(
     )
     if counter is not None:
         return ForcingResult(False, False, counter, stats.nodes)
-    any_ordering = next(
-        iter_orderings_with_clique_at_most(d, k, deadline=deadline, stats=stats), None
-    )
-    return ForcingResult(True, any_ordering is None, None, stats.nodes)
+    some = omega_decide(d, k, deadline=deadline)
+    return ForcingResult(True, not some.decision, None, stats.nodes + some.nodes)
 
 
 def min_order_with_omega(

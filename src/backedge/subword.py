@@ -2,12 +2,12 @@
 
 A permutation of a tournament's vertices avoids the instance's forbidden
 words exactly when its backedge graph is triangle-free, so solving these
-instances decides whether the ordering clique number is at most 2.
+instances decides whether the ordering clique number is at most 2.  One
+word table of masks serves both the closure predicate and the solver.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -63,17 +63,26 @@ def is_subsequence(word: Sequence[int], sequence: Sequence[int]) -> bool:
     return all(symbol in it for symbol in word)
 
 
+def _tables(instance: PassInstance) -> tuple[list[int], list[dict[int, int]]]:
+    """Per symbol s: ``after[s]``, the mask of the b of the words (s, b), and
+    ``lasts[s][a]``, the mask of the c of the words (a, s, c)."""
+    after = [0] * instance.alphabet_size
+    lasts: list[dict[int, int]] = [{} for _ in range(instance.alphabet_size)]
+    for word in instance.forbidden:
+        if len(word) == 2:
+            after[word[0]] |= 1 << word[1]
+        elif len(word) == 3:
+            a, s, c = word
+            lasts[s][a] = lasts[s].get(a, 0) | 1 << c
+    return after, lasts
+
+
 def is_tournament_closed(instance: PassInstance) -> bool:
     """Closure predicate: whenever words abc and dbe share their middle
     symbol, the crossed words abe and dbc must also be forbidden.  Reported,
-    never enforced.  That holds exactly when, for each middle symbol, the
-    (first, last) pairs of its words are every first with every last."""
-    firsts, lasts, pairs = defaultdict(set), defaultdict(set), defaultdict(set)
-    for a, b, c in (w for w in instance.forbidden if len(w) == 3):
-        firsts[b].add(a)
-        lasts[b].add(c)
-        pairs[b].add((a, c))
-    return all(len(pairs[b]) == len(firsts[b]) * len(lasts[b]) for b in pairs)
+    never enforced.  That holds exactly when, for each middle symbol, every
+    first symbol maps to the same mask of last symbols."""
+    return all(len(set(table.values())) <= 1 for table in _tables(instance)[1])
 
 
 def solve_pass(
@@ -82,55 +91,38 @@ def solve_pass(
     """Lexicographically smallest permutation of the alphabet avoiding every
     forbidden word as a subsequence, or None.
 
-    Depth-first over prefixes, on an explicit stack, with forward checking:
-    a branch dies once a forbidden word is embedded up to its still-unplaced
-    last symbol."""
+    Depth-first over prefixes, on an explicit stack of candidate masks, with
+    forward checking: placing s kills the prefix when a word (s, b) or a word
+    (a, s, c) with a placed still has its last symbol unplaced.  A word that
+    repeats a symbol never embeds in a permutation and never meets either
+    test."""
     n = instance.alphabet_size
-    words = instance.forbidden
-    if any(len(word) == 1 for word in words):
+    if any(len(word) == 1 for word in instance.forbidden):
         return None
-    touching: list[list[int]] = [[] for _ in range(n)]
-    for idx, word in enumerate(words):
-        for symbol in set(word):
-            touching[symbol].append(idx)
-    matched = [0] * len(words)
-    used = [False] * n
+    after, lasts = _tables(instance)
+    full = (1 << n) - 1
+    placed = nodes = 0
     prefix: list[int] = []
-    # advanced[i]: the words whose match the i-th placed symbol extended
-    advanced: list[list[int]] = []
-    start = 0  # the current position tries its candidates from this symbol up
-    nodes = 0
+    # avails[i]: the candidates still untried at position i of the prefix
+    avails = [full]
     while len(prefix) < n:
-        for s in range(start, n):
-            if used[s]:
-                continue
-            nodes += 1
-            if nodes & 0xFFF == 0:
-                deadline.check()
-            used[s] = True
-            moved = []
-            for idx in touching[s]:
-                word = words[idx]
-                if word[matched[idx]] == s:
-                    matched[idx] += 1
-                    moved.append(idx)
-                    if matched[idx] + 1 == len(word) and not used[word[-1]]:
-                        break
-            else:
-                break  # s survives the forward check: place it
-            used[s] = False
-            for idx in moved:
-                matched[idx] -= 1
-        else:
+        avail = avails[-1]
+        if not avail:
+            avails.pop()
             if not prefix:
                 return None
-            s = prefix.pop()
-            used[s] = False
-            for idx in advanced.pop():
-                matched[idx] -= 1
-            start = s + 1
+            placed ^= 1 << prefix.pop()
             continue
+        low = avail & -avail
+        avails[-1] = avail ^ low
+        s = low.bit_length() - 1
+        nodes += 1
+        if nodes & 0xFFF == 0:
+            deadline.check()
+        rest = full ^ placed ^ low
+        if after[s] & rest or any(cs & rest for a, cs in lasts[s].items() if placed >> a & 1):
+            continue
+        placed |= low
         prefix.append(s)
-        advanced.append(moved)
-        start = 0
+        avails.append(rest)
     return tuple(prefix)

@@ -536,6 +536,27 @@ def test_forcing_antisymmetry_unless_vacuous():
             assert fwd.vacuous and bwd.vacuous
 
 
+def test_forcing_nodes_add_the_omega_decision_when_it_holds():
+    # a holding claim costs the exhausted stream with v before u plus the
+    # unconstrained decision that tells whether it is vacuous
+    rng = random.Random(31)
+    vacuous = proper = 0
+    for _ in range(100):
+        n = rng.randint(3, 8)
+        t = labeled_tournament(n, rng.randrange(labeled_count(n)))
+        k = rng.randint(1, 2)
+        u, v = rng.sample(range(n), 2)
+        res = forcing_holds(t, u, v, k)
+        if not res.holds:
+            continue
+        stats = solvers.SearchStats()
+        assert next(iter_orderings_with_clique_at_most(t, k, before=(v, u), stats=stats), None) is None
+        assert res.nodes == stats.nodes + omega_decide(t, k).nodes
+        vacuous += res.vacuous
+        proper += not res.vacuous
+    assert vacuous > 20 and proper > 3
+
+
 def test_min_order_small_values():
     res = min_order_with_omega(1, 3)
     assert (res.n, res.witness) == (1, tt(1))

@@ -5,8 +5,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from backedge.constructions import c3, tt
-from backedge.core import backedge_graph, clique_number
+from backedge.core import Deadline, backedge_graph, clique_number
 from backedge.gadgets import r5
+from backedge.generation import canonical_tournaments
 from backedge.solvers import omega_decide
 from backedge.subword import (
     PassInstance,
@@ -17,6 +18,7 @@ from backedge.subword import (
 )
 
 from labeled import labeled_count, labeled_tournament
+from test_pass_search import planted
 
 
 def test_to_pass_examples():
@@ -160,3 +162,91 @@ def test_solve_pass_agrees_with_brute_force_on_general_instances():
                 expected = perm
                 break
         assert solve_pass(instance) == expected
+
+
+def counter_solve_pass(instance, *, deadline=Deadline()):
+    """The per-word-counter search that the mask search replaced, kept as
+    the oracle: the same forward check, with a branch dying once a
+    forbidden word is embedded up to its still-unplaced last symbol."""
+    n = instance.alphabet_size
+    words = instance.forbidden
+    if any(len(word) == 1 for word in words):
+        return None
+    touching: list[list[int]] = [[] for _ in range(n)]
+    for idx, word in enumerate(words):
+        for symbol in set(word):
+            touching[symbol].append(idx)
+    matched = [0] * len(words)
+    used = [False] * n
+    prefix: list[int] = []
+    # advanced[i]: the words whose match the i-th placed symbol extended
+    advanced: list[list[int]] = []
+    start = 0  # the current position tries its candidates from this symbol up
+    nodes = 0
+    while len(prefix) < n:
+        for s in range(start, n):
+            if used[s]:
+                continue
+            nodes += 1
+            if nodes & 0xFFF == 0:
+                deadline.check()
+            used[s] = True
+            moved = []
+            for idx in touching[s]:
+                word = words[idx]
+                if word[matched[idx]] == s:
+                    matched[idx] += 1
+                    moved.append(idx)
+                    if matched[idx] + 1 == len(word) and not used[word[-1]]:
+                        break
+            else:
+                break  # s survives the forward check: place it
+            used[s] = False
+            for idx in moved:
+                matched[idx] -= 1
+        else:
+            if not prefix:
+                return None
+            s = prefix.pop()
+            used[s] = False
+            for idx in advanced.pop():
+                matched[idx] -= 1
+            start = s + 1
+            continue
+        prefix.append(s)
+        advanced.append(moved)
+        start = 0
+    return tuple(prefix)
+
+
+def test_mask_search_matches_the_counter_search_on_general_instances():
+    rng = random.Random(4300)
+    repeated = unsolved = 0
+    for _ in range(1500):
+        n = rng.randint(0, 9)
+        words = {tuple(rng.randrange(n) for _ in range(rng.choice((2, 3, 3))))
+                 for _ in range(rng.randint(0, 4 * n))}
+        if n and rng.random() < 0.1:
+            words.add((rng.randrange(n),))
+        repeated += sum(len(set(word)) < len(word) for word in words)
+        instance = PassInstance(n, tuple(sorted(words)))
+        expected = counter_solve_pass(instance)
+        # an instance with a one-letter word has no solution without a search
+        unsolved += expected is None and all(len(word) > 1 for word in words)
+        assert solve_pass(instance) == expected, instance
+    assert repeated > 1000 and unsolved > 50
+
+
+def test_pass_witness_is_the_omega_two_witness(surrogate):
+    tournaments = [t for n in range(1, 8) for t in canonical_tournaments(n)]
+    rng = random.Random(4400)
+    for n in (8, 9, 10):
+        for draw in range(20):
+            tournaments.append(planted(n, rng, surrogate) if draw % 2 else
+                               labeled_tournament(n, rng.randrange(labeled_count(n))))
+    unsolved = 0
+    for t in tournaments:
+        witness = omega_decide(t, 2).witness
+        unsolved += witness is None
+        assert solve_pass(to_pass(t)) == witness, t
+    assert unsolved > 20
