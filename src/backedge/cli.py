@@ -28,6 +28,7 @@ from . import __version__
 from .constructions import (
     DEFAULT_VERTEX_BUDGET,
     MaterializationRefused,
+    SizingReport,
     amplifier,
     amplifier_sizing,
     arrow,
@@ -229,6 +230,8 @@ def _construct(args, deadline, read) -> Outcome:
         raise ValueError(f"construct {kind} does not take {', '.join(stray)}")
     if args.audit_subsets is not None and args.audit_subsets < 1:
         raise ValueError(f"--audit-subsets must be at least 1, got {args.audit_subsets}")
+    if args.vertex_budget is not None and args.vertex_budget < 0:
+        raise ValueError(f"--vertex-budget must be non-negative, got {args.vertex_budget}")
     budget = DEFAULT_VERTEX_BUDGET if args.vertex_budget is None else args.vertex_budget
     # tt and dk take a size; elsewhere a number names a transitive tournament
     if kind in ("tt", "dk"):
@@ -264,6 +267,8 @@ def _construct(args, deadline, read) -> Outcome:
         construction = amplifier if kind == "amplifier" else pi
         res = construction(base, vertex_budget=budget, deadline=deadline)
         built, ordering, layout = res.tournament, res.ordering, res.layout
+        if layout is None and args.layout_out:
+            raise ValueError(f"construct {kind} built no copy layout to write to --layout-out")
         if kind == "amplifier" and args.audit_subsets:
             rng = random.Random(args.seed)
             ok = 0
@@ -296,7 +301,7 @@ def _construct(args, deadline, read) -> Outcome:
         result["out"] = args.out
     elif built.n <= 64:
         result["tournament"] = tournament_to_json_dict(built)
-    if layout is not None and args.layout_out:
+    if args.layout_out:
         write_json(args.layout_out, layout.to_dict())
         result["layout_out"] = args.layout_out
     return Outcome(result)
@@ -350,6 +355,8 @@ def _gadget(args, deadline, read) -> Outcome:
       arg("--sizing-only", action="store_true"),
       arg("--vertex-budget", type=int, default=DEFAULT_VERTEX_BUDGET))
 def _reduce(args, deadline, read) -> Outcome:
+    if args.vertex_budget < 0:
+        raise ValueError(f"--vertex-budget must be non-negative, got {args.vertex_budget}")
     formula = read(args.cnf, parse_dimacs)
     companion = read(args.gadget)
     report = reduction_sizing(formula, companion.n, vertex_budget=args.vertex_budget)
@@ -429,6 +436,10 @@ def _pass(args, deadline, read) -> Outcome:
             result["out"] = args.out
         return Outcome(result)
     instance = PassInstance.from_dict(read(args.file, parse_json))
+    size = instance.alphabet_size
+    if size > DEFAULT_VERTEX_BUDGET:  # the solver's tables hold an entry per symbol
+        raise MaterializationRefused(SizingReport(
+            "pass", (("alphabet", size),), size, False, DEFAULT_VERTEX_BUDGET))
     permutation = solve_pass(instance, deadline=deadline)
     result = {"found": permutation is not None, "permutation": permutation}
     return Outcome(result, negative=permutation is None)

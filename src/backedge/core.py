@@ -133,44 +133,38 @@ class Tournament(Digraph):
 
 
 @dataclass(frozen=True)
-class UndirectedGraph:
-    """Simple undirected graph as symmetric adjacency bitmasks."""
+class UndirectedGraph(Digraph):
+    """Simple undirected graph: a symmetric arc relation, so that bit v of
+    ``rows[u]`` is set iff {u, v} is an edge, and each row equals its column."""
 
-    n: int
-    adj: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.adj) != self.n:
-            raise ValueError(f"expected {self.n} adjacency rows, got {len(self.adj)}")
-        full = (1 << self.n) - 1
-        for u, row in enumerate(self.adj):
-            if row & ~full:
-                raise ValueError(f"row {u} references a vertex >= {self.n}")
-            if row >> u & 1:
-                raise ValueError(f"loop at vertex {u}")
-            for v in _bits(row):
-                if not self.adj[v] >> u & 1:
-                    raise ValueError(f"edge ({u},{v}) is not symmetric")
+    def _validate(self) -> None:
+        # the first u whose row differs from its column is the smaller end of
+        # the first asymmetric pair, so the lowest differing bit names the other
+        for u, (row, col) in enumerate(zip(self.rows, self.cols)):
+            if row != col:
+                bad = row ^ col
+                v = (bad & -bad).bit_length() - 1
+                raise ValueError(f"edge ({u},{v}) is not symmetric")
 
     @classmethod
     def from_edges(cls, n: int, edges: Sequence[tuple[int, int]]):
-        adj = [0] * n
+        masks = [0] * n
         for u, v in edges:
-            adj[u] |= 1 << v
-            adj[v] |= 1 << u
-        return cls(n, tuple(adj))
+            masks[u] |= 1 << v
+            masks[v] |= 1 << u
+        return cls._with_cols(n, tuple(masks), tuple(masks))
 
     def has_edge(self, u: int, v: int) -> bool:
-        return bool(self.adj[u] >> v & 1)
+        return bool(self.rows[u] >> v & 1)
 
     def edges(self) -> Iterator[tuple[int, int]]:
         for u in range(self.n):
-            for v in _bits(self.adj[u]):
+            for v in _bits(self.rows[u]):
                 if v > u:
                     yield u, v
 
     def edge_count(self) -> int:
-        return sum(row.bit_count() for row in self.adj) // 2
+        return sum(row.bit_count() for row in self.rows) // 2
 
 
 def _quote(value: object) -> str:
@@ -209,8 +203,8 @@ def backedge_graph(d: Digraph, ordering: Sequence[int]) -> UndirectedGraph:
 
     Edge {u, v} with u before v is present iff the arc v -> u exists.
     """
-    ordering = check_ordering(ordering, d.n)
-    return UndirectedGraph(d.n, tuple(_backedge_masks(d.rows, ordering)))
+    adj = tuple(_backedge_masks(d.rows, check_ordering(ordering, d.n)))
+    return UndirectedGraph._with_cols(d.n, adj, adj)
 
 
 def has_clique_in_mask(adj: Sequence[int], mask: int, k: int) -> Optional[tuple[int, ...]]:
@@ -236,7 +230,7 @@ def has_clique(g: UndirectedGraph, k: int) -> Optional[tuple[int, ...]]:
     """Witness vertex set for a clique of size ``k``, or None."""
     if k < 1:
         raise ValueError("clique size must be positive")
-    return has_clique_in_mask(g.adj, (1 << g.n) - 1, k)
+    return has_clique_in_mask(g.rows, (1 << g.n) - 1, k)
 
 
 def clique_number(g: UndirectedGraph) -> int:
@@ -246,14 +240,14 @@ def clique_number(g: UndirectedGraph) -> int:
         raise ValueError("clique number of the empty graph is undefined")
     full = (1 << g.n) - 1
     k = 1
-    while has_clique_in_mask(g.adj, full, k + 1) is not None:
+    while has_clique_in_mask(g.rows, full, k + 1) is not None:
         k += 1
     return k
 
 
 def triangle_in_graph(g: UndirectedGraph) -> Optional[tuple[int, int, int]]:
     """First triangle of ``g`` in lexicographic order, or None."""
-    return has_clique_in_mask(g.adj, (1 << g.n) - 1, 3)
+    return has_clique_in_mask(g.rows, (1 << g.n) - 1, 3)
 
 
 def _reach(adj: Sequence[int], seed: int, within: int) -> int:
@@ -280,7 +274,7 @@ def components(adj: Sequence[int], mask: int) -> Iterator[int]:
 
 def is_forest(g: UndirectedGraph) -> bool:
     """True iff ``g`` has no cycle: its components number n minus its edges."""
-    return sum(1 for _ in components(g.adj, (1 << g.n) - 1)) == g.n - g.edge_count()
+    return sum(1 for _ in components(g.rows, (1 << g.n) - 1)) == g.n - g.edge_count()
 
 
 def directed_triangle(d: Digraph, within: Optional[int] = None) -> Optional[tuple[int, int, int]]:
@@ -352,8 +346,8 @@ def is_strong(t: Tournament) -> bool:
 
 
 def reverse(d: Digraph) -> Digraph:
-    """Flip every arc."""
-    return type(d)(d.n, d.cols)
+    """Flip every arc: rows and columns swap."""
+    return type(d)._with_cols(d.n, d.cols, d.rows)
 
 
 def induced(d: Digraph, vertices: Sequence[int]) -> Digraph:

@@ -161,13 +161,6 @@ def ordering_from_text(text: str) -> tuple[int, ...]:
     return tuple(int(v) for v in values)
 
 
-def parse_ordering(spec: str) -> tuple[int, ...]:
-    """An ordering given inline, or as a path to a file holding one."""
-    if os.path.exists(spec):
-        spec = Path(spec).read_text(encoding="utf-8")
-    return ordering_from_text(spec)
-
-
 def parse_assignment(spec: str) -> tuple[bool, ...]:
     """Comma-separated truth values: '1,0,1'."""
     values = []

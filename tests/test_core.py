@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from backedge.constructions import c3, tt
+from backedge.constructions import amplifier, c3, tt
 from backedge.core import (
     Digraph,
     Tournament,
@@ -56,10 +56,72 @@ def test_tournament_validation():
 
 
 def test_undirected_validation():
-    with pytest.raises(ValueError):
-        UndirectedGraph(2, (2, 0))  # asymmetric
-    with pytest.raises(ValueError):
-        UndirectedGraph(1, (1,))  # loop
+    cases = [
+        (2, (2, 0), "edge (0,1) is not symmetric"),
+        (3, (0, 0, 1), "edge (0,2) is not symmetric"),
+        (1, (1,), "self-arc at vertex 0"),
+        (2, (4, 0), "row 0 references a vertex >= 2"),
+        (2, (2,), "expected 2 adjacency rows, got 1"),
+    ]
+    for n, rows, message in cases:
+        with pytest.raises(ValueError) as info:
+            UndirectedGraph(n, rows)
+        assert str(info.value) == message
+    # flipped bits of a symmetric graph: the error names the first
+    # asymmetric pair (u, v), u < v
+    rng = random.Random(2027)
+    for _ in range(500):
+        n = rng.randint(2, 12)
+        rows = list(random_graph(rng, n).rows)
+        for _ in range(rng.randint(1, 3)):
+            u, v = rng.sample(range(n), 2)
+            rows[u] ^= 1 << v
+        bad = [(u, v) for u, v in itertools.combinations(range(n), 2)
+               if rows[u] >> v & 1 != rows[v] >> u & 1]
+        if not bad:
+            assert UndirectedGraph(n, tuple(rows)).rows == tuple(rows)
+            continue
+        with pytest.raises(ValueError) as info:
+            UndirectedGraph(n, tuple(rows))
+        assert str(info.value) == "edge ({},{}) is not symmetric".format(*bad[0])
+
+
+def random_tournament(rng, n):
+    pairs = itertools.combinations(range(n), 2)
+    return Tournament.from_arcs(n, [(u, v) if rng.random() < 0.5 else (v, u) for u, v in pairs])
+
+
+def test_backedge_graph_equals_the_checked_constructor():
+    # backedge_graph takes its columns from its symmetric masks; the public
+    # constructor transposes and compares, and must accept the same graph
+    rng = random.Random(27)
+    tournaments = [random_tournament(rng, rng.randint(0, 40)) for _ in range(120)]
+    tournaments.append(amplifier(c3()).tournament)
+    assert tournaments[-1].n == 315
+    for t in tournaments:
+        for _ in range(3):
+            ordering = rng.sample(range(t.n), t.n)
+            g = backedge_graph(t, ordering)
+            checked = UndirectedGraph(t.n, g.rows)
+            assert g == checked and g.cols == g.rows == checked.cols
+            pos = {v: i for i, v in enumerate(ordering)}
+            assert set(g.edges()) == {(min(u, v), max(u, v)) for u, v in t.arcs() if pos[u] > pos[v]}
+    g = UndirectedGraph.from_edges(5, [(0, 3), (4, 1), (3, 2)])
+    assert g == UndirectedGraph(5, g.rows) and g.cols == g.rows
+    assert list(g.edges()) == [(0, 3), (1, 4), (2, 3)] and g.edge_count() == 3
+
+
+def test_reverse_swaps_rows_and_columns():
+    rng = random.Random(28)
+    digraphs = [random_tournament(rng, rng.randint(0, 40)) for _ in range(60)]
+    digraphs += [random_digraph(rng, rng.randint(0, 40)) for _ in range(60)]
+    digraphs += [amplifier(c3()).tournament, random_graph(rng, 30)]
+    for d in digraphs:
+        r = reverse(d)
+        checked = type(d)(d.n, d.cols)
+        assert type(r) is type(d) and r == checked and r.cols == checked.cols
+        assert r.rows == d.cols and r.cols == d.rows
+        assert reverse(r) == d
 
 
 def test_backedge_graph_c3():
@@ -198,7 +260,7 @@ def branch_and_bound_clique_number(g):
             low = mask & -mask
             mask ^= low
             best = max(best, size + 1)
-            grow(g.adj[low.bit_length() - 1] & mask, size + 1)
+            grow(g.rows[low.bit_length() - 1] & mask, size + 1)
 
     grow((1 << g.n) - 1, 0)
     return best
@@ -270,7 +332,7 @@ def test_has_clique_in_mask_is_first_combination():
                 ),
                 None,
             )
-            assert has_clique_in_mask(g.adj, mask, k) == first, (g, mask, k)
+            assert has_clique_in_mask(g.rows, mask, k) == first, (g, mask, k)
 
 
 def test_reverse_and_induced():
@@ -329,7 +391,7 @@ def test_reversal_preserves_backedge_graph(data):
     ordering = data.draw(orderings_of(t))
     g1 = backedge_graph(t, ordering)
     g2 = backedge_graph(reverse(t), tuple(reversed(ordering)))
-    assert g1.adj == g2.adj
+    assert g1.rows == g2.rows
 
 
 @settings(max_examples=40)

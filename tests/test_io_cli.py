@@ -15,13 +15,13 @@ from hypothesis import strategies as st
 
 from backedge import cli
 from backedge.cli import run
-from backedge.constructions import arrow, c3, pi, tt
+from backedge.constructions import DEFAULT_VERTEX_BUDGET, arrow, c3, pi, tt
 from backedge.core import Tournament, is_strong
 from backedge.gadgets import clause_base, r5, var_base
 from backedge.io import (
     load_tournament,
+    ordering_from_text,
     parse_assignment,
-    parse_ordering,
     save_tournament,
     sha256_file,
     tournament_from_json_dict,
@@ -190,12 +190,10 @@ def test_json_readers_name_the_first_misshapen_part():
         assert str(info.value) == message
 
 
-def test_parse_helpers(tmp_path):
-    assert parse_ordering("2,0,1") == (2, 0, 1)
-    assert parse_ordering("[2, 0, 1]") == (2, 0, 1)
-    path = tmp_path / "ord.json"
-    path.write_text("[1, 0]")
-    assert parse_ordering(str(path)) == (1, 0)
+def test_parse_helpers():
+    assert ordering_from_text("2,0,1") == (2, 0, 1)
+    assert ordering_from_text("[2, 0, 1]") == (2, 0, 1)
+    assert ordering_from_text("[1, 0]\n") == (1, 0)
     assert parse_assignment("1,0,1") == (True, False, True)
     with pytest.raises(ValueError):
         parse_assignment("1,2")
@@ -583,6 +581,56 @@ def test_cli_pass(capsys, tmp_path, r5_file):
         bad.write_text(json.dumps(data))
         code, envelope = _run(capsys, "pass", "solve", str(bad))
         assert code == 2 and "must be integers" in envelope["result"]["error"]
+
+
+def test_cli_pass_solve_refuses_an_alphabet_over_the_vertex_budget(capsys, tmp_path):
+    # the solver's tables hold an entry per symbol: a huge alphabet is
+    # refused with its sizing before any is allocated
+    for size in (DEFAULT_VERTEX_BUDGET + 1, 10**12):
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps({"alphabet": size, "forbidden": []}))
+        code, envelope = _run(capsys, "pass", "solve", str(path))
+        assert code == 3 and envelope["budget"]["exhausted"] is True
+        assert envelope["result"]["error"] == (
+            f"pass needs {size} vertices, budget is {DEFAULT_VERTEX_BUDGET}")
+        assert envelope["result"]["sizing"] == {
+            "construction": "pass", "parameters": {"alphabet": size},
+            "total_vertices": size, "materializable": False, "budget": DEFAULT_VERTEX_BUDGET,
+        }
+
+
+def test_cli_rejects_a_negative_vertex_budget(capsys, tmp_path, r5_file, surrogate):
+    companion = tmp_path / "w7.trn"
+    save_tournament(surrogate, companion)
+    cnf = tmp_path / "phi.cnf"
+    cnf.write_text("p cnf 3 1\n1 2 3 0\n")
+    out = tmp_path / "out.trn"
+    for argv, value in (
+        (["reduce", "--cnf", str(cnf), "--gadget", str(companion), "--vertex-budget", "-1"], -1),
+        (["construct", "amplifier", r5_file, "--vertex-budget", "-5"], -5),
+        (["construct", "pi", "3", "--sizing-only", "--vertex-budget", "-1"], -1),
+    ):
+        code, envelope = _run(capsys, *argv, "--out", str(out))
+        assert code == 2 and envelope["budget"]["exhausted"] is False
+        assert envelope["result"] == {"error": f"--vertex-budget must be non-negative, got {value}"}
+        assert not out.exists()
+    # a zero budget is a budget: every construction is over it
+    code, envelope = _run(capsys, "construct", "amplifier", r5_file, "--vertex-budget", "0")
+    assert code == 3 and envelope["result"]["sizing"]["budget"] == 0
+
+
+def test_cli_layout_out_without_a_layout_is_an_input_error(capsys, tmp_path):
+    # a transitive base takes amplifier's short route t -> t, which has no
+    # copy layout: nothing is written, neither the layout nor --out
+    layout, out = tmp_path / "lay.json", tmp_path / "amp.trn"
+    code, envelope = _run(capsys, "construct", "amplifier", "3",
+                          "--layout-out", str(layout), "--out", str(out))
+    assert code == 2
+    assert envelope["result"] == {
+        "error": "construct amplifier built no copy layout to write to --layout-out"}
+    assert not layout.exists() and not out.exists()
+    code, envelope = _run(capsys, "construct", "amplifier", "3", "--out", str(out))
+    assert code == 0 and load_tournament(out).n == 6
 
 
 def test_cli_reduce_sizing_only_reports_what_build_builds(capsys, tmp_path, surrogate):

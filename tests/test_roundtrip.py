@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from backedge.io import (
     load_tournament,
-    parse_ordering,
+    ordering_from_text,
     save_tournament,
     tournament_from_json_dict,
     tournament_from_text,
@@ -51,9 +51,9 @@ def test_saved_tournament_files_load_back(tmp_path_factory, t, suffix):
 @given(st.integers(1, 30).flatmap(lambda n: st.permutations(range(n))))
 def test_inline_ordering_specs_round_trip(ordering):
     ordering = tuple(ordering)
-    assert parse_ordering(",".join(map(str, ordering))) == ordering
-    assert parse_ordering(" ".join(map(str, ordering))) == ordering
-    assert parse_ordering(json.dumps(list(ordering))) == ordering
+    assert ordering_from_text(",".join(map(str, ordering))) == ordering
+    assert ordering_from_text(" ".join(map(str, ordering))) == ordering
+    assert ordering_from_text(json.dumps(list(ordering))) == ordering
 
 
 @settings(max_examples=30)
@@ -63,7 +63,7 @@ def test_ordering_files_round_trip(tmp_path_factory, ordering, as_json):
     ordering = tuple(ordering)
     path = tmp_path_factory.mktemp("ordering") / "ord.txt"
     path.write_text(json.dumps(list(ordering)) if as_json else ",".join(map(str, ordering)))
-    assert parse_ordering(str(path)) == ordering
+    assert ordering_from_text(path.read_text()) == ordering
 
 
 def pass_instances(max_alphabet=8):

@@ -352,14 +352,14 @@ def test_path_predicate_matches_plain_union_find(circulant5):
         pos = {v: i for i, v in enumerate(ordering)}
         g = backedge_graph(t, ordering)
         upto = [sum(1 << v for v in ordering[:i]) for i in range(6)]
-        prefix = [[], *_components(ordering, g.adj, upto, range(5), [])]
-        suffix = [*_components(ordering, g.adj, upto, range(4, -1, -1), [])][::-1]
+        prefix = [[], *_components(ordering, g.rows, upto, range(5), [])]
+        suffix = [*_components(ordering, g.rows, upto, range(4, -1, -1), [])][::-1]
         for x in range(5):
             left = sorted(v for v in range(5) if pos[v] < pos[x])
             right = sorted(v for v in range(5) if pos[v] >= pos[x])
             for side, swept in ((left, prefix[pos[x]]), (right, suffix[pos[x]])):
                 mask = sum(1 << v for v in side)
-                comps = list(components(g.adj, mask))
+                comps = list(components(g.rows, mask))
                 assert sum(comps) == mask
                 smallest = [(c & -c).bit_length() - 1 for c in comps]
                 assert smallest == sorted(smallest)
