@@ -14,13 +14,15 @@ order and simplifies each against the root assignment as it comes, so a unit
 early in a batch shortens or drops the clauses after it; `add_clause` is the
 one-clause call of it.  A clause of two or three literals on distinct
 unassigned variables, loaded at decision level 0, has nothing to drop, grow
-or propagate, so a screen keeps it as given; other clauses take the general
-path, to the same state.  Loading pauses the cyclic garbage collector (kept
-clauses hold no cycles).  A clause watches its literals at positions 0 and 1,
-and ``watches[l]`` lists the clauses watching ``l ^ 1``, the literal that
-``l`` falsifies.  During propagation a watch list is only popped while it is
-scanned (a clause leaves it for the list of a non-false literal, never of
-the literal being scanned), so the scan tracks the list's length itself.
+or propagate, so a screen unpacks it and stores a fresh list of its literals,
+in the given order; other clauses take the general path, to the same state.
+Either way the caller's list is never kept.  Loading pauses the cyclic
+garbage collector (kept clauses hold no cycles).  A clause watches its
+literals at positions 0 and 1, and ``watches[l]`` lists the clauses watching
+``l ^ 1``, the literal that ``l`` falsifies.  During propagation a watch list
+is only popped while it is scanned (a clause leaves it for the list of a
+non-false literal, never of the literal being scanned), so the scan tracks
+the list's length itself.
 """
 
 from __future__ import annotations
@@ -92,24 +94,25 @@ class Solver:
             watches = self.watches
             at_root = not self.trail_lim
             for lits in clauses:
-                clause = list(lits)
-                size = len(clause) if at_root else 0
-                fresh = False
+                size = len(lits) if at_root else 0
+                clause = None
                 try:  # the screen of the module docstring
                     if size == 3:
-                        a, b, c = clause
-                        fresh = (a ^ b) > 1 and (a ^ c) > 1 and (b ^ c) > 1 and not (
-                            val[a] or val[b] or val[c])
+                        a, b, c = lits
+                        if (a ^ b) > 1 and (a ^ c) > 1 and (b ^ c) > 1 and not (
+                                val[a] or val[b] or val[c]):
+                            clause = [a, b, c]
                     elif size == 2:
-                        a, b = clause
-                        fresh = (a ^ b) > 1 and not (val[a] or val[b])
+                        a, b = lits
+                        if (a ^ b) > 1 and not (val[a] or val[b]):
+                            clause = [a, b]
                 except IndexError:  # a literal past n_vars
                     pass
-                if not fresh:
+                if clause is None:
                     # drop repeated literals, or the whole tautology
                     seen = set()
                     kept = []
-                    for l in clause:
+                    for l in lits:
                         if l ^ 1 in seen:
                             kept = None
                             break

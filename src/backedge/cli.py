@@ -30,7 +30,7 @@ from .constructions import (
     MaterializationRefused,
     SizingReport,
     amplifier,
-    amplifier_sizing,
+    amplifier_route,
     arrow,
     c3,
     d_family,
@@ -228,6 +228,8 @@ def _construct(args, deadline, read) -> Outcome:
     ]
     if stray:
         raise ValueError(f"construct {kind} does not take {', '.join(stray)}")
+    if args.sizing_only and args.layout_out:
+        raise ValueError("--sizing-only builds nothing to write to --layout-out")
     if args.audit_subsets is not None and args.audit_subsets < 1:
         raise ValueError(f"--audit-subsets must be at least 1, got {args.audit_subsets}")
     if args.vertex_budget is not None and args.vertex_budget < 0:
@@ -260,8 +262,9 @@ def _construct(args, deadline, read) -> Outcome:
         }
     elif kind in ("amplifier", "pi"):
         (base,) = parts
-        sizing_fn = amplifier_sizing if kind == "amplifier" else pi_sizing
-        result["sizing"] = sizing_fn(base.n, vertex_budget=budget).to_dict()
+        sizing = (amplifier_route(base, vertex_budget=budget) if kind == "amplifier"
+                  else pi_sizing(base.n, vertex_budget=budget))
+        result["sizing"] = sizing.to_dict()
         if args.sizing_only:
             return Outcome(result)
         construction = amplifier if kind == "amplifier" else pi

@@ -206,6 +206,20 @@ def amplifier_sizing(
     return _copy_sizing("amplifier", n, n * (n - 1) + 1, lambda m: n * m, vertex_budget)
 
 
+def amplifier_route(
+    t: Tournament, *, vertex_budget: int = DEFAULT_VERTEX_BUDGET
+) -> SizingReport:
+    """Sizing of what `amplifier` builds over ``t``: two copies, 2n vertices,
+    on the short route ``t -> t`` of a transitive base, else the copy
+    construction of `amplifier_sizing`."""
+    n = t.n
+    if not is_transitive(t):
+        return amplifier_sizing(n, vertex_budget=vertex_budget)
+    return SizingReport(
+        "amplifier", (("n", n), ("copies", 2)), 2 * n, 2 * n <= vertex_budget, vertex_budget
+    )
+
+
 def pi_sizing(n: int, *, vertex_budget: int = DEFAULT_VERTEX_BUDGET) -> SizingReport:
     """Vertex count n * (2*C(2n-1, n) + 1) of the two-sided construction."""
     return _copy_sizing("pi", n, 2 * n - 1, lambda m: 2 * m + 1, vertex_budget)
@@ -257,18 +271,21 @@ def amplifier(
     """Tournament with the same ordering clique number as ``t`` in which every
     vertex subset or its complement contains a copy of ``t``.
 
-    Transitive bases take the short route ``t -> t``.  Any other base over
-    the vertex budget is refused before it is searched; otherwise n*m copies
-    are chained front-to-back (m per block, one block per position of the
-    base ordering) and the arc between equal-label vertices of two copies is
-    flipped exactly when the base has the arc from the later copy's block
-    vertex to the earlier copy's block vertex.
+    The route and its size are `amplifier_route`'s, and a request over the
+    vertex budget is refused before the base is searched.  Transitive bases
+    take the short route ``t -> t``; otherwise n*m copies are chained
+    front-to-back (m per block, one block per position of the base ordering)
+    and the arc between equal-label vertices of two copies is flipped
+    exactly when the base has the arc from the later copy's block vertex to
+    the earlier copy's block vertex.
     """
     n = t.n
-    if is_transitive(t):
+    sizing = amplifier_route(t, vertex_budget=vertex_budget)
+    if not sizing.materializable:
+        raise MaterializationRefused(sizing)
+    if "m" not in dict(sizing.parameters):  # the short route
         order = omega(t, deadline=deadline).witness
         return BuiltTournament(arrow(t, t), order + tuple(v + n for v in order), None)
-    sizing = amplifier_sizing(n, vertex_budget=vertex_budget)
     return _copy_construction(
         t, sizing, deadline, [("copy", range(sizing.parameter("m")))] * n,
         lambda early, late, order: early != late and t.has_arc(order[late], order[early]),

@@ -1,9 +1,8 @@
 """File formats: the .trn adjacency-matrix text format, its JSON mirror,
-orderings, assignments, and input digests."""
+orderings and assignments."""
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 from pathlib import Path
@@ -169,10 +168,6 @@ def parse_assignment(spec: str) -> tuple[bool, ...]:
             raise ValueError(f"assignment entries must be 0 or 1, got {_quote(tok)}")
         values.append(tok == "1")
     return tuple(values)
-
-
-def sha256_file(path: Union[str, os.PathLike]) -> str:
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
 def write_json(path: Union[str, os.PathLike], payload: dict) -> None:

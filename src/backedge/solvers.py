@@ -118,6 +118,8 @@ def iter_orderings_with_clique_at_most(
     rows = d.rows
     cols = d.cols
     full = (1 << n) - 1
+    # the prefix's backedge masks; only the k >= 3 check reads them
+    keep = k >= 3
     badj = [0] * n
     seq: list[int] = []
     # b is held back while a is unplaced
@@ -136,12 +138,13 @@ def iter_orderings_with_clique_at_most(
                 v = seq.pop()
                 low = 1 << v
                 placed ^= low
-                m = badj[v]
-                badj[v] = 0
-                while m:
-                    lb = m & -m
-                    badj[lb.bit_length() - 1] ^= low
-                    m ^= lb
+                if keep:
+                    m = badj[v]
+                    badj[v] = 0
+                    while m:
+                        lb = m & -m
+                        badj[lb.bit_length() - 1] ^= low
+                        m ^= lb
             continue
         low = avail & -avail
         avails[-1] = avail ^ low
@@ -165,12 +168,13 @@ def iter_orderings_with_clique_at_most(
         node_count += 1
         if node_count & 0xFFF == 0:
             deadline.check()
-        badj[v] = nb
-        m = nb
-        while m:
-            lb = m & -m
-            badj[lb.bit_length() - 1] |= low
-            m ^= lb
+        if keep:
+            badj[v] = nb
+            m = nb
+            while m:
+                lb = m & -m
+                badj[lb.bit_length() - 1] |= low
+                m ^= lb
         placed |= low
         seq.append(v)
         if placed == full:

@@ -9,6 +9,7 @@ from backedge.constructions import (
     MaterializationRefused,
     SizingReport,
     amplifier,
+    amplifier_route,
     amplifier_sizing,
     arrow,
     c3,
@@ -233,6 +234,24 @@ def test_amplifier_refuses_by_size_before_searching(monkeypatch):
     monkeypatch.setattr("backedge.constructions.omega", no_search)
     with pytest.raises(MaterializationRefused):
         amplifier(delta(tt(4), tt(4), tt(4)))
+
+
+def test_amplifier_route_sizes_what_amplifier_builds(monkeypatch):
+    assert amplifier_route(c3()) == amplifier_sizing(3)
+    assert amplifier(c3()).tournament.n == amplifier_route(c3()).total_vertices == 315
+    report = amplifier_route(tt(3), vertex_budget=6)
+    assert (report.total_vertices, report.materializable) == (6, True)
+    assert amplifier(tt(3), vertex_budget=6).tournament.n == 6
+
+    def no_search(t, **kwargs):
+        raise AssertionError("omega must not run on an oversized base")
+
+    # the short route is refused by the same sizing, before the base is searched
+    monkeypatch.setattr("backedge.constructions.omega", no_search)
+    with pytest.raises(MaterializationRefused) as refused:
+        amplifier(tt(3), vertex_budget=5)
+    assert refused.value.report == amplifier_route(tt(3), vertex_budget=5)
+    assert not refused.value.report.materializable
 
 
 def test_pi_c3_wiring(d2):

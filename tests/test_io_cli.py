@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import itertools
 import json
@@ -7,6 +8,7 @@ import os
 import random
 import time
 from importlib import resources
+from pathlib import Path
 
 import jsonschema
 import pytest
@@ -23,7 +25,6 @@ from backedge.io import (
     ordering_from_text,
     parse_assignment,
     save_tournament,
-    sha256_file,
     tournament_from_json_dict,
     tournament_from_text,
     tournament_to_json_dict,
@@ -285,15 +286,23 @@ def test_cli_construct_and_layout(capsys, tmp_path):
     assert code == 0
     assert load_tournament(out).n == 63
     assert len(json.loads(layout.read_text())["copies"]) == 21
+    # a transitive base takes the short route t -> t, and its sizing says so
     code, envelope = _run(capsys, "construct", "amplifier", "3", "--sizing-only")
-    assert code == 0 and envelope["result"]["sizing"]["total_vertices"] == 315
+    assert code == 0 and envelope["result"]["sizing"]["total_vertices"] == 6
     code, envelope = _run(capsys, "construct", "dk", "3")
     assert code == 0 and not envelope["result"]["sizing"]["materializable"]
     code, envelope = _run(capsys, "construct", "amplifier", "7", "--sizing-only")
-    assert code == 0 and not envelope["result"]["sizing"]["materializable"]
-    # a transitive base takes the doubled short route regardless of sizing
+    sizing = envelope["result"]["sizing"]
+    assert code == 0 and sizing["total_vertices"] == 14 and sizing["materializable"]
     code, envelope = _run(capsys, "construct", "amplifier", "7")
     assert code == 0 and envelope["result"]["n"] == 14
+    # the build refuses exactly what the sizing calls non-materializable
+    for budget, code_wanted in (("14", 0), ("13", 3)):
+        argv = ["construct", "amplifier", "7", "--vertex-budget", budget]
+        code, envelope = _run(capsys, *argv, "--sizing-only")
+        assert code == 0 and envelope["result"]["sizing"]["materializable"] is (code_wanted == 0)
+        code, envelope = _run(capsys, *argv)
+        assert code == code_wanted
 
 
 def test_cli_construct_missing_args(capsys):
@@ -371,8 +380,8 @@ def test_cli_ordering_file_is_digested(capsys, tmp_path, r5_file):
                           "--ordering", str(ordering))
     assert code == 0
     assert envelope["inputs"] == [
-        {"path": r5_file, "sha256": sha256_file(r5_file)},
-        {"path": str(ordering), "sha256": sha256_file(ordering)},
+        {"path": r5_file, "sha256": hashlib.sha256(Path(r5_file).read_bytes()).hexdigest()},
+        {"path": str(ordering), "sha256": hashlib.sha256(Path(ordering).read_bytes()).hexdigest()},
     ]
     # an inline spec is not a file and is not digested
     code, envelope = _run(capsys, "verify-ordering", "--trn", r5_file,
@@ -633,6 +642,17 @@ def test_cli_layout_out_without_a_layout_is_an_input_error(capsys, tmp_path):
     assert code == 0 and load_tournament(out).n == 6
 
 
+def test_cli_sizing_only_refuses_a_layout_file(capsys, tmp_path):
+    layout = tmp_path / "lay.json"
+    for kind, base in (("amplifier", "3"), ("pi", "3")):
+        code, envelope = _run(capsys, "construct", kind, base, "--sizing-only",
+                              "--layout-out", str(layout))
+        assert code == 2
+        assert envelope["result"] == {
+            "error": "--sizing-only builds nothing to write to --layout-out"}
+        assert not layout.exists()
+
+
 def test_cli_reduce_sizing_only_reports_what_build_builds(capsys, tmp_path, surrogate):
     companion = tmp_path / "w7.trn"
     save_tournament(surrogate, companion)
@@ -865,11 +885,11 @@ def test_cli_digests_a_piped_input_as_read(capsys, tmp_path, r5_file):
     finally:
         os.close(read_end)
     assert code == 0 and envelope["result"]["value"] == 2
-    assert envelope["inputs"][0]["sha256"] == sha256_file(r5_file)
+    assert envelope["inputs"][0]["sha256"] == hashlib.sha256(Path(r5_file).read_bytes()).hexdigest()
 
 
 def test_cli_digests_an_input_that_out_overwrites(capsys, tmp_path, r5_file):
-    before = sha256_file(r5_file)
+    before = hashlib.sha256(Path(r5_file).read_bytes()).hexdigest()
     code, envelope = _run(capsys, "construct", "arrow", r5_file, "2", "--out", r5_file)
     assert code == 0 and load_tournament(r5_file).n == 7
     assert envelope["inputs"] == [{"path": r5_file, "sha256": before}]

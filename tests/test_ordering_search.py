@@ -3,6 +3,7 @@ replaced, which stays here as the reference implementation: the same
 orderings in the same order for every bound and restriction, never more
 surviving prefixes, and no recursion limit on long inputs."""
 
+import hashlib
 import random
 
 import pytest
@@ -10,6 +11,7 @@ import pytest
 from backedge.constructions import tt
 from backedge.core import Digraph, Tournament, has_clique_in_mask, reverse
 from backedge.gadgets import r5
+from backedge.generation import canonical_tournaments
 from backedge.solvers import SearchStats, iter_orderings_with_clique_at_most, omega
 
 from labeled import labeled_count, labeled_tournament
@@ -198,3 +200,24 @@ def test_stats_are_current_while_the_stream_is_held_open():
     for _ in stream:
         pass
     assert stats.nodes == 140
+
+
+def test_node_counts_are_pinned_over_every_small_class():
+    # what a node counts is part of the search's contract: every class with
+    # n <= 7 at k = 1, 2 (and 3 for n <= 6), plain, with vertex 0 first and
+    # with 1 before 0, gives these totals and this digest of the streams
+    stats = SearchStats()
+    digest = hashlib.sha256()
+    count = 0
+    for n in range(1, 8):
+        for t in canonical_tournaments(n):
+            for k in (1, 2, 3) if n <= 6 else (1, 2):
+                for options in ({}, {"first_vertex": 0}, {"before": (1, 0)}):
+                    if "before" in options and n < 2:
+                        continue
+                    for ordering in iter_orderings_with_clique_at_most(t, k, stats=stats, **options):
+                        digest.update(bytes(ordering))
+                        count += 1
+                    digest.update(b"|")
+    assert (stats.nodes, count) == (1_067_123, 324_410)
+    assert digest.hexdigest() == "42bf703c4706cf185a3a5836be1a5a6cc3595e80d64cb06ccbf2cbed567727ab"
