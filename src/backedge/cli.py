@@ -8,7 +8,8 @@ refused.
 Each verb is declared once, by ``verb`` on its handler, with its arguments.
 A handler takes ``(args, deadline, read)``, returns an ``Outcome`` and loads
 every input file through ``read``, so the envelope's ``inputs`` list the
-files the verb read, in read order, also when the verb then fails.
+files the verb read, in read order, also when the verb then fails.  A verb
+with output options passes every one of them to ``_write``.
 """
 
 from __future__ import annotations
@@ -191,6 +192,26 @@ def _search_min_omega(args, deadline, read) -> Outcome:
     )
 
 
+def _write(args, deadline, **files) -> dict:
+    """The one write step: ``files`` maps each output option of the verb, by
+    its ``args`` name, to what this run writes there (a tournament as text,
+    else ``to_dict()`` as JSON), or to None if nothing.  A given option with
+    nothing to write is an input error; else the budget is polled once and
+    the files are written.  Returns the written paths by option."""
+    given = {key: getattr(args, key) for key in files if getattr(args, key) is not None}
+    idle = [f"--{key.replace('_', '-')}" for key in given if files[key] is None]
+    if idle:
+        raise ValueError(f"this run has nothing to write to {', '.join(idle)}")
+    deadline.check()
+    for key, path in given.items():
+        value = files[key]
+        if isinstance(value, Tournament):
+            save_tournament(value, path)
+        else:
+            write_json(path, value.to_dict())
+    return given
+
+
 # number of positional arguments each construction takes
 CONSTRUCT_ARITY = {
     "tt": 1, "c3": 0, "arrow": 2, "delta": 3, "lift": 2, "amplifier": 1, "pi": 1, "dk": 1,
@@ -203,6 +224,8 @@ CONSTRUCT_OPTIONS = {
     "--audit-subsets": ("amplifier",),
     "--vertex-budget": ("amplifier", "pi", "dk"),
 }
+# the kinds that build their tournament from their arguments alone
+CONSTRUCT_FIXED = {"tt": tt, "c3": c3, "arrow": arrow, "delta": delta}
 
 
 @verb("construct", "build a named construction",
@@ -228,10 +251,10 @@ def _construct(args, deadline, read) -> Outcome:
     ]
     if stray:
         raise ValueError(f"construct {kind} does not take {', '.join(stray)}")
-    if args.sizing_only and args.layout_out:
-        raise ValueError("--sizing-only builds nothing to write to --layout-out")
     if args.audit_subsets is not None and args.audit_subsets < 1:
         raise ValueError(f"--audit-subsets must be at least 1, got {args.audit_subsets}")
+    if args.audit_subsets and args.sizing_only:
+        raise ValueError("--sizing-only builds nothing for --audit-subsets to audit")
     if args.vertex_budget is not None and args.vertex_budget < 0:
         raise ValueError(f"--vertex-budget must be non-negative, got {args.vertex_budget}")
     budget = DEFAULT_VERTEX_BUDGET if args.vertex_budget is None else args.vertex_budget
@@ -243,17 +266,10 @@ def _construct(args, deadline, read) -> Outcome:
     else:
         parts = [tt(int(s)) if _digits(s) else read(s) for s in specs]
     result: dict = {"kind": kind}
-    ordering = None
-    layout = None
+    built = ordering = layout = None
 
-    if kind == "tt":
-        built = tt(*parts)
-    elif kind == "c3":
-        built = c3()
-    elif kind == "arrow":
-        built = arrow(*parts)
-    elif kind == "delta":
-        built = delta(*parts)
+    if kind in CONSTRUCT_FIXED:
+        built = CONSTRUCT_FIXED[kind](*parts)
     elif kind == "lift":
         lifted = lift(*parts)
         built = lifted.digraph
@@ -265,14 +281,11 @@ def _construct(args, deadline, read) -> Outcome:
         sizing = (amplifier_route(base, vertex_budget=budget) if kind == "amplifier"
                   else pi_sizing(base.n, vertex_budget=budget))
         result["sizing"] = sizing.to_dict()
-        if args.sizing_only:
-            return Outcome(result)
-        construction = amplifier if kind == "amplifier" else pi
-        res = construction(base, vertex_budget=budget, deadline=deadline)
-        built, ordering, layout = res.tournament, res.ordering, res.layout
-        if layout is None and args.layout_out:
-            raise ValueError(f"construct {kind} built no copy layout to write to --layout-out")
-        if kind == "amplifier" and args.audit_subsets:
+        if not args.sizing_only:
+            construction = amplifier if kind == "amplifier" else pi
+            res = construction(base, vertex_budget=budget, deadline=deadline)
+            built, ordering, layout = res.tournament, res.ordering, res.layout
+        if args.audit_subsets:
             rng = random.Random(args.seed)
             ok = 0
             for _ in range(args.audit_subsets):
@@ -283,30 +296,21 @@ def _construct(args, deadline, read) -> Outcome:
                     if contains_subtournament(induced(built, side), base, deadline) is not None:
                         ok += 1
                         break
-            result["hitting_audit"] = {
-                "trials": args.audit_subsets,
-                "hit": ok,
-                "seed": args.seed,
-            }
+            result["hitting_audit"] = {"trials": args.audit_subsets, "hit": ok, "seed": args.seed}
     else:  # dk
         out = d_family(*parts, vertex_budget=budget)
-        if not isinstance(out, Tournament):
+        if isinstance(out, Tournament):
+            built = out
+        else:
             result["sizing"] = out.to_dict()
-            return Outcome(result)
-        built = out
 
-    deadline.check()  # before any file is written
-    result["n"] = built.n
-    if ordering is not None:
-        result["ordering"] = ordering
-    if args.out:
-        save_tournament(built, args.out)
-        result["out"] = args.out
-    elif built.n <= 64:
-        result["tournament"] = tournament_to_json_dict(built)
-    if args.layout_out:
-        write_json(args.layout_out, layout.to_dict())
-        result["layout_out"] = args.layout_out
+    if built is not None:
+        result["n"] = built.n
+        if ordering is not None:
+            result["ordering"] = ordering
+        if args.out is None and built.n <= 64:
+            result["tournament"] = tournament_to_json_dict(built)
+    result.update(_write(args, deadline, out=built, layout_out=layout))
     return Outcome(result)
 
 
@@ -367,15 +371,10 @@ def _reduce(args, deadline, read) -> Outcome:
     result = {"sizing": report.to_dict(), "vertices": report.total_vertices,
               "reversed_arcs": 12 * len(formula.clauses)}
     if args.sizing_only:
-        return Outcome(result)
-    instance = build(formula, companion, vertex_budget=args.vertex_budget, deadline=deadline)
-    deadline.check()  # before any file is written
-    if args.out:
-        save_tournament(instance.tournament, args.out)
-        result["out"] = args.out
-    if args.landmarks:
-        write_json(args.landmarks, instance.to_dict())
-        result["landmarks"] = args.landmarks
+        result.update(_write(args, deadline, out=None, landmarks=None))
+    else:
+        instance = build(formula, companion, vertex_budget=args.vertex_budget, deadline=deadline)
+        result.update(_write(args, deadline, out=instance.tournament, landmarks=instance))
     return Outcome(result)
 
 
@@ -434,15 +433,14 @@ def _pass(args, deadline, read) -> Outcome:
         instance = to_pass(read(args.file))
         result = instance.to_dict()
         result["tournament_closed"] = is_tournament_closed(instance)
-        if args.out:
-            write_json(args.out, instance.to_dict())
-            result["out"] = args.out
+        result.update(_write(args, deadline, out=instance))
         return Outcome(result)
     instance = PassInstance.from_dict(read(args.file, parse_json))
+    _write(args, deadline, out=None)  # a solve writes no file
     size = instance.alphabet_size
-    if size > DEFAULT_VERTEX_BUDGET:  # the solver's tables hold an entry per symbol
-        raise MaterializationRefused(SizingReport(
-            "pass", (("alphabet", size),), size, False, DEFAULT_VERTEX_BUDGET))
+    sizing = SizingReport("pass", (("alphabet", size),), size, DEFAULT_VERTEX_BUDGET)
+    if not sizing.materializable:  # the solver's tables hold an entry per symbol
+        raise MaterializationRefused(sizing)
     permutation = solve_pass(instance, deadline=deadline)
     result = {"found": permutation is not None, "permutation": permutation}
     return Outcome(result, negative=permutation is None)

@@ -45,8 +45,11 @@ class SizingReport:
     construction: str
     parameters: tuple[tuple[str, int], ...]
     total_vertices: int
-    materializable: bool
     budget: int
+
+    @property
+    def materializable(self) -> bool:
+        return self.total_vertices <= self.budget
 
     def parameter(self, name: str) -> int:
         return dict(self.parameters)[name]
@@ -189,12 +192,10 @@ def _copy_sizing(
         raise ValueError("base size must be positive")
     m = math.comb(universe, n)
     ncopies = copies(m)
-    total = n * ncopies
     return SizingReport(
         construction,
         (("n", n), ("label_universe", universe), ("m", m), ("copies", ncopies)),
-        total,
-        total <= vertex_budget,
+        n * ncopies,
         vertex_budget,
     )
 
@@ -210,14 +211,12 @@ def amplifier_route(
     t: Tournament, *, vertex_budget: int = DEFAULT_VERTEX_BUDGET
 ) -> SizingReport:
     """Sizing of what `amplifier` builds over ``t``: two copies, 2n vertices,
-    on the short route ``t -> t`` of a transitive base, else the copy
-    construction of `amplifier_sizing`."""
+    on the short route ``t -> t`` of a nonempty transitive base, else the
+    copy construction of `amplifier_sizing`, which refuses an empty base."""
     n = t.n
-    if not is_transitive(t):
+    if not (n and is_transitive(t)):
         return amplifier_sizing(n, vertex_budget=vertex_budget)
-    return SizingReport(
-        "amplifier", (("n", n), ("copies", 2)), 2 * n, 2 * n <= vertex_budget, vertex_budget
-    )
+    return SizingReport("amplifier", (("n", n), ("copies", 2)), 2 * n, vertex_budget)
 
 
 def pi_sizing(n: int, *, vertex_budget: int = DEFAULT_VERTEX_BUDGET) -> SizingReport:
@@ -237,11 +236,8 @@ def _copy_construction(
     ``blocks`` gives, block by block, the role of its copies and the label
     family of each (None: unlabelled).  For each earlier copy a and later
     copy b with ``flip(a.block, b.block, base_ordering)``, the arc between
-    their two vertices of equal label is reversed.  Refuses an oversized
-    request before the base is searched.
+    their two vertices of equal label is reversed.
     """
-    if not sizing.materializable:
-        raise MaterializationRefused(sizing)
     order = omega(t, deadline=deadline).witness
     n, universe = t.n, sizing.parameter("label_universe")
     subsets = tuple(sorted(combinations(range(universe), n), key=lambda s: s[::-1]))
@@ -299,10 +295,11 @@ def pi(
     """Two-sided copy construction: m front copies, a middle copy, m back
     copies, chained front-to-back; the arc between a front and a back vertex
     is flipped exactly when their labels agree.  Front copy j and back copy j
-    share the same label map."""
-    if t.n == 0:
-        raise ValueError("base tournament must be nonempty")
+    share the same label map.  A request over the vertex budget is refused
+    before the base is searched."""
     sizing = pi_sizing(t.n, vertex_budget=vertex_budget)
+    if not sizing.materializable:
+        raise MaterializationRefused(sizing)
     families = range(sizing.parameter("m"))
     return _copy_construction(
         t, sizing, deadline, [("A", families), ("B", [None]), ("C", families)],

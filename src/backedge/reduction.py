@@ -218,12 +218,10 @@ def sizing(
 ) -> SizingReport:
     """Exact vertex totals: n*(10+w) + w + m*(9+w) over a w-vertex companion."""
     n, m, w = formula.variable_count, len(formula.clauses), gadget_size
-    total = n * (10 + w) + w + m * (9 + w)
     return SizingReport(
         "reduction",
         (("variables", n), ("clauses", m), ("gadget_size", w)),
-        total,
-        total <= vertex_budget,
+        n * (10 + w) + w + m * (9 + w),
         vertex_budget,
     )
 

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from backedge import cli
 from backedge.cli import run
-from backedge.constructions import DEFAULT_VERTEX_BUDGET, arrow, c3, pi, tt
+from backedge.constructions import DEFAULT_VERTEX_BUDGET, amplifier, arrow, c3, pi, tt
 from backedge.core import Tournament, is_strong
 from backedge.gadgets import clause_base, r5, var_base
 from backedge.io import (
@@ -636,7 +636,7 @@ def test_cli_layout_out_without_a_layout_is_an_input_error(capsys, tmp_path):
                           "--layout-out", str(layout), "--out", str(out))
     assert code == 2
     assert envelope["result"] == {
-        "error": "construct amplifier built no copy layout to write to --layout-out"}
+        "error": "this run has nothing to write to --layout-out"}
     assert not layout.exists() and not out.exists()
     code, envelope = _run(capsys, "construct", "amplifier", "3", "--out", str(out))
     assert code == 0 and load_tournament(out).n == 6
@@ -649,8 +649,115 @@ def test_cli_sizing_only_refuses_a_layout_file(capsys, tmp_path):
                               "--layout-out", str(layout))
         assert code == 2
         assert envelope["result"] == {
-            "error": "--sizing-only builds nothing to write to --layout-out"}
+            "error": "this run has nothing to write to --layout-out"}
         assert not layout.exists()
+
+
+def _inputs(*paths):
+    return [{"path": str(path), "sha256": hashlib.sha256(Path(path).read_bytes()).hexdigest()}
+            for path in paths]
+
+
+def _assert_nothing_to_write(code, envelope, options, inputs, paths):
+    assert code == 2 and envelope["budget"]["exhausted"] is False
+    assert envelope["result"] == {"error": f"this run has nothing to write to {options}"}
+    assert envelope["inputs"] == inputs
+    assert not any(Path(path).exists() for path in paths)
+
+
+def test_cli_sizing_only_refuses_out(capsys, tmp_path):
+    base, out = tmp_path / "c3.trn", tmp_path / "out.trn"
+    save_tournament(c3(), base)
+    for kind in ("amplifier", "pi"):
+        code, envelope = _run(capsys, "construct", kind, str(base), "--sizing-only",
+                              "--out", str(out))
+        _assert_nothing_to_write(code, envelope, "--out", _inputs(base), [out])
+
+
+def test_cli_reduce_sizing_only_refuses_out_and_landmarks(capsys, tmp_path, surrogate):
+    companion, cnf = tmp_path / "w7.trn", tmp_path / "phi.cnf"
+    save_tournament(surrogate, companion)
+    cnf.write_text("p cnf 3 1\n1 2 3 0\n")
+    out, marks = tmp_path / "inst.trn", tmp_path / "inst.json"
+    code, envelope = _run(capsys, "reduce", "--cnf", str(cnf), "--gadget", str(companion),
+                          "--sizing-only", "--out", str(out), "--landmarks", str(marks))
+    _assert_nothing_to_write(code, envelope, "--out, --landmarks", _inputs(cnf, companion),
+                             [out, marks])
+
+
+def test_cli_dk_sizing_refuses_out(capsys, tmp_path):
+    # level 3 is only sized, so there is no tournament to write
+    out = tmp_path / "d3.trn"
+    code, envelope = _run(capsys, "construct", "dk", "3", "--out", str(out))
+    _assert_nothing_to_write(code, envelope, "--out", [], [out])
+
+
+def test_cli_pass_solve_refuses_out(capsys, tmp_path, monkeypatch):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solve_pass must not run")
+
+    monkeypatch.setattr(cli, "solve_pass", no_solve)
+    instance, out = tmp_path / "inst.json", tmp_path / "perm.json"
+    write_json(instance, to_pass(r5()).to_dict())
+    code, envelope = _run(capsys, "pass", "solve", str(instance), "--out", str(out))
+    _assert_nothing_to_write(code, envelope, "--out", _inputs(instance), [out])
+
+
+def test_cli_writes_what_the_library_writes(capsys, tmp_path, surrogate, r5_file):
+    def expected(name, value):
+        path = tmp_path / name
+        if isinstance(value, Tournament):
+            save_tournament(value, path)
+        else:
+            write_json(path, value.to_dict())
+        return path.read_bytes()
+
+    base, companion, cnf = tmp_path / "c3.trn", tmp_path / "w7.trn", tmp_path / "phi.cnf"
+    save_tournament(c3(), base)
+    save_tournament(surrogate, companion)
+    cnf.write_text("p cnf 3 2\n1 2 3 0\n-1 -2 3 0\n")
+    d2, amplified = pi(tt(3)), amplifier(c3())
+    instance = build(parse_dimacs(cnf.read_text()), surrogate)
+    cases = [
+        (["construct", "pi", "3"], {"out": d2.tournament, "layout_out": d2.layout}),
+        (["construct", "amplifier", str(base)], {"out": amplified.tournament}),
+        (["reduce", "--cnf", str(cnf), "--gadget", str(companion)],
+         {"out": instance.tournament, "landmarks": instance}),
+        (["pass", "from-tournament", r5_file], {"out": to_pass(r5())}),
+    ]
+    for i, (argv, files) in enumerate(cases):
+        paths = {key: str(tmp_path / f"cli{i}_{key}.{'trn' if key == 'out' else 'json'}")
+                 for key in files}
+        options = [part for key, path in paths.items()
+                   for part in (f"--{key.replace('_', '-')}", path)]
+        code, envelope = _run(capsys, *argv, *options)
+        assert code == 0, argv
+        for key, path in paths.items():
+            assert envelope["result"][key] == path
+            assert Path(path).read_bytes() == expected(f"lib{i}_{key}", files[key]), (argv, key)
+
+
+def test_cli_amplifier_refuses_an_empty_base(capsys, monkeypatch):
+    for extra in ((), ("--sizing-only",)):
+        code, envelope = _run(capsys, "construct", "amplifier", "0", *extra)
+        assert code == 2 and envelope["result"] == {"error": "base size must be positive"}
+
+    def no_search(t, **kwargs):
+        raise AssertionError("omega must not run on an empty base")
+
+    monkeypatch.setattr("backedge.constructions.omega", no_search)
+    with pytest.raises(ValueError, match="base size must be positive"):
+        amplifier(tt(0))
+
+
+def test_cli_audit_needs_a_build(capsys, tmp_path):
+    base = tmp_path / "c3.trn"
+    save_tournament(c3(), base)
+    code, envelope = _run(capsys, "construct", "amplifier", str(base),
+                          "--audit-subsets", "5", "--sizing-only")
+    assert code == 2 and envelope["inputs"] == []
+    assert envelope["result"] == {
+        "error": "--sizing-only builds nothing for --audit-subsets to audit"}
 
 
 def test_cli_reduce_sizing_only_reports_what_build_builds(capsys, tmp_path, surrogate):
