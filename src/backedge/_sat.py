@@ -1,6 +1,7 @@
 """Minimal conflict-driven clause-learning SAT solver.
 
-Backs the lazy-cut search for acyclic vertex partitions through its driver
+Backs the search for acyclic vertex partitions, whose solver subclasses it
+to propagate directed triangles, and the lazy cuts of its driver
 `Solver.solve_with_cuts`.  Deterministic: no randomness anywhere, ties broken
 by variable index, so repeated runs produce identical models and refutations.
 
@@ -18,11 +19,12 @@ or propagate, so a screen unpacks it and stores a fresh list of its literals,
 in the given order; other clauses take the general path, to the same state.
 Either way the caller's list is never kept.  Loading pauses the cyclic
 garbage collector (kept clauses hold no cycles).  A clause watches its
-literals at positions 0 and 1, and ``watches[l]`` lists the clauses watching
-``l ^ 1``, the literal that ``l`` falsifies.  During propagation a watch list
-is only popped while it is scanned (a clause leaves it for the list of a
-non-false literal, never of the literal being scanned), so the scan tracks
-the list's length itself.
+literals at positions 0 and 1; `Solver._attach` stores every kept clause
+that way, loaded, learnt or added by a subclass's propagator.
+``watches[l]`` lists the clauses watching ``l ^ 1``, the literal that ``l``
+falsifies.  During propagation a watch list is only popped while it is
+scanned (a clause leaves it for the list of a non-false literal, never of
+the literal being scanned), so the scan tracks the list's length itself.
 """
 
 from __future__ import annotations
@@ -90,8 +92,7 @@ class Solver:
         gc.disable()
         try:
             val = self.val
-            db = self.clauses
-            watches = self.watches
+            attach = self._attach
             at_root = not self.trail_lim
             for lits in clauses:
                 size = len(lits) if at_root else 0
@@ -143,13 +144,19 @@ class Solver:
                             self.ok = False
                             return
                         continue
-                idx = len(db)
-                db.append(clause)
-                watches[clause[0] ^ 1].append(idx)
-                watches[clause[1] ^ 1].append(idx)
+                attach(clause)
         finally:
             if collecting:
                 gc.enable()
+
+    def _attach(self, clause: list[int]) -> int:
+        """Store ``clause`` (two or more literals) watching its first two
+        literals; returns its index."""
+        idx = len(self.clauses)
+        self.clauses.append(clause)
+        self.watches[clause[0] ^ 1].append(idx)
+        self.watches[clause[1] ^ 1].append(idx)
+        return idx
 
     def _enqueue(self, l: int, reason: int) -> None:
         """Assign literal ``l`` true at the current level; ``l`` is unassigned."""
@@ -328,11 +335,7 @@ class Solver:
                 if len(learnt) == 1:
                     self._enqueue(learnt[0], -1)
                 else:
-                    idx = len(self.clauses)
-                    self.clauses.append(learnt)
-                    self.watches[learnt[0] ^ 1].append(idx)
-                    self.watches[learnt[1] ^ 1].append(idx)
-                    self._enqueue(learnt[0], idx)
+                    self._enqueue(learnt[0], self._attach(learnt))
                 self.var_inc /= 0.95
                 continue
             if conflicts_here >= restart_limit:

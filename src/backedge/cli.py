@@ -196,8 +196,9 @@ def _write(args, deadline, **files) -> dict:
     """The one write step: ``files`` maps each output option of the verb, by
     its ``args`` name, to what this run writes there (a tournament as text,
     else ``to_dict()`` as JSON), or to None if nothing.  A given option with
-    nothing to write is an input error; else the budget is polled once and
-    the files are written.  Returns the written paths by option."""
+    nothing to write is an input error; else the budget is polled, and again
+    while a tournament's rows are formatted, and the files are written.
+    Returns the written paths by option."""
     given = {key: getattr(args, key) for key in files if getattr(args, key) is not None}
     idle = [f"--{key.replace('_', '-')}" for key in given if files[key] is None]
     if idle:
@@ -206,7 +207,7 @@ def _write(args, deadline, **files) -> dict:
     for key, path in given.items():
         value = files[key]
         if isinstance(value, Tournament):
-            save_tournament(value, path)
+            save_tournament(value, path, deadline)
         else:
             write_json(path, value.to_dict())
     return given

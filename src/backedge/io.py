@@ -8,7 +8,10 @@ import os
 from pathlib import Path
 from typing import Optional, Union
 
-from .core import Tournament, _quote
+from .core import Deadline, Tournament, _quote
+
+# rows formatted between two polls of the deadline while a tournament is saved
+_ROWS_PER_POLL = 256
 
 
 def _format_row(row: int, n: int) -> str:
@@ -26,10 +29,17 @@ def _parse_row(text: str) -> Optional[int]:
     return int(text[::-1], 2)
 
 
-def tournament_to_text(t: Tournament) -> str:
-    lines = [f"tournament {t.n}"]
-    lines.extend(_format_row(row, t.n) for row in t.rows)
-    return "\n".join(lines) + "\n"
+def _format_rows(t: Tournament, deadline: Deadline = Deadline()) -> list[str]:
+    """Every row of ``t`` as characters 0/1, polling ``deadline`` per block."""
+    rows = []
+    for start in range(0, t.n, _ROWS_PER_POLL):
+        deadline.check()
+        rows.extend(_format_row(row, t.n) for row in t.rows[start:start + _ROWS_PER_POLL])
+    return rows
+
+
+def tournament_to_text(t: Tournament, deadline: Deadline = Deadline()) -> str:
+    return "\n".join([f"tournament {t.n}", *_format_rows(t, deadline)]) + "\n"
 
 
 def _digits(token: str) -> bool:
@@ -64,10 +74,10 @@ def tournament_from_text(text: str) -> Tournament:
     return Tournament(n, tuple(rows))
 
 
-def tournament_to_json_dict(t: Tournament) -> dict:
+def tournament_to_json_dict(t: Tournament, deadline: Deadline = Deadline()) -> dict:
     return {
         "n": t.n,
-        "rows": [_format_row(row, t.n) for row in t.rows],
+        "rows": _format_rows(t, deadline),
     }
 
 
@@ -134,12 +144,16 @@ def load_tournament(path: Union[str, os.PathLike]) -> Tournament:
     return parse_tournament(Path(path).read_text(encoding="utf-8"), path)
 
 
-def save_tournament(t: Tournament, path: Union[str, os.PathLike]) -> None:
-    """Write ``t`` as its JSON mirror if ``path`` ends in ``.json``, else as .trn text."""
+def save_tournament(
+    t: Tournament, path: Union[str, os.PathLike], deadline: Deadline = Deadline()
+) -> None:
+    """Write ``t`` as its JSON mirror if ``path`` ends in ``.json``, else as .trn
+    text.  The rows are formatted, polling ``deadline``, before the file is
+    opened, so a run out of budget writes nothing."""
     if str(path).endswith(".json"):
-        payload = json.dumps(tournament_to_json_dict(t), indent=1) + "\n"
+        payload = json.dumps(tournament_to_json_dict(t, deadline), indent=1) + "\n"
     else:
-        payload = tournament_to_text(t)
+        payload = tournament_to_text(t, deadline)
     with open(path, "w", encoding="utf-8") as handle:
         handle.write(payload)
 

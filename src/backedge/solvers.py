@@ -271,6 +271,121 @@ def omega_by_enumeration(t: Digraph) -> int:
     return best
 
 
+class _ClassSolver(Solver):
+    """`Solver` over chi_decide's encoding, var(v, c) = v * k + c, that
+    propagates the directed triangles and digons inside each class.
+
+    Clause propagation runs to its fixpoint first.  Then each newly true
+    x(u, c) is checked against the members v of class c: u -> v forbids the
+    w of ``rows[v] & cols[u]`` (closing u -> v -> w -> u), v -> u forbids
+    those of ``rows[u] & cols[v]``, and a digon u <-> v is a conflict.  A
+    forbidden w already in class c is a conflict; an unassigned one gets
+    x(w, c) false.  Only such a reason or conflict enters the database, as
+    its triangle clause [-x(w, c), -x(u, c), -x(v, c)] (or the digon's two
+    literals) with v the lowest member that closes it: a reason watches the
+    implied literal and -x(u, c), its false literal of highest level, and a
+    conflict watches its literals in order of decreasing level.
+
+    Per class, ``members`` and ``out`` mask the vertices w whose x(w, c) is
+    true, and false, in the trail before ``thead``, the next entry the
+    propagator checks.  ``saved`` holds both lists as each decision level
+    began (every decision is propagated before the next), so a backjump
+    restores them.
+    """
+
+    def __init__(self, d: Digraph, k: int):
+        super().__init__(d.n * k)
+        self.rows, self.cols, self.k = d.rows, d.cols, k
+        self.members = [0] * k
+        self.out = [0] * k
+        self.thead = 0
+        self.saved: list = []
+
+    def _propagate(self) -> Optional[int]:
+        trail = self.trail
+        val = self.val
+        level = self.level
+        reason = self.reason
+        members = self.members
+        out = self.out
+        rows, cols, k = self.rows, self.cols, self.k
+        k2 = 2 * k
+        thead = self.thead
+        if len(self.saved) < len(self.trail_lim):
+            self.saved.append((members[:], out[:]))
+        while True:
+            confl = super()._propagate()
+            if confl is not None or thead == len(trail):
+                self.thead = thead
+                return confl
+            cur_level = len(self.trail_lim)
+            while thead < len(trail):
+                l = trail[thead]
+                thead += 1
+                u, c = divmod(l >> 1, k)
+                if l & 1:
+                    out[c] |= 1 << u
+                    continue
+                ms = members[c]
+                members[c] = ms | 1 << u
+                ru, cu = rows[u], cols[u]
+                ahead = ms & ru  # members v with u -> v
+                behind = ms & cu  # members v with v -> u
+                base = 2 * c + 1  # -x(w, c) is w * k2 + base
+                nu = l | 1
+                digons = ahead & behind
+                if digons:
+                    self.thead = thead
+                    v = (digons & -digons).bit_length() - 1
+                    return self._conflict([nu, v * k2 + base])
+                closes_ahead = 0
+                m = ahead
+                while m:
+                    bit = m & -m
+                    m ^= bit
+                    closes_ahead |= rows[bit.bit_length() - 1]
+                closes_ahead &= cu
+                closes_behind = 0
+                m = behind
+                while m:
+                    bit = m & -m
+                    m ^= bit
+                    closes_behind |= cols[bit.bit_length() - 1]
+                closes_behind &= ru
+                forbid = (closes_ahead | closes_behind) & ~out[c]
+                while forbid:
+                    bit = forbid & -forbid
+                    forbid ^= bit
+                    w = bit.bit_length() - 1
+                    nw = w * k2 + base
+                    value = val[nw]
+                    if value > 0:
+                        continue
+                    closing = ahead & cols[w] if closes_ahead & bit else behind & rows[w]
+                    nv = ((closing & -closing).bit_length() - 1) * k2 + base
+                    if value < 0:
+                        self.thead = thead
+                        return self._conflict([nw, nu, nv])
+                    val[nw] = 1
+                    val[nw ^ 1] = -1
+                    v = nw >> 1
+                    level[v] = cur_level
+                    reason[v] = self._attach([nw, nu, nv])
+                    trail.append(nw)
+
+    def _conflict(self, clause: list[int]) -> int:
+        level = self.level
+        clause.sort(key=lambda l: -level[l >> 1])
+        return self._attach(clause)
+
+    def _backjump(self, target: int) -> None:
+        if len(self.trail_lim) > target:
+            self.members[:], self.out[:] = self.saved[target]
+            del self.saved[target:]
+            self.thead = self.trail_lim[target]
+        super()._backjump(target)
+
+
 def chi_decide(
     d: Digraph, k: int, *, deadline: Deadline = Deadline()
 ) -> ChiDecideResult:
@@ -278,11 +393,14 @@ def chi_decide(
     subdigraph?
 
     Encodes class membership as booleans and refutes/extends with a
-    conflict-driven search; directed-cycle constraints are seeded for all
-    triangles of moderate-size tournaments and otherwise cut lazily, through
-    `Solver.solve_with_cuts`, from each cyclic candidate class, for every k.
-    The deadline is polled once per first vertex while seeding, once per round
-    of cuts in the driver, and every 256 conflicts inside the search.
+    conflict-driven search (`_ClassSolver`) that propagates the directed
+    triangles and digons inside each class as it assigns, so a triangle's
+    clause exists only once it has been a reason or a conflict.  Cycles of
+    length 4 and up are cut lazily, through `Solver.solve_with_cuts`, from
+    each cyclic candidate class; a directed cycle of a tournament spans a
+    directed triangle, so a tournament never needs a cut.  The deadline is polled once before the solver
+    is built, once per round of cuts in the driver, and every 256 conflicts
+    inside the search.
 
     Classes are interchangeable, so vertex 0 is pinned to class 0.  For
     k >= 3 the symmetry among the other classes is broken on two more
@@ -295,8 +413,8 @@ def chi_decide(
     2 or above, move b into class 1, which a is not in.  Otherwise, if b is
     in class 3 or above, move b into class 2, which holds neither 0 nor a.
     Swaps keep every class acyclic, so no partition is lost.  On a triangle
-    the class-0 cut keeps b out of a's class 0, so a in class 0 fixes b in
-    class 1, which is why the triangle is chosen.
+    the propagator keeps b out of class 0 once 0 and a are both there, so a
+    in class 0 fixes b in class 1, which is why the triangle is chosen.
     """
     if k < 1:
         raise ValueError("class count must be positive")
@@ -304,7 +422,8 @@ def chi_decide(
     if k >= n:
         return ChiDecideResult(True, tuple((v,) for v in range(n)))
 
-    solver = Solver(n * k)
+    deadline.check()
+    solver = _ClassSolver(d, k)
     # var(v, c) = v * k + c has the negative literal negs[v] + 2 * c
     negs = [2 * k * v + 1 for v in range(n)]
     shifts = range(0, 2 * k, 2)
@@ -330,26 +449,6 @@ def chi_decide(
                 yield [na, nb + c]
             for c in shifts[3:]:
                 yield [nb + c]
-        if isinstance(d, Tournament) and n <= 256:
-            # in a tournament every directed cycle contains a directed
-            # triangle, so triangle cuts alone are complete
-            rows, cols = d.rows, d.cols
-            for u in range(n):
-                deadline.check()
-                high = ~((1 << (u + 1)) - 1)
-                pairs = [(negs[v], negs[w]) for v in _bits(rows[u] & high)
-                         for w in _bits(rows[v] & cols[u] & high)]
-                if u:
-                    a = negs[u]
-                    yield from [[a + c, b + c, e + c] for b, e in pairs for c in shifts]
-                else:
-                    # the pins satisfy the cuts of classes 1.. and falsify
-                    # vertex 0's literal in class 0; this is the clause the
-                    # loader would keep.  The full cuts give the same clauses
-                    # and conflicts, but each fails the loader's screen: chi on
-                    # 120 random tournaments with n = 22-24 ran 6-19% slower
-                    # (best of 3, 2-vCPU Xeon VM).
-                    yield from [[b, e] for b, e in pairs]
 
     solver.add_clauses(seed_clauses())
 

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from backedge import cli
 from backedge.cli import run
 from backedge.constructions import DEFAULT_VERTEX_BUDGET, amplifier, arrow, c3, pi, tt
-from backedge.core import Tournament, is_strong
+from backedge.core import BudgetExhausted, Deadline, Tournament, is_strong
 from backedge.gadgets import clause_base, r5, var_base
 from backedge.io import (
     load_tournament,
@@ -837,13 +837,13 @@ def test_cli_budget_bounds_the_companion_proof(capsys, tmp_path, surrogate):
     assert code == 3 and envelope["budget"]["exhausted"] is True
 
 
-def test_cli_budget_bounds_chi_cut_seeding(capsys, tmp_path):
-    # a 200-vertex tournament has about 330,000 directed triangles, so seeding
-    # their cuts takes far longer than the budget, before any conflict
+def test_cli_budget_bounds_chi_decide(capsys, tmp_path):
+    # five classes of this 200-vertex tournament give no verdict in ten
+    # minutes (k = 3 is refuted in 0.01 s and k = 4 in 0.5 s)
     rng = random.Random(13)
     path = tmp_path / "t200.trn"
     save_tournament(labeled_tournament(200, rng.randrange(labeled_count(200))), path)
-    code, envelope = _run(capsys, "--budget", "0.2", "chi-decide", "--k", "3", str(path))
+    code, envelope = _run(capsys, "--budget", "0.2", "chi-decide", "--k", "5", str(path))
     assert code == 3 and envelope["budget"]["exhausted"] is True
 
 
@@ -876,7 +876,7 @@ def test_cli_budget_bounds_each_verbs_wall_time(capsys, tmp_path, surrogate):
         ("omega", t18),
         ("orderings", saved("t12.trn", _random_tournament(12, 5))),
         ("forcing", "--u", "0", "--v", "1", "--k", "3", t18),
-        ("chi-decide", "--k", "3", saved("t200.trn", _random_tournament(200, 13))),
+        ("chi-decide", "--k", "5", saved("t200.trn", _random_tournament(200, 13))),
         ("check-rules", saved("strong10.trn", strong10)),
         ("pass", "solve", str(pass24)),
         ("reduce", "--cnf", str(cnf), "--gadget", saved("w18.trn", arrow(surrogate, tt(11)))),
@@ -917,6 +917,24 @@ def test_cli_budget_bounds_a_large_reduction(capsys, tmp_path, surrogate):
     elapsed = time.monotonic() - started
     assert code == 3 and envelope["budget"]["exhausted"] is True
     assert elapsed < 0.05 + BUDGET_SLACK_S and not out.exists()
+
+
+def test_save_tournament_polls_before_opening_the_file(tmp_path):
+    # 300 rows are two blocks: the second poll comes after 256 rows are formatted
+    class OnePoll(Deadline):
+        polls = 0
+
+        def check(self):
+            self.polls += 1
+            if self.polls > 1:
+                raise BudgetExhausted("budget exhausted")
+
+    for name in ("t.trn", "t.json"):
+        with pytest.raises(BudgetExhausted):
+            save_tournament(tt(300), tmp_path / name, OnePoll())
+        assert not (tmp_path / name).exists()
+        save_tournament(tt(300), tmp_path / name, Deadline(60))
+        assert load_tournament(tmp_path / name) == tt(300)
 
 
 def _then_sleep(real, seconds):

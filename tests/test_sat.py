@@ -437,6 +437,11 @@ def test_add_clauses_screen_refuses_above_level_zero():
     assert raised > 20
 
 
+def exhausted_after(clauses):
+    yield from clauses
+    raise BudgetExhausted("budget exhausted")
+
+
 def test_add_clauses_restores_the_collector():
     t = r5()
     was_enabled = gc.isenabled()
@@ -445,10 +450,15 @@ def test_add_clauses_restores_the_collector():
             (gc.enable if enabled else gc.disable)()
             assert chi_decide(t, 2).decision
             assert gc.isenabled() == enabled
-            # the seed generator's deadline poll raises inside add_clauses
             with pytest.raises(BudgetExhausted):
                 chi_decide(t, 2, deadline=Deadline(0))
             assert gc.isenabled() == enabled
+            # a clause source that raises part-way through the load
+            solver = Solver(4)
+            with pytest.raises(BudgetExhausted):
+                solver.add_clauses(exhausted_after([[0, 2], [1, 4]]))
+            assert gc.isenabled() == enabled
+            assert solver.clauses == [[0, 2], [1, 4]]
             solver = Solver(4)
             solver.add_clauses([[0, 2, 4], [1, 6], [0, 3]])
             assert solver.solve() is not None and solver.trail_lim

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from backedge import solvers
 from backedge._sat import Solver
-from backedge.constructions import amplifier, arrow, c3, delta, tt
+from backedge.constructions import amplifier, arrow, c3, delta, pi, tt
 from backedge.core import (
     BudgetExhausted,
     Digraph,
@@ -369,41 +369,71 @@ def test_chi_decide_matches_pin_only_oracle_on_60_tournaments_22_to_24():
             chi_against_pin_only(labeled_tournament(n, rng.randrange(labeled_count(n))))
 
 
-def test_two_class_formulas_are_the_pin_only_formula(monkeypatch, d2):
+def test_propagator_adds_only_triangle_and_digon_clauses_of_one_class(monkeypatch, d2):
     made = []
 
-    class RecordingSolver(Solver):
-        def __init__(self, n_vars):
-            super().__init__(n_vars)
+    class RecordingSolver(solvers._ClassSolver):
+        # records the clauses attached while propagating; learnt clauses
+        # are attached by solve() after conflict analysis, outside it
+        def __init__(self, d, k):
+            super().__init__(d, k)
+            self.added = []
+            self.propagating = False
             made.append(self)
 
-    monkeypatch.setattr(solvers, "Solver", RecordingSolver)
+        def _propagate(self):
+            self.propagating = True
+            try:
+                return super()._propagate()
+            finally:
+                self.propagating = False
+
+        def _attach(self, clause):
+            if self.propagating:
+                self.added.append(list(clause))
+            return super()._attach(clause)
+
+    monkeypatch.setattr(solvers, "_ClassSolver", RecordingSolver)
     rng = random.Random(73)
     digraphs = [d2.tournament, source_zero(14, rng.randrange(labeled_count(14)))]
     digraphs += [labeled_tournament(n, rng.randrange(labeled_count(n))) for n in (8, 16, 24)]
     digraphs.append(Digraph.from_arcs(9, [(v, (v + 1) % 9) for v in range(9)] + [(0, 4), (4, 0)]))
+    for n in (10, 12):
+        arcs = [(u, v) for u in range(n) for v in range(n) if u != v and rng.random() < 0.4]
+        digraphs.append(Digraph.from_arcs(n, arcs))
+    shapes = set()
     for d in digraphs:
-        res = chi_decide(d, 2)
-        decision, _, oracle = pin_only_chi_decide(d, 2)
-        # same clauses in the same order, learnt ones included: same search
-        assert (res.decision, made[-1].clauses, made[-1].trail) == (
-            decision,
-            oracle.clauses,
-            oracle.trail,
-        )
-        assert res.conflicts == oracle.conflicts
+        for k in (2, 3):
+            res = chi_decide(d, k)
+            assert res.decision == pin_only_chi_decide(d, k)[0], (d, k)
+            solver = made[-1]
+            for clause in solver.added:
+                # negative literals of one class on distinct vertices
+                assert all(l & 1 for l in clause), clause
+                vertices = [(l >> 1) // k for l in clause]
+                assert len({(l >> 1) % k for l in clause}) == 1
+                assert len(set(vertices)) == len(vertices) in (2, 3), clause
+                if len(vertices) == 2:
+                    a, b = vertices
+                    assert d.rows[a] >> b & 1 and d.cols[a] >> b & 1, clause
+                else:
+                    a, b, c = vertices
+                    assert any(
+                        d.rows[x] >> y & 1 and d.rows[y] >> z & 1 and d.cols[x] >> z & 1
+                        for x, y, z in ((a, b, c), (a, c, b))
+                    ), clause
+                shapes.add(len(vertices))
+    assert shapes == {2, 3}
     res = chi_decide(d2.tournament, 2)
     assert (res.decision, res.conflicts) == (False, 3)
 
 
-def test_chi_decide_refutes_the_amplifier_through_lazy_rounds(monkeypatch):
-    # 315 vertices: above 256 no triangle cut is seeded, so every cycle cut
-    # of this refutation enters in a round of Solver.solve_with_cuts
+def _count_solves(monkeypatch):
     made = []
 
-    class CountingSolver(Solver):
-        def __init__(self, n_vars):
-            super().__init__(n_vars)
+    class CountingSolver(solvers._ClassSolver):
+        def __init__(self, d, k):
+            super().__init__(d, k)
             self.solves = 0
             made.append(self)
 
@@ -411,10 +441,49 @@ def test_chi_decide_refutes_the_amplifier_through_lazy_rounds(monkeypatch):
             self.solves += 1
             return super().solve(deadline)
 
-    monkeypatch.setattr(solvers, "Solver", CountingSolver)
+    monkeypatch.setattr(solvers, "_ClassSolver", CountingSolver)
+    return made
+
+
+def test_chi_decide_refutes_the_amplifier_in_one_solve(monkeypatch):
+    # 315 vertices: every directed cycle of a tournament holds a directed
+    # triangle, which the propagator forbids, so no cut round is needed
+    made = _count_solves(monkeypatch)
     res = chi_decide(amplifier(c3()).tournament, 2)
-    assert (res.decision, res.classes, res.conflicts) == (False, None, 21)
-    assert made[-1].solves > 1
+    assert (res.decision, res.classes, res.conflicts) == (False, None, 3)
+    assert made[-1].solves == 1
+
+
+def test_chi_decide_cuts_a_chordless_four_cycle_in_a_round(monkeypatch):
+    # the only cycle 1 -> 2 -> 3 -> 4 -> 1 holds no triangle for the
+    # propagator; the first model puts it in class 1, so solve_with_cuts
+    # cuts it and solves again
+    made = _count_solves(monkeypatch)
+    d = Digraph.from_arcs(6, [(1, 2), (2, 3), (3, 4), (4, 1), (0, 1), (3, 5)])
+    res = chi_decide(d, 2)
+    assert res.decision and made[-1].solves == 2
+    assert_acyclic_partition(d, res.classes, 2)
+    assert (chi_decide(d, 1).decision, made[-1].solves) == (False, 2)
+
+
+def test_chi_of_the_amplifier_is_three():
+    # amplifier(c3) hits c3: every subset or its complement holds a directed
+    # triangle, so no two acyclic classes cover it (ROADMAP item 10)
+    t = amplifier(c3()).tournament
+    res = chi(t)
+    assert res.value == 3
+    assert_acyclic_partition(t, res.classes, 3)
+
+
+def test_chi_of_pi_r5_is_one_more_than_chi_of_r5():
+    """pi strictly raises chi on r5: 2 -> 3 (ROADMAP item 10).  The 1,265
+    vertices take about 0.6 s on a 2-vCPU Xeon VM (k = 2 refuted in 0.05 s,
+    k = 3 found in 0.43 s, best of 3)."""
+    assert chi(r5()).value == 2
+    t = pi(r5()).tournament
+    res = chi(t)
+    assert res.value == 3
+    assert_acyclic_partition(t, res.classes, 3)
 
 
 def test_chi_decide_with_one_class_is_acyclicity():
@@ -424,7 +493,7 @@ def test_chi_decide_with_one_class_is_acyclicity():
         for _ in range(3):
             arcs = [(u, v) for u in range(n) for v in range(n) if u != v and rng.random() < 0.15]
             digraphs.append(Digraph.from_arcs(n, arcs))
-    # both sides of the 256-vertex switch between seeded and lazy triangle cuts
+    # 300-vertex tournaments, one of them acyclic
     digraphs += [tt(300), arrow(tt(297), c3())]
     verdicts = set()
     for d in digraphs:
@@ -457,7 +526,9 @@ def test_chi_deep_search_on_larger_tournaments():
 
 
 def test_chi_decide_polls_the_deadline_while_seeding_cuts():
-    # solve polls only every 256 conflicts; this call needs far fewer
+    # the seed clauses are the encoding's at-least-one clauses and pins;
+    # chi_decide polls before it builds them, since solve polls only every
+    # 256 conflicts and this call needs far fewer
     t = labeled_tournament(12, random.Random(29).randrange(labeled_count(12)))
     assert chi_decide(t, 2).conflicts < 256
     with pytest.raises(BudgetExhausted):

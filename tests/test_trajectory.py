@@ -6,10 +6,10 @@ a fixed function of the input.  Two digests hash what that search produces.
 clauses included, of seeded raw CNF runs with ``reset()`` and re-solves: it
 pins the kernel in ``_sat``.  ``CHI_DIGEST`` covers per-k ``chi_decide``
 verdicts, classes and conflict counts on seeded random tournaments and
-digraphs: it pins the kernel together with the partition encoding.  A kernel
-change that keeps every answer correct but changes the search (tie-breaking,
-watch order, restarts, phase saving) changes both hashes; an encoding change
-changes only the second.  A change that alters the search on purpose records
+digraphs: it pins the kernel together with the partition encoding and its
+triangle propagator.  A kernel change that keeps every answer correct but
+changes the search (tie-breaking, watch order, restarts, phase saving)
+changes both hashes; an encoding change changes only the second.  A change that alters the search on purpose records
 the new digest and says so.
 """
 
@@ -24,7 +24,7 @@ from backedge.solvers import chi_decide
 from labeled import labeled_count, labeled_tournament
 
 CNF_DIGEST = "d6bdf5254fa2f00d856a5942caece72404ac0eb0dd1bf05dd48a8fb8569ec451"
-CHI_DIGEST = "2660794509cd15e23201eb86946fa160e84ee3a4a9cd76d5b413f36593c0bcc0"
+CHI_DIGEST = "31c7202d85d85bc05d2e54e88a2362305b6033732a2e1b7f1f6129deb669defa"
 
 
 def _chi_records():
@@ -34,8 +34,8 @@ def _chi_records():
         for n in range(8, 25)
         for _ in range(2)
     ]
-    # sparse digraphs have few triangles, so their cuts arrive lazily through
-    # reset() and re-solve
+    # sparse digraphs have cycles without a triangle, whose cuts arrive
+    # lazily through reset() and re-solve
     for n in range(8, 15):
         arcs = [(u, v) for u in range(n) for v in range(n) if u != v and rng.random() < 0.3]
         digraphs.append(Digraph.from_arcs(n, arcs))
