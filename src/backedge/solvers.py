@@ -7,6 +7,16 @@ an unplaced vertex into it.  Forward checking kills a prefix once some
 unplaced vertex beats a k-clique of its backedge graph, since placing that
 vertex must close a (k+1)-clique; only prefixes without a completion die,
 so surviving branches, their order and the first witnesses are unchanged.
+
+For k <= 2 the forward check and the `before` gate read only the prefix's
+vertex set, so the subtree below a surviving prefix (its completions, their
+order and its node count) depends on that set alone.  The search stores it
+per set as the set's level pops and replays it when a later prefix reaches
+the same set: the Held-Karp subset recursion (Held & Karp 1962), run lazily
+inside the depth-first search.  Before the first ordering every stored set
+is dead, so decision callers get nogood caching and exact first-witness
+node counts.  For k >= 3 the check reads the prefix's backedges, which fix
+the order of its vertices, so no key would repeat and nothing is stored.
 """
 
 from __future__ import annotations
@@ -101,7 +111,12 @@ def iter_orderings_with_clique_at_most(
     """All orderings whose backedge graph has clique number <= k, lexicographically.
 
     `before=(a, b)` restricts the stream to orderings placing a before b.
-    `stats.nodes` counts the prefixes that survive the forward check, updated before each yield.
+    `stats.nodes` counts the prefixes that survive the forward check, flushed
+    before each yield; a replayed subtree (k <= 2) is counted by its stored
+    size, added before its first ordering is yielded, so during a replay the
+    count may run ahead of the orderings seen so far.  The deadline is polled
+    on entry, once per 4,096 prefixes the search expands, and once per
+    4,096 orderings a replay yields.
     """
     if k < 1:
         raise ValueError("clique bound must be positive")
@@ -111,6 +126,8 @@ def iter_orderings_with_clique_at_most(
     for vertex in before or ():
         if not 0 <= vertex < n:
             raise ValueError(f"vertex {vertex} out of range")
+    if before is not None and before[0] == before[1]:
+        raise ValueError("before needs two distinct vertices")
     deadline.check()
     if n == 0:
         yield ()
@@ -129,7 +146,16 @@ def iter_orderings_with_clique_at_most(
     avails = [(full if first_vertex is None else 1 << first_vertex) & ~block]
     if stats is None:
         stats = SearchStats()
-    node_count = flushed = 0  # the deadline poll reads the running total
+    # k <= 2 only (module docstring): done[set] = (the orderings completing
+    # the set, its subtree's node count), stored as the set's level pops.
+    # found runs with avails: per level, the orderings found below it so far
+    # and the node total on entry.  The root and the single-vertex sets are
+    # reached once, so their levels collect nothing (None).
+    done: dict[int, tuple[list[tuple[int, ...]], int]] = {}
+    found: list[tuple[Optional[list[tuple[int, ...]]], int]] = [(None, 0)]
+    # node_count: the prefixes expanded here, which the deadline poll
+    # reads; skipped: those of replayed subtrees
+    node_count = skipped = flushed = 0
     while avails:
         avail = avails[-1]
         if not avail:
@@ -137,7 +163,6 @@ def iter_orderings_with_clique_at_most(
             if seq:
                 v = seq.pop()
                 low = 1 << v
-                placed ^= low
                 if keep:
                     m = badj[v]
                     badj[v] = 0
@@ -145,6 +170,14 @@ def iter_orderings_with_clique_at_most(
                         lb = m & -m
                         badj[lb.bit_length() - 1] ^= low
                         m ^= lb
+                else:
+                    below, start = found.pop()
+                    if below is not None:
+                        done[placed] = (below, node_count + skipped - start)
+                        above = found[-1][0]
+                        if above is not None:
+                            above += below
+                placed ^= low
             continue
         low = avail & -avail
         avails[-1] = avail ^ low
@@ -178,11 +211,39 @@ def iter_orderings_with_clique_at_most(
         placed |= low
         seq.append(v)
         if placed == full:
-            stats.nodes += node_count - flushed
-            flushed = node_count
-            yield tuple(seq)
+            stats.nodes += node_count + skipped - flushed
+            flushed = node_count + skipped
+            ordering = tuple(seq)
+            if not keep:
+                above = found[-1][0]
+                if above is not None:
+                    above.append(ordering)
+                found.append((None, 0))
+            yield ordering
+        elif not keep:
+            stored = done.get(placed)
+            if stored is not None:
+                # replay the set's subtree, polling once per block of orderings
+                orderings, count = stored
+                skipped += count
+                if orderings:
+                    stats.nodes += node_count + skipped - flushed
+                    flushed = node_count + skipped
+                    head = tuple(seq)
+                    depth = len(head)
+                    above = found[-1][0]
+                    for i in range(0, len(orderings), 0x1000):
+                        deadline.check()
+                        chunk = [head + o[depth:] for o in orderings[i:i + 0x1000]]
+                        if above is not None:
+                            above += chunk
+                        yield from chunk
+                seq.pop()
+                placed ^= low
+                continue
+            found.append(([] if len(seq) > 1 else None, node_count + skipped))
         avails.append(full & ~placed & ~(block if gate & ~placed else 0))
-    stats.nodes += node_count - flushed
+    stats.nodes += node_count + skipped - flushed
 
 
 def omega_decide(

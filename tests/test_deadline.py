@@ -7,19 +7,22 @@ import pytest
 
 from backedge import Deadline as PackageDeadline
 from backedge import constructions, reduction
-from backedge.constructions import amplifier, c3, pi
+from backedge.constructions import amplifier, c3, chain, pi
 from backedge.core import BudgetExhausted, Deadline, contains_subtournament
 from backedge.gadgets import check_companion, r5, verify_clause_base, verify_var_base
 from backedge.reduction import build, instance_from_dict, parse_dimacs
 from backedge.solvers import (
     Deadline as SolversDeadline,
+    SearchStats,
     enumerate_omega_orderings,
+    iter_orderings_with_clique_at_most,
     min_order_with_omega,
     minimum_ordering,
 )
 from backedge.subword import solve_pass, to_pass
 
 from labeled import labeled_count, labeled_tournament
+from search_tree import expanded_count
 
 
 class FirstPoll(Deadline):
@@ -100,6 +103,36 @@ def _log_returns(monkeypatch, module, names, log):
             log.append(_name)
             return result
         monkeypatch.setattr(module, name, logged)
+
+
+def _polls_and_nodes(t, k):
+    log = []
+    stats = SearchStats()
+    count = sum(1 for _ in iter_orderings_with_clique_at_most(t, k, deadline=PollLog(log), stats=stats))
+    return len(log), count, stats.nodes
+
+
+def test_a_replaying_enumeration_polls_per_block_of_expanded_prefixes():
+    # a random 15-vertex tournament of value 2, then a 3-cycle: at k = 2 the
+    # search expands 24,433 of its 164,879 kept prefixes and replays the rest
+    rng = random.Random(29)
+    t = chain([labeled_tournament(15, rng.randrange(labeled_count(15))), c3()])
+    with pytest.raises(BudgetExhausted, match="poll 1"):
+        next(iter_orderings_with_clique_at_most(t, 2, deadline=FirstPoll()))
+    polls, count, nodes = _polls_and_nodes(t, 2)
+    expanded = expanded_count(t, 2)
+    assert (count, nodes, expanded) == (29_712, 164_879, 24_433)
+    # on entry, per 4,096 expanded prefixes, and per block of a replay
+    assert polls > 1 + expanded // 4096
+    # a 20-vertex tournament of value 3: its k = 2 stream replays only dead
+    # sets, which yield nothing, so it polls on entry and per 4,096
+    # expanded prefixes alone, however many replayed nodes they skip
+    rng = random.Random(25)
+    t = labeled_tournament(20, rng.randrange(labeled_count(20)))
+    polls, count, nodes = _polls_and_nodes(t, 2)
+    expanded = expanded_count(t, 2)
+    assert (count, nodes, expanded) == (0, 22_784, 12_933)
+    assert polls == 1 + expanded // 4096
 
 
 def test_build_polls_after_every_stage(monkeypatch, surrogate):

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from backedge import cli
 from backedge.cli import run
-from backedge.constructions import DEFAULT_VERTEX_BUDGET, amplifier, arrow, c3, pi, tt
+from backedge.constructions import DEFAULT_VERTEX_BUDGET, amplifier, arrow, c3, chain, pi, tt
 from backedge.core import BudgetExhausted, Deadline, Tournament, is_strong
 from backedge.gadgets import clause_base, r5, var_base
 from backedge.io import (
@@ -858,8 +858,10 @@ BUDGET_SLACK_S = 0.5
 
 
 def test_cli_budget_bounds_each_verbs_wall_time(capsys, tmp_path, surrogate):
-    # every input below runs for more than a second without a budget (about
-    # 1.2 s for check-rules, over 4 s for omega and forcing on a 2-vCPU VM)
+    # without a budget, on a 2-vCPU Xeon VM, the inputs below take about
+    # 0.2 s for check-rules, 0.3 s for the value-2 orderings, 0.6 s for pass,
+    # 1 s for reduce, 9 s for omega and 11 s for forcing; the value-3
+    # orderings and chi-decide run on for minutes
     def saved(name, t):
         path = tmp_path / name
         save_tournament(t, path)
@@ -875,6 +877,8 @@ def test_cli_budget_bounds_each_verbs_wall_time(capsys, tmp_path, surrogate):
     cases = [
         ("omega", t18),
         ("orderings", saved("t12.trn", _random_tournament(12, 5))),
+        # value 2, so the enumeration replays the subtrees of repeated sets
+        ("orderings", saved("c3t17.trn", chain([c3(), _random_tournament(17, 2)]))),
         ("forcing", "--u", "0", "--v", "1", "--k", "3", t18),
         ("chi-decide", "--k", "5", saved("t200.trn", _random_tournament(200, 13))),
         ("check-rules", saved("strong10.trn", strong10)),

@@ -5,6 +5,7 @@ surviving prefixes, and no recursion limit on long inputs."""
 
 import hashlib
 import random
+from collections import Counter, defaultdict
 
 import pytest
 
@@ -15,6 +16,7 @@ from backedge.generation import canonical_tournaments
 from backedge.solvers import SearchStats, iter_orderings_with_clique_at_most, omega
 
 from labeled import labeled_count, labeled_tournament
+from search_tree import surviving_prefixes
 
 
 def reference_orderings(d, k, *, first_vertex=None, before=None, stats=None):
@@ -221,3 +223,82 @@ def test_node_counts_are_pinned_over_every_small_class():
                     digest.update(b"|")
     assert (stats.nodes, count) == (1_067_123, 324_410)
     assert digest.hexdigest() == "42bf703c4706cf185a3a5836be1a5a6cc3595e80d64cb06ccbf2cbed567727ab"
+
+
+def test_before_needs_two_distinct_vertices():
+    # r5 has 120 orderings at k = 5; (1, 1) used to filter out all of them
+    with pytest.raises(ValueError, match="distinct"):
+        list(iter_orderings_with_clique_at_most(r5(), 5, before=(1, 1)))
+
+
+def completions_by_prefix(d, k, **options):
+    """Each prefix of the reference stream's orderings, mapped to the suffixes
+    completing it, in stream order."""
+    completions = defaultdict(list)
+    for ordering in reference_orderings(d, k, **options):
+        for i in range(1, len(ordering)):
+            completions[ordering[:i]].append(ordering[i:])
+    return completions
+
+
+def assert_subtree_depends_on_the_set_alone(d, k, **options):
+    """The lemma behind the k <= 2 memo: kept prefixes with the same vertex
+    set have the same completions, in the same order, and the same number
+    of kept prefixes below them."""
+    prefixes = surviving_prefixes(d, k, **options)
+    stats = SearchStats()
+    for _ in iter_orderings_with_clique_at_most(d, k, stats=stats, **options):
+        pass
+    assert stats.nodes == len(prefixes), (d, k, options)
+    completions = completions_by_prefix(d, k, **options)
+    below = Counter(p[:i] for p in prefixes for i in range(1, len(p)))
+    subtrees = {}
+    for p in prefixes:
+        subtree = (completions[p], below[p])
+        assert subtrees.setdefault(frozenset(p), subtree) == subtree, (d, k, options, p)
+
+
+def before_restrictions(n, salt):
+    return [options for options in restrictions(n, salt) if "before" in options]
+
+
+@pytest.mark.parametrize("n", range(6))
+def test_subtrees_depend_on_the_prefix_set_alone_on_all_small_tournaments(n):
+    for code in range(labeled_count(n)):
+        t = labeled_tournament(n, code)
+        restricted = before_restrictions(n, code)
+        for k in (1, 2):
+            assert_subtree_depends_on_the_set_alone(t, k)
+            if restricted:
+                assert_subtree_depends_on_the_set_alone(t, k, **restricted[(code + k) % len(restricted)])
+
+
+def test_subtrees_depend_on_the_prefix_set_alone_on_six_vertex_classes():
+    # the lemma is invariant under relabeling, so the classes with every
+    # restriction stand for the 32,768 labeled tournaments
+    for salt, t in enumerate(canonical_tournaments(6)):
+        for k in (1, 2):
+            assert_subtree_depends_on_the_set_alone(t, k)
+            for options in restrictions(6, salt):
+                assert_subtree_depends_on_the_set_alone(t, k, **options)
+
+
+@pytest.mark.parametrize("p", [0.15, 0.3, 0.5])
+def test_subtrees_depend_on_the_prefix_set_alone_on_seeded_digraphs(p):
+    rng = random.Random(int(p * 1000))
+    for draw in range(15):
+        d = random_digraph(3 + draw % 5, rng, p)
+        for k in (1, 2):
+            assert_subtree_depends_on_the_set_alone(d, k)
+            for options in before_restrictions(d.n, draw):
+                assert_subtree_depends_on_the_set_alone(d, k, **options)
+
+
+def test_at_k3_the_order_of_the_prefix_matters():
+    # (0, 1) places the backedge 1-0 and (1, 0) does not, so only after
+    # (0, 1) do 2 then 3 close a 4-clique: k >= 3 gets no memo by vertex set
+    t = reverse(tt(4))
+    assert {(0, 1), (1, 0)} <= set(surviving_prefixes(t, 3))
+    completions = completions_by_prefix(t, 3)
+    assert completions[(0, 1)] == [(3, 2)]
+    assert completions[(1, 0)] == [(2, 3), (3, 2)]
