@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -474,6 +475,26 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# chunks of json's encoder between two budget polls while an envelope is
+# encoded (about 18 KB of a rule table's text)
+_ENCODE_BLOCK = 4096
+
+
+def _encode(envelope: dict, deadline: Deadline) -> list[str]:
+    """``envelope`` as ``json.dump(envelope, indent=1)`` writes it, in blocks
+    of ``_ENCODE_BLOCK`` chunks, polling ``deadline`` before each block.  The
+    caller writes the blocks only once all are encoded, so a spent budget
+    leaves no partial envelope behind."""
+    chunks = json.JSONEncoder(indent=1, allow_nan=False).iterencode(envelope)
+    blocks = []
+    while True:
+        deadline.check()
+        block = "".join(itertools.islice(chunks, _ENCODE_BLOCK))
+        if not block:
+            return blocks
+        blocks.append(block)
+
+
 def run(argv: Optional[list[str]] = None) -> int:
     started = time.monotonic()
     inputs: list[dict] = []
@@ -492,6 +513,7 @@ def run(argv: Optional[list[str]] = None) -> int:
         return value
 
     budget: Optional[float] = None
+    deadline = Deadline()
     nodes: Optional[int] = None
     exhausted = False
     try:
@@ -502,7 +524,8 @@ def run(argv: Optional[list[str]] = None) -> int:
         if limit is not None and not 0 <= limit < math.inf:
             raise ValueError(f"budget must be a finite number of seconds >= 0, got {limit}")
         budget = limit  # only a valid budget reaches the envelope
-        outcome = args.handler(args, Deadline(budget), read)
+        deadline = Deadline(budget)
+        outcome = args.handler(args, deadline, read)
         result, nodes = outcome.result, outcome.nodes
         exit_code = 1 if outcome.negative else 0
     except (ValueError, OSError) as exc:
@@ -517,16 +540,25 @@ def run(argv: Optional[list[str]] = None) -> int:
         exhausted = True
         exit_code = 3
 
-    envelope = {
-        "command": " ".join(argv if argv is not None else sys.argv[1:]),
-        "inputs": inputs,
-        "result": result,
-        "elapsed_ms": round((time.monotonic() - started) * 1000, 3),
-        "nodes_explored": nodes,
-        "budget": {"limit_s": budget, "exhausted": exhausted},
-        "version": __version__,
-    }
-    json.dump(envelope, sys.stdout, indent=1, allow_nan=False)
+    def envelope() -> dict:
+        return {
+            "command": " ".join(argv if argv is not None else sys.argv[1:]),
+            "inputs": inputs,
+            "result": result,
+            "elapsed_ms": round((time.monotonic() - started) * 1000, 3),
+            "nodes_explored": nodes,
+            "budget": {"limit_s": budget, "exhausted": exhausted},
+            "version": __version__,
+        }
+
+    if exit_code > 1:
+        deadline = Deadline()  # an error envelope is small and always written
+    try:
+        blocks = _encode(envelope(), deadline)
+    except BudgetExhausted as exc:
+        result, nodes, exhausted, exit_code = {"error": str(exc)}, None, True, 3
+        blocks = _encode(envelope(), Deadline())
+    sys.stdout.writelines(blocks)
     sys.stdout.write("\n")
     return exit_code
 

@@ -972,6 +972,47 @@ def test_cli_budget_is_polled_before_any_file_is_written(
     assert not any(path.exists() for path in outputs)
 
 
+def _polling_after(handler, polls, allowed):
+    """``handler``, after which the run's deadline appends each poll to
+    ``polls`` and is spent from poll ``allowed`` + 1 on."""
+    def wrapped(args, deadline, read):
+        outcome = handler(args, deadline, read)
+
+        def check():
+            polls.append(None)
+            if len(polls) > allowed:
+                raise BudgetExhausted(f"budget of {deadline.seconds}s exhausted")
+
+        deadline.check = check
+        return outcome
+    return wrapped
+
+
+def test_cli_budget_bounds_envelope_encoding(capsys, monkeypatch, r5_file):
+    # r5's full table is an envelope of about 13,000 encoder chunks, so
+    # encoding it polls before each of several blocks
+    summary, arguments, handler = cli.VERBS["check-rules"]
+    argv = ["--budget", "60", "check-rules", r5_file]
+    # spent when the handler returns, and after the first block is encoded
+    for allowed in (0, 1):
+        wrapped = _polling_after(handler, [], allowed)
+        monkeypatch.setitem(cli.VERBS, "check-rules", (summary, arguments, wrapped))
+        code, envelope = _run(capsys, *argv)
+        assert code == 3 and envelope["budget"] == {"limit_s": 60, "exhausted": True}
+        assert envelope["result"] == {"error": "budget of 60.0s exhausted"}
+        assert envelope["nodes_explored"] is None
+    # within the budget: json.dump's bytes, with a poll before every block
+    polls = []
+    wrapped = _polling_after(handler, polls, math.inf)
+    monkeypatch.setitem(cli.VERBS, "check-rules", (summary, arguments, wrapped))
+    code = run(argv)
+    out = capsys.readouterr().out
+    assert code == 0 and out == json.dumps(json.loads(out), indent=1) + "\n"
+    chunks = sum(1 for _ in json.JSONEncoder(indent=1).iterencode(json.loads(out)))
+    assert chunks > 3 * cli._ENCODE_BLOCK
+    assert len(polls) == -(-chunks // cli._ENCODE_BLOCK) + 1
+
+
 def test_cli_reduce_rejects_a_second_problem_line(capsys, tmp_path, surrogate):
     # read as a 5-variable formula, the file would pass the sizing step
     cnf, companion = tmp_path / "phi.cnf", tmp_path / "w7.trn"

@@ -1,5 +1,9 @@
+import gc
+import hashlib
 import itertools
+import json
 import random
+import tracemalloc
 
 import pytest
 
@@ -585,3 +589,50 @@ def test_check_rules_on_value_three_tournament(surrogate):
                 surrogate, cell.ordering, cell.pivot, cell.witness.rule,
                 cell.witness.named(),
             )
+
+
+def _first_strong(n, seed):
+    rng = random.Random(seed)
+    while True:
+        t = labeled_tournament(n, rng.randrange(labeled_count(n)))
+        if is_strong(t):
+            return t
+
+
+# SHA-256 of json.dumps(check_rules(t).to_dict()), recorded when every cell
+# built its own witness and violated-rules tuple
+REPORT_DIGESTS = {
+    "w7": "21ff48d02ccc143d17d0f1735995e813c28fc2170d324f8935b430bd3e0e21f8",
+    "r5": "de24ec70a79bea3dee3aa58f95e6631bb008f53c453082360cd980ce3b6f4f5e",
+    "strong7": "59e3b8f925b3a8612f58621c2dc9c682965284b01cb7bb572d33caed1005643f",
+}
+
+
+@pytest.mark.parametrize("name", sorted(REPORT_DIGESTS))
+def test_a_report_holds_one_record_per_distinct_value(name, surrogate, circulant5):
+    # the seeded 7-vertex tournament is not excluded and holds every one of
+    # the nine possible violated-rules tuples, () among them
+    t = {"w7": surrogate, "r5": circulant5, "strong7": _first_strong(7, 7)}[name]
+    report = check_rules(t)
+    digest = hashlib.sha256(json.dumps(report.to_dict()).encode()).hexdigest()
+    assert digest == REPORT_DIGESTS[name]
+    witnesses = [cell.witness for cell in report.cells if cell.witness is not None]
+    assert len({id(w) for w in witnesses}) == len(set(witnesses))
+    violated = [cell.violated_rules for cell in report.cells]
+    assert len({id(v) for v in violated}) == len(set(violated)) <= 9
+    assert not any(hasattr(record, "__dict__") for record in [*report.cells, *witnesses])
+
+
+def test_a_retained_w7_report_holds_at_most_5_mb(surrogate):
+    # 3.3 MB with a record per distinct value; a record per cell took 10 MB
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        report = check_rules(surrogate)
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(report.cells) == 35280
+    assert held <= 5_000_000, held
