@@ -87,15 +87,6 @@ class CellResult:
     def all_rules_hold(self) -> bool:
         return self.witness is None
 
-    def to_dict(self) -> dict:
-        return {
-            "ordering": list(self.ordering),
-            "pivot": self.pivot,
-            "all_rules_hold": self.all_rules_hold,
-            "witness": None if self.witness is None else self.witness.to_dict(),
-            "violated_rules": list(self.violated_rules),
-        }
-
 
 @dataclass(frozen=True)
 class RuleReport:
@@ -105,11 +96,32 @@ class RuleReport:
     excluded: bool
 
     def to_dict(self) -> dict:
+        """The JSON form.  Cells share one dict per distinct witness and one
+        list per distinct ordering or violated-rules tuple, as the report
+        shares its records; equal values give equal forms, so ``json.dumps``
+        writes the same bytes as from a copy per cell."""
+        forms: dict = {}
+
+        def shared(value, make):
+            form = forms.get(value)
+            if form is None:
+                form = forms[value] = make(value)
+            return form
+
         return {
             "omega": self.omega_value,
             "first_vertex": self.first_vertex,
             "excluded": self.excluded,
-            "cells": [cell.to_dict() for cell in self.cells],
+            "cells": [
+                {
+                    "ordering": shared(cell.ordering, list),
+                    "pivot": cell.pivot,
+                    "all_rules_hold": cell.all_rules_hold,
+                    "witness": None if cell.witness is None else shared(cell.witness, RuleWitness.to_dict),
+                    "violated_rules": shared(cell.violated_rules, list),
+                }
+                for cell in self.cells
+            ],
         }
 
 

@@ -352,11 +352,32 @@ class _ClassSolver(Solver):
     propagator checks.  ``saved`` holds both lists as each decision level
     began (every decision is propagated before the next), so a backjump
     restores them.
+
+    Decisions place a vertex instead of scanning activities: the free vertex
+    (in no class) with the most classes ruled out, the lowest such vertex,
+    joins its lowest open class (DSatur, Brélaz 1979).  A decision comes
+    after a propagation fixpoint, so the masks are exact then, and every
+    free vertex has at least two open classes, or its at-least-one clause
+    would have propagated.
+
+    Once no vertex is free the search stops with the other variables
+    unassigned, and `solve` reads them as false.  That model satisfies the
+    formula: every vertex has a true class, so the at-least-one clauses
+    hold; the unit pins were assigned at the root; every other pin and
+    every triangle, digon and cut clause is negative, and with no conflict
+    at the fixpoint each has a false or unassigned variable; the triangles
+    and digons never attached as clauses are excluded by the propagator,
+    which checked each placement against its class; and learnt clauses
+    follow from all these.  Each vertex's lowest true class (chi_decide's
+    ``class_masks``) lies inside ``members``, so no class holds a digon or
+    a directed triangle: on a tournament every class is acyclic, and on
+    other digraphs chi_decide's ``separate`` still cuts longer cycles.
     """
 
     def __init__(self, d: Digraph, k: int):
         super().__init__(d.n * k)
         self.rows, self.cols, self.k = d.rows, d.cols, k
+        self.full = (1 << d.n) - 1
         self.members = [0] * k
         self.out = [0] * k
         self.thead = 0
@@ -434,6 +455,33 @@ class _ClassSolver(Solver):
                     reason[v] = self._attach([nw, nu, nv])
                     trail.append(nw)
 
+    def _decide(self) -> int:
+        free = self.full
+        for m in self.members:
+            free &= ~m
+        if not free:
+            return -1
+        # bit-sliced count of the classes ruled out for each vertex:
+        # planes[i] holds bit i of every vertex's count
+        planes: list[int] = []
+        for carry in self.out:
+            for i, plane in enumerate(planes):
+                planes[i] = plane ^ carry
+                carry &= plane
+                if not carry:
+                    break
+            else:
+                if carry:
+                    planes.append(carry)
+        for plane in reversed(planes):  # keep the highest counts
+            if free & plane:
+                free &= plane
+        v = (free & -free).bit_length() - 1
+        c = 0
+        while self.out[c] >> v & 1:
+            c += 1
+        return 2 * (v * self.k + c)
+
     def _conflict(self, clause: list[int]) -> int:
         level = self.level
         clause.sort(key=lambda l: -level[l >> 1])
@@ -456,12 +504,16 @@ def chi_decide(
     Encodes class membership as booleans and refutes/extends with a
     conflict-driven search (`_ClassSolver`) that propagates the directed
     triangles and digons inside each class as it assigns, so a triangle's
-    clause exists only once it has been a reason or a conflict.  Cycles of
-    length 4 and up are cut lazily, through `Solver.solve_with_cuts`, from
-    each cyclic candidate class; a directed cycle of a tournament spans a
-    directed triangle, so a tournament never needs a cut.  The deadline is polled once before the solver
-    is built, once per round of cuts in the driver, and every 256 conflicts
-    inside the search.
+    clause exists only once it has been a reason or a conflict.  Each
+    decision puts the unplaced vertex with the fewest classes left (the
+    lowest such vertex) into its lowest open class, and the search returns
+    as soon as every vertex has a class: no class then holds a digon or a
+    directed triangle, and each vertex joins its lowest true class.  Cycles
+    of length 4 and up are cut lazily, through `Solver.solve_with_cuts`,
+    from each cyclic candidate class; a directed cycle of a tournament spans
+    a directed triangle, so a tournament never needs a cut.  The deadline is
+    polled once before the solver is built, once per round of cuts in the
+    driver, and every 256 conflicts inside the search.
 
     Classes are interchangeable, so vertex 0 is pinned to class 0.  For
     k >= 3 the symmetry among the other classes is broken on two more

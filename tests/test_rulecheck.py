@@ -636,3 +636,20 @@ def test_a_retained_w7_report_holds_at_most_5_mb(surrogate):
         tracemalloc.stop()
     assert len(report.cells) == 35280
     assert held <= 5_000_000, held
+
+
+def test_the_dict_form_of_the_w7_report_holds_at_most_10_mb(surrogate):
+    # 7.7 MB with one dict per distinct witness and one list per ordering;
+    # a dict per cell and witness use and a list per cell took 26.2 MB
+    report = check_rules(surrogate)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        form = report.to_dict()
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(form["cells"]) == 35280
+    assert held <= 10_000_000, held

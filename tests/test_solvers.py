@@ -428,6 +428,69 @@ def test_propagator_adds_only_triangle_and_digon_clauses_of_one_class(monkeypatc
     assert (res.decision, res.conflicts) == (False, 3)
 
 
+def test_chi_decide_places_the_most_constrained_vertex_in_its_lowest_open_class(monkeypatch):
+    # the rule read from the literal values alone: among the vertices in no
+    # class, the lowest with the most classes ruled out, in its lowest open
+    # class; no decision comes from the activity scan
+    made = []
+
+    class RecordingSolver(solvers._ClassSolver):
+        def __init__(self, d, k):
+            super().__init__(d, k)
+            self.decisions = []
+            self.unassigned_in_model = False
+            made.append(self)
+
+        def _decide(self):
+            k, val = self.k, self.val
+            free = []
+            for v in range(self.n_vars // k):
+                values = [val[2 * (v * k + c)] for c in range(k)]
+                if 1 not in values:
+                    free.append((-values.count(-1), v, values.index(0)))
+            want = 2 * (min(free)[1] * k + min(free)[2]) if free else -1
+            got = super()._decide()
+            # whether the rule passed over a lower free vertex
+            self.decisions.append((got, want, bool(free) and min(free)[1] != free[0][1]))
+            return got
+
+        def solve(self, deadline=Deadline()):
+            model = super().solve(deadline)
+            self.unassigned_in_model |= model is not None and 0 in self.val
+            return model
+
+    plain = []
+    scan = Solver._decide
+
+    def watched(self):
+        plain.append(self)
+        return scan(self)
+
+    monkeypatch.setattr(solvers, "_ClassSolver", RecordingSolver)
+    monkeypatch.setattr(Solver, "_decide", watched)
+    rng = random.Random(83)
+    digraphs = [labeled_tournament(n, rng.randrange(labeled_count(n))) for n in range(8, 25)]
+    for n in range(8, 15):
+        arcs = [(u, v) for u in range(n) for v in range(n) if u != v and rng.random() < 0.3]
+        digraphs.append(Digraph.from_arcs(n, arcs))
+    passed_over = early = 0
+    for d in digraphs:
+        for k in range(1, d.n):
+            made.clear()
+            res = chi_decide(d, k)
+            (solver,) = made
+            for got, want, skipped in solver.decisions:
+                assert got == want, (d, k)
+                passed_over += skipped
+            if res.decision:
+                # every vertex placed, the variables left read as false
+                assert_acyclic_partition(d, res.classes, k)
+                early += solver.unassigned_in_model
+                break
+    assert plain == []
+    assert passed_over > 0 and early > 0
+
+
 def _count_solves(monkeypatch):
     made = []
 

@@ -7,10 +7,12 @@ clauses included, of seeded raw CNF runs with ``reset()`` and re-solves: it
 pins the kernel in ``_sat``.  ``CHI_DIGEST`` covers per-k ``chi_decide``
 verdicts, classes and conflict counts on seeded random tournaments and
 digraphs: it pins the kernel together with the partition encoding and its
-triangle propagator.  A kernel change that keeps every answer correct but
-changes the search (tie-breaking, watch order, restarts, phase saving)
-changes both hashes; an encoding change changes only the second.  A change that alters the search on purpose records
-the new digest and says so.
+triangle propagator and branching rule.  A kernel change that keeps every
+answer correct but changes the search (tie-breaking, watch order, restarts,
+phase saving) changes both hashes; an encoding change changes only the
+second.  A change that alters the search on purpose records the new digest
+and says so.  ``CHI_VERDICT_DIGEST`` covers only the (n, k, decision) part
+of the same records, which no change to the search may alter.
 """
 
 import hashlib
@@ -24,7 +26,8 @@ from backedge.solvers import chi_decide
 from labeled import labeled_count, labeled_tournament
 
 CNF_DIGEST = "d6bdf5254fa2f00d856a5942caece72404ac0eb0dd1bf05dd48a8fb8569ec451"
-CHI_DIGEST = "31c7202d85d85bc05d2e54e88a2362305b6033732a2e1b7f1f6129deb669defa"
+CHI_DIGEST = "b2b5f2e92f7a96289f41600d81864d6b2f15a279749ce05ce75943a2121b7b5d"
+CHI_VERDICT_DIGEST = "b6f686ab147ff582ee105c8b4414f4c571f53b84fcbc4e4350d01ce3f85cbdb3"
 
 
 def _chi_records():
@@ -86,3 +89,7 @@ def test_search_trajectory_is_pinned():
 
 def test_chi_trajectory_is_pinned():
     assert _digest(_chi_records()) == CHI_DIGEST
+
+
+def test_chi_verdicts_are_pinned():
+    assert _digest((n, k, decision) for n, k, decision, _, _ in _chi_records()) == CHI_VERDICT_DIGEST
