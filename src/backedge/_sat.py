@@ -1,9 +1,9 @@
 """Minimal conflict-driven clause-learning SAT solver.
 
 Backs the search for acyclic vertex partitions, whose solver subclasses it
-to propagate directed triangles, and the lazy cuts of its driver
-`Solver.solve_with_cuts`.  Deterministic: no randomness anywhere, ties broken
-by variable index, so repeated runs produce identical models and refutations.
+to propagate the directed cycles inside each class.  Deterministic: no
+randomness anywhere, ties broken by variable index, so repeated runs produce
+identical models and refutations.
 
 Literal convention: variable v >= 0 yields literals 2*v (positive) and
 2*v + 1 (negative).  Values are kept per literal: ``val[l]`` is 1 when l is
@@ -30,7 +30,7 @@ the literal being scanned), so the scan tracks the list's length itself.
 from __future__ import annotations
 
 import gc
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .core import Deadline
 
@@ -348,16 +348,3 @@ class Solver:
                 return [value == 1 for value in self.val[0::2]]
             self.trail_lim.append(len(self.trail))
             self._enqueue(l, -1)
-
-    def solve_with_cuts(self, separate: Callable[[list[bool]], list],
-                        deadline: Deadline = Deadline()) -> Optional[list[bool]]:
-        """The first model for which ``separate`` returns no cut clauses, or None.
-        Each round of cuts polls the deadline, undoes all decisions and loads
-        the cuts with one `add_clauses` call."""
-        model = self.solve(deadline)
-        while model is not None and (cuts := separate(model)):
-            deadline.check()
-            self.reset()
-            self.add_clauses(cuts)
-            model = self.solve(deadline)
-        return model

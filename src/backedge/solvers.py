@@ -332,20 +332,43 @@ def omega_by_enumeration(t: Digraph) -> int:
     return best
 
 
+def _reach(seed: int, within: int, adj: Sequence[int]) -> tuple[int, int]:
+    """The vertices reached from ``seed``, a subset of ``within``, along
+    ``adj`` without leaving ``within`` (``seed`` included), and the union of
+    their ``adj`` rows.  Grown level by level, one growth test per level."""
+    reach = grow = seed
+    union = 0
+    while grow:
+        while grow:
+            bit = grow & -grow
+            grow ^= bit
+            union |= adj[bit.bit_length() - 1]
+        grow = union & within & ~reach
+        reach |= grow
+    return reach, union
+
+
 class _ClassSolver(Solver):
     """`Solver` over chi_decide's encoding, var(v, c) = v * k + c, that
-    propagates the directed triangles and digons inside each class.
+    keeps each class acyclic by propagating the directed cycles inside it.
 
     Clause propagation runs to its fixpoint first.  Then each newly true
-    x(u, c) is checked against the members v of class c: u -> v forbids the
-    w of ``rows[v] & cols[u]`` (closing u -> v -> w -> u), v -> u forbids
-    those of ``rows[u] & cols[v]``, and a digon u <-> v is a conflict.  A
-    forbidden w already in class c is a conflict; an unassigned one gets
-    x(w, c) false.  Only such a reason or conflict enters the database, as
-    its triangle clause [-x(w, c), -x(u, c), -x(v, c)] (or the digon's two
-    literals) with v the lowest member that closes it: a reason watches the
-    implied literal and -x(u, c), its false literal of highest level, and a
-    conflict watches its literals in order of decreasing level.
+    x(u, c) is checked against the members of class c: ``desc`` holds the
+    members u reaches through members and ``anc`` those that reach u, each
+    grown level by level (`_reach`), and ``outs`` and ``ins`` the union of
+    their out- and in-neighbours.  A member in both is a cycle through u, a
+    conflict.  A w in ``(outs | rows[u]) & (ins | cols[u])`` closes a cycle
+    through u and w: already in class c it is a conflict, unassigned it
+    gets x(w, c) false.  Only such a reason or conflict enters the
+    database, as the clause of one directed cycle through u and w: the
+    triangle w, u, v with v the lowest member that closes one, else the
+    digon w <-> u, else the cycle `directed_cycle` finds among the members,
+    u and w.  Every class stays acyclic and no unexcluded w closes a cycle
+    with the members alone, so every cycle there passes through u and w.  A
+    reason watches the implied literal and -x(u, c), its false literal of
+    highest level, and a conflict watches its literals in order of
+    decreasing level.  On a tournament every class is transitive, so the
+    reach sets stop after one level and every forbidden w closes a triangle.
 
     Per class, ``members`` and ``out`` mask the vertices w whose x(w, c) is
     true, and false, in the trail before ``thead``, the next entry the
@@ -364,19 +387,17 @@ class _ClassSolver(Solver):
     unassigned, and `solve` reads them as false.  That model satisfies the
     formula: every vertex has a true class, so the at-least-one clauses
     hold; the unit pins were assigned at the root; every other pin and
-    every triangle, digon and cut clause is negative, and with no conflict
-    at the fixpoint each has a false or unassigned variable; the triangles
-    and digons never attached as clauses are excluded by the propagator,
-    which checked each placement against its class; and learnt clauses
-    follow from all these.  Each vertex's lowest true class (chi_decide's
-    ``class_masks``) lies inside ``members``, so no class holds a digon or
-    a directed triangle: on a tournament every class is acyclic, and on
-    other digraphs chi_decide's ``separate`` still cuts longer cycles.
+    every cycle clause is negative, and with no conflict at the fixpoint
+    each has a false or unassigned variable; the cycles never attached as
+    clauses are excluded by the propagator, which checked each placement
+    against its class; and learnt clauses follow from all these.  Each
+    vertex's lowest true class, the one chi_decide reports, lies inside
+    ``members``, so every reported class is acyclic.
     """
 
     def __init__(self, d: Digraph, k: int):
         super().__init__(d.n * k)
-        self.rows, self.cols, self.k = d.rows, d.cols, k
+        self.d, self.rows, self.cols, self.k = d, d.rows, d.cols, k
         self.full = (1 << d.n) - 1
         self.members = [0] * k
         self.out = [0] * k
@@ -415,26 +436,13 @@ class _ClassSolver(Solver):
                 behind = ms & cu  # members v with v -> u
                 base = 2 * c + 1  # -x(w, c) is w * k2 + base
                 nu = l | 1
-                digons = ahead & behind
-                if digons:
+                desc, outs = _reach(ahead, ms, rows)
+                anc, ins = _reach(behind, ms, cols)
+                if desc & anc:
                     self.thead = thead
-                    v = (digons & -digons).bit_length() - 1
-                    return self._conflict([nu, v * k2 + base])
-                closes_ahead = 0
-                m = ahead
-                while m:
-                    bit = m & -m
-                    m ^= bit
-                    closes_ahead |= rows[bit.bit_length() - 1]
-                closes_ahead &= cu
-                closes_behind = 0
-                m = behind
-                while m:
-                    bit = m & -m
-                    m ^= bit
-                    closes_behind |= cols[bit.bit_length() - 1]
-                closes_behind &= ru
-                forbid = (closes_ahead | closes_behind) & ~out[c]
+                    cycle = directed_cycle(self.d, ms | 1 << u)
+                    return self._conflict([x * k2 + base for x in cycle])
+                forbid = (outs | ru) & (ins | cu) & ~out[c]
                 while forbid:
                     bit = forbid & -forbid
                     forbid ^= bit
@@ -443,16 +451,24 @@ class _ClassSolver(Solver):
                     value = val[nw]
                     if value > 0:
                         continue
-                    closing = ahead & cols[w] if closes_ahead & bit else behind & rows[w]
-                    nv = ((closing & -closing).bit_length() - 1) * k2 + base
+                    closing = ahead & cols[w] if cu & bit else 0
+                    if not closing and ru & bit:
+                        closing = behind & rows[w]
+                    if closing:
+                        clause = [nw, nu, ((closing & -closing).bit_length() - 1) * k2 + base]
+                    elif ru & cu & bit:
+                        clause = [nw, nu]
+                    else:
+                        cycle = directed_cycle(self.d, ms | bit | 1 << u)
+                        clause = [nw, nu] + [x * k2 + base for x in cycle if x != u and x != w]
                     if value < 0:
                         self.thead = thead
-                        return self._conflict([nw, nu, nv])
+                        return self._conflict(clause)
                     val[nw] = 1
                     val[nw ^ 1] = -1
                     v = nw >> 1
                     level[v] = cur_level
-                    reason[v] = self._attach([nw, nu, nv])
+                    reason[v] = self._attach(clause)
                     trail.append(nw)
 
     def _decide(self) -> int:
@@ -501,19 +517,15 @@ def chi_decide(
     """Can the vertices be split into k classes, each inducing an acyclic
     subdigraph?
 
-    Encodes class membership as booleans and refutes/extends with a
+    Encodes class membership as booleans and refutes/extends with one
     conflict-driven search (`_ClassSolver`) that propagates the directed
-    triangles and digons inside each class as it assigns, so a triangle's
-    clause exists only once it has been a reason or a conflict.  Each
-    decision puts the unplaced vertex with the fewest classes left (the
-    lowest such vertex) into its lowest open class, and the search returns
-    as soon as every vertex has a class: no class then holds a digon or a
-    directed triangle, and each vertex joins its lowest true class.  Cycles
-    of length 4 and up are cut lazily, through `Solver.solve_with_cuts`,
-    from each cyclic candidate class; a directed cycle of a tournament spans
-    a directed triangle, so a tournament never needs a cut.  The deadline is
-    polled once before the solver is built, once per round of cuts in the
-    driver, and every 256 conflicts inside the search.
+    cycles inside each class as it assigns, so a cycle's clause exists only
+    once it has been a reason or a conflict.  Each decision puts the
+    unplaced vertex with the fewest classes left (the lowest such vertex)
+    into its lowest open class, and the search returns as soon as every
+    vertex has a class: every class is then acyclic, and each vertex joins
+    its lowest true class.  The deadline is polled once before the solver
+    is built and every 256 conflicts inside the search.
 
     Classes are interchangeable, so vertex 0 is pinned to class 0.  For
     k >= 3 the symmetry among the other classes is broken on two more
@@ -565,21 +577,13 @@ def chi_decide(
 
     solver.add_clauses(seed_clauses())
 
-    def class_masks(model: list[bool]) -> list[int]:
+    model = solver.solve(deadline)
+    classes = None
+    if model is not None:
         masks = [0] * k  # a vertex joins its lowest true class
         for v in range(n):
             masks[model[v * k:v * k + k].index(True)] |= 1 << v
-        return masks
-
-    def separate(model: list[bool]) -> list[list[int]]:
-        for mask in class_masks(model):  # the first cyclic class, cut in every class
-            cycle = directed_cycle(d, mask)
-            if cycle is not None:
-                return [[negs[v] + c for v in cycle] for c in shifts]
-        return []
-
-    model = solver.solve_with_cuts(separate, deadline)
-    classes = None if model is None else tuple(tuple(_bits(m)) for m in class_masks(model) if m)
+        classes = tuple(tuple(_bits(m)) for m in masks if m)
     return ChiDecideResult(model is not None, classes, solver.conflicts)
 
 

@@ -498,85 +498,3 @@ def test_search_matches_the_reference_propagation_loop():
                 solver.add_clauses(extra)
         conflicts += solvers[0].conflicts
     assert conflicts > 1000
-
-
-class CountingSolver(Solver):
-    """A solver that counts its solve and add_clauses calls."""
-
-    def __init__(self, n_vars):
-        super().__init__(n_vars)
-        self.solves = self.loads = 0
-
-    def solve(self, deadline=Deadline()):
-        self.solves += 1
-        return super().solve(deadline)
-
-    def add_clauses(self, clauses):
-        self.loads += 1
-        super().add_clauses(clauses)
-
-
-class PollCounter(Deadline):
-    """A deadline that never expires and counts its polls."""
-
-    def __init__(self):
-        super().__init__()
-        self.polls = 0
-
-    def check(self):
-        self.polls += 1
-
-
-# x0 or x1, and x2 implies x3: 9 of the 16 assignments
-DRIVER_CNF = [[lit(0, True), lit(1, True)], [lit(2, False), lit(3, True)]]
-
-
-def blocking_clause(model):
-    return [lit(v, not value) for v, value in enumerate(model)]
-
-
-def driver_run(separate):
-    solver = CountingSolver(4)
-    solver.add_clauses(DRIVER_CNF)
-    deadline = PollCounter()
-    seen = []
-
-    def recording(model):
-        seen.append(model)
-        return separate(model)
-
-    return solver.solve_with_cuts(recording, deadline), solver, deadline, seen
-
-
-def test_solve_with_cuts_returns_the_first_model_the_separator_accepts():
-    def wanted(model):
-        return model[0] and model[1] and model[2]
-
-    def separate(model):
-        # two cuts per round, the second one a duplicate, in one load
-        return [] if wanted(model) else [blocking_clause(model)] * 2
-
-    model, solver, deadline, seen = driver_run(separate)
-    assert model == seen[-1] and wanted(model) and check_model(model, DRIVER_CNF)
-    assert not any(wanted(m) for m in seen[:-1])
-    assert len(set(map(tuple, seen))) == len(seen) > 1
-    # separate runs once per solve; each round of cuts is one poll and one load
-    assert solver.solves == len(seen)
-    assert deadline.polls == len(seen) - 1
-    assert solver.loads == 1 + len(seen) - 1
-
-
-def test_solve_with_cuts_accepting_the_first_model_polls_nothing():
-    model, solver, deadline, seen = driver_run(lambda model: [])
-    assert seen == [model] and check_model(model, DRIVER_CNF)
-    assert (solver.solves, solver.loads, deadline.polls) == (1, 1, 0)
-
-
-def test_solve_with_cuts_returns_none_once_the_cuts_leave_no_model():
-    model, solver, deadline, seen = driver_run(lambda model: [blocking_clause(model)])
-    assert model is None
-    models = [bits for bits in itertools.product((False, True), repeat=4)
-              if check_model(bits, DRIVER_CNF)]
-    assert sorted(map(tuple, seen)) == models and len(models) == 9
-    assert solver.solves == len(seen) + 1
-    assert deadline.polls == len(seen)

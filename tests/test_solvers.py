@@ -192,8 +192,8 @@ def test_chi_decide_validity_and_brute_force():
             assert is_acyclic(t, mask)
 
 
-def test_chi_on_general_digraph_lazy_path():
-    # 4-cycle digraph: no triangles, so cuts only arrive lazily
+def test_chi_on_a_chordless_four_cycle():
+    # no triangles: the propagator forbids the 4-cycle as one clause
     cycle = Digraph.from_arcs(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
     assert not chi_decide(cycle, 1).decision
     res = chi_decide(cycle, 2)
@@ -215,7 +215,7 @@ def brute_chi(d):
 def test_chi_random_digraphs_against_brute_force():
     rng = random.Random(37)
     for _ in range(25):
-        n = rng.randint(2, 6)
+        n = rng.randint(2, 7)
         arcs = []
         for u in range(n):
             for v in range(n):
@@ -343,8 +343,8 @@ def test_chi_decide_matches_pin_only_oracle_on_sparse_digraphs():
         for _ in range(4):
             arcs = [(u, v) for u in range(n) for v in range(n) if u != v and rng.random() < 0.3]
             digraphs.append(Digraph.from_arcs(n, arcs))
-    # plain digraphs take the lazy-cut path, with and without a triangle
-    # through vertex 0
+    # tournaments as plain digraphs, whose triangles the oracle cuts lazily
+    # instead of seeding them, with and without a triangle through vertex 0
     for n in (9, 11, 13):
         code = rng.randrange(labeled_count(n))
         digraphs.append(Digraph(n, labeled_tournament(n, code).rows))
@@ -355,6 +355,11 @@ def test_chi_decide_matches_pin_only_oracle_on_sparse_digraphs():
     edges = [(3, 4), (4, 5), (3, 5), (6, 4), (6, 5), (7, 3), (7, 5)]
     edges += [(u, v) for u in (0, 1, 2) for v in (6, 7)]
     digraphs.append(Digraph.from_arcs(8, edges + [(v, u) for u, v in edges]))
+    # denser digraphs, whose classes meet cycles of length 4 and up
+    for _ in range(15):
+        n, density = rng.randint(16, 32), rng.uniform(0.1, 0.4)
+        arcs = [(u, v) for u in range(n) for v in range(n) if u != v and rng.random() < density]
+        digraphs.append(Digraph.from_arcs(n, arcs))
     on_triangle = [triangle_through_zero(d) for d in digraphs]
     assert any(on_triangle) and not all(on_triangle)
     values = [chi_against_pin_only(d) for d in digraphs]
@@ -369,31 +374,18 @@ def test_chi_decide_matches_pin_only_oracle_on_60_tournaments_22_to_24():
             chi_against_pin_only(labeled_tournament(n, rng.randrange(labeled_count(n))))
 
 
-def test_propagator_adds_only_triangle_and_digon_clauses_of_one_class(monkeypatch, d2):
-    made = []
+def spans_a_directed_cycle(d, vertices):
+    """Do ``vertices`` carry a directed Hamiltonian cycle of d?"""
+    first, *rest = vertices
+    paths = {(1 << first, first)}  # (vertices used, end) of paths from first
+    for _ in rest:
+        paths = {(used | 1 << w, w) for used, v in paths for w in rest
+                 if not used >> w & 1 and d.has_arc(v, w)}
+    return any(d.has_arc(v, first) for _, v in paths)
 
-    class RecordingSolver(solvers._ClassSolver):
-        # records the clauses attached while propagating; learnt clauses
-        # are attached by solve() after conflict analysis, outside it
-        def __init__(self, d, k):
-            super().__init__(d, k)
-            self.added = []
-            self.propagating = False
-            made.append(self)
 
-        def _propagate(self):
-            self.propagating = True
-            try:
-                return super()._propagate()
-            finally:
-                self.propagating = False
-
-        def _attach(self, clause):
-            if self.propagating:
-                self.added.append(list(clause))
-            return super()._attach(clause)
-
-    monkeypatch.setattr(solvers, "_ClassSolver", RecordingSolver)
+def test_propagator_adds_only_cycle_clauses_of_one_class(monkeypatch, d2):
+    made = _record_solvers(monkeypatch)
     rng = random.Random(73)
     digraphs = [d2.tournament, source_zero(14, rng.randrange(labeled_count(14)))]
     digraphs += [labeled_tournament(n, rng.randrange(labeled_count(n))) for n in (8, 16, 24)]
@@ -401,29 +393,26 @@ def test_propagator_adds_only_triangle_and_digon_clauses_of_one_class(monkeypatc
     for n in (10, 12):
         arcs = [(u, v) for u in range(n) for v in range(n) if u != v and rng.random() < 0.4]
         digraphs.append(Digraph.from_arcs(n, arcs))
-    shapes = set()
+    for _ in range(6):
+        n, density = rng.randint(20, 40), rng.uniform(0.1, 0.4)
+        arcs = [(u, v) for u in range(n) for v in range(n) if u != v and rng.random() < density]
+        digraphs.append(Digraph.from_arcs(n, arcs))
+    lengths = {True: set(), False: set()}  # per kind: tournament or not
     for d in digraphs:
         for k in (2, 3):
             res = chi_decide(d, k)
             assert res.decision == pin_only_chi_decide(d, k)[0], (d, k)
-            solver = made[-1]
-            for clause in solver.added:
-                # negative literals of one class on distinct vertices
+            for clause in made[-1].added:
+                # negative literals of one class on distinct vertices, which
+                # carry a directed cycle
                 assert all(l & 1 for l in clause), clause
                 vertices = [(l >> 1) // k for l in clause]
                 assert len({(l >> 1) % k for l in clause}) == 1
-                assert len(set(vertices)) == len(vertices) in (2, 3), clause
-                if len(vertices) == 2:
-                    a, b = vertices
-                    assert d.rows[a] >> b & 1 and d.cols[a] >> b & 1, clause
-                else:
-                    a, b, c = vertices
-                    assert any(
-                        d.rows[x] >> y & 1 and d.rows[y] >> z & 1 and d.cols[x] >> z & 1
-                        for x, y, z in ((a, b, c), (a, c, b))
-                    ), clause
-                shapes.add(len(vertices))
-    assert shapes == {2, 3}
+                assert len(set(vertices)) == len(vertices) >= 2, clause
+                assert spans_a_directed_cycle(d, vertices), clause
+                lengths[isinstance(d, Tournament)].add(len(vertices))
+    assert lengths[True] == {3}
+    assert {2, 3, 4} <= lengths[False]
     res = chi_decide(d2.tournament, 2)
     assert (res.decision, res.conflicts) == (False, 3)
 
@@ -491,42 +480,62 @@ def test_chi_decide_places_the_most_constrained_vertex_in_its_lowest_open_class(
     assert passed_over > 0 and early > 0
 
 
-def _count_solves(monkeypatch):
+def _record_solvers(monkeypatch):
+    """Make chi_decide's solvers count their solves and record, in
+    ``added``, the clauses attached while propagating; learnt clauses are
+    attached by solve() after conflict analysis, outside it."""
     made = []
 
-    class CountingSolver(solvers._ClassSolver):
+    class RecordingSolver(solvers._ClassSolver):
         def __init__(self, d, k):
             super().__init__(d, k)
             self.solves = 0
+            self.added = []
+            self.propagating = False
             made.append(self)
 
         def solve(self, deadline=Deadline()):
             self.solves += 1
             return super().solve(deadline)
 
-    monkeypatch.setattr(solvers, "_ClassSolver", CountingSolver)
+        def _propagate(self):
+            self.propagating = True
+            try:
+                return super()._propagate()
+            finally:
+                self.propagating = False
+
+        def _attach(self, clause):
+            if self.propagating:
+                self.added.append(list(clause))
+            return super()._attach(clause)
+
+    monkeypatch.setattr(solvers, "_ClassSolver", RecordingSolver)
     return made
 
 
 def test_chi_decide_refutes_the_amplifier_in_one_solve(monkeypatch):
     # 315 vertices: every directed cycle of a tournament holds a directed
-    # triangle, which the propagator forbids, so no cut round is needed
-    made = _count_solves(monkeypatch)
+    # triangle, which the propagator forbids
+    made = _record_solvers(monkeypatch)
     res = chi_decide(amplifier(c3()).tournament, 2)
     assert (res.decision, res.classes, res.conflicts) == (False, None, 3)
     assert made[-1].solves == 1
 
 
-def test_chi_decide_cuts_a_chordless_four_cycle_in_a_round(monkeypatch):
-    # the only cycle 1 -> 2 -> 3 -> 4 -> 1 holds no triangle for the
-    # propagator; the first model puts it in class 1, so solve_with_cuts
-    # cuts it and solves again
-    made = _count_solves(monkeypatch)
+def test_chi_decide_forbids_a_chordless_four_cycle_in_one_solve(monkeypatch):
+    # the only cycle 1 -> 2 -> 3 -> 4 -> 1 holds no triangle; the
+    # propagator adds it as one reason clause, so one solve suffices
+    made = _record_solvers(monkeypatch)
     d = Digraph.from_arcs(6, [(1, 2), (2, 3), (3, 4), (4, 1), (0, 1), (3, 5)])
     res = chi_decide(d, 2)
-    assert res.decision and made[-1].solves == 2
+    assert res.decision
     assert_acyclic_partition(d, res.classes, 2)
-    assert (chi_decide(d, 1).decision, made[-1].solves) == (False, 2)
+    assert not chi_decide(d, 1).decision
+    assert len(made) == 2
+    for k, solver in zip((2, 1), made):
+        cycles = [sorted((l >> 1) // k for l in clause) for clause in solver.added]
+        assert (solver.solves, cycles) == (1, [[1, 2, 3, 4]]), k
 
 
 def test_chi_of_the_amplifier_is_three():
@@ -588,7 +597,7 @@ def test_chi_deep_search_on_larger_tournaments():
         assert covered == (1 << n) - 1
 
 
-def test_chi_decide_polls_the_deadline_while_seeding_cuts():
+def test_chi_decide_polls_the_deadline_before_building_the_solver():
     # the seed clauses are the encoding's at-least-one clauses and pins;
     # chi_decide polls before it builds them, since solve polls only every
     # 256 conflicts and this call needs far fewer

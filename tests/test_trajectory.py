@@ -7,12 +7,14 @@ clauses included, of seeded raw CNF runs with ``reset()`` and re-solves: it
 pins the kernel in ``_sat``.  ``CHI_DIGEST`` covers per-k ``chi_decide``
 verdicts, classes and conflict counts on seeded random tournaments and
 digraphs: it pins the kernel together with the partition encoding and its
-triangle propagator and branching rule.  A kernel change that keeps every
+cycle propagator and branching rule.  A kernel change that keeps every
 answer correct but changes the search (tie-breaking, watch order, restarts,
 phase saving) changes both hashes; an encoding change changes only the
 second.  A change that alters the search on purpose records the new digest
-and says so.  ``CHI_VERDICT_DIGEST`` covers only the (n, k, decision) part
-of the same records, which no change to the search may alter.
+and says so.  ``CHI_TOURNAMENT_DIGEST`` covers the tournament records alone,
+where every clause the propagator adds is a directed triangle.
+``CHI_VERDICT_DIGEST`` covers only the (n, k, decision) part of the same
+records, which no change to the search may alter.
 """
 
 import hashlib
@@ -20,29 +22,32 @@ import itertools
 import random
 
 from backedge._sat import Solver, lit
-from backedge.core import Digraph
+from backedge.core import Digraph, Tournament
 from backedge.solvers import chi_decide
 
 from labeled import labeled_count, labeled_tournament
 
 CNF_DIGEST = "d6bdf5254fa2f00d856a5942caece72404ac0eb0dd1bf05dd48a8fb8569ec451"
-CHI_DIGEST = "b2b5f2e92f7a96289f41600d81864d6b2f15a279749ce05ce75943a2121b7b5d"
+CHI_DIGEST = "470bdc04c03488c17a68c05734a792973f4fcb6bf4cbf2208096e169b21d7a37"
+CHI_TOURNAMENT_DIGEST = "644b49a19e5cf120108ffa47abb084a8ebe5a18b2ac21e65c9e21ca9061910c9"
 CHI_VERDICT_DIGEST = "b6f686ab147ff582ee105c8b4414f4c571f53b84fcbc4e4350d01ce3f85cbdb3"
 
 
-def _chi_records():
+def _chi_records(tournaments_only=False):
     rng = random.Random(20240501)
     digraphs = [
         labeled_tournament(n, rng.randrange(labeled_count(n)))
         for n in range(8, 25)
         for _ in range(2)
     ]
-    # sparse digraphs have cycles without a triangle, whose cuts arrive
-    # lazily through reset() and re-solve
+    # sparse digraphs have cycles without a triangle, which the propagator
+    # forbids through longer cycle clauses
     for n in range(8, 15):
         arcs = [(u, v) for u in range(n) for v in range(n) if u != v and rng.random() < 0.3]
         digraphs.append(Digraph.from_arcs(n, arcs))
     for d in digraphs:
+        if tournaments_only and not isinstance(d, Tournament):
+            continue
         for k in itertools.count(1):
             res = chi_decide(d, k)
             yield (d.n, k, res.decision, res.classes, res.conflicts)
@@ -89,6 +94,10 @@ def test_search_trajectory_is_pinned():
 
 def test_chi_trajectory_is_pinned():
     assert _digest(_chi_records()) == CHI_DIGEST
+
+
+def test_chi_tournament_trajectory_is_pinned():
+    assert _digest(_chi_records(tournaments_only=True)) == CHI_TOURNAMENT_DIGEST
 
 
 def test_chi_verdicts_are_pinned():
