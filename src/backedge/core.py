@@ -250,24 +250,28 @@ def triangle_in_graph(g: UndirectedGraph) -> Optional[tuple[int, int, int]]:
     return has_clique_in_mask(g.rows, (1 << g.n) - 1, 3)
 
 
-def _reach(adj: Sequence[int], seed: int, within: int) -> int:
+def _reach(adj: Sequence[int], seed: int, within: int) -> tuple[int, int]:
     """Vertices of the bitmask ``within`` reachable from the bitmask ``seed``
-    along the adjacency masks ``adj``, without leaving ``within``."""
-    reached = frontier = seed & within
-    while frontier:
-        nxt = 0
-        for u in _bits(frontier):
-            nxt |= adj[u]
-        frontier = nxt & within & ~reached
-        reached |= frontier
-    return reached
+    along the adjacency masks ``adj``, without leaving ``within``, and the
+    union of their ``adj`` masks.  Grown level by level, one growth test per
+    level."""
+    reached = grow = seed & within
+    union = 0
+    while grow:
+        while grow:
+            bit = grow & -grow
+            grow ^= bit
+            union |= adj[bit.bit_length() - 1]
+        grow = union & within & ~reached
+        reached |= grow
+    return reached, union
 
 
 def components(adj: Sequence[int], mask: int) -> Iterator[int]:
     """Connected components of the undirected graph ``adj`` induced on the
     bitmask ``mask``, as vertex bitmasks ordered by their smallest vertex."""
     while mask:
-        comp = _reach(adj, mask & -mask, mask)
+        comp = _reach(adj, mask & -mask, mask)[0]
         yield comp
         mask &= ~comp
 
@@ -342,7 +346,7 @@ def is_strong(t: Tournament) -> bool:
     if t.n == 0:
         raise ValueError("strong connectivity of the empty tournament is undefined")
     full = (1 << t.n) - 1
-    return _reach(t.rows, 1, full) == full and _reach(t.cols, 1, full) == full
+    return _reach(t.rows, 1, full)[0] == full and _reach(t.cols, 1, full)[0] == full
 
 
 def reverse(d: Digraph) -> Digraph:

@@ -13,10 +13,14 @@ vertex set, so the subtree below a surviving prefix (its completions, their
 order and its node count) depends on that set alone.  The search stores it
 per set as the set's level pops and replays it when a later prefix reaches
 the same set: the Held-Karp subset recursion (Held & Karp 1962), run lazily
-inside the depth-first search.  Before the first ordering every stored set
-is dead, so decision callers get nogood caching and exact first-witness
-node counts.  For k >= 3 the check reads the prefix's backedges, which fix
-the order of its vertices, so no key would repeat and nothing is stored.
+inside the depth-first search.  One list holds each ordering found, once
+and in stream order, and a set stores the index range of its completions
+in it and its node count.  The orderings of a replayed two-vertex set stay
+out of the list: the one-vertex set around them is reached once, so it is
+never replayed.  Before the first ordering every stored set is dead, so
+decision callers get nogood caching and exact first-witness node counts.
+For k >= 3 the check reads the prefix's backedges, which fix the order of
+its vertices, so no key would repeat and nothing is stored.
 """
 
 from __future__ import annotations
@@ -32,6 +36,7 @@ from .core import (
     Tournament,
     _backedge_masks,
     _bits,
+    _reach,
     backedge_graph,
     check_ordering,
     clique_number,
@@ -111,12 +116,13 @@ def iter_orderings_with_clique_at_most(
     """All orderings whose backedge graph has clique number <= k, lexicographically.
 
     `before=(a, b)` restricts the stream to orderings placing a before b.
-    `stats.nodes` counts the prefixes that survive the forward check, flushed
-    before each yield; a replayed subtree (k <= 2) is counted by its stored
-    size, added before its first ordering is yielded, so during a replay the
-    count may run ahead of the orderings seen so far.  The deadline is polled
-    on entry, once per 4,096 prefixes the search expands, and once per
-    4,096 orderings a replay yields.
+    Before each yield and once the stream ends, `stats.nodes` is set to its
+    value on entry plus the prefixes that have survived the forward check;
+    a replayed subtree (k <= 2) is counted by its stored size, added before
+    its first ordering is yielded, so during a replay the count may run
+    ahead of the orderings seen so far.  The deadline is polled on entry,
+    once per 4,096 prefixes the search expands, and once per 4,096
+    orderings a replay yields.
     """
     if k < 1:
         raise ValueError("clique bound must be positive")
@@ -146,16 +152,18 @@ def iter_orderings_with_clique_at_most(
     avails = [(full if first_vertex is None else 1 << first_vertex) & ~block]
     if stats is None:
         stats = SearchStats()
-    # k <= 2 only (module docstring): done[set] = (the orderings completing
-    # the set, its subtree's node count), stored as the set's level pops.
-    # found runs with avails: per level, the orderings found below it so far
-    # and the node total on entry.  The root and the single-vertex sets are
-    # reached once, so their levels collect nothing (None).
-    done: dict[int, tuple[list[tuple[int, ...]], int]] = {}
-    found: list[tuple[Optional[list[tuple[int, ...]]], int]] = [(None, 0)]
+    entry = stats.nodes
+    # k <= 2 only (module docstring): out holds each ordering found so far
+    # once, and done[set] = (start, end, its subtree's node count), the set's
+    # completions being out[start:end], stored as the set's level pops.
+    # marks runs with avails below the root and above the leaves: per level,
+    # len(out) and the node total on entry.
+    done: dict[int, tuple[int, int, int]] = {}
+    out: list[tuple[int, ...]] = []
+    marks: list[tuple[int, int]] = []
     # node_count: the prefixes expanded here, which the deadline poll
     # reads; skipped: those of replayed subtrees
-    node_count = skipped = flushed = 0
+    node_count = skipped = 0
     while avails:
         avail = avails[-1]
         if not avail:
@@ -170,13 +178,9 @@ def iter_orderings_with_clique_at_most(
                         lb = m & -m
                         badj[lb.bit_length() - 1] ^= low
                         m ^= lb
-                else:
-                    below, start = found.pop()
-                    if below is not None:
-                        done[placed] = (below, node_count + skipped - start)
-                        above = found[-1][0]
-                        if above is not None:
-                            above += below
+                elif placed != full:
+                    start, nodes = marks.pop()
+                    done[placed] = (start, len(out), node_count + skipped - nodes)
                 placed ^= low
             continue
         low = avail & -avail
@@ -211,39 +215,36 @@ def iter_orderings_with_clique_at_most(
         placed |= low
         seq.append(v)
         if placed == full:
-            stats.nodes += node_count + skipped - flushed
-            flushed = node_count + skipped
             ordering = tuple(seq)
             if not keep:
-                above = found[-1][0]
-                if above is not None:
-                    above.append(ordering)
-                found.append((None, 0))
+                out.append(ordering)
+            stats.nodes = entry + node_count + skipped
             yield ordering
         elif not keep:
             stored = done.get(placed)
             if stored is not None:
-                # replay the set's subtree, polling once per block of orderings
-                orderings, count = stored
+                # replay the set's subtree, polling once per block of
+                # orderings.  Its chunks join out only inside a set of two or
+                # more vertices (depth > 2): the ranges of one-vertex sets
+                # miss them, but are never read.
+                start, end, count = stored
                 skipped += count
-                if orderings:
-                    stats.nodes += node_count + skipped - flushed
-                    flushed = node_count + skipped
+                if end > start:
+                    stats.nodes = entry + node_count + skipped
                     head = tuple(seq)
                     depth = len(head)
-                    above = found[-1][0]
-                    for i in range(0, len(orderings), 0x1000):
+                    for i in range(start, end, 0x1000):
                         deadline.check()
-                        chunk = [head + o[depth:] for o in orderings[i:i + 0x1000]]
-                        if above is not None:
-                            above += chunk
+                        chunk = [head + o[depth:] for o in out[i:min(i + 0x1000, end)]]
+                        if depth > 2:
+                            out += chunk
                         yield from chunk
                 seq.pop()
                 placed ^= low
                 continue
-            found.append(([] if len(seq) > 1 else None, node_count + skipped))
+            marks.append((len(out), node_count + skipped))
         avails.append(full & ~placed & ~(block if gate & ~placed else 0))
-    stats.nodes += node_count + skipped - flushed
+    stats.nodes = entry + node_count + skipped
 
 
 def omega_decide(
@@ -332,43 +333,31 @@ def omega_by_enumeration(t: Digraph) -> int:
     return best
 
 
-def _reach(seed: int, within: int, adj: Sequence[int]) -> tuple[int, int]:
-    """The vertices reached from ``seed``, a subset of ``within``, along
-    ``adj`` without leaving ``within`` (``seed`` included), and the union of
-    their ``adj`` rows.  Grown level by level, one growth test per level."""
-    reach = grow = seed
-    union = 0
-    while grow:
-        while grow:
-            bit = grow & -grow
-            grow ^= bit
-            union |= adj[bit.bit_length() - 1]
-        grow = union & within & ~reach
-        reach |= grow
-    return reach, union
-
-
 class _ClassSolver(Solver):
     """`Solver` over chi_decide's encoding, var(v, c) = v * k + c, that
     keeps each class acyclic by propagating the directed cycles inside it.
 
     Clause propagation runs to its fixpoint first.  Then each newly true
-    x(u, c) is checked against the members of class c: ``desc`` holds the
-    members u reaches through members and ``anc`` those that reach u, each
-    grown level by level (`_reach`), and ``outs`` and ``ins`` the union of
-    their out- and in-neighbours.  A member in both is a cycle through u, a
-    conflict.  A w in ``(outs | rows[u]) & (ins | cols[u])`` closes a cycle
-    through u and w: already in class c it is a conflict, unassigned it
-    gets x(w, c) false.  Only such a reason or conflict enters the
-    database, as the clause of one directed cycle through u and w: the
-    triangle w, u, v with v the lowest member that closes one, else the
-    digon w <-> u, else the cycle `directed_cycle` finds among the members,
-    u and w.  Every class stays acyclic and no unexcluded w closes a cycle
-    with the members alone, so every cycle there passes through u and w.  A
-    reason watches the implied literal and -x(u, c), its false literal of
-    highest level, and a conflict watches its literals in order of
-    decreasing level.  On a tournament every class is transitive, so the
-    reach sets stop after one level and every forbidden w closes a triangle.
+    x(u, c) is checked against the members of class c: ``outs`` is the
+    union of the out-neighbours of the members u reaches through members,
+    and ``ins`` that of the in-neighbours of the members that reach u, each
+    grown level by level (`core._reach`).  No member both is reached from u
+    and reaches u: that would close a cycle C through u, yet the member m
+    of C checked last ran its check to the end, since a conflict would have
+    undone m, and u closed C through m then, so that check left x(u, c)
+    false at a level no higher than m's, where it stays while m does.  A w
+    in ``(outs | rows[u]) & (ins | cols[u])`` closes a cycle through u and
+    w: already in class c it is a conflict, unassigned it gets x(w, c)
+    false.  Only such a reason or conflict enters the database, as the
+    clause of one directed cycle through u and w: the triangle w, u, v with
+    v the lowest member that closes one, else the digon w <-> u, else the
+    cycle `directed_cycle` finds among the members, u and w.  Every class
+    stays acyclic and no unexcluded w closes a cycle with the members alone,
+    so every cycle there passes through u and w.  A reason watches the
+    implied literal and -x(u, c), its false literal of highest level, and a
+    conflict watches its literals in order of decreasing level.  On a
+    tournament every class is transitive, so the reach sets stop after one
+    level and every forbidden w closes a triangle.
 
     Per class, ``members`` and ``out`` mask the vertices w whose x(w, c) is
     true, and false, in the trail before ``thead``, the next entry the
@@ -436,12 +425,8 @@ class _ClassSolver(Solver):
                 behind = ms & cu  # members v with v -> u
                 base = 2 * c + 1  # -x(w, c) is w * k2 + base
                 nu = l | 1
-                desc, outs = _reach(ahead, ms, rows)
-                anc, ins = _reach(behind, ms, cols)
-                if desc & anc:
-                    self.thead = thead
-                    cycle = directed_cycle(self.d, ms | 1 << u)
-                    return self._conflict([x * k2 + base for x in cycle])
+                outs = _reach(rows, ahead, ms)[1]
+                ins = _reach(cols, behind, ms)[1]
                 forbid = (outs | ru) & (ins | cu) & ~out[c]
                 while forbid:
                     bit = forbid & -forbid

@@ -9,7 +9,7 @@ from collections import Counter, defaultdict
 
 import pytest
 
-from backedge.constructions import tt
+from backedge.constructions import c3, chain, tt
 from backedge.core import Digraph, Tournament, has_clique_in_mask, reverse
 from backedge.gadgets import r5
 from backedge.generation import canonical_tournaments
@@ -223,6 +223,24 @@ def test_node_counts_are_pinned_over_every_small_class():
                     digest.update(b"|")
     assert (stats.nodes, count) == (1_067_123, 324_410)
     assert digest.hexdigest() == "42bf703c4706cf185a3a5836be1a5a6cc3595e80d64cb06ccbf2cbed567727ab"
+
+
+def test_replays_longer_than_one_block_are_pinned():
+    # four chained 3-cycles at k = 2: three two-vertex sets are each replayed
+    # with 11,583 completions, so those replays cross 4,096-ordering blocks
+    stats = SearchStats()
+    digest = hashlib.sha256()
+    count = 0
+    for ordering in iter_orderings_with_clique_at_most(chain([c3()] * 4), 2, stats=stats):
+        digest.update(bytes(ordering))
+        count += 1
+    assert (stats.nodes, count) == (415_626, 115_830)
+    assert digest.hexdigest() == "918fbecd3483a027ac9728e2f9d15d7e301732a8ed45c965d2dbfaf83044b856"
+
+
+@pytest.mark.slow
+def test_replays_longer_than_one_block_match_the_reference():
+    assert_same_search(chain([c3()] * 4), 2)
 
 
 def test_before_needs_two_distinct_vertices():
