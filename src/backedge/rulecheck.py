@@ -29,9 +29,13 @@ set, so its outcome is kept by left mask.  The prefix components, rule 3
 and the first witness among rules 1-3 depend only on the ordering before
 the pivot, and the ordering search yields orderings in lexicographic order,
 so consecutive ones share long prefixes: only the pivot positions past the
-shared prefix are evaluated again.  The suffix pass and rule 4 run afresh
-for every ordering.  ``check_cell`` evaluates its ordering the same way,
-from nothing.
+shared prefix are evaluated again.  The suffix components and rule 4 depend
+only on the ordering from the pivot on (spans are absolute positions), and
+the k <= 2 search replays the same completions after many prefixes, so each
+distinct ordered suffix is evaluated once per call; its record keeps rule
+4's witness too, built when a cell first needs it.  The minimality check
+grows from the shared prefix as well.  ``check_cell`` evaluates its
+ordering the same way, from nothing.
 
 A report holds one record per distinct value.  A call builds each distinct
 witness once, keeping it by (rule, vertices) until the call returns, the
@@ -54,7 +58,6 @@ from typing import Iterable, Iterator, Optional, Sequence
 from .core import (
     Deadline,
     Tournament,
-    _backedge_masks,
     _bits,
     _orbit,
     check_ordering,
@@ -137,8 +140,9 @@ def _components(
     in turn and yield the components after each: run left to right from a
     prefix they give the components of the backedge graph ``adj`` on each
     longer prefix, run right to left from ``[]`` those on each longer
-    suffix.  A component is (vertex mask, span mask, lo, hi): it spans
-    positions lo..hi, whose vertices make up the span mask."""
+    suffix; ``adj`` may be ``rows`` left to right and ``cols`` right to left.
+    A component is (vertex mask, span mask, lo, hi): it spans positions
+    lo..hi, whose vertices make up the span mask."""
     for p in positions:
         # the vertex at p joins every component (all on its side) it has a
         # backedge into
@@ -212,6 +216,22 @@ def _span_witness(
     raise AssertionError(f"no span holds two arcs of v = {v}")
 
 
+_set_ordering, _set_pivot, _set_witness, _set_violated = (
+    getattr(CellResult, name).__set__ for name in ("ordering", "pivot", "witness", "violated_rules")
+)
+
+
+def _cell(ordering: tuple, pivot: int, witness: Optional[RuleWitness], violated: tuple) -> CellResult:
+    """``CellResult(ordering, pivot, witness, violated)``, set through the
+    slots: the frozen dataclass's ``__init__`` takes twice as long."""
+    cell = object.__new__(CellResult)
+    _set_ordering(cell, ordering)
+    _set_pivot(cell, pivot)
+    _set_witness(cell, witness)
+    _set_violated(cell, violated)
+    return cell
+
+
 # both sides of rules 2-4 need a vertex before the pivot
 _RULE1 = RuleWitness(1, ())
 # the violated rules of a cell past the first pivot that also breaks rule 4,
@@ -224,20 +244,26 @@ class _Cells:
     keeping for the next ordering the work that depends on part of one:
     rule 2's outcome by left set, and, along the prefix the next ordering
     shares, the prefix components and each pivot position's rule 2 and 3
-    outcome (violated rules and first witness).  Each distinct witness is
-    built once: ``witnesses`` holds it by (rule, vertices)."""
+    outcome (violated rules and first witness), and for the whole call a
+    record per distinct ordered suffix.  Each distinct witness is built once:
+    ``witnesses`` holds it by (rule, vertices)."""
 
     def __init__(self, t: Tournament):
         self.t = t
         self.witnesses: dict[tuple[int, ...], RuleWitness] = {}
         self.rule2: dict[int, Optional[RuleWitness]] = {}
+        # keep: the positions self.ordering shares with the ordering before
         self.ordering: tuple[int, ...] = ()
+        self.keep = 0
         # upto[i]: the vertices before position i of self.ordering
         self.upto = [0]
         # prefix[p]: the components on ordering[:p]; lefts[p]: the first
         # witness and the violated rules of rules 1-3 at pivot position p
         self.prefix: list[list[tuple]] = [[]]
         self.lefts: list[tuple] = [(_RULE1, (1,))]
+        # the ordered suffixes, a trie read from the last position; a node is
+        # [children by vertex, components, rule 4's v, its witness once built]
+        self.suffixes: list = [{}, [], None, None]
 
     def witness(self, rule: int, names: str, vertices: tuple[int, ...]) -> RuleWitness:
         """The one witness of this table for ``rule`` with ``vertices`` named
@@ -248,9 +274,9 @@ class _Cells:
             found = self.witnesses[key] = RuleWitness(rule, tuple(zip(names, vertices)))
         return found
 
-    def cells(self, ordering: tuple[int, ...], adj: Sequence[int]) -> list[CellResult]:
-        """The cells of a validated minimum ordering with backedge masks
-        ``adj``, by pivot; only the first violated rule builds a witness."""
+    def cells(self, ordering: tuple[int, ...]) -> list[CellResult]:
+        """The cells of a validated minimum ordering, by pivot; only the
+        first violated rule builds a witness."""
         t = self.t
         n, rows, cols, rule2 = t.n, t.rows, t.cols, self.rule2
         keep = 0
@@ -258,7 +284,7 @@ class _Cells:
             if old != new:
                 break
             keep += 1
-        self.ordering = ordering
+        self.ordering, self.keep = ordering, keep
         upto, prefix, lefts = self.upto, self.prefix, self.lefts
         del upto[keep + 1:], prefix[keep + 1:], lefts[keep + 1:]
         for y in ordering[keep:]:
@@ -267,7 +293,7 @@ class _Cells:
         pos = [0] * n
         for i, y in enumerate(ordering):
             pos[y] = i
-        prefix.extend(_components(ordering, adj, upto, range(keep, n - 1), prefix[keep]))
+        prefix.extend(_components(ordering, rows, upto, range(keep, n - 1), prefix[keep]))
         for p in range(keep + 1, n):
             left = upto[p]
             if left in rule2:
@@ -285,18 +311,25 @@ class _Cells:
             else:
                 lefts.append((None, ()))
         cells: list = [None] * n
-        cells[ordering[0]] = CellResult(ordering, ordering[0], _RULE1, (1,))
-        positions = range(n - 1, 0, -1)
-        for p, suffix in zip(positions, _components(ordering, adj, upto, positions, [])):
-            left = upto[p]
+        cells[ordering[0]] = _cell(ordering, ordering[0], _RULE1, (1,))
+        node = self.suffixes
+        for p in range(n - 1, 0, -1):
+            y, parent = ordering[p], node
+            node = parent[0].get(y)
+            if node is None:
+                left = upto[p]
+                suffix = next(_components(ordering, cols, upto, (p,), parent[1]))
+                node = parent[0][y] = [{}, suffix, _span_rule(cols, left, full ^ left, suffix), None]
             witness, violated = lefts[p]
-            v4 = _span_rule(cols, left, full ^ left, suffix)
-            if v4 is not None:
+            if node[2] is not None:
                 violated = _AND_RULE4[violated]
                 if witness is None:
-                    found = _span_witness(v4, cols[v4] & ~left, suffix, ordering, pos, upto)
-                    witness = self.witness(4, "abuvw", found)
-            cells[ordering[p]] = CellResult(ordering, ordering[p], witness, violated)
+                    witness = node[3]
+                    if witness is None:
+                        v4 = node[2]
+                        found = _span_witness(v4, cols[v4] & ~upto[p], node[1], ordering, pos, upto)
+                        witness = node[3] = self.witness(4, "abuvw", found)
+            cells[y] = _cell(ordering, y, witness, violated)
         return cells
 
 
@@ -308,7 +341,7 @@ def check_cell(t: Tournament, ordering: Sequence[int], x: int) -> CellResult:
     if not 0 <= x < t.n:
         raise ValueError(f"pivot {x} out of range")
     ordering = minimum_ordering(t, ordering).witness
-    return _Cells(t).cells(ordering, _backedge_masks(t.rows, ordering))[x]
+    return _Cells(t).cells(ordering)[x]
 
 
 def validate_rule_witness(
@@ -398,7 +431,13 @@ def check_rules(
 
     ``first_vertex=f`` keeps the orderings that start with f.  That loses no
     verdict only when some automorphism maps f to each vertex (t is
-    vertex-transitive); for any other t it raises ValueError."""
+    vertex-transitive); for any other t it raises ValueError.
+
+    Each ordering is proved minimum past the prefix it shares with the one
+    before: an (omega+1)-clique has a last placed vertex y, and its others
+    form an omega-clique among y's earlier backedge neighbours, so testing
+    each y placed past that prefix finds every clique not inside it, and the
+    ordering before was tested for those."""
     if not is_strong(t):
         raise ValueError("tournament must be strongly connected")
     full = (1 << t.n) - 1
@@ -417,12 +456,19 @@ def check_rules(
     orderings = iter_orderings_with_clique_at_most(
         t, value, first_vertex=first_vertex, deadline=deadline
     )
+    # the backedge masks on the placed vertices: a shared-prefix vertex's bits
+    # stay right, as every later vertex comes after it in both orderings
+    adj = [0] * t.n
     for ordering in orderings:
         deadline.check()
-        adj = _backedge_masks(t.rows, ordering)
-        if has_clique_in_mask(adj, full, value + 1) is not None:
-            raise ValueError("ordering does not achieve the minimum clique number")
-        cells += table.cells(ordering, adj)
+        cells += table.cells(ordering)  # sets table.keep and table.upto
+        for p in range(table.keep, t.n):
+            y = ordering[p]
+            back = adj[y] = t.rows[y] & table.upto[p]
+            if has_clique_in_mask(adj, back, value) is not None:
+                raise ValueError("ordering does not achieve the minimum clique number")
+            for u in _bits(back):
+                adj[u] |= 1 << y
     excluded = all(cell.witness is not None for cell in cells)
     return RuleReport(value, first_vertex, tuple(cells), excluded)
 

@@ -9,7 +9,7 @@ word table of masks serves both the closure predicate and the solver.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 from .core import Deadline, Tournament, _bits, _quote
 from .io import _check_json
@@ -56,11 +56,6 @@ def to_pass(t: Tournament) -> PassInstance:
             for w in _bits(t.rows[u] & t.rows[v]):
                 words.append((w, v, u))
     return PassInstance(t.n, tuple(sorted(words)))
-
-
-def is_subsequence(word: Sequence[int], sequence: Sequence[int]) -> bool:
-    it = iter(sequence)
-    return all(symbol in it for symbol in word)
 
 
 def _tables(instance: PassInstance) -> tuple[list[int], list[dict[int, int]]]:

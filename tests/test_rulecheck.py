@@ -22,6 +22,7 @@ from backedge.rulecheck import (
     CellResult,
     RuleReport,
     RuleWitness,
+    _Cells,
     _components,
     check_cell,
     check_rules,
@@ -638,6 +639,19 @@ def test_a_retained_w7_report_holds_at_most_5_mb(surrogate):
     assert held <= 5_000_000, held
 
 
+def test_check_rules_on_w7_peaks_at_most_10_mb(surrogate):
+    # 3.7 MB when every ordering was evaluated alone; the suffix records
+    # shared across orderings hold the rest until the call returns
+    gc.collect()
+    tracemalloc.start()
+    try:
+        check_rules(surrogate)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 10_000_000, peak
+
+
 def test_the_dict_form_of_the_w7_report_holds_at_most_10_mb(surrogate):
     # 7.7 MB with one dict per distinct witness and one list per ordering;
     # a dict per cell and witness use and a list per cell took 26.2 MB
@@ -653,3 +667,55 @@ def test_the_dict_form_of_the_w7_report_holds_at_most_10_mb(surrogate):
         tracemalloc.stop()
     assert len(form["cells"]) == 35280
     assert held <= 10_000_000, held
+
+
+@pytest.mark.parametrize("first, second, triangle", [
+    # the only triangle lies past the shared prefix (2,); its first placed
+    # vertex has the smallest label, so the masks must keep later neighbours
+    ((2, 3, 0, 1, 4), (2, 0, 4, 3, 1), {0, 3, 4}),
+    # the only triangle holds vertex 0 of the shared prefix (0,)
+    ((0, 1, 2, 3, 4), (0, 4, 2, 3, 1), {0, 3, 4}),
+])
+def test_check_rules_refuses_an_ordering_above_the_minimum(
+    circulant5, monkeypatch, first, second, triangle
+):
+    import backedge.rulecheck
+
+    def triangles(ordering):
+        adj = backedge_graph(circulant5, ordering).rows
+        return [{u, v, w} for u, v, w in itertools.combinations(range(5), 3)
+                if adj[u] >> v & adj[u] >> w & adj[v] >> w & 1]
+
+    assert omega(circulant5).value == 2
+    assert triangles(first) == [] and triangles(second) == [triangle]
+
+    def orderings(t, k, **kwargs):
+        yield first
+        yield second
+
+    monkeypatch.setattr(backedge.rulecheck, "iter_orderings_with_clique_at_most", orderings)
+    with pytest.raises(ValueError, match="does not achieve the minimum"):
+        check_rules(circulant5)
+
+
+def test_shared_suffix_records_give_the_cells_of_a_fresh_table(surrogate):
+    # W7 and three 8-vertex tournaments of value 2, 1,941 orderings in all
+    rng = random.Random(81)
+    tournaments = [surrogate]
+    while len(tournaments) < 4:
+        t = labeled_tournament(8, rng.randrange(labeled_count(8)))
+        if is_strong(t):
+            tournaments.append(t)
+    for t in tournaments:
+        report = check_rules(t)
+        orderings = [cell.ordering for cell in report.cells[::t.n]]
+        for i, ordering in enumerate(orderings):
+            fresh = _Cells(t).cells(ordering)
+            assert report.cells[i * t.n:(i + 1) * t.n] == tuple(fresh), (t, ordering)
+        # some suffix recurs in orderings that are not adjacent
+        last, reused = {}, False
+        for i, ordering in enumerate(orderings):
+            for p in range(1, t.n):
+                reused = reused or i - last.get(ordering[p:], i) > 1
+                last[ordering[p:]] = i
+        assert reused, t

@@ -9,16 +9,16 @@ from backedge.core import Deadline, backedge_graph, clique_number
 from backedge.gadgets import r5
 from backedge.generation import canonical_tournaments
 from backedge.solvers import omega_decide
-from backedge.subword import (
-    PassInstance,
-    is_subsequence,
-    is_tournament_closed,
-    solve_pass,
-    to_pass,
-)
+from backedge.subword import PassInstance, is_tournament_closed, solve_pass, to_pass
 
 from labeled import labeled_count, labeled_tournament
 from test_pass_search import planted
+
+
+def is_subsequence(word, sequence):
+    """Does ``word`` occur in ``sequence`` as a subsequence?"""
+    it = iter(sequence)
+    return all(symbol in it for symbol in word)
 
 
 def test_to_pass_examples():
