@@ -437,7 +437,9 @@ def check_rules(
     before: an (omega+1)-clique has a last placed vertex y, and its others
     form an omega-clique among y's earlier backedge neighbours, so testing
     each y placed past that prefix finds every clique not inside it, and the
-    ordering before was tested for those."""
+    ordering before was tested for those.  The first such y needs no test:
+    its earlier backedge neighbours all lie in the prefix, and it came after
+    the prefix in the ordering before too."""
     if not is_strong(t):
         raise ValueError("tournament must be strongly connected")
     full = (1 << t.n) - 1
@@ -465,7 +467,7 @@ def check_rules(
         for p in range(table.keep, t.n):
             y = ordering[p]
             back = adj[y] = t.rows[y] & table.upto[p]
-            if has_clique_in_mask(adj, back, value) is not None:
+            if p > table.keep and has_clique_in_mask(adj, back, value) is not None:
                 raise ValueError("ordering does not achieve the minimum clique number")
             for u in _bits(back):
                 adj[u] |= 1 << y

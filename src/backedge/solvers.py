@@ -1,8 +1,9 @@
 """Exact solvers: ordering clique number, acyclic partition number, ordering
 enumeration, pairwise forcing, and extremal-witness search.
 
-The ordering searches build orderings left to right on an explicit stack.
-A prefix fixes every backedge among its vertices, and every backedge from
+The ordering searches build orderings left to right on an explicit stack,
+in one loop (`_prefix_search`) that reads its kill rule from per-symbol
+tables; `subword.solve_pass` is its other caller, at k = 2.  A prefix fixes every backedge among its vertices, and every backedge from
 an unplaced vertex into it.  Forward checking kills a prefix once some
 unplaced vertex beats a k-clique of its backedge graph, since placing that
 vertex must close a (k+1)-clique; only prefixes without a completion die,
@@ -27,7 +28,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, Mapping, Optional, Sequence
 
 from ._sat import Solver
 from .core import (
@@ -134,12 +135,29 @@ def iter_orderings_with_clique_at_most(
             raise ValueError(f"vertex {vertex} out of range")
     if before is not None and before[0] == before[1]:
         raise ValueError("before needs two distinct vertices")
+    # an unplaced c with c -> v kills v at k = 1, and is a closer above that
+    kills, threats = (d.cols, [0] * n) if k == 1 else ([0] * n, d.cols)
+    yield from _prefix_search(
+        n, k, kills, threats, d.rows, [d.rows] * n,
+        first_vertex=first_vertex, before=before, deadline=deadline, stats=stats,
+    )
+
+
+def _prefix_search(
+    n: int, k: int, kills: Sequence[int], threats: Sequence[int], backs: Sequence[int],
+    pairs: Sequence[Sequence[int] | Mapping[int, int]], *, first_vertex: Optional[int] = None,
+    before: Optional[tuple[int, int]] = None, deadline: Deadline = Deadline(),
+    stats: Optional[SearchStats] = None,
+) -> Iterator[tuple[int, ...]]:
+    """The search of both callers (module docstring) over the permutations of
+    n symbols.  Placing v kills the prefix when ``kills[v]`` meets the
+    unplaced symbols, or when some unplaced c of ``threats[v]`` has
+    ``pairs[v][c] & backs[v] & placed`` hold a (k-1)-clique of the prefix's
+    backedge graph; at k <= 2 that reads only the placed set."""
     deadline.check()
     if n == 0:
         yield ()
         return
-    rows = d.rows
-    cols = d.cols
     full = (1 << n) - 1
     # the prefix's backedge masks; only the k >= 3 check reads them
     keep = k >= 3
@@ -186,21 +204,22 @@ def iter_orderings_with_clique_at_most(
         low = avail & -avail
         avails[-1] = avail ^ low
         v = low.bit_length() - 1
-        nb = rows[v] & placed
-        # forward check: an unplaced c with c -> v that beats a
-        # (k-1)-clique of nb closes a (k+1)-clique once it is placed
-        threats = cols[v] & ~placed
-        if k == 1:
-            if threats:
-                continue
-        elif nb:
-            while threats:
-                lb = threats & -threats
-                hit = rows[lb.bit_length() - 1] & nb
+        rest = full ^ placed ^ low
+        if kills[v] & rest:
+            continue
+        nb = backs[v] & placed
+        if nb:
+            # forward check: an unplaced closer c whose pair mask meets a
+            # (k-1)-clique of nb closes a (k+1)-clique once it is placed
+            threat = threats[v] & rest
+            pair = pairs[v]
+            while threat:
+                lb = threat & -threat
+                hit = pair[lb.bit_length() - 1] & nb
                 if hit and (k == 2 or has_clique_in_mask(badj, hit, k - 1)):
                     break
-                threats ^= lb
-            if threats:
+                threat ^= lb
+            if threat:
                 continue
         node_count += 1
         if node_count & 0xFFF == 0:
@@ -243,7 +262,7 @@ def iter_orderings_with_clique_at_most(
                 placed ^= low
                 continue
             marks.append((len(out), node_count + skipped))
-        avails.append(full & ~placed & ~(block if gate & ~placed else 0))
+        avails.append(rest & ~(block if gate & rest else 0))
     stats.nodes = entry + node_count + skipped
 
 

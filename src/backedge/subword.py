@@ -3,7 +3,8 @@
 A permutation of a tournament's vertices avoids the instance's forbidden
 words exactly when its backedge graph is triangle-free, so solving these
 instances decides whether the ordering clique number is at most 2.  One
-word table of masks serves both the closure predicate and the solver.
+word table of masks serves both the closure predicate and the solver: the
+search of `solvers.iter_orderings_with_clique_at_most`, run on that table.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from typing import Optional
 
 from .core import Deadline, Tournament, _bits, _quote
 from .io import _check_json
+from .solvers import _prefix_search
 
 
 @dataclass(frozen=True)
@@ -58,26 +60,30 @@ def to_pass(t: Tournament) -> PassInstance:
     return PassInstance(t.n, tuple(sorted(words)))
 
 
-def _tables(instance: PassInstance) -> tuple[list[int], list[dict[int, int]]]:
-    """Per symbol s: ``after[s]``, the mask of the b of the words (s, b), and
-    ``lasts[s][a]``, the mask of the c of the words (a, s, c)."""
-    after = [0] * instance.alphabet_size
-    lasts: list[dict[int, int]] = [{} for _ in range(instance.alphabet_size)]
+def _tables(instance: PassInstance) -> tuple[list[int], list[int], list[int], list[dict]]:
+    """`solvers._prefix_search`'s kill rule, per symbol s: ``kills[s]``, the b
+    of the words (s, b); ``pairs[s][c]``, the a of the words (a, s, c);
+    ``threats[s]`` and ``backs[s]``, all those c and all those a, as masks."""
+    n = instance.alphabet_size
+    kills, threats, backs = [0] * n, [0] * n, [0] * n
+    pairs: list[dict[int, int]] = [{} for _ in range(n)]
     for word in instance.forbidden:
         if len(word) == 2:
-            after[word[0]] |= 1 << word[1]
+            kills[word[0]] |= 1 << word[1]
         elif len(word) == 3:
             a, s, c = word
-            lasts[s][a] = lasts[s].get(a, 0) | 1 << c
-    return after, lasts
+            pairs[s][c] = pairs[s].get(c, 0) | 1 << a
+            threats[s] |= 1 << c
+            backs[s] |= 1 << a
+    return kills, threats, backs, pairs
 
 
 def is_tournament_closed(instance: PassInstance) -> bool:
     """Closure predicate: whenever words abc and dbe share their middle
     symbol, the crossed words abe and dbc must also be forbidden.  Reported,
     never enforced.  That holds exactly when, for each middle symbol, every
-    first symbol maps to the same mask of last symbols."""
-    return all(len(set(table.values())) <= 1 for table in _tables(instance)[1])
+    last symbol maps to the same mask of first symbols."""
+    return all(len(set(table.values())) <= 1 for table in _tables(instance)[3])
 
 
 def solve_pass(
@@ -86,38 +92,12 @@ def solve_pass(
     """Lexicographically smallest permutation of the alphabet avoiding every
     forbidden word as a subsequence, or None.
 
-    Depth-first over prefixes, on an explicit stack of candidate masks, with
-    forward checking: placing s kills the prefix when a word (s, b) or a word
-    (a, s, c) with a placed still has its last symbol unplaced.  A word that
-    repeats a symbol never embeds in a permutation and never meets either
-    test."""
-    n = instance.alphabet_size
+    The search of `solvers.iter_orderings_with_clique_at_most` at k = 2, its
+    memo, replay and deadline polls included: placing s kills the prefix
+    when a word (s, b), or a word (a, s, c) with a placed, has its last
+    symbol unplaced.  A word that repeats a symbol never embeds in a
+    permutation and never meets either test."""
     if any(len(word) == 1 for word in instance.forbidden):
         return None
-    after, lasts = _tables(instance)
-    full = (1 << n) - 1
-    placed = nodes = 0
-    prefix: list[int] = []
-    # avails[i]: the candidates still untried at position i of the prefix
-    avails = [full]
-    while len(prefix) < n:
-        avail = avails[-1]
-        if not avail:
-            avails.pop()
-            if not prefix:
-                return None
-            placed ^= 1 << prefix.pop()
-            continue
-        low = avail & -avail
-        avails[-1] = avail ^ low
-        s = low.bit_length() - 1
-        nodes += 1
-        if nodes & 0xFFF == 0:
-            deadline.check()
-        rest = full ^ placed ^ low
-        if after[s] & rest or any(cs & rest for a, cs in lasts[s].items() if placed >> a & 1):
-            continue
-        placed |= low
-        prefix.append(s)
-        avails.append(rest)
-    return tuple(prefix)
+    search = _prefix_search(instance.alphabet_size, 2, *_tables(instance), deadline=deadline)
+    return next(search, None)

@@ -18,11 +18,13 @@ from backedge.solvers import (
     iter_orderings_with_clique_at_most,
     min_order_with_omega,
     minimum_ordering,
+    omega_decide,
 )
 from backedge.subword import solve_pass, to_pass
 
 from labeled import labeled_count, labeled_tournament
 from search_tree import expanded_count
+from test_ordering_search import random_tournament
 
 
 class FirstPoll(Deadline):
@@ -37,13 +39,18 @@ class FirstPoll(Deadline):
         raise BudgetExhausted(f"poll {self.polls}")
 
 
+def _tournament13():
+    rng = random.Random(1)
+    return labeled_tournament(13, rng.randrange(labeled_count(13)))
+
+
 def _entry_points(surrogate):
     """Each entry point as a call taking only the optional ``deadline``."""
     phi = parse_dimacs("p cnf 3 1\n1 2 3 0\n")
     instance = build(phi, surrogate)
-    # a 13-vertex tournament's pass instance: no solution, past 4,096 nodes
-    rng = random.Random(1)
-    pass13 = to_pass(labeled_tournament(13, rng.randrange(labeled_count(13))))
+    # a 13-vertex tournament's pass instance with no solution: unless a poll
+    # stops it, the search runs until it refutes the instance
+    pass13 = to_pass(_tournament13())
     r5_minimum = next(enumerate_omega_orderings(r5()))
     return {
         "amplifier": lambda **kw: amplifier(c3(), **kw),
@@ -133,6 +140,20 @@ def test_a_replaying_enumeration_polls_per_block_of_expanded_prefixes():
     expanded = expanded_count(t, 2)
     assert (count, nodes, expanded) == (0, 22_784, 12_933)
     assert polls == 1 + expanded // 4096
+
+
+def test_solve_pass_polls_as_often_as_the_ordering_search():
+    # solve_pass runs the ordering search on the words of to_pass(t): the
+    # same prefixes as omega_decide(t, 2), hence the same polls.  The
+    # 20-vertex chain replays the subtrees of repeated sets.
+    chained = chain([c3(), random_tournament(17, random.Random(2))])
+    polls = []
+    for t in (_tournament13(), chained):
+        pass_log, omega_log = [], []
+        witness = solve_pass(to_pass(t), deadline=PollLog(pass_log))
+        assert witness == omega_decide(t, 2, deadline=PollLog(omega_log)).witness
+        polls.append((len(pass_log), len(omega_log)))
+    assert polls == [(1, 1), (10, 10)]
 
 
 def test_build_polls_after_every_stage(monkeypatch, surrogate):

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from backedge.constructions import c3, tt
+from backedge.constructions import c3, chain, tt
 from backedge.core import Deadline, backedge_graph, clique_number
 from backedge.gadgets import r5
 from backedge.generation import canonical_tournaments
@@ -12,6 +12,7 @@ from backedge.solvers import omega_decide
 from backedge.subword import PassInstance, is_tournament_closed, solve_pass, to_pass
 
 from labeled import labeled_count, labeled_tournament
+from test_ordering_search import random_tournament
 from test_pass_search import planted
 
 
@@ -244,6 +245,8 @@ def test_pass_witness_is_the_omega_two_witness(surrogate):
         for draw in range(20):
             tournaments.append(planted(n, rng, surrogate) if draw % 2 else
                                labeled_tournament(n, rng.randrange(labeled_count(n))))
+    # 20 vertices whose k = 2 search replays the subtrees of repeated sets
+    tournaments.append(chain([c3(), random_tournament(17, random.Random(2))]))
     unsolved = 0
     for t in tournaments:
         witness = omega_decide(t, 2).witness
