@@ -13,14 +13,10 @@ true, -1 when it is false and 0 while its variable is unassigned, so
 Clauses enter through one loader, `Solver.add_clauses`, which takes them in
 order and simplifies each against the root assignment as it comes, so a unit
 early in a batch shortens or drops the clauses after it; `add_clause` is the
-one-clause call of it.  A clause of two or three literals on distinct
-unassigned variables, loaded at decision level 0, has nothing to drop, grow
-or propagate, so a screen unpacks it and stores a fresh list of its literals,
-in the given order; other clauses take the general path, to the same state.
-Either way the caller's list is never kept.  Loading pauses the cyclic
-garbage collector (kept clauses hold no cycles).  A clause watches its
-literals at positions 0 and 1; `Solver._attach` stores every kept clause
-that way, loaded, learnt or added by a subclass's propagator.
+one-clause call of it.  Every clause, whatever its width, takes the same
+path, and the loader stores a fresh list, never the caller's.  A clause
+watches its literals at positions 0 and 1; `Solver._attach` stores every
+kept clause that way, loaded, learnt or added by a subclass's propagator.
 ``watches[l]`` lists the clauses watching ``l ^ 1``, the literal that ``l``
 falsifies.  During propagation a watch list is only popped while it is
 scanned (a clause leaves it for the list of a non-false literal, never of
@@ -29,7 +25,6 @@ the literal being scanned), so the scan tracks the list's length itself.
 
 from __future__ import annotations
 
-import gc
 from typing import Iterable, Optional, Sequence
 
 from .core import Deadline
@@ -84,70 +79,48 @@ class Solver:
         clashing literal).  Already-false literals are dropped, a satisfied
         clause is dropped, and a unit is assigned and propagated at once, so
         later clauses of the same call see it.  An empty or conflicting clause
-        clears ``ok``, and every later clause is ignored.
+        clears ``ok``, and every later clause is ignored.  Every clause takes
+        this one path, whatever its width; a kept clause is stored as a fresh
+        list of its remaining literals, in the given order.
         """
         if not self.ok:
             return
-        collecting = gc.isenabled()
-        gc.disable()
-        try:
-            val = self.val
-            attach = self._attach
-            at_root = not self.trail_lim
-            for lits in clauses:
-                size = len(lits) if at_root else 0
-                clause = None
-                try:  # the screen of the module docstring
-                    if size == 3:
-                        a, b, c = lits
-                        if (a ^ b) > 1 and (a ^ c) > 1 and (b ^ c) > 1 and not (
-                                val[a] or val[b] or val[c]):
-                            clause = [a, b, c]
-                    elif size == 2:
-                        a, b = lits
-                        if (a ^ b) > 1 and not (val[a] or val[b]):
-                            clause = [a, b]
-                except IndexError:  # a literal past n_vars
-                    pass
-                if clause is None:
-                    # drop repeated literals, or the whole tautology
-                    seen = set()
-                    kept = []
-                    for l in lits:
-                        if l ^ 1 in seen:
-                            kept = None
-                            break
-                        if l not in seen:
-                            seen.add(l)
-                            kept.append(l)
-                    if kept is None:
-                        self._grow((max(seen) >> 1) + 1)
-                        continue
-                    clause = kept
-                    try:
-                        values = list(map(val.__getitem__, clause))
-                    except IndexError:  # a literal past n_vars; _grow extends val in place
-                        self._grow((max(clause) >> 1) + 1)
-                        values = list(map(val.__getitem__, clause))
-                    if not at_root:
-                        raise RuntimeError("clauses may only be added at decision level 0")
-                    if any(values):
-                        if 1 in values:
-                            continue
-                        clause = [l for l, value in zip(clause, values) if not value]
-                    if not clause:
-                        self.ok = False
-                        return
-                    if len(clause) == 1:
-                        self._enqueue(clause[0], -1)
-                        if self._propagate() is not None:
-                            self.ok = False
-                            return
-                        continue
-                attach(clause)
-        finally:
-            if collecting:
-                gc.enable()
+        val = self.val
+        at_root = not self.trail_lim
+        for lits in clauses:
+            # drop repeated literals, or the whole tautology (scanning the
+            # kept literals is quadratic, but beats a set at short widths)
+            clause = []
+            for l in lits:
+                if l ^ 1 in clause:
+                    self._grow((max(clause) >> 1) + 1)
+                    clause = None
+                    break
+                if l not in clause:
+                    clause.append(l)
+            if clause is None:
+                continue
+            try:
+                values = list(map(val.__getitem__, clause))
+            except IndexError:  # a literal past n_vars; _grow extends val in place
+                self._grow((max(clause) >> 1) + 1)
+                values = list(map(val.__getitem__, clause))
+            if not at_root:
+                raise RuntimeError("clauses may only be added at decision level 0")
+            if any(values):
+                if 1 in values:
+                    continue
+                clause = [l for l, value in zip(clause, values) if not value]
+            if not clause:
+                self.ok = False
+                return
+            if len(clause) == 1:
+                self._enqueue(clause[0], -1)
+                if self._propagate() is not None:
+                    self.ok = False
+                    return
+                continue
+            self._attach(clause)
 
     def _attach(self, clause: list[int]) -> int:
         """Store ``clause`` (two or more literals) watching its first two

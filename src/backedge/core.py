@@ -154,9 +154,6 @@ class UndirectedGraph(Digraph):
             masks[v] |= 1 << u
         return cls._with_cols(n, tuple(masks), tuple(masks))
 
-    def has_edge(self, u: int, v: int) -> bool:
-        return bool(self.rows[u] >> v & 1)
-
     def edges(self) -> Iterator[tuple[int, int]]:
         for u in range(self.n):
             for v in _bits(self.rows[u]):

@@ -3,13 +3,16 @@ enumeration, pairwise forcing, and extremal-witness search.
 
 The ordering searches build orderings left to right on an explicit stack,
 in one loop (`_prefix_search`) that reads its kill rule from per-symbol
-tables; `subword.solve_pass` is its other caller, at k = 2.  A prefix fixes every backedge among its vertices, and every backedge from
-an unplaced vertex into it.  Forward checking kills a prefix once some
-unplaced vertex beats a k-clique of its backedge graph, since placing that
-vertex must close a (k+1)-clique; only prefixes without a completion die,
-so surviving branches, their order and the first witnesses are unchanged.
+tables; `subword.solve_pass` is its other caller, at k = 2.  The
+restrictions `first_vertex` and `before` are entries of those tables, not
+code of the loop.  A prefix fixes every backedge among its vertices, and
+every backedge from an unplaced vertex into it.  Forward checking kills a
+prefix once some unplaced vertex beats a k-clique of its backedge graph,
+since placing that vertex must close a (k+1)-clique; only prefixes without
+a completion die, so surviving branches, their order and the first
+witnesses are unchanged.
 
-For k <= 2 the forward check and the `before` gate read only the prefix's
+For k <= 2 the kill tables and the forward check read only the prefix's
 vertex set, so the subtree below a surviving prefix (its completions, their
 order and its node count) depends on that set alone.  The search stores it
 per set as the set's level pops and replays it when a later prefix reaches
@@ -116,7 +119,10 @@ def iter_orderings_with_clique_at_most(
 ) -> Iterator[tuple[int, ...]]:
     """All orderings whose backedge graph has clique number <= k, lexicographically.
 
-    `before=(a, b)` restricts the stream to orderings placing a before b.
+    `first_vertex=f` restricts the stream to orderings starting with f, and
+    `before=(a, b)` to orderings placing a before b.  Both are kill-table
+    entries of `_prefix_search`: f unplaced kills every other vertex, and a
+    unplaced kills b, so the vertices they reject are skipped uncounted.
     Before each yield and once the stream ends, `stats.nodes` is set to its
     value on entry plus the prefixes that have survived the forward check;
     a replayed subtree (k <= 2) is counted by its stored size, added before
@@ -136,24 +142,30 @@ def iter_orderings_with_clique_at_most(
     if before is not None and before[0] == before[1]:
         raise ValueError("before needs two distinct vertices")
     # an unplaced c with c -> v kills v at k = 1, and is a closer above that
-    kills, threats = (d.cols, [0] * n) if k == 1 else ([0] * n, d.cols)
+    kills, threats = (list(d.cols), [0] * n) if k == 1 else ([0] * n, d.cols)
+    if before is not None:
+        kills[before[1]] |= 1 << before[0]
+    if first_vertex is not None:
+        for v in range(n):
+            if v != first_vertex:
+                kills[v] |= 1 << first_vertex
     yield from _prefix_search(
-        n, k, kills, threats, d.rows, [d.rows] * n,
-        first_vertex=first_vertex, before=before, deadline=deadline, stats=stats,
+        n, k, kills, threats, d.rows, [d.rows] * n, deadline=deadline, stats=stats
     )
 
 
 def _prefix_search(
     n: int, k: int, kills: Sequence[int], threats: Sequence[int], backs: Sequence[int],
-    pairs: Sequence[Sequence[int] | Mapping[int, int]], *, first_vertex: Optional[int] = None,
-    before: Optional[tuple[int, int]] = None, deadline: Deadline = Deadline(),
+    pairs: Sequence[Sequence[int] | Mapping[int, int]], *, deadline: Deadline = Deadline(),
     stats: Optional[SearchStats] = None,
 ) -> Iterator[tuple[int, ...]]:
     """The search of both callers (module docstring) over the permutations of
     n symbols.  Placing v kills the prefix when ``kills[v]`` meets the
     unplaced symbols, or when some unplaced c of ``threats[v]`` has
     ``pairs[v][c] & backs[v] & placed`` hold a (k-1)-clique of the prefix's
-    backedge graph; at k <= 2 that reads only the placed set."""
+    backedge graph; at k <= 2 that reads only the placed set.  A killed
+    placement is not a node.  Restrictions on the order, such as a first
+    symbol or one symbol before another, enter as ``kills`` entries."""
     deadline.check()
     if n == 0:
         yield ()
@@ -163,11 +175,9 @@ def _prefix_search(
     keep = k >= 3
     badj = [0] * n
     seq: list[int] = []
-    # b is held back while a is unplaced
-    gate, block = (1 << before[0], 1 << before[1]) if before is not None else (0, 0)
     placed = 0
     # avails[i]: the candidates still untried at position i of the prefix
-    avails = [(full if first_vertex is None else 1 << first_vertex) & ~block]
+    avails = [full]
     if stats is None:
         stats = SearchStats()
     entry = stats.nodes
@@ -262,7 +272,7 @@ def _prefix_search(
                 placed ^= low
                 continue
             marks.append((len(out), node_count + skipped))
-        avails.append(rest & ~(block if gate & rest else 0))
+        avails.append(rest)
     stats.nodes = entry + node_count + skipped
 
 

@@ -133,7 +133,7 @@ def test_backedge_graph_var_base_identity():
     t = var_base().tournament
     g = backedge_graph(t, tuple(range(9)))
     assert triangle_in_graph(g) is None
-    assert g.has_edge(2, 7)
+    assert g.has_arc(2, 7)
 
 
 def test_backedge_graph_tt3_identity_empty():
@@ -170,7 +170,7 @@ def test_has_clique_witness_is_clique():
     witness = has_clique(g, 2)
     assert witness is not None
     u, v = witness
-    assert g.has_edge(u, v)
+    assert g.has_arc(u, v)
 
 
 def test_is_transitive():
@@ -328,7 +328,7 @@ def test_has_clique_in_mask_is_first_combination():
                 (
                     combo
                     for combo in itertools.combinations(inside, k)
-                    if all(g.has_edge(u, v) for u, v in itertools.combinations(combo, 2))
+                    if all(g.has_arc(u, v) for u, v in itertools.combinations(combo, 2))
                 ),
                 None,
             )
@@ -381,7 +381,7 @@ def test_pair_partition_forward_vs_backedge(t):
     for u in range(t.n):
         for v in range(u + 1, t.n):
             forward = t.has_arc(u, v)
-            assert g.has_edge(u, v) == (not forward)
+            assert g.has_arc(u, v) == (not forward)
 
 
 @settings(max_examples=60)

@@ -225,6 +225,24 @@ def test_node_counts_are_pinned_over_every_small_class():
     assert digest.hexdigest() == "42bf703c4706cf185a3a5836be1a5a6cc3595e80d64cb06ccbf2cbed567727ab"
 
 
+def test_node_counts_are_pinned_with_both_restrictions_together():
+    # every class with 3 <= n <= 6 at k = 1, 2 and 3, with vertex 0 first
+    # and 2 before 1 at once: both enter as entries of the same kill tables
+    stats = SearchStats()
+    digest = hashlib.sha256()
+    count = 0
+    for n in range(3, 7):
+        for t in canonical_tournaments(n):
+            for k in (1, 2, 3):
+                for ordering in iter_orderings_with_clique_at_most(
+                        t, k, first_vertex=0, before=(2, 1), stats=stats):
+                    digest.update(bytes(ordering))
+                    count += 1
+                digest.update(b"|")
+    assert (stats.nodes, count) == (8_795, 2_873)
+    assert digest.hexdigest() == "5750f7997c20ca32b58b03d7047dacc879495a7b618d6c5987eb831d275a6768"
+
+
 def test_replays_longer_than_one_block_are_pinned():
     # four chained 3-cycles at k = 2: three two-vertex sets are each replayed
     # with 11,583 completions, so those replays cross 4,096-ordering blocks

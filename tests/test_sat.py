@@ -375,7 +375,7 @@ def test_add_clauses_refuses_above_level_zero_like_per_clause_loading():
 
 
 def short_clauses(rng, n_vars, count):
-    """Two- and three-literal clauses, the widths the loader screens, with
+    """Two- and three-literal clauses, the widths of most loaded clauses, with
     repeated and clashing literals and variables up to n_vars + 1."""
     clauses = []
     for _ in range(count):
@@ -423,8 +423,8 @@ def test_add_clauses_screen_refuses_above_level_zero():
         if bulk._propagate() is not None:
             continue
         single = copy.deepcopy(bulk)
-        # the screened shape (distinct unassigned variables, some past
-        # n_vars) is kept at the root; above it, it is refused
+        # a short clause on distinct unassigned variables, some past
+        # n_vars, is kept at the root; above it, it is refused
         free = [v for v in range(bulk.n_vars) if not bulk.val[2 * v]]
         free += range(bulk.n_vars, bulk.n_vars + 2)
         clause = [lit(v, rng.random() < 0.5) for v in rng.sample(free, rng.choice((2, 3)))]
