@@ -25,6 +25,12 @@ never replayed.  Before the first ordering every stored set is dead, so
 decision callers get nogood caching and exact first-witness node counts.
 For k >= 3 the check reads the prefix's backedges, which fix the order of
 its vertices, so no key would repeat and nothing is stored.
+
+The acyclic partition search (`chi_decide`) is a depth-first branch and
+bound over per-class masks on an explicit stack, without clause learning:
+each class keeps the vertices that may still join it, a vertex closing a
+directed cycle with the class leaves that mask, forced vertices are placed
+at once, and it branches on the vertex with the fewest classes left.
 """
 
 from __future__ import annotations
@@ -33,7 +39,6 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterator, Mapping, Optional, Sequence
 
-from ._sat import Solver
 from .core import (
     Deadline,
     Digraph,
@@ -44,8 +49,6 @@ from .core import (
     backedge_graph,
     check_ordering,
     clique_number,
-    directed_cycle,
-    directed_triangle,
     has_clique_in_mask,
     is_acyclic,
 )
@@ -362,167 +365,95 @@ def omega_by_enumeration(t: Digraph) -> int:
     return best
 
 
-class _ClassSolver(Solver):
-    """`Solver` over chi_decide's encoding, var(v, c) = v * k + c, that
-    keeps each class acyclic by propagating the directed cycles inside it.
+def _place(
+    rows: Sequence[int], cols: Sequence[int], members: list[int], opens: list[int], u: int, c: int
+) -> None:
+    """Put u into class c, which it may join, and drop from ``opens[c]`` every
+    w that would close a directed cycle with the class: ``outs``, the union
+    of the out-neighbours of the members u reaches through members, and
+    ``ins``, that of the in-neighbours of the members that reach u, each
+    grown level by level (`core._reach`); w leaves when it lies in
+    ``(outs | rows[u]) & (ins | cols[u])``."""
+    ms = members[c]
+    ru, cu = rows[u], cols[u]
+    ahead = ms & ru  # members v with u -> v
+    behind = ms & cu  # members v with v -> u
+    outs = _reach(rows, ahead, ms)[1] | ru if ahead else ru
+    ins = _reach(cols, behind, ms)[1] | cu if behind else cu
+    members[c] = ms | 1 << u
+    opens[c] &= ~(outs & ins)
 
-    Clause propagation runs to its fixpoint first.  Then each newly true
-    x(u, c) is checked against the members of class c: ``outs`` is the
-    union of the out-neighbours of the members u reaches through members,
-    and ``ins`` that of the in-neighbours of the members that reach u, each
-    grown level by level (`core._reach`).  No member both is reached from u
-    and reaches u: that would close a cycle C through u, yet the member m
-    of C checked last ran its check to the end, since a conflict would have
-    undone m, and u closed C through m then, so that check left x(u, c)
-    false at a level no higher than m's, where it stays while m does.  A w
-    in ``(outs | rows[u]) & (ins | cols[u])`` closes a cycle through u and
-    w: already in class c it is a conflict, unassigned it gets x(w, c)
-    false.  Only such a reason or conflict enters the database, as the
-    clause of one directed cycle through u and w: the triangle w, u, v with
-    v the lowest member that closes one, else the digon w <-> u, else the
-    cycle `directed_cycle` finds among the members, u and w.  Every class
-    stays acyclic and no unexcluded w closes a cycle with the members alone,
-    so every cycle there passes through u and w.  A reason watches the
-    implied literal and -x(u, c), its false literal of highest level, and a
-    conflict watches its literals in order of decreasing level.  On a
-    tournament every class is transitive, so the reach sets stop after one
-    level and every forbidden w closes a triangle.
 
-    Per class, ``members`` and ``out`` mask the vertices w whose x(w, c) is
-    true, and false, in the trail before ``thead``, the next entry the
-    propagator checks.  ``saved`` holds both lists as each decision level
-    began (every decision is propagated before the next), so a backjump
-    restores them.
+def _settle(
+    rows: Sequence[int], cols: Sequence[int], members: list[int], opens: list[int],
+    free: int, used: int, k: int,
+) -> Optional[tuple[int, int]]:
+    """Place every free vertex with one open class left into it, until none
+    is left: the free mask and the used class count then, or None once a
+    free vertex has no open class.  The ``used`` classes with members come
+    first; every free vertex is open in each empty class."""
+    while True:
+        one = two = 0  # free vertices open in at least one, two used classes
+        for c in range(used):
+            o = opens[c] & free
+            two |= one & o
+            one |= o
+        if used == k:
+            if free & ~one:
+                return None
+            units = one & ~two
+            if not units:
+                return free, used
+            while units:
+                bit = units & -units
+                units ^= bit
+                for c in range(k):
+                    if opens[c] & bit:
+                        break
+                else:
+                    return None  # closed out of its class by an earlier unit
+                _place(rows, cols, members, opens, bit.bit_length() - 1, c)
+                free ^= bit
+        elif used == k - 1:
+            # a vertex open in no used class has only the empty class left
+            units = free & ~one
+            if not units:
+                return free, used
+            bit = units & -units
+            _place(rows, cols, members, opens, bit.bit_length() - 1, used)
+            free ^= bit
+            used += 1
+        else:
+            return free, used
 
-    Decisions place a vertex instead of scanning activities: the free vertex
-    (in no class) with the most classes ruled out, the lowest such vertex,
-    joins its lowest open class (DSatur, Brélaz 1979).  A decision comes
-    after a propagation fixpoint, so the masks are exact then, and every
-    free vertex has at least two open classes, or its at-least-one clause
-    would have propagated.
 
-    Once no vertex is free the search stops with the other variables
-    unassigned, and `solve` reads them as false.  That model satisfies the
-    formula: every vertex has a true class, so the at-least-one clauses
-    hold; the unit pins were assigned at the root; every other pin and
-    every cycle clause is negative, and with no conflict at the fixpoint
-    each has a false or unassigned variable; the cycles never attached as
-    clauses are excluded by the propagator, which checked each placement
-    against its class; and learnt clauses follow from all these.  Each
-    vertex's lowest true class, the one chi_decide reports, lies inside
-    ``members``, so every reported class is acyclic.
-    """
-
-    def __init__(self, d: Digraph, k: int):
-        super().__init__(d.n * k)
-        self.d, self.rows, self.cols, self.k = d, d.rows, d.cols, k
-        self.full = (1 << d.n) - 1
-        self.members = [0] * k
-        self.out = [0] * k
-        self.thead = 0
-        self.saved: list = []
-
-    def _propagate(self) -> Optional[int]:
-        trail = self.trail
-        val = self.val
-        level = self.level
-        reason = self.reason
-        members = self.members
-        out = self.out
-        rows, cols, k = self.rows, self.cols, self.k
-        k2 = 2 * k
-        thead = self.thead
-        if len(self.saved) < len(self.trail_lim):
-            self.saved.append((members[:], out[:]))
-        while True:
-            confl = super()._propagate()
-            if confl is not None or thead == len(trail):
-                self.thead = thead
-                return confl
-            cur_level = len(self.trail_lim)
-            while thead < len(trail):
-                l = trail[thead]
-                thead += 1
-                u, c = divmod(l >> 1, k)
-                if l & 1:
-                    out[c] |= 1 << u
-                    continue
-                ms = members[c]
-                members[c] = ms | 1 << u
-                ru, cu = rows[u], cols[u]
-                ahead = ms & ru  # members v with u -> v
-                behind = ms & cu  # members v with v -> u
-                base = 2 * c + 1  # -x(w, c) is w * k2 + base
-                nu = l | 1
-                outs = _reach(rows, ahead, ms)[1]
-                ins = _reach(cols, behind, ms)[1]
-                forbid = (outs | ru) & (ins | cu) & ~out[c]
-                while forbid:
-                    bit = forbid & -forbid
-                    forbid ^= bit
-                    w = bit.bit_length() - 1
-                    nw = w * k2 + base
-                    value = val[nw]
-                    if value > 0:
-                        continue
-                    closing = ahead & cols[w] if cu & bit else 0
-                    if not closing and ru & bit:
-                        closing = behind & rows[w]
-                    if closing:
-                        clause = [nw, nu, ((closing & -closing).bit_length() - 1) * k2 + base]
-                    elif ru & cu & bit:
-                        clause = [nw, nu]
-                    else:
-                        cycle = directed_cycle(self.d, ms | bit | 1 << u)
-                        clause = [nw, nu] + [x * k2 + base for x in cycle if x != u and x != w]
-                    if value < 0:
-                        self.thead = thead
-                        return self._conflict(clause)
-                    val[nw] = 1
-                    val[nw ^ 1] = -1
-                    v = nw >> 1
-                    level[v] = cur_level
-                    reason[v] = self._attach(clause)
-                    trail.append(nw)
-
-    def _decide(self) -> int:
-        free = self.full
-        for m in self.members:
-            free &= ~m
-        if not free:
-            return -1
-        # bit-sliced count of the classes ruled out for each vertex:
-        # planes[i] holds bit i of every vertex's count
-        planes: list[int] = []
-        for carry in self.out:
-            for i, plane in enumerate(planes):
-                planes[i] = plane ^ carry
-                carry &= plane
-                if not carry:
-                    break
-            else:
-                if carry:
-                    planes.append(carry)
-        for plane in reversed(planes):  # keep the highest counts
-            if free & plane:
-                free &= plane
-        v = (free & -free).bit_length() - 1
-        c = 0
-        while self.out[c] >> v & 1:
-            c += 1
-        return 2 * (v * self.k + c)
-
-    def _conflict(self, clause: list[int]) -> int:
-        level = self.level
-        clause.sort(key=lambda l: -level[l >> 1])
-        return self._attach(clause)
-
-    def _backjump(self, target: int) -> None:
-        if len(self.trail_lim) > target:
-            self.members[:], self.out[:] = self.saved[target]
-            del self.saved[target:]
-            self.thead = self.trail_lim[target]
-        super()._backjump(target)
+def _branch(opens: Sequence[int], free: int, used: int, k: int) -> tuple[int, list[int]]:
+    """The free vertex with the fewest open classes, the lowest such vertex,
+    and the classes to try for it: its open classes among the ``used``
+    classes with members, in order, then the first empty class if any.
+    Every free vertex is open in every empty class, so the counts read only
+    the used ones."""
+    # bit-sliced count of each vertex's open classes: planes[i] holds bit i
+    planes: list[int] = []
+    for c in range(used):
+        carry = opens[c] & free
+        for i, plane in enumerate(planes):
+            planes[i] = plane ^ carry
+            carry &= plane
+            if not carry:
+                break
+        else:
+            if carry:
+                planes.append(carry)
+    least = free
+    for plane in reversed(planes):  # keep the lowest counts
+        if least & ~plane:
+            least &= ~plane
+    v = (least & -least).bit_length() - 1
+    choices = [c for c in range(used) if opens[c] >> v & 1]
+    if used < k:
+        choices.append(used)
+    return v, choices
 
 
 def chi_decide(
@@ -531,29 +462,38 @@ def chi_decide(
     """Can the vertices be split into k classes, each inducing an acyclic
     subdigraph?
 
-    Encodes class membership as booleans and refutes/extends with one
-    conflict-driven search (`_ClassSolver`) that propagates the directed
-    cycles inside each class as it assigns, so a cycle's clause exists only
-    once it has been a reason or a conflict.  Each decision puts the
-    unplaced vertex with the fewest classes left (the lowest such vertex)
-    into its lowest open class, and the search returns as soon as every
-    vertex has a class: every class is then acyclic, and each vertex joins
-    its lowest true class.  The deadline is polled once before the solver
-    is built and every 256 conflicts inside the search.
+    A depth-first branch and bound over class masks, on an explicit stack.
+    Per class it keeps its members and its open mask, the vertices that
+    may still join it; a free vertex is one in no class.  Placing u in class
+    c drops from c's open mask every vertex that would close a directed
+    cycle with c's members and u (`_place`).  Then every free vertex with
+    one open class left joins it, and a free vertex with none is a dead
+    end.  Otherwise the search branches on the free vertex with the fewest
+    open classes, the lowest such vertex (DSatur, Brélaz 1979), trying its
+    open classes with members in order, then one empty class.
+    ``conflicts`` counts the dead ends below the root, so a verdict reached
+    without branching, such as every k = 1 call, counts 0.  The deadline is
+    polled once before the search and once per 1,024 branches taken.
 
-    Classes are interchangeable, so vertex 0 is pinned to class 0.  For
-    k >= 3 the symmetry among the other classes is broken on two more
-    vertices: a and b of the first directed triangle 0 -> a -> b -> 0
-    (lowest a, then lowest b), or a, b = 1, 2 when vertex 0 lies on none.
-    Vertex a takes class 0 or 1, b takes class 0, 1 or 2, and b takes
-    class 2 only when a takes class 1.  Any acyclic partition can be
-    relabelled to meet this by swapping classes other than 0: first move a
-    into class 1 unless it is in class 0.  If a is in class 0 and b in class
-    2 or above, move b into class 1, which a is not in.  Otherwise, if b is
-    in class 3 or above, move b into class 2, which holds neither 0 nor a.
-    Swaps keep every class acyclic, so no partition is lost.  On a triangle
-    the propagator keeps b out of class 0 once 0 and a are both there, so a
-    in class 0 fixes b in class 1, which is why the triangle is chosen.
+    Soundness: every class stays acyclic and every open mask is exact: it
+    holds the vertices w whose class plus w is acyclic.  Suppose this
+    holds before u joins class c with members M, u open in c.  A cycle of
+    M + u + w must pass through w, since M + u is acyclic, and through u,
+    since M + w is acyclic (w was open).  Its path from u to w is the arc
+    u -> w or runs through members that u reaches within M, so w lies in
+    ``outs | rows[u]``; likewise w lies in ``ins | cols[u]``.  Conversely
+    every w in both closes a walk u .. w .. u inside M + u + w, which holds
+    a cycle.  So the classes of a completed search are acyclic.
+
+    Completeness: a forced vertex joins the only class that any extension
+    can give it, and a vertex with no open class has none.  Every branch
+    tries each open class of its vertex except the empty ones after the
+    first.  Empty classes are interchangeable: no vertex is closed out of
+    an empty class, so relabelling the classes of a partition that puts the
+    vertex in another empty class gives one that puts it in the first, and
+    agrees with every placement made so far.  The classes with members are
+    thus always 0 .. used - 1, so vertex 0 starts class 0 and no other
+    symmetry needs breaking.
     """
     if k < 1:
         raise ValueError("class count must be positive")
@@ -562,50 +502,47 @@ def chi_decide(
         return ChiDecideResult(True, tuple((v,) for v in range(n)))
 
     deadline.check()
-    solver = _ClassSolver(d, k)
-    # var(v, c) = v * k + c has the negative literal negs[v] + 2 * c
-    negs = [2 * k * v + 1 for v in range(n)]
-    shifts = range(0, 2 * k, 2)
-
-    def seed_clauses() -> Iterator[list[int]]:
-        for base in negs:
-            yield [base - 1 + c for c in shifts]
-        # classes are interchangeable: pin vertex 0 to class 0 (literal 0 is
-        # var(0, 0) true, literal 1 + c is var(0, c // 2) false)
-        yield [0]
-        for c in shifts[1:]:
-            yield [1 + c]
-        if k >= 3:
-            # the docstring's a and b: a in class 0 or 1, b in class 0, 1 or
-            # 2, and b in class 0 or 1 while a is in class 0.  The first
-            # directed triangle starts at vertex 0 if any triangle does.
-            triangle = directed_triangle(d)
-            pair = triangle[1:] if triangle is not None and triangle[0] == 0 else (1, 2)
-            na, nb = (negs[v] for v in pair)
-            for c in shifts[2:]:
-                yield [na + c]
-            for c in shifts[2:]:
-                yield [na, nb + c]
-            for c in shifts[3:]:
-                yield [nb + c]
-
-    solver.add_clauses(seed_clauses())
-
-    model = solver.solve(deadline)
-    classes = None
-    if model is not None:
-        masks = [0] * k  # a vertex joins its lowest true class
-        for v in range(n):
-            masks[model[v * k:v * k + k].index(True)] |= 1 << v
-        classes = tuple(tuple(_bits(m)) for m in masks if m)
-    return ChiDecideResult(model is not None, classes, solver.conflicts)
+    rows, cols = d.rows, d.cols
+    members = [0] * k
+    opens = [(1 << n) - 1] * k
+    free = (1 << n) - 1
+    used = 0  # classes 0 .. used - 1 have members
+    # one frame per branch point: its members, opens, free and used, its
+    # vertex and the classes still to try for it, the next one last
+    stack: list[tuple[list[int], list[int], int, int, int, list[int]]] = []
+    tried = dead_ends = 0
+    while True:
+        settled = _settle(rows, cols, members, opens, free, used, k)
+        if settled is None:
+            dead_ends += bool(stack)
+        elif not settled[0]:
+            classes = tuple(tuple(_bits(m)) for m in members if m)
+            return ChiDecideResult(True, classes, dead_ends)
+        else:
+            free, used = settled
+            v, choices = _branch(opens, free, used, k)
+            choices.reverse()
+            stack.append((members, opens, free, used, v, choices))
+        while stack and not stack[-1][5]:
+            stack.pop()
+        if not stack:
+            return ChiDecideResult(False, None, dead_ends)
+        members, opens, free, used, v, choices = stack[-1]
+        c = choices.pop()
+        members, opens = members[:], opens[:]
+        _place(rows, cols, members, opens, v, c)
+        free ^= 1 << v
+        used += c == used
+        tried += 1
+        if not tried & 0x3FF:
+            deadline.check()
 
 
 def chi(d: Digraph, *, deadline: Deadline = Deadline()) -> ChiResult:
     """Exact acyclic partition number with a witness partition.
 
-    ``conflicts`` sums the conflicts of every k tried, the refuted k below
-    the value included."""
+    ``conflicts`` sums `chi_decide`'s dead ends over every k tried, the
+    refuted k below the value included."""
     if d.n == 0:
         raise ValueError("chi of the empty digraph is undefined")
     conflicts = 0

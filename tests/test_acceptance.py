@@ -175,12 +175,12 @@ def test_criterion_4_second_family_member(d2):
     subset_done = time.monotonic()
     assert subset_done - started < 600
 
-    # two acyclic classes cannot cover: conflict-driven refutation with a
-    # 30-minute budget and a documented downgrade path
+    # two acyclic classes cannot cover: the class-mask search refutes it,
+    # with a 30-minute budget and a documented downgrade path
     try:
         res = chi_decide(t, 2, deadline=Deadline(1800))
         assert not res.decision
-        chi_detail = f"2-class cover refuted by conflict search ({res.conflicts} conflicts)"
+        chi_detail = f"2-class cover refuted by class search ({res.conflicts} dead ends)"
     except BudgetExhausted:
         chi_detail = (
             "2-class refutation budget exhausted; criterion downgraded to the "

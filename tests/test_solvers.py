@@ -12,6 +12,7 @@ from backedge.core import (
     BudgetExhausted,
     Digraph,
     Tournament,
+    _bits,
     backedge_graph,
     clique_number,
     directed_cycle,
@@ -384,8 +385,49 @@ def spans_a_directed_cycle(d, vertices):
     return any(d.has_arc(v, first) for _, v in paths)
 
 
-def test_propagator_adds_only_cycle_clauses_of_one_class(monkeypatch, d2):
-    made = _record_solvers(monkeypatch)
+def closing_cycle(d, members, u, w):
+    """A shortest directed cycle through u and w inside the members, u and
+    w, as a vertex list: a shortest path from u to w, then one back."""
+    within = members | 1 << u | 1 << w
+
+    def path(a, b):
+        parent, frontier = {a: a}, [a]
+        while frontier and b not in parent:
+            reached = []
+            for x in frontier:
+                for y in range(d.n):
+                    if within >> y & 1 and y not in parent and d.has_arc(x, y):
+                        parent[y] = x
+                        reached.append(y)
+            frontier = reached
+        if b not in parent:
+            return None
+        walk = [b]
+        while walk[-1] != a:
+            walk.append(parent[walk[-1]])
+        return walk[::-1]
+
+    there, back = path(u, w), path(w, u)
+    return there + back[1:-1] if there and back else None
+
+
+def _record_placements(monkeypatch):
+    """Make chi_decide record each placement of u into class c as (the
+    class's members and open mask before, its open mask after, u)."""
+    made = []
+    place = solvers._place
+
+    def recording(rows, cols, members, opens, u, c):
+        before = members[c], opens[c]
+        place(rows, cols, members, opens, u, c)
+        made.append((*before, opens[c], u))
+
+    monkeypatch.setattr(solvers, "_place", recording)
+    return made
+
+
+def test_chi_decide_drops_only_vertices_closing_a_cycle_with_the_class(monkeypatch, d2):
+    made = _record_placements(monkeypatch)
     rng = random.Random(73)
     digraphs = [d2.tournament, source_zero(14, rng.randrange(labeled_count(14)))]
     digraphs += [labeled_tournament(n, rng.randrange(labeled_count(n))) for n in (8, 16, 24)]
@@ -400,17 +442,20 @@ def test_propagator_adds_only_cycle_clauses_of_one_class(monkeypatch, d2):
     lengths = {True: set(), False: set()}  # per kind: tournament or not
     for d in digraphs:
         for k in (2, 3):
+            made.clear()
             res = chi_decide(d, k)
             assert res.decision == pin_only_chi_decide(d, k)[0], (d, k)
-            for clause in made[-1].added:
-                # negative literals of one class on distinct vertices, which
-                # carry a directed cycle
-                assert all(l & 1 for l in clause), clause
-                vertices = [(l >> 1) // k for l in clause]
-                assert len({(l >> 1) % k for l in clause}) == 1
-                assert len(set(vertices)) == len(vertices) >= 2, clause
-                assert spans_a_directed_cycle(d, vertices), clause
-                lengths[isinstance(d, Tournament)].add(len(vertices))
+            for members, before, after, u in made:
+                # u may join, and the open mask stays exact: w leaves it
+                # exactly when w closes a directed cycle with the class and u
+                assert before >> u & 1 and after >> u & 1
+                grown = members | 1 << u
+                for w in _bits(before & ~after):
+                    cycle = closing_cycle(d, members, u, w)
+                    assert cycle is not None and spans_a_directed_cycle(d, cycle), (d, k)
+                    lengths[isinstance(d, Tournament)].add(len(cycle))
+                for w in _bits(after & ~grown):
+                    assert is_acyclic(d, grown | 1 << w), (d, k)
     assert lengths[True] == {3}
     assert {2, 3, 4} <= lengths[False]
     res = chi_decide(d2.tournament, 2)
@@ -418,124 +463,89 @@ def test_propagator_adds_only_cycle_clauses_of_one_class(monkeypatch, d2):
 
 
 def test_chi_decide_places_the_most_constrained_vertex_in_its_lowest_open_class(monkeypatch):
-    # the rule read from the literal values alone: among the vertices in no
-    # class, the lowest with the most classes ruled out, in its lowest open
-    # class; no decision comes from the activity scan
-    made = []
+    # the rule read from the masks alone: among the vertices in no class,
+    # the lowest with the fewest open classes (every empty class open to
+    # all), tried in its open classes with members in order, then in one
+    # empty class; the clause-learning engine is never built
+    branches = []
+    branch = solvers._branch
 
-    class RecordingSolver(solvers._ClassSolver):
-        def __init__(self, d, k):
-            super().__init__(d, k)
-            self.decisions = []
-            self.unassigned_in_model = False
-            made.append(self)
+    def recording(opens, free, used, k):
+        v, choices = branch(opens, free, used, k)
+        counts = {u: sum(c >= used or opens[c] >> u & 1 for c in range(k)) for u in _bits(free)}
+        want = min(counts, key=lambda u: (counts[u], u))
+        open_used = [c for c in range(used) if opens[c] >> want & 1]
+        assert (v, choices) == (want, open_used + [used] * (used < k))
+        # whether the rule passed over a lower free vertex or an empty class
+        branches.append((want != min(counts), k - used > 1))
+        return v, choices
 
-        def _decide(self):
-            k, val = self.k, self.val
-            free = []
-            for v in range(self.n_vars // k):
-                values = [val[2 * (v * k + c)] for c in range(k)]
-                if 1 not in values:
-                    free.append((-values.count(-1), v, values.index(0)))
-            want = 2 * (min(free)[1] * k + min(free)[2]) if free else -1
-            got = super()._decide()
-            # whether the rule passed over a lower free vertex
-            self.decisions.append((got, want, bool(free) and min(free)[1] != free[0][1]))
-            return got
-
-        def solve(self, deadline=Deadline()):
-            model = super().solve(deadline)
-            self.unassigned_in_model |= model is not None and 0 in self.val
-            return model
-
-    plain = []
-    scan = Solver._decide
-
-    def watched(self):
-        plain.append(self)
-        return scan(self)
-
-    monkeypatch.setattr(solvers, "_ClassSolver", RecordingSolver)
-    monkeypatch.setattr(Solver, "_decide", watched)
+    built = []
+    monkeypatch.setattr(solvers, "_branch", recording)
+    monkeypatch.setattr(Solver, "__init__", lambda self, n_vars: built.append(n_vars))
     rng = random.Random(83)
     digraphs = [labeled_tournament(n, rng.randrange(labeled_count(n))) for n in range(8, 25)]
     for n in range(8, 15):
         arcs = [(u, v) for u in range(n) for v in range(n) if u != v and rng.random() < 0.3]
         digraphs.append(Digraph.from_arcs(n, arcs))
-    passed_over = early = 0
     for d in digraphs:
         for k in range(1, d.n):
-            made.clear()
             res = chi_decide(d, k)
-            (solver,) = made
-            for got, want, skipped in solver.decisions:
-                assert got == want, (d, k)
-                passed_over += skipped
             if res.decision:
-                # every vertex placed, the variables left read as false
                 assert_acyclic_partition(d, res.classes, k)
-                early += solver.unassigned_in_model
                 break
-    assert plain == []
-    assert passed_over > 0 and early > 0
+    assert built == []
+    passed_over, skipped_empty = (sum(flags) for flags in zip(*branches))
+    assert passed_over > 0 and skipped_empty > 0
 
 
-def _record_solvers(monkeypatch):
-    """Make chi_decide's solvers count their solves and record, in
-    ``added``, the clauses attached while propagating; learnt clauses are
-    attached by solve() after conflict analysis, outside it."""
-    made = []
-
-    class RecordingSolver(solvers._ClassSolver):
-        def __init__(self, d, k):
-            super().__init__(d, k)
-            self.solves = 0
-            self.added = []
-            self.propagating = False
-            made.append(self)
-
-        def solve(self, deadline=Deadline()):
-            self.solves += 1
-            return super().solve(deadline)
-
-        def _propagate(self):
-            self.propagating = True
-            try:
-                return super()._propagate()
-            finally:
-                self.propagating = False
-
-        def _attach(self, clause):
-            if self.propagating:
-                self.added.append(list(clause))
-            return super()._attach(clause)
-
-    monkeypatch.setattr(solvers, "_ClassSolver", RecordingSolver)
-    return made
-
-
-def test_chi_decide_refutes_the_amplifier_in_one_solve(monkeypatch):
+def test_chi_decide_refutes_the_amplifier_after_three_dead_ends():
     # 315 vertices: every directed cycle of a tournament holds a directed
-    # triangle, which the propagator forbids
-    made = _record_solvers(monkeypatch)
+    # triangle, and a class drops each vertex that closes one with it
     res = chi_decide(amplifier(c3()).tournament, 2)
     assert (res.decision, res.classes, res.conflicts) == (False, None, 3)
-    assert made[-1].solves == 1
 
 
-def test_chi_decide_forbids_a_chordless_four_cycle_in_one_solve(monkeypatch):
-    # the only cycle 1 -> 2 -> 3 -> 4 -> 1 holds no triangle; the
-    # propagator adds it as one reason clause, so one solve suffices
-    made = _record_solvers(monkeypatch)
+def test_chi_decide_refutes_five_classes_of_a_200_vertex_tournament():
+    # the input of the CLI budget tests, where six classes take about 10 s
+    t = labeled_tournament(200, random.Random(13).randrange(labeled_count(200)))
+    res = chi_decide(t, 5)
+    assert (res.decision, res.classes, res.conflicts) == (False, None, 3066)
+
+
+def test_chi_decide_forbids_a_chordless_four_cycle(monkeypatch):
+    # the only cycle 1 -> 2 -> 3 -> 4 -> 1 holds no triangle; a class drops
+    # the vertex that would close it, and no search below the root fails
+    made = _record_placements(monkeypatch)
     d = Digraph.from_arcs(6, [(1, 2), (2, 3), (3, 4), (4, 1), (0, 1), (3, 5)])
-    res = chi_decide(d, 2)
-    assert res.decision
-    assert_acyclic_partition(d, res.classes, 2)
-    assert not chi_decide(d, 1).decision
-    assert len(made) == 2
-    for k, solver in zip((2, 1), made):
-        cycles = [sorted((l >> 1) // k for l in clause) for clause in solver.added]
-        assert (solver.solves, cycles) == (1, [[1, 2, 3, 4]]), k
+    for k, decision in ((2, True), (1, False)):
+        made.clear()
+        res = chi_decide(d, k)
+        assert (res.decision, res.conflicts) == (decision, 0)
+        cycles = {tuple(sorted(closing_cycle(d, members, u, w)))
+                  for members, before, after, u in made for w in _bits(before & ~after)}
+        assert cycles == {(1, 2, 3, 4)}, k
+    assert_acyclic_partition(d, chi_decide(d, 2).classes, 2)
+
+
+def paley(p):
+    """The quadratic-residue tournament on p = 3 mod 4 vertices."""
+    squares = {x * x % p for x in range(1, p)}
+    return Tournament.from_arcs(p, [(u, v) for u in range(p) for v in range(p)
+                                    if (v - u) % p in squares])
+
+
+def test_chi_of_paley_tournaments():
+    # the refutations below QR7, QR11 and QR19 are cross-checked by the
+    # pin-only oracle; QR23 and QR31, where it takes 38 s and 6 s, are
+    # pinned to the values of the clause-learning search chi_decide had
+    for p, value in ((7, 3), (11, 4), (19, 4), (23, 5), (31, 5)):
+        t = paley(p)
+        res = chi(t)
+        assert res.value == value, p
+        assert_acyclic_partition(t, res.classes, value)
+        if p < 23:
+            assert not pin_only_chi_decide(t, value - 1)[0], p
 
 
 def test_chi_of_the_amplifier_is_three():
@@ -578,7 +588,7 @@ def test_chi_decide_with_one_class_is_acyclicity():
 
 
 def test_chi_deep_search_on_larger_tournaments():
-    # big enough that refuting value-1 classes needs genuine conflict work
+    # big enough that refuting value-1 classes needs genuine search
     rng = random.Random(43)
     for _ in range(3):
         n = 15
@@ -597,12 +607,13 @@ def test_chi_deep_search_on_larger_tournaments():
         assert covered == (1 << n) - 1
 
 
-def test_chi_decide_polls_the_deadline_before_building_the_solver():
-    # the seed clauses are the encoding's at-least-one clauses and pins;
-    # chi_decide polls before it builds them, since solve polls only every
-    # 256 conflicts and this call needs far fewer
+def test_chi_decide_polls_the_deadline_before_the_search(monkeypatch):
+    # the search polls once per 1,024 branches taken and this call places
+    # far fewer vertices, so only the poll before the search can stop it
+    made = _record_placements(monkeypatch)
     t = labeled_tournament(12, random.Random(29).randrange(labeled_count(12)))
-    assert chi_decide(t, 2).conflicts < 256
+    chi_decide(t, 2)
+    assert len(made) < 1024
     with pytest.raises(BudgetExhausted):
         chi_decide(t, 2, deadline=Deadline(0))
 
@@ -625,7 +636,7 @@ def test_chi_conflicts_sum_every_k_tried():
         per_k = [chi_decide(t, k).conflicts for k in range(1, result.value + 1)]
         assert result.conflicts == sum(per_k)
         refuted_work += sum(per_k[:-1])
-    # the refuted k carry conflicts, so the last k alone would undercount
+    # the refuted k carry dead ends, so the last k alone would undercount
     assert refuted_work > 0
 
 

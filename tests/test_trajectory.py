@@ -1,18 +1,16 @@
-"""Golden digests of the conflict-driven solver's search path.
+"""Golden digests of the exact searches' paths.
 
-The solver is deterministic, so its decisions, learnt clauses and models are
-a fixed function of the input.  Two digests hash what that search produces.
-``CNF_DIGEST`` covers models, conflict counts and the clause database, learnt
-clauses included, of seeded raw CNF runs with ``reset()`` and re-solves: it
-pins the kernel in ``_sat``.  ``CHI_DIGEST`` covers per-k ``chi_decide``
-verdicts, classes and conflict counts on seeded random tournaments and
-digraphs: it pins the kernel together with the partition encoding and its
-cycle propagator and branching rule.  A kernel change that keeps every
-answer correct but changes the search (tie-breaking, watch order, restarts,
-phase saving) changes both hashes; an encoding change changes only the
-second.  A change that alters the search on purpose records the new digest
-and says so.  ``CHI_TOURNAMENT_DIGEST`` covers the tournament records alone,
-where every clause the propagator adds is a directed triangle.
+Both searches are deterministic, so what they produce is a fixed function
+of the input.  ``CNF_DIGEST`` covers models, conflict counts and the clause
+database, learnt clauses included, of seeded raw CNF runs with ``reset()``
+and re-solves: it pins the conflict-driven kernel in ``_sat``, whose
+tie-breaking, watch order, restarts or phase saving would all change it.
+``CHI_DIGEST`` covers per-k ``chi_decide`` verdicts, classes and dead-end
+counts on seeded random tournaments and digraphs: it pins the class-mask
+search, its cycle rule for open masks and its branching rule.  A change
+that alters a search on purpose records the new digest and says so.
+``CHI_TOURNAMENT_DIGEST`` covers the tournament records alone, where every
+vertex a class drops closes a directed triangle with it.
 ``CHI_VERDICT_DIGEST`` covers only the (n, k, decision) part of the same
 records, which no change to the search may alter.
 """
@@ -28,8 +26,8 @@ from backedge.solvers import chi_decide
 from labeled import labeled_count, labeled_tournament
 
 CNF_DIGEST = "d6bdf5254fa2f00d856a5942caece72404ac0eb0dd1bf05dd48a8fb8569ec451"
-CHI_DIGEST = "470bdc04c03488c17a68c05734a792973f4fcb6bf4cbf2208096e169b21d7a37"
-CHI_TOURNAMENT_DIGEST = "644b49a19e5cf120108ffa47abb084a8ebe5a18b2ac21e65c9e21ca9061910c9"
+CHI_DIGEST = "436db8f1c090549fe32af40b5db7cf59e9f17baff3ab4766b92757c55441b6e4"
+CHI_TOURNAMENT_DIGEST = "df9deba9a2971d937f799719e81cd4b229a3cac6dc029d676b04929dc88ba9b8"
 CHI_VERDICT_DIGEST = "b6f686ab147ff582ee105c8b4414f4c571f53b84fcbc4e4350d01ce3f85cbdb3"
 
 
@@ -40,8 +38,8 @@ def _chi_records(tournaments_only=False):
         for n in range(8, 25)
         for _ in range(2)
     ]
-    # sparse digraphs have cycles without a triangle, which the propagator
-    # forbids through longer cycle clauses
+    # sparse digraphs have cycles without a triangle, so a class also drops
+    # vertices that close longer cycles with it
     for n in range(8, 15):
         arcs = [(u, v) for u in range(n) for v in range(n) if u != v and rng.random() < 0.3]
         digraphs.append(Digraph.from_arcs(n, arcs))
