@@ -1,9 +1,11 @@
 """Minimal conflict-driven clause-learning SAT solver.
 
-Backs the search for acyclic vertex partitions, whose solver subclasses it
-to propagate the directed cycles inside each class.  Deterministic: no
-randomness anywhere, ties broken by variable index, so repeated runs produce
-identical models and refutations.
+No module of the package imports it: the χ search is a class-mask branch
+and bound of its own.  It serves the tests as an independent χ oracle (a
+clause-learning search with vertex 0 pinned) and is the engine that the
+SAT encoding of ordering decisions is planned on (ROADMAP item 2).
+Deterministic: no randomness anywhere, ties broken by variable index, so
+repeated runs produce identical models and refutations.
 
 Literal convention: variable v >= 0 yields literals 2*v (positive) and
 2*v + 1 (negative).  Values are kept per literal: ``val[l]`` is 1 when l is
@@ -16,7 +18,7 @@ early in a batch shortens or drops the clauses after it; `add_clause` is the
 one-clause call of it.  Every clause, whatever its width, takes the same
 path, and the loader stores a fresh list, never the caller's.  A clause
 watches its literals at positions 0 and 1; `Solver._attach` stores every
-kept clause that way, loaded, learnt or added by a subclass's propagator.
+kept clause that way, loaded or learnt.
 ``watches[l]`` lists the clauses watching ``l ^ 1``, the literal that ``l``
 falsifies.  During propagation a watch list is only popped while it is
 scanned (a clause leaves it for the list of a non-false literal, never of

@@ -296,16 +296,11 @@ def is_transitive(t: Tournament) -> bool:
     return directed_triangle(t) is None
 
 
-def directed_cycle(d: Digraph, within: Optional[int] = None) -> Optional[tuple[int, ...]]:
-    """A directed cycle of the digraph induced on the vertex bitmask ``within``
-    (all vertices when None), listed along its arcs, or None when that
-    digraph is acyclic.
-
-    The first directed triangle is returned when there is one; otherwise the
-    first cycle closed by a depth-first search that starts from, and steps
-    to, the lowest vertices first."""
-    mask = (1 << d.n) - 1 if within is None else within
-    rows = d.rows
+def _back_arc(rows: Sequence[int], mask: int) -> Optional[tuple[list[int], int]]:
+    """The first arc that closes a directed cycle inside ``mask`` in a
+    depth-first search that starts from, and steps to, the lowest vertices
+    first: the search path, whose last vertex is the arc's tail, and the
+    arc's head on that path; None when the induced digraph is acyclic."""
     done = 0
     for start in _bits(mask):
         if done >> start & 1:
@@ -324,8 +319,7 @@ def directed_cycle(d: Digraph, within: Optional[int] = None) -> Optional[tuple[i
             low = nxt & -nxt
             w = low.bit_length() - 1
             if low & on_path:
-                # cyclic, so scan for a triangle; an acyclic mask skips the scan
-                return directed_triangle(d, mask) or tuple(path[path.index(w):])
+                return path, w
             todo[-1] = nxt ^ low
             path.append(w)
             on_path |= low
@@ -333,9 +327,27 @@ def directed_cycle(d: Digraph, within: Optional[int] = None) -> Optional[tuple[i
     return None
 
 
+def directed_cycle(d: Digraph, within: Optional[int] = None) -> Optional[tuple[int, ...]]:
+    """A directed cycle of the digraph induced on the vertex bitmask ``within``
+    (all vertices when None), listed along its arcs, or None when that
+    digraph is acyclic.
+
+    The first directed triangle is returned when there is one; otherwise the
+    first cycle closed by a depth-first search that starts from, and steps
+    to, the lowest vertices first."""
+    mask = (1 << d.n) - 1 if within is None else within
+    found = _back_arc(d.rows, mask)
+    if found is None:
+        return None
+    # cyclic, so scan for a triangle; an acyclic mask skips the scan
+    path, w = found
+    return directed_triangle(d, mask) or tuple(path[path.index(w):])
+
+
 def is_acyclic(d: Digraph, within: Optional[int] = None) -> bool:
-    """True iff the (induced) digraph has no directed cycle."""
-    return directed_cycle(d, within) is None
+    """True iff the (induced) digraph has no directed cycle: one depth-first
+    search, with no scan for a triangle."""
+    return _back_arc(d.rows, (1 << d.n) - 1 if within is None else within) is None
 
 
 def is_strong(t: Tournament) -> bool:

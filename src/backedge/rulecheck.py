@@ -15,14 +15,17 @@ Rule shapes (positions relative to the ordering, x the pivot):
   4. no tuple v < x <= a <= u < w <= b with an a-b path in the backedge
      graph of the right side and both arcs u->v, w->v present.
 
-Each minimum ordering is swept once: a left-to-right pass grows the
-components of the backedge graph on every prefix, a right-to-left pass on
-every suffix, and each component keeps the mask of the vertices placed
-inside its position span.  With a side as a vertex mask the rules become
-mask tests: rule 2 looks for an a whose right in-neighbours ``cols[a] &
-right`` the in-neighbours of some b split in two, and rules 3 and 4 for a v
-whose arcs into the other side put two bits inside one span mask.  Only the
-first violated rule of a cell builds its witness.
+Each minimum ordering is evaluated in one pass.  Left to right it grows the
+components of the backedge graph on every prefix: the vertex at position p
+merges every component it has a backedge into, and as the merged span ends
+at p only its start needs a comparison.  Right to left it grows those on
+every suffix, whose merged span starts at p.  Each component keeps the mask
+of the vertices placed inside its span.  With a side as a vertex mask the
+rules become mask tests: rule 2 looks for an a whose right in-neighbours
+``cols[a] & right`` the in-neighbours of some b split in two, and rules 3
+and 4 share one span test, for a v whose arcs into the other side put two
+bits inside one span mask.  Only the first violated rule of a cell builds
+its witness.
 
 The orderings of one call share work.  Rule 2 depends only on the left
 set, so its outcome is kept by left mask.  The prefix components, rule 3
@@ -33,16 +36,19 @@ shared prefix are evaluated again.  The suffix components and rule 4 depend
 only on the ordering from the pivot on (spans are absolute positions), and
 the k <= 2 search replays the same completions after many prefixes, so each
 distinct ordered suffix is evaluated once per call; its record keeps rule
-4's witness too, built when a cell first needs it.  The minimality check
-grows from the shared prefix as well.  ``check_cell`` evaluates its
-ordering the same way, from nothing.
+4's witness too, built when a cell first needs it.  No record is kept that
+would never be read again: two distinct orderings share at most n - 2
+leading positions, so the components on n - 1 are not stored, and the
+suffix from position 1 fixes the whole ordering, which the search yields
+once, so it is not stored either.  The minimality check grows from the
+shared prefix as well.  ``check_cell`` evaluates its ordering the same way.
 
 A report holds one record per distinct value.  A call builds each distinct
 witness once, keeping it by (rule, vertices) until the call returns, the
 cells of one ordering share that ordering's tuple, and a cell's violated
 rules are one of nine constant tuples.  Cells and witnesses have slots, not
 a ``__dict__``.  The 35,280 cells of the 7-vertex value-3 tournament hold
-760 witnesses, and its report takes 3.3 MB.
+760 witnesses; its report takes 3.3 MB, and building it peaks at 4.9 MB.
 
 ``check_rules(t, first_vertex=f)`` keeps only the orderings that start with
 f.  Relabeling by an automorphism maps cells to cells, so this loses no
@@ -53,12 +59,11 @@ tournament it would drop cells, and the call is refused.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Optional, Sequence
 
 from .core import (
     Deadline,
     Tournament,
-    _bits,
     _orbit,
     check_ordering,
     has_clique_in_mask,
@@ -132,39 +137,12 @@ def _lowest(mask: int) -> int:
     return (mask & -mask).bit_length() - 1
 
 
-def _components(
-    ordering: tuple[int, ...], adj: Sequence[int], upto: Sequence[int],
-    positions: Iterable[int], comps: list[tuple],
-) -> Iterator[list[tuple]]:
-    """From the components ``comps``, add the vertex at each of ``positions``
-    in turn and yield the components after each: run left to right from a
-    prefix they give the components of the backedge graph ``adj`` on each
-    longer prefix, run right to left from ``[]`` those on each longer
-    suffix; ``adj`` may be ``rows`` left to right and ``cols`` right to left.
-    A component is (vertex mask, span mask, lo, hi): it spans positions
-    lo..hi, whose vertices make up the span mask."""
-    for p in positions:
-        # the vertex at p joins every component (all on its side) it has a
-        # backedge into
-        back, mask, lo, hi, kept = adj[ordering[p]], upto[p + 1] ^ upto[p], p, p, []
-        for comp in comps:
-            if comp[0] & back:
-                mask |= comp[0]
-                lo, hi = min(lo, comp[2]), max(hi, comp[3])
-            else:
-                kept.append(comp)
-        kept.append((mask, upto[hi + 1] ^ upto[lo], lo, hi))
-        comps = kept
-        yield comps
-
-
-def _rule2_violation(
-    cols: tuple[int, ...], left: int, right: int
-) -> Optional[tuple[int, int, int, int]]:
-    """First a, b on the left with some c on the right beating both and some
-    d on the right beating a but not b, as (a, b, c, d); c and d are the
+def _rule2_violation(cols: tuple[int, ...], left: int, right: int,
+                     witnesses: dict) -> Optional[RuleWitness]:
+    """Rule 2's witness: the first a, b on the left with some c on the right
+    beating both and some d on the right beating a but not b; c and d are the
     smallest such.  c and d differ, so an a beaten by fewer than two right
-    vertices is skipped."""
+    vertices is skipped.  None when rule 2 holds."""
     rest = left
     while rest:
         a = rest & -rest
@@ -176,61 +154,60 @@ def _rule2_violation(
             others ^= b
             cs = beat & cols[b.bit_length() - 1]
             if cs and cs != beat:
-                return _lowest(a), _lowest(b), _lowest(cs), _lowest(beat ^ cs)
+                key = (2, _lowest(a), _lowest(b), _lowest(cs), _lowest(beat ^ cs))
+                found = witnesses.get(key)
+                if found is None:
+                    found = witnesses[key] = RuleWitness(2, tuple(zip("abcd", key[1:])))
+                return found
     return None
 
 
-def _span_rule(arcs: tuple[int, ...], outer: int, inner: int, comps: list[tuple]) -> Optional[int]:
-    """Rules 3 and 4: the smallest v of ``outer`` whose ``arcs[v]`` holds at
-    least two vertices of ``inner`` inside the span of one component ``comps``
-    of the backedge graph on ``inner``, or None."""
-    spans = [comp[1] for comp in comps if comp[2] < comp[3]]
-    while spans and outer:
+def _span_rule(arcs: tuple[int, ...], outer: int, comps: list[tuple]) -> Optional[int]:
+    """Rules 3 and 4: the smallest v of ``outer`` whose ``arcs[v]`` holds two
+    vertices inside the span of one component ``comps`` of the backedge graph
+    on the other side, or None."""
+    while outer:
         v = outer & -outer
         outer ^= v
-        hits = arcs[v.bit_length() - 1] & inner
-        if hits & (hits - 1):
-            for span in spans:
-                both = hits & span
-                if both & (both - 1):
-                    return v.bit_length() - 1
+        hits = arcs[v.bit_length() - 1]
+        for comp in comps:
+            both = hits & comp[1]
+            if both & (both - 1):
+                return v.bit_length() - 1
     return None
 
 
-def _span_witness(
-    v: int, hits: int, comps: list[tuple], ordering: tuple[int, ...],
-    pos: Sequence[int], upto: Sequence[int],
-) -> tuple[int, int, int, int, int]:
+def _span_witness(rule: int, v: int, hits: int, comps: list[tuple], ordering: tuple[int, ...],
+                  upto: Sequence[int], witnesses: dict) -> RuleWitness:
     """Rule 3 or 4's witness (a, b, u, v, w) at the v ``_span_rule`` found,
     whose arcs into the inner side are ``hits``: the smallest u, then the
     smallest w after u covered by a common span; a and b are that span's end
     vertices, taken from the first such component by smallest vertex."""
-    for u in _bits(hits):
-        # each span holding u: its smallest w of ``hits`` after u
-        later = hits & ~upto[pos[u] + 1]
-        covering = [(_lowest(later & span), _lowest(mask), lo, hi)
-                    for mask, span, lo, hi in comps if span >> u & 1 and later & span]
-        if covering:
-            w, _, lo, hi = min(covering)
-            return ordering[lo], ordering[hi], u, v, w
+    rest = hits
+    while rest:
+        u = rest & -rest
+        rest ^= u
+        # the component whose span holds u and the smallest w of ``later``
+        later, best = hits & ~upto[ordering.index(u.bit_length() - 1) + 1], None
+        for comp in comps:
+            both = later & comp[1]
+            if both and comp[1] & u:
+                w, low = both & -both, comp[0] & -comp[0]
+                if best is None or w < best_w or w == best_w and low < best_low:
+                    best, best_w, best_low = comp, w, low
+        if best is not None:
+            key = (rule, ordering[best[2]], ordering[best[3]], u.bit_length() - 1, v,
+                   best_w.bit_length() - 1)
+            found = witnesses.get(key)
+            if found is None:
+                found = witnesses[key] = RuleWitness(rule, tuple(zip("abuvw", key[1:])))
+            return found
     raise AssertionError(f"no span holds two arcs of v = {v}")
 
 
 _set_ordering, _set_pivot, _set_witness, _set_violated = (
     getattr(CellResult, name).__set__ for name in ("ordering", "pivot", "witness", "violated_rules")
 )
-
-
-def _cell(ordering: tuple, pivot: int, witness: Optional[RuleWitness], violated: tuple) -> CellResult:
-    """``CellResult(ordering, pivot, witness, violated)``, set through the
-    slots: the frozen dataclass's ``__init__`` takes twice as long."""
-    cell = object.__new__(CellResult)
-    _set_ordering(cell, ordering)
-    _set_pivot(cell, pivot)
-    _set_witness(cell, witness)
-    _set_violated(cell, violated)
-    return cell
-
 
 # both sides of rules 2-4 need a vertex before the pivot
 _RULE1 = RuleWitness(1, ())
@@ -241,95 +218,113 @@ _AND_RULE4 = {(): (4,), (2,): (2, 4), (3,): (3, 4), (2, 3): (2, 3, 4)}
 
 class _Cells:
     """The cells of a tournament's minimum orderings, one ordering at a time,
-    keeping for the next ordering the work that depends on part of one:
-    rule 2's outcome by left set, and, along the prefix the next ordering
-    shares, the prefix components and each pivot position's rule 2 and 3
-    outcome (violated rules and first witness), and for the whole call a
-    record per distinct ordered suffix.  Each distinct witness is built once:
-    ``witnesses`` holds it by (rule, vertices)."""
+    keeping the work that depends on part of one: rule 2's witness by left
+    set, the prefix records the next ordering shares, a record per distinct
+    ordered suffix, and each distinct witness by (rule, vertices)."""
 
     def __init__(self, t: Tournament):
         self.t = t
         self.witnesses: dict[tuple[int, ...], RuleWitness] = {}
         self.rule2: dict[int, Optional[RuleWitness]] = {}
-        # keep: the positions self.ordering shares with the ordering before
+        # keep: the positions self.ordering shares with the ordering before,
+        # at most n - 2, as for two distinct orderings
         self.ordering: tuple[int, ...] = ()
         self.keep = 0
         # upto[i]: the vertices before position i of self.ordering
         self.upto = [0]
-        # prefix[p]: the components on ordering[:p]; lefts[p]: the first
-        # witness and the violated rules of rules 1-3 at pivot position p
+        # prefix[p]: the components on ordering[:p], for p <= n - 2, each a
+        # (vertex mask, span mask, lo, hi) spanning positions lo..hi; lefts[p]:
+        # the first witness and the violated rules of rules 1-3 at pivot position p
         self.prefix: list[list[tuple]] = [[]]
         self.lefts: list[tuple] = [(_RULE1, (1,))]
-        # the ordered suffixes, a trie read from the last position; a node is
-        # [children by vertex, components, rule 4's v, its witness once built]
+        # the ordered suffixes from position 2 on, a trie read from the last
+        # position; a node is [children by vertex (None at position 2),
+        # components, rule 4's v, its witness once built]
         self.suffixes: list = [{}, [], None, None]
-
-    def witness(self, rule: int, names: str, vertices: tuple[int, ...]) -> RuleWitness:
-        """The one witness of this table for ``rule`` with ``vertices`` named
-        in turn by ``names``."""
-        key = (rule, *vertices)
-        found = self.witnesses.get(key)
-        if found is None:
-            found = self.witnesses[key] = RuleWitness(rule, tuple(zip(names, vertices)))
-        return found
 
     def cells(self, ordering: tuple[int, ...]) -> list[CellResult]:
         """The cells of a validated minimum ordering, by pivot; only the
         first violated rule builds a witness."""
         t = self.t
-        n, rows, cols, rule2 = t.n, t.rows, t.cols, self.rule2
+        n, rows, cols, rule2, witnesses = t.n, t.rows, t.cols, self.rule2, self.witnesses
         keep = 0
-        for old, new in zip(self.ordering, ordering):
+        for old, new in zip(self.ordering, ordering[:n - 2]):
             if old != new:
                 break
             keep += 1
         self.ordering, self.keep = ordering, keep
         upto, prefix, lefts = self.upto, self.prefix, self.lefts
         del upto[keep + 1:], prefix[keep + 1:], lefts[keep + 1:]
+        full = upto[keep]
         for y in ordering[keep:]:
-            upto.append(upto[-1] | 1 << y)
-        full = upto[-1]
-        pos = [0] * n
-        for i, y in enumerate(ordering):
-            pos[y] = i
-        prefix.extend(_components(ordering, rows, upto, range(keep, n - 1), prefix[keep]))
+            full |= 1 << y
+            upto.append(full)
+        comps = prefix[keep]
         for p in range(keep + 1, n):
+            # the components on ordering[:p]: the vertex at p - 1 joins every
+            # component it has a backedge into, and ends the merged span
+            back, mask, lo, kept = rows[ordering[p - 1]], upto[p] ^ upto[p - 1], p - 1, []
+            for comp in comps:
+                if comp[0] & back:
+                    mask |= comp[0]
+                    if comp[2] < lo:
+                        lo = comp[2]
+                else:
+                    kept.append(comp)
+            kept.append((mask, upto[p] ^ upto[lo], lo, p - 1))
+            comps = kept
+            if p < n - 1:
+                prefix.append(comps)
             left = upto[p]
-            if left in rule2:
-                witness = rule2[left]
-            else:
-                found = _rule2_violation(cols, left, full ^ left)
-                witness = None if found is None else self.witness(2, "abcd", found)
-                rule2[left] = witness
-            v3 = _span_rule(rows, full ^ left, left, prefix[p])
+            witness = rule2.get(left, False)
+            if witness is False:
+                witness = rule2[left] = _rule2_violation(cols, left, full ^ left, witnesses)
+            v = _span_rule(rows, full ^ left, comps)
             if witness is not None:
-                lefts.append((witness, (2,) if v3 is None else (2, 3)))
-            elif v3 is not None:
-                found = _span_witness(v3, rows[v3] & left, prefix[p], ordering, pos, upto)
-                lefts.append((self.witness(3, "abuvw", found), (3,)))
+                lefts.append((witness, (2,) if v is None else (2, 3)))
+            elif v is not None:
+                witness = _span_witness(3, v, rows[v] & left, comps, ordering, upto, witnesses)
+                lefts.append((witness, (3,)))
             else:
                 lefts.append((None, ()))
+        new, set_ordering, set_pivot, set_witness, set_violated = (
+            object.__new__, _set_ordering, _set_pivot, _set_witness, _set_violated)
         cells: list = [None] * n
-        cells[ordering[0]] = _cell(ordering, ordering[0], _RULE1, (1,))
         node = self.suffixes
-        for p in range(n - 1, 0, -1):
-            y, parent = ordering[p], node
-            node = parent[0].get(y)
-            if node is None:
-                left = upto[p]
-                suffix = next(_components(ordering, cols, upto, (p,), parent[1]))
-                node = parent[0][y] = [{}, suffix, _span_rule(cols, left, full ^ left, suffix), None]
+        for p in range(n - 1, -1, -1):
+            y = ordering[p]
             witness, violated = lefts[p]
-            if node[2] is not None:
-                violated = _AND_RULE4[violated]
-                if witness is None:
-                    witness = node[3]
+            if p:
+                child = node[0].get(y) if p > 1 else None
+                if child is None:
+                    # the components on ordering[p:]: the vertex at p joins every
+                    # component it has a backedge into, and starts the merged span
+                    back, mask, hi, kept = cols[y], 1 << y, p, []
+                    for comp in node[1]:
+                        if comp[0] & back:
+                            mask |= comp[0]
+                            if comp[3] > hi:
+                                hi = comp[3]
+                        else:
+                            kept.append(comp)
+                    kept.append((mask, upto[hi + 1] ^ upto[p], p, hi))
+                    child = [{} if p > 2 else None, kept, _span_rule(cols, upto[p], kept), None]
+                    if p > 1:
+                        node[0][y] = child
+                node = child
+                if node[2] is not None:
+                    violated = _AND_RULE4[violated]
                     if witness is None:
-                        v4 = node[2]
-                        found = _span_witness(v4, cols[v4] & ~upto[p], node[1], ordering, pos, upto)
-                        witness = node[3] = self.witness(4, "abuvw", found)
-            cells[y] = _cell(ordering, y, witness, violated)
+                        witness = node[3]
+                        if witness is None:
+                            v = node[2]
+                            witness = node[3] = _span_witness(
+                                4, v, cols[v] & ~upto[p], node[1], ordering, upto, witnesses)
+            cell = cells[y] = new(CellResult)
+            set_ordering(cell, ordering)
+            set_pivot(cell, y)
+            set_witness(cell, witness)
+            set_violated(cell, violated)
         return cells
 
 
@@ -460,17 +455,21 @@ def check_rules(
     )
     # the backedge masks on the placed vertices: a shared-prefix vertex's bits
     # stay right, as every later vertex comes after it in both orderings
-    adj = [0] * t.n
+    n, rows, adj = t.n, t.rows, [0] * t.n
     for ordering in orderings:
         deadline.check()
         cells += table.cells(ordering)  # sets table.keep and table.upto
-        for p in range(table.keep, t.n):
+        keep, upto = table.keep, table.upto
+        for p in range(keep, n):
             y = ordering[p]
-            back = adj[y] = t.rows[y] & table.upto[p]
-            if p > table.keep and has_clique_in_mask(adj, back, value) is not None:
+            back = adj[y] = rows[y] & upto[p]
+            if p > keep and has_clique_in_mask(adj, back, value) is not None:
                 raise ValueError("ordering does not achieve the minimum clique number")
-            for u in _bits(back):
-                adj[u] |= 1 << y
+            bit = 1 << y
+            while back:
+                low = back & -back
+                adj[low.bit_length() - 1] |= bit
+                back ^= low
     excluded = all(cell.witness is not None for cell in cells)
     return RuleReport(value, first_vertex, tuple(cells), excluded)
 

@@ -472,8 +472,9 @@ def chi_decide(
     open classes, the lowest such vertex (DSatur, Brélaz 1979), trying its
     open classes with members in order, then one empty class.
     ``conflicts`` counts the dead ends below the root, so a verdict reached
-    without branching, such as every k = 1 call, counts 0.  The deadline is
-    polled once before the search and once per 1,024 branches taken.
+    without branching counts 0.  k = 1 needs no search: one acyclicity test
+    decides it, with 0 conflicts.  The deadline is polled once before the
+    search and once per 1,024 branches taken.
 
     Soundness: every class stays acyclic and every open mask is exact: it
     holds the vertices w whose class plus w is acyclic.  Suppose this
@@ -502,6 +503,9 @@ def chi_decide(
         return ChiDecideResult(True, tuple((v,) for v in range(n)))
 
     deadline.check()
+    if k == 1:
+        acyclic = is_acyclic(d)
+        return ChiDecideResult(acyclic, (tuple(range(n)),) if acyclic else None)
     rows, cols = d.rows, d.cols
     members = [0] * k
     opens = [(1 << n) - 1] * k

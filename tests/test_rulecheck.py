@@ -23,7 +23,6 @@ from backedge.rulecheck import (
     RuleReport,
     RuleWitness,
     _Cells,
-    _components,
     check_cell,
     check_rules,
     excluded_from_family,
@@ -356,31 +355,36 @@ def test_path_predicate_matches_plain_union_find(circulant5):
     for ordering in enumerate_omega_orderings(t):
         pos = {v: i for i, v in enumerate(ordering)}
         g = backedge_graph(t, ordering)
-        upto = [sum(1 << v for v in ordering[:i]) for i in range(6)]
-        prefix = [[], *_components(ordering, g.rows, upto, range(5), [])]
-        suffix = [*_components(ordering, g.rows, upto, range(4, -1, -1), [])][::-1]
-        for x in range(5):
-            left = sorted(v for v in range(5) if pos[v] < pos[x])
-            right = sorted(v for v in range(5) if pos[v] >= pos[x])
-            for side, swept in ((left, prefix[pos[x]]), (right, suffix[pos[x]])):
-                mask = sum(1 << v for v in side)
-                comps = list(components(g.rows, mask))
-                assert sum(comps) == mask
-                smallest = [(c & -c).bit_length() - 1 for c in comps]
-                assert smallest == sorted(smallest)
-                # the sweep grows the same components, with their spans
-                spans = []
-                for c in comps:
-                    at = [pos[v] for v in _bits(c)]
-                    lo, hi = min(at), max(at)
-                    spans.append((c, sum(1 << v for v in ordering[lo:hi + 1]), lo, hi))
-                assert sorted(swept, key=lambda comp: comp[0] & -comp[0]) == spans
-                for a in side:
-                    for b in side:
-                        together = any(c >> a & c >> b & 1 for c in comps)
-                        assert together == connected_by_union_find(
-                            t, ordering, side, a, b
-                        )
+        # the components a fresh table keeps: on each prefix but the longest,
+        # and on each suffix from position 2 on
+        table = _Cells(t)
+        table.cells(ordering)
+        swept, node = {}, table.suffixes
+        for p in range(4, 1, -1):
+            node = node[0][ordering[p]]
+            swept[p, "right"] = node[1]
+        for p in range(4):
+            swept[p, "left"] = table.prefix[p]
+        for (p, name), comps_swept in swept.items():
+            side = sorted(ordering[:p] if name == "left" else ordering[p:])
+            mask = sum(1 << v for v in side)
+            comps = list(components(g.rows, mask))
+            assert sum(comps) == mask
+            smallest = [(c & -c).bit_length() - 1 for c in comps]
+            assert smallest == sorted(smallest)
+            # the pass grows the same components, with their spans
+            spans = []
+            for c in comps:
+                at = [pos[v] for v in _bits(c)]
+                lo, hi = min(at), max(at)
+                spans.append((c, sum(1 << v for v in ordering[lo:hi + 1]), lo, hi))
+            assert sorted(comps_swept, key=lambda comp: comp[0] & -comp[0]) == spans
+            for a in side:
+                for b in side:
+                    together = any(c >> a & c >> b & 1 for c in comps)
+                    assert together == connected_by_union_find(
+                        t, ordering, side, a, b
+                    )
 
 
 def test_check_rules_searches_omega_once(circulant5, monkeypatch):
@@ -639,9 +643,10 @@ def test_a_retained_w7_report_holds_at_most_5_mb(surrogate):
     assert held <= 5_000_000, held
 
 
-def test_check_rules_on_w7_peaks_at_most_10_mb(surrogate):
-    # 3.7 MB when every ordering was evaluated alone; the suffix records
-    # shared across orderings hold the rest until the call returns
+def test_check_rules_on_w7_peaks_at_most_6_mb(surrogate):
+    # 4.9 MB: 3.7 MB when every ordering was evaluated alone, and the suffix
+    # records shared across orderings hold the rest until the call returns;
+    # 7.0 MB while the records at position 1 were kept as well
     gc.collect()
     tracemalloc.start()
     try:
@@ -649,7 +654,7 @@ def test_check_rules_on_w7_peaks_at_most_10_mb(surrogate):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 10_000_000, peak
+    assert peak <= 6_000_000, peak
 
 
 def test_the_dict_form_of_the_w7_report_holds_at_most_10_mb(surrogate):
@@ -719,3 +724,37 @@ def test_shared_suffix_records_give_the_cells_of_a_fresh_table(surrogate):
                 reused = reused or i - last.get(ordering[p:], i) > 1
                 last[ordering[p:]] = i
         assert reused, t
+
+
+# SHA-256 over json.dumps(check_rules(t).to_dict()) of every strong class with
+# at most 6 vertices, in the order of canonical_tournaments, recorded before
+# the rules were evaluated in one pass per ordering
+SMALL_CLASSES_DIGEST = "0db677a73d6fb18428346be7d0c6a5c383d0a766e07207957d8fb91d8b0a92cd"
+
+
+def test_the_rule_tables_of_every_strong_class_up_to_6_vertices_are_pinned():
+    digest, count = hashlib.sha256(), 0
+    for n in range(1, 7):
+        for t in strong_classes(n):
+            digest.update(json.dumps(check_rules(t).to_dict()).encode())
+            count += 1
+    assert count == 44
+    assert digest.hexdigest() == SMALL_CLASSES_DIGEST
+
+
+def test_a_table_stores_no_record_that_is_never_read_again(surrogate):
+    # two distinct orderings share at most n - 2 leading positions, and the
+    # suffix from position 1 names one ordering, which the stream yields once
+    t = surrogate
+    table = _Cells(t)
+    for ordering in iter_orderings_with_clique_at_most(t, 3):
+        table.cells(ordering)
+        assert len(table.prefix) == t.n - 1
+    level, depth = [table.suffixes], 0
+    while any(node[0] for node in level):
+        level = [child for node in level if node[0] for child in node[0].values()]
+        depth += 1
+    # the deepest records are the suffixes from position 2 on, whose
+    # children would be those from position 1
+    assert depth == t.n - 2
+    assert all(node[0] is None for node in level)

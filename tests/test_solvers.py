@@ -518,14 +518,16 @@ def test_chi_decide_forbids_a_chordless_four_cycle(monkeypatch):
     # the vertex that would close it, and no search below the root fails
     made = _record_placements(monkeypatch)
     d = Digraph.from_arcs(6, [(1, 2), (2, 3), (3, 4), (4, 1), (0, 1), (3, 5)])
-    for k, decision in ((2, True), (1, False)):
-        made.clear()
-        res = chi_decide(d, k)
-        assert (res.decision, res.conflicts) == (decision, 0)
-        cycles = {tuple(sorted(closing_cycle(d, members, u, w)))
-                  for members, before, after, u in made for w in _bits(before & ~after)}
-        assert cycles == {(1, 2, 3, 4)}, k
-    assert_acyclic_partition(d, chi_decide(d, 2).classes, 2)
+    res = chi_decide(d, 2)
+    assert (res.decision, res.conflicts) == (True, 0)
+    cycles = {tuple(sorted(closing_cycle(d, members, u, w)))
+              for members, before, after, u in made for w in _bits(before & ~after)}
+    assert cycles == {(1, 2, 3, 4)}
+    assert_acyclic_partition(d, res.classes, 2)
+    # one class is refuted by the acyclicity test alone, with no placement
+    made.clear()
+    res = chi_decide(d, 1)
+    assert (res.decision, res.conflicts, made) == (False, 0, [])
 
 
 def paley(p):
@@ -585,6 +587,23 @@ def test_chi_decide_with_one_class_is_acyclicity():
         res = chi_decide(d, 1)
         assert (res.decision, res.classes, res.conflicts) == (acyclic, classes, 0), d
     assert len(verdicts) == 4
+
+
+def test_chi_decide_with_one_class_places_no_vertex(monkeypatch):
+    # one acyclicity test decides k = 1, after the deadline poll
+    made = _record_placements(monkeypatch)
+    tests = []
+    real = solvers.is_acyclic
+    monkeypatch.setattr(solvers, "is_acyclic", lambda d: tests.append(d) or real(d))
+    for d, acyclic in ((arrow(tt(297), c3()), False), (tt(20), True)):
+        tests.clear()
+        res = chi_decide(d, 1)
+        classes = (tuple(range(d.n)),) if acyclic else None
+        assert (res.decision, res.classes, res.conflicts) == (acyclic, classes, 0)
+        assert tests == [d]
+        with pytest.raises(BudgetExhausted):
+            chi_decide(d, 1, deadline=Deadline(0))
+    assert made == []
 
 
 def test_chi_deep_search_on_larger_tournaments():
