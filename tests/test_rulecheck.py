@@ -365,26 +365,30 @@ def test_path_predicate_matches_plain_union_find(circulant5):
             swept[p, "right"] = node[1]
         for p in range(4):
             swept[p, "left"] = table.prefix[p]
-        for (p, name), comps_swept in swept.items():
-            side = sorted(ordering[:p] if name == "left" else ordering[p:])
-            mask = sum(1 << v for v in side)
-            comps = list(components(g.rows, mask))
-            assert sum(comps) == mask
-            smallest = [(c & -c).bit_length() - 1 for c in comps]
-            assert smallest == sorted(smallest)
-            # the pass grows the same components, with their spans
-            spans = []
-            for c in comps:
-                at = [pos[v] for v in _bits(c)]
-                lo, hi = min(at), max(at)
-                spans.append((c, sum(1 << v for v in ordering[lo:hi + 1]), lo, hi))
-            assert sorted(comps_swept, key=lambda comp: comp[0] & -comp[0]) == spans
-            for a in side:
-                for b in side:
-                    together = any(c >> a & c >> b & 1 for c in comps)
-                    assert together == connected_by_union_find(
-                        t, ordering, side, a, b
-                    )
+        for p in range(5):
+            for name in ("left", "right"):
+                side = sorted(ordering[:p] if name == "left" else ordering[p:])
+                mask = sum(1 << v for v in side)
+                comps = list(components(g.rows, mask))
+                assert sum(comps) == mask
+                smallest = [(c & -c).bit_length() - 1 for c in comps]
+                assert smallest == sorted(smallest)
+                for a in side:
+                    for b in side:
+                        together = any(c >> a & c >> b & 1 for c in comps)
+                        assert together == connected_by_union_find(
+                            t, ordering, side, a, b
+                        )
+                if (p, name) not in swept:
+                    continue
+                # the pass grows the same components, with their spans
+                spans = []
+                for c in comps:
+                    at = [pos[v] for v in _bits(c)]
+                    lo, hi = min(at), max(at)
+                    spans.append((c, sum(1 << v for v in ordering[lo:hi + 1]), lo, hi))
+                comps_swept = swept[p, name]
+                assert sorted(comps_swept, key=lambda comp: comp[0] & -comp[0]) == spans
 
 
 def test_check_rules_searches_omega_once(circulant5, monkeypatch):

@@ -570,39 +570,34 @@ def test_chi_of_pi_r5_is_one_more_than_chi_of_r5():
     assert_acyclic_partition(t, res.classes, 3)
 
 
-def test_chi_decide_with_one_class_is_acyclicity():
+def test_chi_decide_with_one_class_is_acyclicity(monkeypatch):
+    # one acyclicity test decides k = 1, after the deadline poll, and no
+    # vertex is placed
+    made = _record_placements(monkeypatch)
+    tests = []
+    monkeypatch.setattr(solvers, "is_acyclic", lambda d: tests.append(d) or is_acyclic(d))
     rng = random.Random(79)
     digraphs = [t for n in range(1, 7) for t in canonical_tournaments(n)]
     for n in range(2, 13):
         for _ in range(3):
             arcs = [(u, v) for u in range(n) for v in range(n) if u != v and rng.random() < 0.15]
             digraphs.append(Digraph.from_arcs(n, arcs))
-    # 300-vertex tournaments, one of them acyclic
-    digraphs += [tt(300), arrow(tt(297), c3())]
+    # acyclic at 20 and 300 vertices, refuted on a 300-vertex tournament
+    digraphs += [tt(20), tt(300), arrow(tt(297), c3())]
     verdicts = set()
     for d in digraphs:
         acyclic = is_acyclic(d)
         verdicts.add((acyclic, isinstance(d, Tournament)))
         classes = (tuple(range(d.n)),) if acyclic else None
-        res = chi_decide(d, 1)
-        assert (res.decision, res.classes, res.conflicts) == (acyclic, classes, 0), d
-    assert len(verdicts) == 4
-
-
-def test_chi_decide_with_one_class_places_no_vertex(monkeypatch):
-    # one acyclicity test decides k = 1, after the deadline poll
-    made = _record_placements(monkeypatch)
-    tests = []
-    real = solvers.is_acyclic
-    monkeypatch.setattr(solvers, "is_acyclic", lambda d: tests.append(d) or real(d))
-    for d, acyclic in ((arrow(tt(297), c3()), False), (tt(20), True)):
         tests.clear()
         res = chi_decide(d, 1)
-        classes = (tuple(range(d.n)),) if acyclic else None
-        assert (res.decision, res.classes, res.conflicts) == (acyclic, classes, 0)
+        assert (res.decision, res.classes, res.conflicts) == (acyclic, classes, 0), d
+        if d.n == 1:  # one class per vertex, with no test
+            continue
         assert tests == [d]
         with pytest.raises(BudgetExhausted):
             chi_decide(d, 1, deadline=Deadline(0))
+    assert len(verdicts) == 4
     assert made == []
 
 
