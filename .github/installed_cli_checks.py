@@ -1,0 +1,106 @@
+"""Check the installed `backedge` console script and its package data against
+the tier-1 schemas of tests/.  Run it outside the checkout with PYTHONPATH unset,
+so that `backedge` and `import backedge` resolve to the installed package; it
+prints one line per command and exits 1 naming each failed one."""
+import hashlib, json, pathlib, subprocess, sys  # noqa: E401
+from importlib import resources
+
+import jsonschema
+
+sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "tests"))
+from cli_schemas import ENVELOPE_SCHEMA, RESULT_SCHEMAS  # noqa: E402
+from backedge.core import is_acyclic  # noqa: E402
+from backedge.io import load_tournament  # noqa: E402
+
+failed = []
+
+
+def strict(name):
+    raise ValueError(f"{name} in the envelope is not JSON")
+
+
+def sha(value):
+    return hashlib.sha256(json.dumps(value).encode()).hexdigest()
+
+
+def run(*argv, code=0, nodes=None, stdin=None, **fields):
+    """Run ``backedge *argv``; its envelope must be strict JSON valid against the
+    schemas, exit ``code``, explore ``nodes`` unless None, and have each of
+    ``fields`` equal as JSON, or meet it if it is a predicate.  Returns the result."""
+    argv = [str(arg) for arg in argv]
+    proc = subprocess.run(["backedge", *argv], input=stdin, capture_output=True)
+    checks = {"exit": code, **({} if nodes is None else {"nodes_explored": nodes}), **fields}
+    result = {}
+    try:
+        envelope = json.loads(proc.stdout, parse_constant=strict)
+        jsonschema.validate(envelope, ENVELOPE_SCHEMA)
+        result = envelope["result"]
+        jsonschema.validate(result, RESULT_SCHEMAS[argv[0]])
+        got = {**envelope, **result, "exit": proc.returncode}
+        bad = [f"{name} {got.get(name)!r:.60}" for name, want in checks.items() if not (
+            want(got.get(name)) if callable(want) else json.dumps(got.get(name)) == json.dumps(want))]
+    except Exception as error:  # a broken envelope fails its own row only
+        bad = [f"exit {proc.returncode}: {getattr(error, 'message', error)!s:.200}"]
+    print("backedge", *argv, "->", *bad, "FAILED" if bad else "ok", flush=True)
+    failed.extend([" ".join(["backedge", *argv])] if bad else [])
+    return result
+
+
+with resources.as_file(resources.files("backedge") / "data" / "r5.trn") as r5:
+    # omega runs the ordering search, chi the class-mask search
+    run("omega", r5, value=2)
+    run("chi", r5, value=2)
+    # node counts pinned, with forcing's before=(1, 0) and --first in the kill table
+    run("orderings", r5, nodes=140, count=45)
+    run("orderings", r5, "--first", "0", nodes=28, count=9)
+    run("forcing", r5, "--u", "0", "--v", "1", "--k", "2", code=1, nodes=5, counterexample=[1, 2, 3, 4, 0])
+    # the published table (vertex 0 first), then the full one: REPORT_DIGESTS["r5"]
+    run("check-rules", r5, "--first-vertex", "0", excluded=True, cells=lambda cells: len(cells) == 45)
+    run("check-rules", r5, excluded=True, cells=lambda cells: len(cells) == 225,
+        result=lambda r: sha(r) == "de24ec70a79bea3dee3aa58f95e6631bb008f53c453082360cd980ce3b6f4f5e")
+    # a piped input is digested as read, not re-read empty at the end
+    data = r5.read_bytes()
+    run("omega", "/dev/stdin", stdin=data,
+        inputs=lambda inputs: inputs[0]["sha256"] == hashlib.sha256(data).hexdigest())
+    # r5's pass instance is closed under crossing; its solution is the k = 2 witness
+    witness = run("omega-decide", "--k", "2", r5).get("witness")
+    run("pass", "from-tournament", r5, "--out", "r5.pass.json", tournament_closed=True)
+    run("pass", "solve", "r5.pass.json", found=True, permutation=witness)
+# the exhaustive gadget checks, which also prove the certified orderings minimum
+run("gadget", "verify", "var", property_holds=True, omega=2, minimum_orderings=39)
+run("gadget", "verify", "clause", property_holds=True, omega=2, minimum_orderings=33)
+# a sizing-only run builds nothing, so it has no layout to write
+run("construct", "amplifier", "3", "--sizing-only", "--layout-out", "lay.json", code=2,
+    written=lambda _: not pathlib.Path("lay.json").exists())
+# the 315-vertex amplifier hits c3 (200 random subsets audited): chi = 3, k = 2 refuted in 3 nodes
+run("construct", "c3", "--out", "c3.trn")
+run("construct", "amplifier", "c3.trn", "--out", "amp.trn")
+run("construct", "amplifier", "c3.trn", "--audit-subsets", "200", hitting_audit=lambda a: a["hit"] == 200)
+run("chi-decide", "--k", "2", "amp.trn", code=1, nodes=3, decision=False)
+run("chi", "amp.trn", value=3)
+# chi(D2) = 3 for D2 = pi(c3), with three acyclic classes partitioning its vertices
+run("construct", "pi", "c3.trn", "--out", "d2.trn")
+run("chi-decide", "--k", "2", "d2.trn", code=1, nodes=3)
+run("chi", "d2.trn", value=3, classes=lambda cs: len(cs) == 3 and sorted(sum(cs, [])) == list(range(63))
+    and all(is_acyclic(load_tournament("d2.trn"), sum(1 << v for v in c)) for c in cs))
+# W7, the smallest tournament of value 3: each of its rule-table cells breaks a
+# rule (REPORT_DIGESTS["w7"]); no solution to its or c3 => W7's pass instance
+w7 = run("search-min-omega", "--k", "3", "--nmax", "7", n=7).get("tournament")
+pathlib.Path("w7.json").write_text(json.dumps(w7))
+run("check-rules", "w7.json", excluded=True, cells=lambda cells: len(cells) == 35280
+    and all(cell["violated_rules"] for cell in cells),
+    result=lambda r: sha(r) == "21ff48d02ccc143d17d0f1735995e813c28fc2170d324f8935b430bd3e0e21f8")
+run("construct", "arrow", "c3.trn", "w7.json", "--out", "c3w7.trn")
+run("omega-decide", "--k", "2", "c3w7.trn", code=1, decision=False)
+run("pass", "from-tournament", "w7.json", "--out", "w7.pass.json")
+run("pass", "solve", "w7.pass.json", code=1, found=False, permutation=None)
+run("pass", "from-tournament", "c3w7.trn", "--out", "c3w7.pass.json")
+run("pass", "solve", "c3w7.pass.json", code=1, found=False, permutation=None)
+# the reduction: W7 as a 3-variable formula's companion, a satisfying witness, its check
+pathlib.Path("phi.cnf").write_text("p cnf 3 2\n1 2 3 0\n-1 -2 3 0\n")
+run("reduce", "--cnf", "phi.cnf", "--gadget", "w7.json", "--out", "inst.trn", "--landmarks", "inst.json")
+ordering = run("witness", "to-ordering", "--trn", "inst.trn", "--landmarks", "inst.json", "--assign", "1,0,1")
+pathlib.Path("ord.json").write_text(json.dumps(ordering.get("ordering")))
+run("verify-ordering", "--trn", "inst.trn", "--ordering", "ord.json", k4_free=True, has_triangle=True)
+
+sys.exit(f"{len(failed)} command(s) FAILED:\n  " + "\n  ".join(failed) if failed else 0)

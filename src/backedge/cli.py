@@ -226,8 +226,8 @@ CONSTRUCT_OPTIONS = {
     "--audit-subsets": ("amplifier",),
     "--vertex-budget": ("amplifier", "pi", "dk"),
 }
-# the kinds that build their tournament from their arguments alone
-CONSTRUCT_FIXED = {"tt": tt, "c3": c3, "arrow": arrow, "delta": delta}
+# the kinds that build their tournament from a size alone
+CONSTRUCT_FIXED = {"tt": tt, "c3": c3}
 
 
 @verb("construct", "build a named construction",
@@ -272,8 +272,10 @@ def _construct(args, deadline, read) -> Outcome:
 
     if kind in CONSTRUCT_FIXED:
         built = CONSTRUCT_FIXED[kind](*parts)
+    elif kind in ("arrow", "delta"):  # chains, which poll the deadline
+        built = (arrow if kind == "arrow" else delta)(*parts, deadline=deadline)
     elif kind == "lift":
-        lifted = lift(*parts)
+        lifted = lift(*parts, deadline=deadline)
         built = lifted.digraph
         result["landmarks"] = {
             "v": lifted.v, "inner_span": lifted.inner_span, "outer_span": lifted.outer_span,
@@ -432,9 +434,9 @@ def _check_rules(args, deadline, read) -> Outcome:
       arg("action", choices=["from-tournament", "solve"]), FILE, OUT)
 def _pass(args, deadline, read) -> Outcome:
     if args.action == "from-tournament":
-        instance = to_pass(read(args.file))
+        instance = to_pass(read(args.file), deadline)
         result = instance.to_dict()
-        result["tournament_closed"] = is_tournament_closed(instance)
+        result["tournament_closed"] = is_tournament_closed(instance, deadline)
         result.update(_write(args, deadline, out=instance))
         return Outcome(result)
     instance = PassInstance.from_dict(read(args.file, parse_json))

@@ -20,13 +20,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations, product
+from itertools import combinations, islice, product
 from typing import Callable, Iterable, Optional, Union
 
-from .core import Deadline, Digraph, Tournament, _bits, is_transitive
+from .core import Deadline, Digraph, Tournament, is_transitive
 from .solvers import omega
 
 DEFAULT_VERTEX_BUDGET = 100_000
+
+# flipped arcs per deadline poll of `chain`
+_FLIP_BLOCK = 4096
 
 
 class MaterializationRefused(Exception):
@@ -137,11 +140,15 @@ def c3() -> Tournament:
     return Tournament.from_arcs(3, [(0, 1), (1, 2), (2, 0)])
 
 
-def chain(blocks: Iterable[Digraph], flipped: Iterable[tuple[int, int]] = ()) -> Digraph:
+def chain(
+    blocks: Iterable[Digraph], flipped: Iterable[tuple[int, int]] = (),
+    deadline: Deadline = Deadline(),
+) -> Digraph:
     """Disjoint union of the blocks, laid out front to back, plus every arc
     from an earlier block to a later one; then each pair ``(w, u)`` of
     ``flipped``, with ``w`` in a later block than ``u``, is reversed to run
     ``w -> u``.  ``flipped`` is consumed once, so it may be a generator.
+    ``deadline`` is polled before each block and each `_FLIP_BLOCK` flips.
     The result is a Tournament when every block is one, else a Digraph."""
     blocks = list(blocks)
     total = sum(b.n for b in blocks)
@@ -150,36 +157,40 @@ def chain(blocks: Iterable[Digraph], flipped: Iterable[tuple[int, int]] = ()) ->
     # columns come from the blocks' columns as rows from their rows, so the
     # result needs no transpose: every earlier block beats a block's vertices
     for b in blocks:
+        deadline.check()
         start = len(rows)
         later = ((1 << (total - start - b.n)) - 1) << (start + b.n)
         earlier = (1 << start) - 1
         rows.extend((row << start) | later for row in b.rows)
         cols.extend((col << start) | earlier for col in b.cols)
-    for w, u in flipped:
-        rows[u] &= ~(1 << w)
-        rows[w] |= 1 << u
-        cols[w] &= ~(1 << u)
-        cols[u] |= 1 << w
+    flipped = iter(flipped)
+    while block := list(islice(flipped, _FLIP_BLOCK)):
+        deadline.check()
+        for w, u in block:
+            rows[u] &= ~(1 << w)
+            rows[w] |= 1 << u
+            cols[w] &= ~(1 << u)
+            cols[u] |= 1 << w
     cls = Tournament if all(isinstance(b, Tournament) for b in blocks) else Digraph
     return cls._with_cols(total, tuple(rows), tuple(cols))
 
 
-def arrow(d1: Digraph, d2: Digraph) -> Digraph:
+def arrow(d1: Digraph, d2: Digraph, deadline: Deadline = Deadline()) -> Digraph:
     """Disjoint union plus every arc from the first part to the second."""
-    return chain([d1, d2])
+    return chain([d1, d2], deadline=deadline)
 
 
-def delta(t1: Digraph, t2: Digraph, t3: Digraph) -> Digraph:
+def delta(t1: Digraph, t2: Digraph, t3: Digraph, deadline: Deadline = Deadline()) -> Digraph:
     """Three disjoint parts with all arcs part1->part2, part2->part3, part3->part1:
     the chain of the three parts with every part3-part1 arc flipped."""
     n12 = t1.n + t2.n
     part1, part3 = range(t1.n), range(n12, n12 + t3.n)
-    return chain([t1, t2, t3], product(part3, part1))
+    return chain([t1, t2, t3], product(part3, part1), deadline)
 
 
-def lift(d: Digraph, w: Digraph) -> Lift:
+def lift(d: Digraph, w: Digraph, deadline: Deadline = Deadline()) -> Lift:
     """delta(tt(1), d, w) with landmarks: the extra vertex is 0, then d, then w."""
-    composite = delta(tt(1), d, w)
+    composite = delta(tt(1), d, w, deadline)
     return Lift(composite, 0, (1, 1 + d.n), (1 + d.n, 1 + d.n + w.n))
 
 
@@ -254,7 +265,7 @@ def _copy_construction(
         if flip(a.block, b.block, order)
         for label in set(subsets[a.family]).intersection(subsets[b.family])
     )
-    built = chain([t] * len(copies), flipped)
+    built = chain([t] * len(copies), flipped, deadline)
     deadline.check()
     ordering = tuple(c.start + v for c in copies for v in order)
     return BuiltTournament(built, ordering, CopyLayout(n, universe, subsets, tuple(copies)))
@@ -326,17 +337,3 @@ def d_family(
     raise ValueError(
         "vertex counts beyond level 3 are too large even to write down"
     )
-
-
-def cross_copy_backward_arcs(
-    t: Tournament, layout: CopyLayout
-) -> list[tuple[int, int]]:
-    """All arcs running from a later copy to an earlier copy, i.e. the arcs
-    the construction flipped; handy for structural audits."""
-    flipped = []
-    for idx, ci in enumerate(layout.copies):
-        mask = ((1 << ci.size) - 1) << ci.start
-        for cj in layout.copies[idx + 1:]:
-            for w in cj.vertices():
-                flipped.extend((w, u) for u in _bits(t.rows[w] & mask))
-    return flipped

@@ -146,14 +146,6 @@ class UndirectedGraph(Digraph):
                 v = (bad & -bad).bit_length() - 1
                 raise ValueError(f"edge ({u},{v}) is not symmetric")
 
-    @classmethod
-    def from_edges(cls, n: int, edges: Sequence[tuple[int, int]]):
-        masks = [0] * n
-        for u, v in edges:
-            masks[u] |= 1 << v
-            masks[v] |= 1 << u
-        return cls._with_cols(n, tuple(masks), tuple(masks))
-
     def edges(self) -> Iterator[tuple[int, int]]:
         for u in range(self.n):
             for v in _bits(self.rows[u]):

@@ -266,6 +266,7 @@ def build(
     tournament = chain(
         [var_gadget.tournament] * n_vars + [w] + [clause_gadget.tournament] * n_clauses,
         _bundle(formula, var_blocks, clause_blocks),
+        deadline,
     )
     deadline.check()
     assert tournament.n == report.total_vertices

@@ -48,42 +48,53 @@ class PassInstance:
         return cls(alphabet, tuple(sorted(forbidden)))
 
 
-def to_pass(t: Tournament) -> PassInstance:
+def to_pass(t: Tournament, deadline: Deadline = Deadline()) -> PassInstance:
     """One length-3 word per transitive triangle: sink, then middle, then
     source.  Embedding such a word in an ordering is the same as those three
-    vertices forming a backedge triangle."""
+    vertices forming a backedge triangle.  The words are listed sink by sink,
+    each sink's in-neighbours in increasing order, so they come out sorted;
+    ``deadline`` is polled once per sink."""
     words = []
-    for u in range(t.n):
-        for v in _bits(t.rows[u]):
-            for w in _bits(t.rows[u] & t.rows[v]):
-                words.append((w, v, u))
-    return PassInstance(t.n, tuple(sorted(words)))
+    for w in range(t.n):
+        deadline.check()
+        for v in _bits(t.cols[w]):
+            words.extend((w, v, u) for u in _bits(t.cols[v] & t.cols[w]))
+    return PassInstance(t.n, tuple(words))
 
 
-def _tables(instance: PassInstance) -> tuple[list[int], list[int], list[int], list[dict]]:
+# words per deadline poll of `_tables`
+_WORD_BLOCK = 4096
+
+
+def _tables(
+    instance: PassInstance, deadline: Deadline = Deadline()
+) -> tuple[list[int], list[int], list[int], list[dict]]:
     """`solvers._prefix_search`'s kill rule, per symbol s: ``kills[s]``, the b
     of the words (s, b); ``pairs[s][c]``, the a of the words (a, s, c);
-    ``threats[s]`` and ``backs[s]``, all those c and all those a, as masks."""
-    n = instance.alphabet_size
+    ``threats[s]`` and ``backs[s]``, all those c and all those a, as masks.
+    ``deadline`` is polled once per `_WORD_BLOCK` words."""
+    n, words = instance.alphabet_size, instance.forbidden
     kills, threats, backs = [0] * n, [0] * n, [0] * n
     pairs: list[dict[int, int]] = [{} for _ in range(n)]
-    for word in instance.forbidden:
-        if len(word) == 2:
-            kills[word[0]] |= 1 << word[1]
-        elif len(word) == 3:
-            a, s, c = word
-            pairs[s][c] = pairs[s].get(c, 0) | 1 << a
-            threats[s] |= 1 << c
-            backs[s] |= 1 << a
+    for start in range(0, len(words), _WORD_BLOCK):
+        deadline.check()
+        for word in words[start:start + _WORD_BLOCK]:
+            if len(word) == 2:
+                kills[word[0]] |= 1 << word[1]
+            elif len(word) == 3:
+                a, s, c = word
+                pairs[s][c] = pairs[s].get(c, 0) | 1 << a
+                threats[s] |= 1 << c
+                backs[s] |= 1 << a
     return kills, threats, backs, pairs
 
 
-def is_tournament_closed(instance: PassInstance) -> bool:
+def is_tournament_closed(instance: PassInstance, deadline: Deadline = Deadline()) -> bool:
     """Closure predicate: whenever words abc and dbe share their middle
     symbol, the crossed words abe and dbc must also be forbidden.  Reported,
     never enforced.  That holds exactly when, for each middle symbol, every
     last symbol maps to the same mask of first symbols."""
-    return all(len(set(table.values())) <= 1 for table in _tables(instance)[3])
+    return all(len(set(table.values())) <= 1 for table in _tables(instance, deadline)[3])
 
 
 def solve_pass(

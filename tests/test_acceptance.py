@@ -5,7 +5,7 @@ import itertools
 import random
 import time
 
-from backedge.constructions import amplifier, c3, cross_copy_backward_arcs, tt
+from backedge.constructions import amplifier, c3, tt
 from backedge.core import (
     BudgetExhausted,
     backedge_graph,
@@ -38,6 +38,7 @@ from backedge.solvers import (
 )
 from backedge.core import Digraph
 
+from copy_arcs import cross_copy_backward_arcs
 from labeled import labeled_count, labeled_tournament
 from r5_rule_table import R5_RULE_TABLE
 

@@ -14,7 +14,6 @@ from backedge.constructions import (
     arrow,
     c3,
     chain,
-    cross_copy_backward_arcs,
     d_family,
     delta,
     lift,
@@ -35,6 +34,7 @@ from backedge.core import (
 from backedge.gadgets import r5
 from backedge.solvers import omega
 
+from copy_arcs import cross_copy_backward_arcs
 from labeled import labeled_count, labeled_tournament
 
 

@@ -16,12 +16,13 @@ from backedge.constructions import (
     amplifier,
     amplifier_sizing,
     c3,
-    cross_copy_backward_arcs,
     pi,
     pi_sizing,
     tt,
 )
 from backedge.gadgets import r5
+
+from copy_arcs import cross_copy_backward_arcs
 
 BUILT_DIGESTS = {
     "amplifier(c3)": "fc815eee11c1f12135534facbad41764d89bbb2aac37c1e3f71c21aa7eda8457",

@@ -106,7 +106,7 @@ def test_backedge_graph_equals_the_checked_constructor():
             assert g == checked and g.cols == g.rows == checked.cols
             pos = {v: i for i, v in enumerate(ordering)}
             assert set(g.edges()) == {(min(u, v), max(u, v)) for u, v in t.arcs() if pos[u] > pos[v]}
-    g = UndirectedGraph.from_edges(5, [(0, 3), (4, 1), (3, 2)])
+    g = from_edges(5, [(0, 3), (4, 1), (3, 2)])
     assert g == UndirectedGraph(5, g.rows) and g.cols == g.rows
     assert list(g.edges()) == [(0, 3), (1, 4), (2, 3)] and g.edge_count() == 3
 
@@ -148,7 +148,7 @@ def test_backedge_graph_length_mismatch():
 
 def test_clique_number_edgeless_and_complete():
     assert clique_number(UndirectedGraph(5, (0,) * 5)) == 1
-    full = UndirectedGraph.from_edges(4, list(itertools.combinations(range(4), 2)))
+    full = from_edges(4, list(itertools.combinations(range(4), 2)))
     assert clique_number(full) == 4
     assert has_clique(full, 4) == (0, 1, 2, 3)
     assert has_clique(full, 5) is None
@@ -272,10 +272,15 @@ def random_digraph(rng, n):
     return Digraph.from_arcs(n, arcs)
 
 
+def from_edges(n, edges):
+    """The undirected graph on 0..n-1 with the given edges."""
+    return UndirectedGraph.from_arcs(n, [arc for u, v in edges for arc in ((u, v), (v, u))])
+
+
 def random_graph(rng, n):
     density = rng.choice((0.2, 0.5, 0.8))
     edges = [(u, v) for u, v in itertools.combinations(range(n), 2) if rng.random() < density]
-    return UndirectedGraph.from_edges(n, edges)
+    return from_edges(n, edges)
 
 
 def test_directed_cycle_matches_kahn():
