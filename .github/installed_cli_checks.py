@@ -11,6 +11,7 @@ sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "tests"))
 from cli_schemas import ENVELOPE_SCHEMA, RESULT_SCHEMAS  # noqa: E402
 from backedge.core import is_acyclic  # noqa: E402
 from backedge.io import load_tournament  # noqa: E402
+from backedge.subword import to_pass  # noqa: E402
 
 failed = []
 
@@ -81,6 +82,11 @@ run("chi", "amp.trn", value=3)
 # chi(D2) = 3 for D2 = pi(c3), with three acyclic classes partitioning its vertices
 run("construct", "pi", "c3.trn", "--out", "d2.trn")
 run("chi-decide", "--k", "2", "d2.trn", code=1, nodes=3)
+# past 64 symbols a pass instance written to --out is left out of the envelope
+run("construct", "arrow", "d2.trn", "c3.trn", "--out", "d2c3.trn", n=66)
+run("pass", "from-tournament", "d2c3.trn", "--out", "d2c3.pass.json", alphabet=66,
+    result=lambda r: "forbidden" not in r, written=lambda _: json.loads(
+        pathlib.Path("d2c3.pass.json").read_text()) == to_pass(load_tournament("d2c3.trn")).to_dict())
 run("chi", "d2.trn", value=3, classes=lambda cs: len(cs) == 3 and sorted(sum(cs, [])) == list(range(63))
     and all(is_acyclic(load_tournament("d2.trn"), sum(1 << v for v in c)) for c in cs))
 # W7, the smallest tournament of value 3: each of its rule-table cells breaks a

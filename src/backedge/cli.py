@@ -119,6 +119,10 @@ def verb(name: str, summary: str, *arguments: tuple):
 FILE = arg("file")
 K = arg("--k", type=int, required=True)
 OUT = arg("--out", default=None)
+# the largest tournament `construct` lists in its envelope (and only when it
+# writes no --out file), and the largest alphabet whose words `pass
+# from-tournament` lists when it also writes them to --out
+INLINE_MAX = 64
 RENDER = arg("--render", choices=["paper"], default=None)
 
 
@@ -312,7 +316,7 @@ def _construct(args, deadline, read) -> Outcome:
         result["n"] = built.n
         if ordering is not None:
             result["ordering"] = ordering
-        if args.out is None and built.n <= 64:
+        if args.out is None and built.n <= INLINE_MAX:
             result["tournament"] = tournament_to_json_dict(built)
     result.update(_write(args, deadline, out=built, layout_out=layout))
     return Outcome(result)
@@ -435,7 +439,9 @@ def _check_rules(args, deadline, read) -> Outcome:
 def _pass(args, deadline, read) -> Outcome:
     if args.action == "from-tournament":
         instance = to_pass(read(args.file), deadline)
-        result = instance.to_dict()
+        result = {"alphabet": instance.alphabet_size}
+        if args.out is None or instance.alphabet_size <= INLINE_MAX:
+            result = instance.to_dict()
         result["tournament_closed"] = is_tournament_closed(instance, deadline)
         result.update(_write(args, deadline, out=instance))
         return Outcome(result)

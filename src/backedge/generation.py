@@ -8,113 +8,142 @@ Removing the last vertex of a canonical tournament leaves a canonical one,
 so each size extends the previous by a new last vertex (orderly generation,
 McKay 1998).
 
-The canonicity test searches relabelings s_0, s_1, ... position by
-position, on an explicit stack, and tests every free vertex for position p
-at once with masks.  Column p of the relabeled encoding holds the bits
-s_0 -> w, ..., s_{p-1} -> w for the vertex w placed at p.  Walking the
-target column bit by bit with ``tie`` the free vertices equal so far:
+A parent on m = n - 1 vertices has 2^m candidates, one per pattern x of the
+new vertex m (bit i of x is the arc m -> i).  ``_dead_patterns`` tests them
+all in one depth-first walk, on an explicit stack, over relabeling prefixes
+s_0, s_1, ...  Sets of patterns are 2^m-bit masks, ``X[v]`` holding the
+patterns with bit v set, and each prefix carries the set of patterns for
+which it ties the target encoding.  Placing w at position p compares the
+relabeled column, bits s_i -> w, with target column p, bits i -> p:
 
-* where the target bit is 1, a tied w with w -> s (``w`` in ``cols[s]``)
-  puts a 0 first.  The encoding is then smaller whatever fills the later
-  positions, so one such w ends the test: not canonical.  Otherwise every
-  tied w has s -> w and stays tied;
-* where the target bit is 0, w stays tied only if w -> s
-  (``tie &= cols[s]``); with s -> w its encoding is larger and dropped.
+* between two parent vertices a bit is the same for every pattern.  Each
+  parent vertex w keeps its relabeled column over the prefix as one int,
+  ``col[w]``: placing s at p sets bit p in the columns of the vertices s
+  beats, and backtracking clears it, so ``col[w] ^ target`` and its lowest
+  set bit find the first differing position at once;
+* only two things split the pattern set: the new vertex's own bit (m -> w
+  is ``X[w]`` once m sits in the prefix; s_i -> m is NOT bit s_i,
+  ``every ^ X[s_i]``, when m is the vertex placed), and the target's last
+  column (i -> m is NOT bit i), compared only at position m.
 
-Only the vertices left in ``tie`` are descended into; a prefix that ties
-through all n positions is an automorphism and proves nothing.  The one
-loop, ``_tied_prefixes``, starts from any tied prefix and yields the tied
-prefixes below it: ``is_canonical`` starts it from the empty prefix.
+At the first differing position a 0 against a 1 makes the relabeling
+smaller whatever fills the later positions, so those patterns join
+``dead``; a 1 against a 0 is larger and drops them from the prefix.  The
+patterns equal so far descend, less whatever died meanwhile.  So a pattern
+dies only on a strictly smaller comparison, and every smaller relabeling is
+caught at its first differing position, below a prefix that still ties it;
+a prefix tied through all n positions is an automorphism and proves
+nothing.  Each prefix is visited once for every pattern that ties there:
+the parent-only ones, the same for every pattern, once per parent (they
+never compare smaller, or the parent would not be canonical).  Children go
+in vertex order, m last: at n = 8 the walk visits 87,774 prefixes over the
+456 parents, 115,762 with m first.
 
-``canonical_tournaments(n)`` does not search each of a parent's 2^(n-1)
-candidates (m = n - 1 is the new vertex, bit i of the pattern x the arc
-m -> i) from scratch.  It walks the parent's tied prefixes once:
-
-1. Columns 1 .. n-2 of every candidate's target are the parent's own, so a
-   tied prefix made only of parent vertices is the same for every pattern,
-   and none of them compares smaller, or the parent would not be canonical.
-2. Placing m at position q after such a prefix S compares the bits
-   s_i -> m, which is NOT bit s_i of x, with parent column q; when q = n-1,
-   S is a parent automorphism and the target is the candidate's own last
-   column, bit i = NOT bit i of x.  Sets of patterns are 2^(n-1)-bit masks,
-   ``X[v]`` holding the patterns with bit v set, so this comparison costs
-   O(q) big-int steps for all patterns at once and splits them into
-   smaller (rejected), larger, and tied.
-3. Only a tied pattern gets a search of its own, the same loop resumed
-   below S + [m]; m first ties every pattern, and those resumptions come
-   last, after the cheaper placements have rejected what they can.
-
-At n = 8 the 456 parents have 34,370 tied prefixes in all (roots
-included), and 94,865 resumed searches visit 214,774 prefixes, where
-searching each of the 58,368 candidates alone visited 1.66 M, 82% of them
-parent-only prefixes repeated for every pattern.
-
-Column masks are built from the parent's and the pattern only for the
-14,749 candidates that need a resumed search, and rows only for the 6,880
-accepted ones.  They describe a tournament by construction (the parent is
-one, and the pattern orients each new pair once), so validating them, and
-transposing rows into columns, would be work that proves nothing.  The
-accepted candidates become ``Tournament`` objects with the columns the
-search already holds and are validated as every tournament is; only rows
-read from files or passed in by callers are transposed.
+``is_canonical(t)`` runs the same walk on a one-pattern universe: the
+parent is t without its last vertex, ``every = 1`` and ``X[v]`` is bit v of
+t's last row.  The accepted candidates get their rows and columns from the
+parent's and the pattern, which describe a tournament by construction (the
+parent is one, and the pattern orients each new pair once), so nothing is
+transposed; only rows read from files or passed in by callers are.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Iterator, Optional, Sequence
 
 from .core import Tournament, _bits
 
 
-def _tied_prefixes(
-    n: int, cols: Sequence[int], prefix: list[int]
-) -> Iterator[Optional[list[int]]]:
-    """Walk depth first the relabelings that extend ``prefix`` and tie the
-    staircase encoding of the tournament given by its column masks; the
-    prefix itself must tie.  Yields each longer tied prefix as the same,
-    mutated list, and ``None`` when some relabeling below ``prefix`` is
-    smaller, after which it stops."""
-    full = (1 << n) - 1
-    used = 0
-    for s in prefix:
-        used |= 1 << s
-    # ties[-1]: the vertices tied at position len(prefix) and not yet
-    # descended into; one entry per position from len(prefix) at the start
-    ties = []
+def _dead_patterns(t: Tournament, m: int, X: tuple[int, ...], every: int) -> int:
+    """The patterns x in ``every`` whose candidate (the first m vertices of
+    t, plus vertex m with m -> i iff bit i of x) has a relabeling with a
+    smaller staircase encoding."""
+    rows, cols = t.rows, t.cols
+    outs = [tuple(_bits(rows[s] & ((1 << m) - 1))) for s in range(m)]
+    targets = [cols[p] & ((1 << p) - 1) for p in range(m)]
+    col = [0] * m
+    # jb: 1 << the position of m once placed; stack[-1]: the (vertex, tied
+    # patterns) still to try at position len(prefix), popped from the end:
+    # the parent vertices upward, then m
+    prefix, free, jb, dead, tie, stack = [], (1 << m) - 1, 0, 0, every, []
     while True:
-        tie = 0
-        p = len(prefix)
-        if p < n:
-            target = cols[p]
-            tie = full ^ used
-            for s in prefix:
-                if target & 1:
-                    if tie & cols[s]:
-                        yield None
-                        return
-                else:
-                    tie &= cols[s]
-                    if not tie:
+        p, kids = len(prefix), []
+        if p == m:  # the last vertex; target bit i is i -> m, NOT bit i of x
+            w = free.bit_length() - 1  # -1 when m is the last vertex
+            for i, s in enumerate(prefix):
+                one = every ^ X[i]
+                r = every ^ X[s] if w < 0 else X[w] if s == m else -(col[w] >> i & 1) & every
+                dead |= tie & one & ~r
+                tie &= ~(one ^ r)
+                if not tie:
+                    break
+        else:
+            target = targets[p]
+            if not jb:  # m at position p: its bit i, s_i -> m, is NOT bit s_i
+                tm = tie
+                for i, s in enumerate(prefix):
+                    if target >> i & 1:
+                        dead |= tm & X[s]
+                        tm &= ~X[s]
+                    else:
+                        tm &= X[s]
+                    if not tm:
                         break
-                target >>= 1
-        ties.append(tie)
-        while not ties[-1]:
-            ties.pop()
-            if not ties:
-                return
-            used ^= 1 << prefix.pop()
-        tie = ties[-1]
-        low = tie & -tie
-        ties[-1] = tie ^ low
-        prefix.append(low.bit_length() - 1)
-        used |= low
-        yield prefix
+                else:
+                    kids.append((m, tm))
+            f = free
+            while f:
+                w = f.bit_length() - 1
+                f ^= 1 << w
+                d = col[w] ^ target
+                if d & (jb - 1):  # a parent-only bit differs first
+                    if target & d & -d:
+                        dead |= tie
+                    continue
+                tw = tie
+                if jb:  # m at position j: bit j, m -> w, is bit w of x
+                    if target & jb:
+                        dead |= tie & ~X[w]
+                        tw &= X[w]
+                    else:
+                        tw &= ~X[w]
+                    d &= ~jb
+                    if d:
+                        if target & d & -d:
+                            dead |= tw
+                        continue
+                if tw:
+                    kids.append((w, tw))
+        stack.append(kids)
+        while True:
+            kids = stack[-1]
+            while kids:
+                w, tie = kids.pop()
+                tie &= ~dead
+                if tie:
+                    break
+            else:
+                stack.pop()
+                if not prefix:
+                    return dead
+                w, tie = prefix.pop(), 0  # backtrack: clear w's placement
+            # placing w and taking it back flip the same bits
+            bit = 1 << len(prefix)
+            if w == m:
+                jb ^= bit
+            else:
+                free ^= 1 << w
+                for u in outs[w]:
+                    col[u] ^= bit
+            if tie:
+                prefix.append(w)
+                break
 
 
 def is_canonical(t: Tournament) -> bool:
     """True when no vertex relabeling gives a smaller staircase encoding."""
-    return None not in _tied_prefixes(t.n, t.cols, [])
+    m = t.n - 1
+    return not _dead_patterns(t, m, tuple(t.rows[m] >> v & 1 for v in range(m)), 1)
 
 
 def _pattern_masks(m: int) -> tuple[int, ...]:
@@ -140,31 +169,8 @@ def canonical_tournaments(n: int) -> tuple[Tournament, ...]:
     result = []
     for t in canonical_tournaments(m):
         # bit x of a pattern set stands for the candidate with pattern x
-        alive, starts = every, []
-        for prefix in _tied_prefixes(m, t.cols, []):
-            q, tie = len(prefix), alive
-            for i, s in enumerate(prefix):
-                # m at position q: its bit i, s -> m, is 0 for the patterns
-                # in X[s], and ``one`` holds those whose target bit is 1; a 0
-                # against a 1 is smaller, equal bits tie
-                one = every ^ X[i] if q == m else every if t.cols[q] >> i & 1 else 0
-                alive &= ~(tie & X[s] & one)
-                tie &= X[s] ^ one
-                if not tie:
-                    break
-            if q < m and tie:
-                starts.append(([*prefix, m], tie))
-        starts.append(([m], every))  # m first: column 0 is empty
-        cols_of = {}
-        for start, tie in starts:
-            for x in _bits(tie & alive):
-                cols = cols_of.get(x)
-                if cols is None:
-                    lifted = (col | new if x >> i & 1 else col for i, col in enumerate(t.cols))
-                    cols = cols_of[x] = (*lifted, below ^ x)
-                if None in _tied_prefixes(n, cols, list(start)):
-                    alive ^= 1 << x
-        for x in _bits(alive):
+        for x in _bits(every ^ _dead_patterns(t, m, X, every)):
             rows = (*(row if x >> i & 1 else row | new for i, row in enumerate(t.rows)), x)
-            result.append(Tournament._with_cols(n, rows, cols_of[x]))
+            cols = (*(col | new if x >> i & 1 else col for i, col in enumerate(t.cols)), below ^ x)
+            result.append(Tournament._with_cols(n, rows, cols))
     return tuple(result)

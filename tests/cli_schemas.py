@@ -117,5 +117,26 @@ RESULT_SCHEMAS = {
             "cells": {"type": "array"},
         },
     },
-    "pass": {"type": "object"},
+    # from-tournament leaves out the words it writes to --out once the
+    # alphabet exceeds 64 symbols; solve gives a permutation or null
+    "pass": {
+        "type": "object",
+        "properties": {
+            "alphabet": {"type": "integer"},
+            "forbidden": {"type": "array", "items": _ORDERING},
+            "tournament_closed": {"type": "boolean"},
+            "out": {"type": "string"},
+            "found": {"type": "boolean"},
+            "permutation": _ORDERING_OR_NULL,
+        },
+        "oneOf": [
+            {
+                "required": ["alphabet", "tournament_closed"],
+                "if": {"required": ["out"], "properties": {"alphabet": {"minimum": 65}}},
+                "then": {"not": {"required": ["forbidden"]}},
+                "else": {"required": ["forbidden"]},
+            },
+            {"required": ["found", "permutation"]},
+        ],
+    },
 }

@@ -1,11 +1,13 @@
 import hashlib
 import inspect
+import itertools
 import json
 import random
 
 import pytest
 
 from backedge.core import Tournament, _transpose, contains_subtournament
+from backedge.gadgets import r5
 from backedge.generation import _pattern_masks, canonical_tournaments, is_canonical
 
 from labeled import labeled_count, labeled_tournament
@@ -18,6 +20,9 @@ KNOWN_CLASS_COUNTS = [1, 1, 2, 4, 12, 56, 456, 6880]
 # the first value-3 tournament among the 7-vertex ones)
 CLASSES_7_DIGEST = "150b0b4d16b25951095d870554fffaa1b583bde7eb64a806c68241b5286cd8e1"
 CLASSES_8_DIGEST = "1ddd606a558db4ed05554c6ce7a89f4a856df9fc23b5dcb5223362c2d39f4766"
+# the same for n = 9, recorded from the generator that walked each parent's
+# tied prefixes and then resumed one search per surviving pattern
+CLASSES_9_DIGEST = "a0ebb67a12e4d3ec2043d5d4ca2e8c6c7ebadd5fb852b4cb96a88bedf93d7444"
 
 
 # The recursive relabeling search that the mask-parallel one replaced, kept
@@ -113,9 +118,60 @@ def test_canonical_order_is_pinned():
         assert hashlib.sha256(json.dumps(rows).encode()).hexdigest() == digest, n
 
 
+@pytest.mark.slow
+def test_nine_vertex_classes_are_counted_and_pinned():
+    rows = [t.rows for t in canonical_tournaments(9)]
+    assert len(rows) == 191536  # OEIS A000568
+    assert hashlib.sha256(json.dumps(rows).encode()).hexdigest() == CLASSES_9_DIGEST
+
+
+def relabelings(t):
+    """Every distinct labeled tournament isomorphic to t."""
+    images = {}
+    for perm in itertools.permutations(range(t.n)):
+        image = Tournament.from_arcs(t.n, [(perm[u], perm[v]) for u, v in t.arcs()])
+        images[image.rows] = image
+    return list(images.values())
+
+
+def qr7():
+    """The Paley tournament on 7 vertices: i -> j iff j - i is a nonzero
+    square mod 7."""
+    return Tournament.from_arcs(7, [(i, (i + s) % 7) for i in range(7) for s in (1, 2, 4)])
+
+
+@pytest.mark.parametrize("t, distinct", [(r5(), 24), (qr7(), 240)], ids=["r5", "qr7"])
+def test_is_canonical_on_relabelings_of_vertex_transitive_tournaments(t, distinct):
+    # a vertex-transitive tournament has tied prefixes that run through all n
+    # positions (its automorphisms) below every first vertex, and exactly one
+    # of its labelings is canonical
+    images = relabelings(t)
+    assert len(images) == distinct
+    verdicts = [is_canonical(image) for image in images]
+    assert verdicts == [oracle_is_canonical(image) for image in images]
+    assert verdicts.count(True) == 1
+
+
+def test_is_canonical_when_the_first_vertices_are_not_canonical():
+    # a smaller relabeling of the first n - 1 vertices alone makes every
+    # extension non-canonical, whatever the last row
+    rng = random.Random(3)
+    checked = 0
+    while checked < 200:
+        n = rng.randint(3, 9)
+        t = labeled_tournament(n, rng.getrandbits(n * (n - 1) // 2))
+        first = Tournament(n - 1, tuple(row & ((1 << (n - 1)) - 1) for row in t.rows[:-1]))
+        if oracle_is_canonical(first):
+            continue
+        assert not is_canonical(first)
+        assert not is_canonical(t)
+        assert not oracle_is_canonical(t)
+        checked += 1
+
+
 def test_is_canonical_searches_from_the_empty_prefix():
-    # generation resumes the relabeling search below a tied prefix;
-    # is_canonical must still search every relabeling of any labeled input
+    # is_canonical walks with the input's last row as its one pattern and
+    # must still search every relabeling of any labeled input
     rng = random.Random(9)
     for _ in range(300):
         t = labeled_tournament(9, rng.getrandbits(36))

@@ -592,6 +592,23 @@ def test_cli_pass(capsys, tmp_path, r5_file):
         assert code == 2 and "must be integers" in envelope["result"]["error"]
 
 
+def test_cli_pass_out_leaves_the_words_of_a_large_alphabet_to_the_file(capsys, tmp_path):
+    # as construct leaves out a tournament it writes, the envelope lists the
+    # words beside --out only up to 64 symbols, and always without --out
+    for n, listed in ((64, True), (65, False)):
+        trn, out = tmp_path / f"tt{n}.trn", tmp_path / f"tt{n}.pass.json"
+        save_tournament(tt(n), trn)
+        words = to_pass(tt(n)).to_dict()
+        code, envelope = _run(capsys, "pass", "from-tournament", str(trn), "--out", str(out))
+        assert code == 0 and json.loads(out.read_text()) == words
+        jsonschema.validate(envelope["result"], RESULT_SCHEMAS["pass"])
+        assert ("forbidden" in envelope["result"]) is listed
+        assert envelope["result"]["alphabet"] == n
+        code, envelope = _run(capsys, "pass", "from-tournament", str(trn))
+        assert code == 0 and envelope["result"]["forbidden"] == words["forbidden"]
+        jsonschema.validate(envelope["result"], RESULT_SCHEMAS["pass"])
+
+
 def test_cli_pass_solve_refuses_an_alphabet_over_the_vertex_budget(capsys, tmp_path):
     # the solver's tables hold an entry per symbol: a huge alphabet is
     # refused with its sizing before any is allocated
