@@ -24,10 +24,14 @@ def sha(value):
     return hashlib.sha256(json.dumps(value).encode()).hexdigest()
 
 
+ERROR_SCHEMA = {"type": "object", "required": ["error"], "properties": {"error": {"type": "string"}}}
+
+
 def run(*argv, code=0, nodes=None, stdin=None, **fields):
     """Run ``backedge *argv``; its envelope must be strict JSON valid against the
-    schemas, exit ``code``, explore ``nodes`` unless None, and have each of
-    ``fields`` equal as JSON, or meet it if it is a predicate.  Returns the result."""
+    schemas (the error schema at exit 2), exit ``code``, explore ``nodes`` unless
+    None, and have each of ``fields`` equal as JSON, or meet it if it is a
+    predicate.  Returns the result."""
     argv = [str(arg) for arg in argv]
     proc = subprocess.run(["backedge", *argv], input=stdin, capture_output=True)
     checks = {"exit": code, **({} if nodes is None else {"nodes_explored": nodes}), **fields}
@@ -36,7 +40,7 @@ def run(*argv, code=0, nodes=None, stdin=None, **fields):
         envelope = json.loads(proc.stdout, parse_constant=strict)
         jsonschema.validate(envelope, ENVELOPE_SCHEMA)
         result = envelope["result"]
-        jsonschema.validate(result, RESULT_SCHEMAS[argv[0]])
+        jsonschema.validate(result, ERROR_SCHEMA if code == 2 else RESULT_SCHEMAS[argv[0]])
         got = {**envelope, **result, "exit": proc.returncode}
         bad = [f"{name} {got.get(name)!r:.60}" for name, want in checks.items() if not (
             want(got.get(name)) if callable(want) else json.dumps(got.get(name)) == json.dumps(want))]
@@ -67,6 +71,10 @@ with resources.as_file(resources.files("backedge") / "data" / "r5.trn") as r5:
     witness = run("omega-decide", "--k", "2", r5).get("witness")
     run("pass", "from-tournament", r5, "--out", "r5.pass.json", tournament_closed=True)
     run("pass", "solve", "r5.pass.json", found=True, permutation=witness)
+with resources.as_file(resources.files("backedge") / "data" / "var9.trn") as var9:
+    # var9 is not vertex-transitive, so every first vertex is refused
+    run("check-rules", var9, "--first-vertex", "4", code=2,
+        error=lambda e: "automorphism" in e)
 # the exhaustive gadget checks, which also prove the certified orderings minimum
 run("gadget", "verify", "var", property_holds=True, omega=2, minimum_orderings=39)
 run("gadget", "verify", "clause", property_holds=True, omega=2, minimum_orderings=33)
@@ -96,6 +104,8 @@ pathlib.Path("w7.json").write_text(json.dumps(w7))
 run("check-rules", "w7.json", excluded=True, cells=lambda cells: len(cells) == 35280
     and all(cell["violated_rules"] for cell in cells),
     result=lambda r: sha(r) == "21ff48d02ccc143d17d0f1735995e813c28fc2170d324f8935b430bd3e0e21f8")
+# W7 is vertex-transitive: any first vertex keeps a seventh of its cells
+run("check-rules", "w7.json", "--first-vertex", "6", excluded=True, cells=lambda cells: len(cells) == 5040)
 run("construct", "arrow", "c3.trn", "w7.json", "--out", "c3w7.trn")
 run("omega-decide", "--k", "2", "c3w7.trn", code=1, decision=False)
 run("pass", "from-tournament", "w7.json", "--out", "w7.pass.json")
@@ -108,5 +118,8 @@ run("reduce", "--cnf", "phi.cnf", "--gadget", "w7.json", "--out", "inst.trn", "-
 ordering = run("witness", "to-ordering", "--trn", "inst.trn", "--landmarks", "inst.json", "--assign", "1,0,1")
 pathlib.Path("ord.json").write_text(json.dumps(ordering.get("ordering")))
 run("verify-ordering", "--trn", "inst.trn", "--ordering", "ord.json", k4_free=True, has_triangle=True)
+# SATLIB files end with a '%' line and then a lone '0'
+pathlib.Path("satlib.cnf").write_text("p cnf 3 2\n1 -2 3 0\n-1 2 3 0\n%\n0\n")
+run("reduce", "--cnf", "satlib.cnf", "--gadget", "w7.json", "--sizing-only", vertices=lambda v: v > 0)
 
 sys.exit(f"{len(failed)} command(s) FAILED:\n  " + "\n  ".join(failed) if failed else 0)

@@ -76,10 +76,6 @@ class CopyInfo:
     size: int
     psi: Optional[tuple[int, ...]]  # local vertex -> label
 
-    @property
-    def span(self) -> tuple[int, int]:
-        return self.start, self.start + self.size
-
     def vertices(self) -> range:
         return range(self.start, self.start + self.size)
 

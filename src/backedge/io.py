@@ -98,7 +98,7 @@ def _check_json(value: object, shape: object, where: str) -> None:
             if key not in value:
                 raise ValueError(f"{where} has no key {key!r}")
             _check_json(value[key], inner, f"{where}.{key}")
-    elif shape is not None:
+    elif shape not in (None, [None]):  # a list of anything: no item is visited
         if len(shape) > 1 and len(value) != len(shape):
             raise ValueError(f"{where} must hold {len(shape)} items, got {len(value)}")
         for i, item in enumerate(value):

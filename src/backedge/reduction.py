@@ -57,14 +57,19 @@ class CnfFormula:
 def parse_dimacs(text: str) -> CnfFormula:
     """Parse DIMACS CNF; every clause must have exactly three distinct
     variables.  Comment lines are ignored.  Numbers are ASCII digits, after
-    one leading '-' on a literal."""
+    one leading '-' on a literal.  SATLIB's trailer, a '%' line and then a
+    line holding only '0', is skipped when no clause is pending."""
     n_vars: Optional[int] = None
     n_clauses: Optional[int] = None
     clauses: list[tuple[Literal, Literal, Literal]] = []
     pending: list[int] = []
+    percent = False  # the line before, bar blank and comment lines, was '%' with none pending
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
-        if not line or line.startswith("c") or line.startswith("%"):
+        if not line or line.startswith("c"):
+            continue
+        after_percent, percent = percent, line.startswith("%") and not pending
+        if line.startswith("%") or after_percent and line == "0":
             continue
         if line.startswith("p"):
             if n_vars is not None:

@@ -40,8 +40,9 @@ distinct ordered suffix is evaluated once per call; its record keeps rule
 would never be read again: two distinct orderings share at most n - 2
 leading positions, so the components on n - 1 are not stored, and the
 suffix from position 1 fixes the whole ordering, which the search yields
-once, so it is not stored either.  The minimality check grows from the
-shared prefix as well.  ``check_cell`` evaluates its ordering the same way.
+once, so it is not stored either.  The loop that extends the prefix masks
+past the shared prefix also grows the backedge masks and guards minimality.
+``check_cell`` evaluates its ordering the same way.
 
 A report holds one record per distinct value.  A call builds each distinct
 witness once, keeping it by (rule, vertices) until the call returns, the
@@ -52,8 +53,8 @@ a ``__dict__``.  The 35,280 cells of the 7-vertex value-3 tournament hold
 
 ``check_rules(t, first_vertex=f)`` keeps only the orderings that start with
 f.  Relabeling by an automorphism maps cells to cells, so this loses no
-verdict when some automorphism maps f to each vertex; for any other
-tournament it would drop cells, and the call is refused.
+verdict when the tournament is vertex-transitive, whatever f is; for any
+other tournament it would drop cells, and the call is refused.
 """
 
 from __future__ import annotations
@@ -219,19 +220,19 @@ _AND_RULE4 = {(): (4,), (2,): (2, 4), (3,): (3, 4), (2, 3): (2, 3, 4)}
 class _Cells:
     """The cells of a tournament's minimum orderings, one ordering at a time,
     keeping the work that depends on part of one: rule 2's witness by left
-    set, the prefix records the next ordering shares, a record per distinct
-    ordered suffix, and each distinct witness by (rule, vertices)."""
+    set, the prefix records and backedge masks the next ordering shares, a
+    record per distinct ordered suffix, and each witness by (rule, vertices)."""
 
-    def __init__(self, t: Tournament):
-        self.t = t
+    def __init__(self, t: Tournament, value: int):
+        self.t, self.value = t, value
         self.witnesses: dict[tuple[int, ...], RuleWitness] = {}
         self.rule2: dict[int, Optional[RuleWitness]] = {}
-        # keep: the positions self.ordering shares with the ordering before,
-        # at most n - 2, as for two distinct orderings
         self.ordering: tuple[int, ...] = ()
-        self.keep = 0
         # upto[i]: the vertices before position i of self.ordering
         self.upto = [0]
+        # the backedge masks on the placed vertices: a shared-prefix vertex's
+        # bits stay right, as every later vertex comes after it in both orderings
+        self.adj = [0] * t.n
         # prefix[p]: the components on ordering[:p], for p <= n - 2, each a
         # (vertex mask, span mask, lo, hi) spanning positions lo..hi; lefts[p]:
         # the first witness and the violated rules of rules 1-3 at pivot position p
@@ -243,8 +244,17 @@ class _Cells:
         self.suffixes: list = [{}, [], None, None]
 
     def cells(self, ordering: tuple[int, ...]) -> list[CellResult]:
-        """The cells of a validated minimum ordering, by pivot; only the
-        first violated rule builds a witness."""
+        """The cells of a validated ordering, by pivot; only the first
+        violated rule builds a witness.
+
+        The ordering is proved minimum past the prefix it shares with the one
+        before, at most n - 2 positions as for two distinct orderings: a
+        (value+1)-clique has a last placed vertex y, and its others form a
+        value-clique among y's earlier backedge neighbours, so testing each y
+        placed past that prefix finds every clique not inside it, and the
+        ordering before was tested for those.  The first such y needs no
+        test: its earlier backedge neighbours all lie in the prefix, and it
+        came after the prefix in the ordering before too."""
         t = self.t
         n, rows, cols, rule2, witnesses = t.n, t.rows, t.cols, self.rule2, self.witnesses
         keep = 0
@@ -252,13 +262,22 @@ class _Cells:
             if old != new:
                 break
             keep += 1
-        self.ordering, self.keep = ordering, keep
-        upto, prefix, lefts = self.upto, self.prefix, self.lefts
+        self.ordering = ordering
+        upto, adj, prefix, lefts = self.upto, self.adj, self.prefix, self.lefts
         del upto[keep + 1:], prefix[keep + 1:], lefts[keep + 1:]
         full = upto[keep]
-        for y in ordering[keep:]:
-            full |= 1 << y
+        for p in range(keep, n):
+            y = ordering[p]
+            back = adj[y] = rows[y] & full
+            if p > keep and has_clique_in_mask(adj, back, self.value) is not None:
+                raise ValueError("ordering does not achieve the minimum clique number")
+            bit = 1 << y
+            full |= bit
             upto.append(full)
+            while back:
+                low = back & -back
+                adj[low.bit_length() - 1] |= bit
+                back ^= low
         comps = prefix[keep]
         for p in range(keep + 1, n):
             # the components on ordering[:p]: the vertex at p - 1 joins every
@@ -335,8 +354,8 @@ def check_cell(t: Tournament, ordering: Sequence[int], x: int) -> CellResult:
     every violated rule id; the ordering must achieve the minimum."""
     if not 0 <= x < t.n:
         raise ValueError(f"pivot {x} out of range")
-    ordering = minimum_ordering(t, ordering).witness
-    return _Cells(t).cells(ordering)[x]
+    res = minimum_ordering(t, ordering)
+    return _Cells(t, res.value).cells(res.witness)[x]
 
 
 def validate_rule_witness(
@@ -407,14 +426,6 @@ def validate_rule_witness(
     raise ValueError(f"unknown rule {rule}")
 
 
-def _swap(t: Tournament, a: int) -> Tournament:
-    """``t`` with vertices 0 and ``a`` exchanged."""
-    flip = 1 | 1 << a
-    rows = [row ^ flip if (row ^ row >> a) & 1 else row for row in t.rows]
-    rows[0], rows[a] = rows[a], rows[0]
-    return Tournament(t.n, tuple(rows))
-
-
 def check_rules(
     t: Tournament,
     first_vertex: Optional[int] = None,
@@ -426,50 +437,27 @@ def check_rules(
 
     ``first_vertex=f`` keeps the orderings that start with f.  That loses no
     verdict only when some automorphism maps f to each vertex (t is
-    vertex-transitive); for any other t it raises ValueError.
-
-    Each ordering is proved minimum past the prefix it shares with the one
-    before: an (omega+1)-clique has a last placed vertex y, and its others
-    form an omega-clique among y's earlier backedge neighbours, so testing
-    each y placed past that prefix finds every clique not inside it, and the
-    ordering before was tested for those.  The first such y needs no test:
-    its earlier backedge neighbours all lie in the prefix, and it came after
-    the prefix in the ordering before too."""
+    vertex-transitive); for any other t it raises ValueError.  Orbits
+    partition the vertices, so that holds for f exactly when vertex 0's
+    orbit is every vertex.  ``_Cells.cells`` proves each ordering minimum."""
     if not is_strong(t):
         raise ValueError("tournament must be strongly connected")
-    full = (1 << t.n) - 1
     if first_vertex is not None:
         if not 0 <= first_vertex < t.n:
             raise ValueError(f"first vertex {first_vertex} out of range")
-        # relabeled 0, f must have every vertex in its orbit
-        if _orbit(_swap(t, first_vertex), deadline) != full:
+        if _orbit(t, deadline) != (1 << t.n) - 1:
             raise ValueError(
                 f"first vertex {first_vertex} is not mapped onto every vertex by an "
                 "automorphism; fixing it would drop cells"
             )
     value = omega(t, deadline=deadline).value
     cells: list[CellResult] = []
-    table = _Cells(t)
-    orderings = iter_orderings_with_clique_at_most(
+    table = _Cells(t, value)
+    for ordering in iter_orderings_with_clique_at_most(
         t, value, first_vertex=first_vertex, deadline=deadline
-    )
-    # the backedge masks on the placed vertices: a shared-prefix vertex's bits
-    # stay right, as every later vertex comes after it in both orderings
-    n, rows, adj = t.n, t.rows, [0] * t.n
-    for ordering in orderings:
+    ):
         deadline.check()
-        cells += table.cells(ordering)  # sets table.keep and table.upto
-        keep, upto = table.keep, table.upto
-        for p in range(keep, n):
-            y = ordering[p]
-            back = adj[y] = rows[y] & upto[p]
-            if p > keep and has_clique_in_mask(adj, back, value) is not None:
-                raise ValueError("ordering does not achieve the minimum clique number")
-            bit = 1 << y
-            while back:
-                low = back & -back
-                adj[low.bit_length() - 1] |= bit
-                back ^= low
+        cells += table.cells(ordering)
     excluded = all(cell.witness is not None for cell in cells)
     return RuleReport(value, first_vertex, tuple(cells), excluded)
 

@@ -107,8 +107,10 @@ def solve_pass(
     memo, replay and deadline polls included: placing s kills the prefix
     when a word (s, b), or a word (a, s, c) with a placed, has its last
     symbol unplaced.  A word that repeats a symbol never embeds in a
-    permutation and never meets either test."""
+    permutation and never meets either test.  Building the tables polls
+    ``deadline`` too."""
     if any(len(word) == 1 for word in instance.forbidden):
         return None
-    search = _prefix_search(instance.alphabet_size, 2, *_tables(instance), deadline=deadline)
+    tables = _tables(instance, deadline)
+    search = _prefix_search(instance.alphabet_size, 2, *tables, deadline=deadline)
     return next(search, None)

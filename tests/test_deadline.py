@@ -20,7 +20,7 @@ from backedge.solvers import (
     minimum_ordering,
     omega_decide,
 )
-from backedge.subword import solve_pass, to_pass
+from backedge.subword import _WORD_BLOCK, solve_pass, to_pass
 
 from labeled import labeled_count, labeled_tournament
 from search_tree import expanded_count
@@ -143,17 +143,20 @@ def test_a_replaying_enumeration_polls_per_block_of_expanded_prefixes():
 
 
 def test_solve_pass_polls_as_often_as_the_ordering_search():
-    # solve_pass runs the ordering search on the words of to_pass(t): the
-    # same prefixes as omega_decide(t, 2), hence the same polls.  The
-    # 20-vertex chain replays the subtrees of repeated sets.
+    # solve_pass builds its tables, polling once per _WORD_BLOCK words, then
+    # runs the ordering search on the words of to_pass(t): the same prefixes
+    # as omega_decide(t, 2), hence the same polls.  The 20-vertex chain
+    # replays the subtrees of repeated sets.
     chained = chain([c3(), random_tournament(17, random.Random(2))])
     polls = []
     for t in (_tournament13(), chained):
-        pass_log, omega_log = [], []
-        witness = solve_pass(to_pass(t), deadline=PollLog(pass_log))
+        instance, pass_log, omega_log = to_pass(t), [], []
+        witness = solve_pass(instance, deadline=PollLog(pass_log))
         assert witness == omega_decide(t, 2, deadline=PollLog(omega_log)).witness
+        build = -(-len(instance.forbidden) // _WORD_BLOCK)
+        assert len(pass_log) - build == len(omega_log)
         polls.append((len(pass_log), len(omega_log)))
-    assert polls == [(1, 1), (10, 10)]
+    assert polls == [(2, 1), (11, 10)]
 
 
 def test_build_polls_after_every_stage(monkeypatch, surrogate):

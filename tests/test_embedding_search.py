@@ -13,9 +13,16 @@ from backedge.constructions import c3, tt
 from backedge.core import BudgetExhausted, Deadline, Tournament, _orbit, contains_subtournament
 from backedge.gadgets import r5
 from backedge.generation import canonical_tournaments
-from backedge.rulecheck import _swap
 
 from labeled import labeled_count, labeled_tournament
+
+
+def _swap(t, a):
+    """``t`` with vertices 0 and ``a`` exchanged."""
+    flip = 1 | 1 << a
+    rows = [row ^ flip if (row ^ row >> a) & 1 else row for row in t.rows]
+    rows[0], rows[a] = rows[a], rows[0]
+    return Tournament(t.n, tuple(rows))
 
 
 def reference_embedding(host, pattern):

@@ -54,6 +54,28 @@ def test_parse_dimacs_rejects_wrong_width():
         parse_dimacs("p cnf 3 1\n1 2 0\n")
 
 
+def test_parse_dimacs_skips_the_satlib_trailer():
+    # SATLIB files such as uf20-91 end with a '%' line and then a lone '0'
+    for tail in ("%\n0\n", "%\n0\n\n", "%\nc note\n\n 0 \n"):
+        formula = parse_dimacs("p cnf 3 2\n1 -2 3 0\n-1 2 3 0\n" + tail)
+        assert formula.clauses == (((0, True), (1, False), (2, True)),
+                                   ((0, False), (1, True), (2, True)))
+
+
+def test_parse_dimacs_rejects_every_other_empty_clause():
+    head = "p cnf 3 2\n1 -2 3 0\n-1 2 3 0\n"
+    for text, message in [
+        (head + "0\n", "line 4: clause of width 0, need 3"),
+        (head + "%\n0\n0\n", "line 6: clause of width 0, need 3"),
+        (head + "%\n0 0\n", "line 5: clause of width 0, need 3"),
+        (head + "%\n1 2 3 0\n0\n", "line 6: clause of width 0, need 3"),
+        # a clause pending at the '%' line keeps the '0' as its end
+        ("p cnf 3 1\n1 2\n%\n0\n", "line 4: clause of width 2, need 3"),
+    ]:
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            parse_dimacs(text)
+
+
 def test_parse_dimacs_rejects_bad_header():
     with pytest.raises(ValueError, match="problem line"):
         parse_dimacs("p dimacs 3 1\n1 2 3 0\n")

@@ -197,6 +197,24 @@ def test_first_vertex_needs_an_automorphism_onto_every_vertex(circulant5):
     assert (accepted, refused) == (3 + 5, 4 + 5 * 5 + 35 * 6)
 
 
+def test_every_first_vertex_is_accepted_or_refused_as_vertex_0_is(circulant5, surrogate):
+    # orbits partition the vertices, so f's orbit is every vertex exactly
+    # when vertex 0's is
+    def accepts(t, f):
+        try:
+            check_rules(t, f)
+        except ValueError as exc:
+            assert "automorphism" in str(exc)
+            return False
+        return True
+
+    cases = [t for n in range(1, 7) for t in strong_classes(n)] + [circulant5, surrogate]
+    answers = [{accepts(t, f) for f in range(t.n)} for t in cases]
+    assert all(len(answer) == 1 for answer in answers)
+    # the 1-vertex class, c3, r5 (twice) and W7 are vertex-transitive
+    assert answers.count({True}) == 5
+
+
 class PollCounter(Deadline):
     """A deadline that counts its polls and expires at poll ``limit``."""
 
@@ -357,7 +375,7 @@ def test_path_predicate_matches_plain_union_find(circulant5):
         g = backedge_graph(t, ordering)
         # the components a fresh table keeps: on each prefix but the longest,
         # and on each suffix from position 2 on
-        table = _Cells(t)
+        table = _Cells(t, 2)
         table.cells(ordering)
         swept, node = {}, table.suffixes
         for p in range(4, 1, -1):
@@ -707,6 +725,15 @@ def test_check_rules_refuses_an_ordering_above_the_minimum(
         check_rules(circulant5)
 
 
+def test_a_fresh_table_refuses_an_ordering_above_the_minimum(circulant5):
+    # with no ordering before, every position past 0 is tested: (2, 3, 0, 1, 4)
+    # is minimum, and in (0, 4, 2, 3, 1) vertex 3 closes the triangle {0, 3, 4}
+    assert omega(circulant5).value == 2
+    assert len(_Cells(circulant5, 2).cells((2, 3, 0, 1, 4))) == 5
+    with pytest.raises(ValueError, match="does not achieve the minimum"):
+        _Cells(circulant5, 2).cells((0, 4, 2, 3, 1))
+
+
 def test_shared_suffix_records_give_the_cells_of_a_fresh_table(surrogate):
     # W7 and three 8-vertex tournaments of value 2, 1,941 orderings in all
     rng = random.Random(81)
@@ -719,7 +746,7 @@ def test_shared_suffix_records_give_the_cells_of_a_fresh_table(surrogate):
         report = check_rules(t)
         orderings = [cell.ordering for cell in report.cells[::t.n]]
         for i, ordering in enumerate(orderings):
-            fresh = _Cells(t).cells(ordering)
+            fresh = _Cells(t, report.omega_value).cells(ordering)
             assert report.cells[i * t.n:(i + 1) * t.n] == tuple(fresh), (t, ordering)
         # some suffix recurs in orderings that are not adjacent
         last, reused = {}, False
@@ -750,7 +777,7 @@ def test_a_table_stores_no_record_that_is_never_read_again(surrogate):
     # two distinct orderings share at most n - 2 leading positions, and the
     # suffix from position 1 names one ordering, which the stream yields once
     t = surrogate
-    table = _Cells(t)
+    table = _Cells(t, 3)
     for ordering in iter_orderings_with_clique_at_most(t, 3):
         table.cells(ordering)
         assert len(table.prefix) == t.n - 1
