@@ -445,7 +445,7 @@ def _pass(args, deadline, read) -> Outcome:
         result["tournament_closed"] = is_tournament_closed(instance, deadline)
         result.update(_write(args, deadline, out=instance))
         return Outcome(result)
-    instance = PassInstance.from_dict(read(args.file, parse_json))
+    instance = PassInstance.from_dict(read(args.file, parse_json), deadline)
     _write(args, deadline, out=None)  # a solve writes no file
     size = instance.alphabet_size
     sizing = SizingReport("pass", (("alphabet", size),), size, DEFAULT_VERTEX_BUDGET)

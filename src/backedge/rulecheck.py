@@ -47,9 +47,10 @@ past the shared prefix also grows the backedge masks and guards minimality.
 A report holds one record per distinct value.  A call builds each distinct
 witness once, keeping it by (rule, vertices) until the call returns, the
 cells of one ordering share that ordering's tuple, and a cell's violated
-rules are one of nine constant tuples.  Cells and witnesses have slots, not
-a ``__dict__``.  The 35,280 cells of the 7-vertex value-3 tournament hold
-760 witnesses; its report takes 3.3 MB, and building it peaks at 4.9 MB.
+rules are one of nine constant tuples.  A cell is a named 4-tuple, built in
+one call, and a witness has slots; neither has a ``__dict__``.  The 35,280
+cells of the 7-vertex value-3 tournament hold 760 witnesses; its report
+takes 3.9 MB, and building it peaks at 5.5 MB.
 
 ``check_rules(t, first_vertex=f)`` keeps only the orderings that start with
 f.  Relabeling by an automorphism maps cells to cells, so this loses no
@@ -60,7 +61,7 @@ other tournament it would drop cells, and the call is refused.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .core import (
     Deadline,
@@ -85,8 +86,7 @@ class RuleWitness:
         return {"rule": self.rule, "vertices": dict(self.vertices)}
 
 
-@dataclass(frozen=True, slots=True)
-class CellResult:
+class CellResult(NamedTuple):
     ordering: tuple[int, ...]
     pivot: int
     witness: Optional[RuleWitness]  # None when all four rules hold
@@ -206,10 +206,6 @@ def _span_witness(rule: int, v: int, hits: int, comps: list[tuple], ordering: tu
     raise AssertionError(f"no span holds two arcs of v = {v}")
 
 
-_set_ordering, _set_pivot, _set_witness, _set_violated = (
-    getattr(CellResult, name).__set__ for name in ("ordering", "pivot", "witness", "violated_rules")
-)
-
 # both sides of rules 2-4 need a vertex before the pivot
 _RULE1 = RuleWitness(1, ())
 # the violated rules of a cell past the first pivot that also breaks rule 4,
@@ -306,8 +302,7 @@ class _Cells:
                 lefts.append((witness, (3,)))
             else:
                 lefts.append((None, ()))
-        new, set_ordering, set_pivot, set_witness, set_violated = (
-            object.__new__, _set_ordering, _set_pivot, _set_witness, _set_violated)
+        new = tuple.__new__
         cells: list = [None] * n
         node = self.suffixes
         for p in range(n - 1, -1, -1):
@@ -339,11 +334,7 @@ class _Cells:
                             v = node[2]
                             witness = node[3] = _span_witness(
                                 4, v, cols[v] & ~upto[p], node[1], ordering, upto, witnesses)
-            cell = cells[y] = new(CellResult)
-            set_ordering(cell, ordering)
-            set_pivot(cell, y)
-            set_witness(cell, witness)
-            set_violated(cell, violated)
+            cells[y] = new(CellResult, (ordering, y, witness, violated))
         return cells
 
 

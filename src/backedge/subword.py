@@ -9,7 +9,7 @@ search of `solvers.iter_orderings_with_clique_at_most`, run on that table.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 from typing import Optional
 
 from .core import Deadline, Tournament, _bits, _quote
@@ -17,20 +17,32 @@ from .io import _check_json
 from .solvers import _prefix_search
 
 
+# words per deadline poll of `PassInstance` and `_tables`
+_WORD_BLOCK = 4096
+
+
 @dataclass(frozen=True)
 class PassInstance:
+    """An alphabet of symbols 0..alphabet_size-1 and its forbidden words.
+    ``deadline`` is no field: the checks of the words poll it once per
+    `_WORD_BLOCK` words."""
+
     alphabet_size: int
     forbidden: tuple[tuple[int, ...], ...]
+    deadline: InitVar[Deadline] = Deadline()
 
-    def __post_init__(self) -> None:
-        if self.alphabet_size < 0:
-            raise ValueError(f"alphabet size {self.alphabet_size} is negative")
-        for word in self.forbidden:
-            if not 1 <= len(word) <= 3:
-                raise ValueError(f"forbidden word {word} has length {len(word)}")
-            for symbol in word:
-                if not 0 <= symbol < self.alphabet_size:
-                    raise ValueError(f"symbol {symbol} outside the alphabet")
+    def __post_init__(self, deadline: Deadline) -> None:
+        n, words = self.alphabet_size, self.forbidden
+        if n < 0:
+            raise ValueError(f"alphabet size {n} is negative")
+        for start in range(0, len(words), _WORD_BLOCK):
+            deadline.check()
+            for word in words[start:start + _WORD_BLOCK]:
+                if not 1 <= len(word) <= 3:
+                    raise ValueError(f"forbidden word {word} has length {len(word)}")
+                for symbol in word:
+                    if not 0 <= symbol < n:
+                        raise ValueError(f"symbol {symbol} outside the alphabet")
 
     def to_dict(self) -> dict:
         return {
@@ -39,13 +51,25 @@ class PassInstance:
         }
 
     @classmethod
-    def from_dict(cls, data: dict) -> "PassInstance":
-        _check_json(data, {"alphabet": None, "forbidden": [[None]]}, "pass instance")
-        alphabet, forbidden = data["alphabet"], [tuple(w) for w in data["forbidden"]]
-        for value in (alphabet, *(s for w in forbidden for s in w)):
-            if type(value) is not int:
-                raise ValueError(f"alphabet and symbols must be integers, got {_quote(value)}")
-        return cls(alphabet, tuple(sorted(forbidden)))
+    def from_dict(cls, data: dict, deadline: Deadline = Deadline()) -> "PassInstance":
+        """The instance of a JSON form, its words sorted.  Each word must be a
+        list of integers; ``deadline`` is polled once per `_WORD_BLOCK` words,
+        here and in the checks of the instance."""
+        _check_json(data, {"alphabet": None, "forbidden": [None]}, "pass instance")
+        alphabet, words, forbidden = data["alphabet"], data["forbidden"], []
+        if type(alphabet) is not int:
+            raise ValueError(f"alphabet and symbols must be integers, got {_quote(alphabet)}")
+        for start in range(0, len(words), _WORD_BLOCK):
+            deadline.check()
+            for i, word in enumerate(words[start:start + _WORD_BLOCK], start):
+                if type(word) is not list:  # raises, naming the word
+                    _check_json(word, [None], f"pass instance.forbidden[{i}]")
+                for symbol in word:
+                    if type(symbol) is not int:
+                        raise ValueError(f"alphabet and symbols must be integers, got {_quote(symbol)}")
+                forbidden.append(tuple(word))
+        forbidden.sort()
+        return cls(alphabet, tuple(forbidden), deadline)
 
 
 def to_pass(t: Tournament, deadline: Deadline = Deadline()) -> PassInstance:
@@ -59,11 +83,7 @@ def to_pass(t: Tournament, deadline: Deadline = Deadline()) -> PassInstance:
         deadline.check()
         for v in _bits(t.cols[w]):
             words.extend((w, v, u) for u in _bits(t.cols[v] & t.cols[w]))
-    return PassInstance(t.n, tuple(words))
-
-
-# words per deadline poll of `_tables`
-_WORD_BLOCK = 4096
+    return PassInstance(t.n, tuple(words), deadline)
 
 
 def _tables(

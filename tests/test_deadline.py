@@ -20,7 +20,7 @@ from backedge.solvers import (
     minimum_ordering,
     omega_decide,
 )
-from backedge.subword import _WORD_BLOCK, solve_pass, to_pass
+from backedge.subword import _WORD_BLOCK, PassInstance, solve_pass, to_pass
 
 from labeled import labeled_count, labeled_tournament
 from search_tree import expanded_count
@@ -66,6 +66,7 @@ def _entry_points(surrogate):
         "minimum_ordering": lambda **kw: minimum_ordering(r5(), r5_minimum, **kw),
         "min_order_with_omega": lambda **kw: min_order_with_omega(2, 5, **kw),
         "solve_pass": lambda **kw: solve_pass(pass13, **kw),
+        "PassInstance.from_dict": lambda **kw: PassInstance.from_dict(pass13.to_dict(), **kw),
         "contains_subtournament": lambda **kw: contains_subtournament(r5(), c3(), **kw),
     }
 
@@ -73,7 +74,8 @@ def _entry_points(surrogate):
 ENTRY_POINTS = [
     "amplifier", "pi", "build", "instance_from_dict", "check_companion",
     "verify_var_base", "verify_clause_base", "enumerate_omega_orderings",
-    "minimum_ordering", "min_order_with_omega", "solve_pass", "contains_subtournament",
+    "minimum_ordering", "min_order_with_omega", "solve_pass", "PassInstance.from_dict",
+    "contains_subtournament",
 ]
 
 

@@ -583,6 +583,7 @@ def test_cli_pass(capsys, tmp_path, r5_file):
     # a non-integer alphabet or symbol is rejected, not truncated
     for i, data in enumerate((
         {"alphabet": 3.7, "forbidden": [[0, 1.2, 2]]},
+        {"alphabet": 3, "forbidden": [[0, 1, 2], [0, 1.2, 2]]},
         {"alphabet": "3", "forbidden": [[0, 1, 2]]},
         {"alphabet": True, "forbidden": []},
     )):
@@ -878,9 +879,11 @@ BUDGET_SLACK_S = 0.5
 def test_cli_budget_bounds_each_verbs_wall_time(capsys, tmp_path, surrogate):
     # without a budget, on a 2-vCPU Xeon VM, the inputs below take about
     # 0.2 s for check-rules, 0.3 s for the value-2 orderings, 0.6 s for pass
-    # solve, 1 s for reduce, 3 s for construct delta (2,250,000 flipped arcs),
-    # 9 s for omega, 11 s for forcing and 30 s for pass from-tournament
-    # (3,341,801 words); the value-3 orderings and chi-decide run on for minutes
+    # solve on 24 symbols, 1 s for reduce, 3 s for construct delta (2,250,000
+    # flipped arcs), 9 s for omega, 11 s for forcing and 30 s for pass
+    # from-tournament (3,341,801 words); the value-3 orderings, chi-decide and
+    # pass solve on 150 symbols run on for minutes, the last after 0.2 s of
+    # json.loads and 0.2 s of checking its 413,149 words
     def saved(name, t):
         path = tmp_path / name
         save_tournament(t, path)
@@ -893,10 +896,14 @@ def test_cli_budget_bounds_each_verbs_wall_time(capsys, tmp_path, surrogate):
     write_json(pass24, to_pass(_random_tournament(24, 1)).to_dict())
     cnf = tmp_path / "phi.cnf"
     cnf.write_text("p cnf 3 1\n1 2 3 0\n")
-    rng = random.Random(1)
-    t300 = Tournament.from_arcs(300, [
-        (i, j) if rng.random() < 0.5 else (j, i) for i, j in itertools.combinations(range(300), 2)
-    ])
+    def drawn(n):
+        rng = random.Random(1)
+        return Tournament.from_arcs(n, [
+            (i, j) if rng.random() < 0.5 else (j, i) for i, j in itertools.combinations(range(n), 2)
+        ])
+
+    pass150 = tmp_path / "pass150.json"
+    write_json(pass150, to_pass(drawn(150)).to_dict())
     cases = [
         ("omega", t18),
         ("orderings", saved("t12.trn", _random_tournament(12, 5))),
@@ -906,7 +913,9 @@ def test_cli_budget_bounds_each_verbs_wall_time(capsys, tmp_path, surrogate):
         ("chi-decide", "--k", "7", saved("t200.trn", _random_tournament(200, 13))),
         ("check-rules", saved("strong10.trn", strong10)),
         ("pass", "solve", str(pass24)),
-        ("pass", "from-tournament", saved("t300.trn", t300), "--out", str(tmp_path / "t300.pass.json")),
+        # polled while the words are checked, not only once the search runs
+        ("pass", "solve", str(pass150)),
+        ("pass", "from-tournament", saved("t300.trn", drawn(300)), "--out", str(tmp_path / "t300.pass.json")),
         ("construct", "delta", "1500", "1500", "1500", "--out", str(tmp_path / "d.trn")),
         ("reduce", "--cnf", str(cnf), "--gadget", saved("w18.trn", arrow(surrogate, tt(11)))),
     ]

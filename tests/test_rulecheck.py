@@ -650,8 +650,29 @@ def test_a_report_holds_one_record_per_distinct_value(name, surrogate, circulant
     assert not any(hasattr(record, "__dict__") for record in [*report.cells, *witnesses])
 
 
+def test_a_cell_is_an_immutable_record_compared_by_value(circulant5):
+    witness = RuleWitness(2, (("a", 0), ("b", 1), ("c", 4), ("d", 3)))
+    cell = CellResult(ordering=(0, 1, 2, 3, 4), pivot=2, witness=witness, violated_rules=(2,))
+    assert CellResult._fields == ("ordering", "pivot", "witness", "violated_rules")
+    assert tuple(cell) == ((0, 1, 2, 3, 4), 2, witness, (2,))
+    assert repr(cell) == (
+        "CellResult(ordering=(0, 1, 2, 3, 4), pivot=2, witness=RuleWitness(rule=2, "
+        "vertices=(('a', 0), ('b', 1), ('c', 4), ('d', 3))), violated_rules=(2,))"
+    )
+    with pytest.raises(AttributeError):
+        cell.pivot = 3
+    assert not cell.all_rules_hold
+    assert cell._replace(witness=None, violated_rules=()).all_rules_hold
+    # check_cell builds a cell of its own, equal to this one
+    found = check_cell(circulant5, [0, 1, 2, 3, 4], 2)
+    assert type(found) is CellResult
+    assert found == cell and hash(found) == hash(cell) and found is not cell
+    assert found != cell._replace(pivot=3)
+    assert all(type(c) is CellResult for c in check_rules(circulant5).cells)
+
+
 def test_a_retained_w7_report_holds_at_most_5_mb(surrogate):
-    # 3.3 MB with a record per distinct value; a record per cell took 10 MB
+    # 3.9 MB with a record per distinct value; a record per cell took 10 MB
     gc.collect()
     tracemalloc.start()
     try:
@@ -666,9 +687,10 @@ def test_a_retained_w7_report_holds_at_most_5_mb(surrogate):
 
 
 def test_check_rules_on_w7_peaks_at_most_6_mb(surrogate):
-    # 4.9 MB: 3.7 MB when every ordering was evaluated alone, and the suffix
-    # records shared across orderings hold the rest until the call returns;
-    # 7.0 MB while the records at position 1 were kept as well
+    # 5.5 MB (4.9 MB while cells had slots): 3.7 MB when every ordering was
+    # evaluated alone, and the suffix records shared across orderings hold the
+    # rest until the call returns; 7.0 MB while the records at position 1
+    # were kept as well
     gc.collect()
     tracemalloc.start()
     try:
