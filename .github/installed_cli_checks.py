@@ -118,6 +118,11 @@ run("reduce", "--cnf", "phi.cnf", "--gadget", "w7.json", "--out", "inst.trn", "-
 ordering = run("witness", "to-ordering", "--trn", "inst.trn", "--landmarks", "inst.json", "--assign", "1,0,1")
 pathlib.Path("ord.json").write_text(json.dumps(ordering.get("ordering")))
 run("verify-ordering", "--trn", "inst.trn", "--ordering", "ord.json", k4_free=True, has_triangle=True)
+# its last vertex moved to the front closes a 4-clique (the reversed ordering's
+# clique number is too costly to prove here)
+moved = ordering.get("ordering") or []
+pathlib.Path("moved.json").write_text(json.dumps(moved[-1:] + moved[:-1]))
+run("verify-ordering", "--trn", "inst.trn", "--ordering", "moved.json", code=1, k4_free=False, max_clique_found=4)
 # SATLIB files end with a '%' line and then a lone '0'
 pathlib.Path("satlib.cnf").write_text("p cnf 3 2\n1 -2 3 0\n-1 2 3 0\n%\n0\n")
 run("reduce", "--cnf", "satlib.cnf", "--gadget", "w7.json", "--sizing-only", vertices=lambda v: v > 0)

@@ -409,7 +409,7 @@ def _witness(args, deadline, read) -> Outcome:
 @verb("verify-ordering", "scan an ordering's backedge graph",
       arg("--trn", required=True), arg("--ordering", required=True))
 def _verify_ordering(args, deadline, read) -> Outcome:
-    report = verify_ordering(read(args.trn), _parse_ordering(args.ordering, read))
+    report = verify_ordering(read(args.trn), _parse_ordering(args.ordering, read), deadline)
     return Outcome(report.to_dict(), negative=not report.k4_free)
 
 

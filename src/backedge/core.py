@@ -171,18 +171,14 @@ def check_ordering(ordering: Sequence[int], n: int) -> tuple[int, ...]:
     return ordering
 
 
-def _backedge_masks(rows: Sequence[int], ordering: Sequence[int]) -> list[int]:
+def _backedge_masks(d: Digraph, ordering: Sequence[int]) -> list[int]:
     """Adjacency masks of the backedge graph, for an ordering already known to
-    be a permutation: edge {u, v} with u before v iff ``rows[v]`` has bit u."""
-    adj = [0] * len(ordering)
+    be a permutation: v's out-neighbours before it and in-neighbours after it."""
+    rows, cols = d.rows, d.cols
+    adj = [0] * d.n
     placed = 0
     for v in ordering:
-        back = rows[v] & placed  # arcs from v into already-placed vertices
-        adj[v] = back
-        while back:
-            low = back & -back
-            adj[low.bit_length() - 1] |= 1 << v
-            back ^= low
+        adj[v] = rows[v] & placed | cols[v] & ~placed
         placed |= 1 << v
     return adj
 
@@ -192,7 +188,7 @@ def backedge_graph(d: Digraph, ordering: Sequence[int]) -> UndirectedGraph:
 
     Edge {u, v} with u before v is present iff the arc v -> u exists.
     """
-    adj = tuple(_backedge_masks(d.rows, check_ordering(ordering, d.n)))
+    adj = tuple(_backedge_masks(d, check_ordering(ordering, d.n)))
     return UndirectedGraph._with_cols(d.n, adj, adj)
 
 
@@ -237,6 +233,26 @@ def clique_number(g: UndirectedGraph) -> int:
 def triangle_in_graph(g: UndirectedGraph) -> Optional[tuple[int, int, int]]:
     """First triangle of ``g`` in lexicographic order, or None."""
     return has_clique_in_mask(g.rows, (1 << g.n) - 1, 3)
+
+
+def ordering_clique_number(d: Digraph, ordering: Sequence[int], deadline: Deadline = Deadline()) -> int:
+    """``clique_number(backedge_graph(d, ordering))`` for a validated ordering,
+    in one pass: a clique's last placed vertex y has the others among its
+    earlier backedge neighbours, so the best size grows while those of some y
+    hold a clique of that size.  ``deadline`` is polled before each search."""
+    if d.n == 0:
+        raise ValueError("clique number of the empty graph is undefined")
+    adj, rows = _backedge_masks(d, ordering), d.rows
+    best, placed = 1, 0
+    for y in ordering:
+        back = rows[y] & placed
+        while back.bit_count() >= best:
+            deadline.check()
+            if has_clique_in_mask(adj, back, best) is None:
+                break
+            best += 1
+        placed |= 1 << y
+    return best
 
 
 def _reach(adj: Sequence[int], seed: int, within: int) -> tuple[int, int]:

@@ -22,7 +22,7 @@ from dataclasses import asdict, dataclass
 from typing import Iterator, Optional, Sequence, Union
 
 from .constructions import DEFAULT_VERTEX_BUDGET, MaterializationRefused, SizingReport, chain
-from .core import Deadline, Tournament, backedge_graph, check_ordering, clique_number, induced
+from .core import Deadline, Tournament, check_ordering, induced, ordering_clique_number
 from .gadgets import _assemble, check_companion, clause_base, var_base
 from .io import _check_json, _digits, _quote
 
@@ -332,10 +332,11 @@ class OrderingReport:
 
 
 def verify_ordering(
-    instance: Union[ReductionInstance, Tournament], ordering: Sequence[int]
+    instance: Union[ReductionInstance, Tournament], ordering: Sequence[int],
+    deadline: Deadline = Deadline(),
 ) -> OrderingReport:
     """Scan the backedge graph of the ordering for a 4-clique and a triangle:
     one clique-number search answers both."""
     t = instance.tournament if isinstance(instance, ReductionInstance) else instance
-    value = clique_number(backedge_graph(t, ordering))
+    value = ordering_clique_number(t, check_ordering(ordering, t.n), deadline)
     return OrderingReport(value < 4, value >= 3, value)

@@ -41,7 +41,7 @@ would never be read again: two distinct orderings share at most n - 2
 leading positions, so the components on n - 1 are not stored, and the
 suffix from position 1 fixes the whole ordering, which the search yields
 once, so it is not stored either.  The loop that extends the prefix masks
-past the shared prefix also grows the backedge masks and guards minimality.
+past the shared prefix also sets the backedge masks and guards minimality.
 ``check_cell`` evaluates its ordering the same way.
 
 A report holds one record per distinct value.  A call builds each distinct
@@ -217,7 +217,8 @@ class _Cells:
     """The cells of a tournament's minimum orderings, one ordering at a time,
     keeping the work that depends on part of one: rule 2's witness by left
     set, the prefix records and backedge masks the next ordering shares, a
-    record per distinct ordered suffix, and each witness by (rule, vertices)."""
+    record per distinct ordered suffix, and each witness by (rule, vertices).
+    Each placed vertex's backedge mask is set once, when it is placed."""
 
     def __init__(self, t: Tournament, value: int):
         self.t, self.value = t, value
@@ -226,8 +227,8 @@ class _Cells:
         self.ordering: tuple[int, ...] = ()
         # upto[i]: the vertices before position i of self.ordering
         self.upto = [0]
-        # the backedge masks on the placed vertices: a shared-prefix vertex's
-        # bits stay right, as every later vertex comes after it in both orderings
+        # the backedge masks of the placed vertices: a shared-prefix vertex's
+        # stays right, as the same vertices come before it in both orderings
         self.adj = [0] * t.n
         # prefix[p]: the components on ordering[:p], for p <= n - 2, each a
         # (vertex mask, span mask, lo, hi) spanning positions lo..hi; lefts[p]:
@@ -264,16 +265,12 @@ class _Cells:
         full = upto[keep]
         for p in range(keep, n):
             y = ordering[p]
-            back = adj[y] = rows[y] & full
+            back = rows[y] & full
+            adj[y] = back | cols[y] & ~full
             if p > keep and has_clique_in_mask(adj, back, self.value) is not None:
                 raise ValueError("ordering does not achieve the minimum clique number")
-            bit = 1 << y
-            full |= bit
+            full |= 1 << y
             upto.append(full)
-            while back:
-                low = back & -back
-                adj[low.bit_length() - 1] |= bit
-                back ^= low
         comps = prefix[keep]
         for p in range(keep + 1, n):
             # the components on ordering[:p]: the vertex at p - 1 joins every

@@ -46,11 +46,10 @@ from .core import (
     _backedge_masks,
     _bits,
     _reach,
-    backedge_graph,
     check_ordering,
-    clique_number,
     has_clique_in_mask,
     is_acyclic,
+    ordering_clique_number,
 )
 from .generation import canonical_tournaments
 
@@ -318,7 +317,7 @@ def minimum_ordering(
     when no ordering keeps the clique number at most c - 1, which one
     refutation proves (c = 1 needs none)."""
     ordering = check_ordering(ordering, t.n)
-    value = clique_number(backedge_graph(t, ordering))
+    value = ordering_clique_number(t, ordering, deadline)
     nodes = 0
     if value > 1:
         refutation = omega_decide(t, value - 1, deadline=deadline)
@@ -350,7 +349,7 @@ def omega_by_enumeration(t: Digraph) -> int:
     floor = 1 if is_acyclic(t) else 2
     best = n
     for perm in itertools.permutations(range(n)):
-        adj = _backedge_masks(t.rows, perm)
+        adj = _backedge_masks(t, perm)
         if best == n or has_clique_in_mask(adj, full, best) is None:
             # exact value for this ordering: largest size still carrying a clique
             val = 1

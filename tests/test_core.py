@@ -10,6 +10,7 @@ from backedge.core import (
     Digraph,
     Tournament,
     UndirectedGraph,
+    _backedge_masks,
     backedge_graph,
     clique_number,
     contains_subtournament,
@@ -22,10 +23,12 @@ from backedge.core import (
     is_forest,
     is_strong,
     is_transitive,
+    ordering_clique_number,
     reverse,
     triangle_in_graph,
 )
 from backedge.gadgets import r5, var_base
+from backedge.generation import canonical_tournaments
 
 from labeled import labeled_count, labeled_tournament
 
@@ -42,6 +45,15 @@ def small_tournaments(max_n=6):
 
 def orderings_of(t):
     return st.permutations(range(t.n)).map(tuple)
+
+
+def small_digraphs(max_n=9):
+    """Digraphs on 1..max_n vertices, pairs with both arcs (digons) included."""
+    return st.integers(min_value=1, max_value=max_n).flatmap(
+        lambda n: st.lists(st.integers(0, (1 << n) - 1), min_size=n, max_size=n).map(
+            lambda rows: Digraph(n, tuple(row & ~(1 << u) for u, row in enumerate(rows)))
+        )
+    )
 
 
 def test_tournament_validation():
@@ -163,6 +175,36 @@ def test_clique_number_r5_identity_backedges():
 def test_clique_number_empty_graph_errors():
     with pytest.raises(ValueError):
         clique_number(UndirectedGraph(0, ()))
+    with pytest.raises(ValueError, match="clique number of the empty graph is undefined"):
+        ordering_clique_number(Tournament(0, ()), ())
+
+
+@settings(max_examples=300)
+@given(st.data())
+def test_backedge_masks_match_a_per_pair_oracle(data):
+    d = data.draw(small_digraphs())
+    ordering = data.draw(orderings_of(d))
+    pos = {v: i for i, v in enumerate(ordering)}
+    # {u, v} is an edge iff the later of the two has an arc to the earlier
+    expected = [sum(1 << u for u in range(d.n) if u != v and (
+        d.has_arc(v, u) if pos[u] < pos[v] else d.has_arc(u, v))) for v in range(d.n)]
+    assert _backedge_masks(d, ordering) == expected
+
+
+@settings(max_examples=300)
+@given(st.data())
+def test_ordering_clique_number_equals_the_backedge_graphs(data):
+    d = data.draw(small_digraphs())
+    ordering = data.draw(orderings_of(d))
+    assert ordering_clique_number(d, ordering) == clique_number(backedge_graph(d, ordering))
+
+
+def test_ordering_clique_number_on_every_ordering_of_every_small_class():
+    for n in range(1, 7):
+        for t in canonical_tournaments(n):
+            for ordering in itertools.permutations(range(n)):
+                want = clique_number(backedge_graph(t, ordering))
+                assert ordering_clique_number(t, ordering) == want, (t, ordering)
 
 
 def test_has_clique_witness_is_clique():

@@ -10,7 +10,13 @@ from backedge import constructions, reduction
 from backedge.constructions import amplifier, c3, chain, pi
 from backedge.core import BudgetExhausted, Deadline, contains_subtournament
 from backedge.gadgets import check_companion, r5, verify_clause_base, verify_var_base
-from backedge.reduction import build, instance_from_dict, parse_dimacs
+from backedge.reduction import (
+    build,
+    instance_from_dict,
+    ordering_from_assignment,
+    parse_dimacs,
+    verify_ordering,
+)
 from backedge.solvers import (
     Deadline as SolversDeadline,
     SearchStats,
@@ -59,6 +65,9 @@ def _entry_points(surrogate):
         "instance_from_dict": lambda **kw: instance_from_dict(
             instance.to_dict(), instance.tournament, **kw
         ),
+        "verify_ordering": lambda **kw: verify_ordering(
+            instance, ordering_from_assignment(instance, (True, True, True)), **kw
+        ),
         "check_companion": lambda **kw: check_companion(surrogate, **kw),
         "verify_var_base": verify_var_base,
         "verify_clause_base": verify_clause_base,
@@ -72,7 +81,7 @@ def _entry_points(surrogate):
 
 
 ENTRY_POINTS = [
-    "amplifier", "pi", "build", "instance_from_dict", "check_companion",
+    "amplifier", "pi", "build", "instance_from_dict", "verify_ordering", "check_companion",
     "verify_var_base", "verify_clause_base", "enumerate_omega_orderings",
     "minimum_ordering", "min_order_with_omega", "solve_pass", "PassInstance.from_dict",
     "contains_subtournament",

@@ -1,5 +1,6 @@
 import itertools
 import json
+import random
 
 import pytest
 
@@ -393,3 +394,20 @@ def test_unsatisfiable_formula_has_a_k4_free_ordering(surrogate):
     assert instance.tournament.n == 186
     assert verify_ordering(instance, ordering) == OrderingReport(True, True, 3)
     assert assignment_from_ordering(instance, ordering) == (True, True, True)
+
+
+def test_large_instance_verifies_k4_free(surrogate):
+    # 100 variables and 500 clauses, each satisfied by a planted assignment,
+    # make a 9,707-vertex instance
+    rng = random.Random(1)
+    assignment = tuple(rng.random() < 0.5 for _ in range(100))
+    clauses = []
+    while len(clauses) < 500:
+        clause = tuple((v, rng.random() < 0.5) for v in rng.sample(range(100), 3))
+        if any(assignment[v] == p for v, p in clause):
+            clauses.append(clause)
+    instance = build(CnfFormula(100, tuple(clauses)), surrogate)
+    ordering = ordering_from_assignment(instance, assignment)
+    assert instance.tournament.n == 9707
+    assert verify_ordering(instance, ordering) == OrderingReport(True, True, 3)
+    assert clique_number(backedge_graph(instance.tournament, ordering)) == 3

@@ -87,7 +87,7 @@ def oracle_cell(t, ordering, x):
     pos = [0] * t.n
     for i, v in enumerate(ordering):
         pos[v] = i
-    adj = _backedge_masks(t.rows, ordering)
+    adj = _backedge_masks(t, ordering)
     left = 0
     for v in ordering[:pos[x]]:
         left |= 1 << v
