@@ -20,16 +20,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations, islice, product
+from itertools import combinations
 from typing import Callable, Iterable, Optional, Union
 
-from .core import Deadline, Digraph, Tournament, is_transitive
+from .core import Deadline, Digraph, Tournament, _bits, is_transitive
 from .solvers import omega
 
 DEFAULT_VERTEX_BUDGET = 100_000
 
-# flipped arcs per deadline poll of `chain`
-_FLIP_BLOCK = 4096
+# flip-mask updates per deadline poll of `chain`
+_POLL_UPDATES = 4096
 
 
 class MaterializationRefused(Exception):
@@ -137,15 +137,20 @@ def c3() -> Tournament:
 
 
 def chain(
-    blocks: Iterable[Digraph], flipped: Iterable[tuple[int, int]] = (),
+    blocks: Iterable[Digraph], flips: Iterable[tuple[int, int]] = (),
     deadline: Deadline = Deadline(),
 ) -> Digraph:
     """Disjoint union of the blocks, laid out front to back, plus every arc
-    from an earlier block to a later one; then each pair ``(w, u)`` of
-    ``flipped``, with ``w`` in a later block than ``u``, is reversed to run
-    ``w -> u``.  ``flipped`` is consumed once, so it may be a generator.
-    ``deadline`` is polled before each block and each `_FLIP_BLOCK` flips.
-    The result is a Tournament when every block is one, else a Digraph."""
+    from an earlier block to a later one; then, for each pair ``(A, B)`` of
+    vertex masks in ``flips``, every arc between a vertex of A and a vertex
+    of B is reversed, whichever way it runs.  An arc that several pairs
+    cover is reversed once; a vertex in both A and B is refused as a
+    self-arc.  (Precisely, both directions of each covered vertex pair are
+    toggled: that reverses the one arc of a pair across blocks or inside a
+    tournament block.)  ``flips`` is consumed once, so it may be a
+    generator.  ``deadline`` is polled before each block and each
+    `_POLL_UPDATES` mask updates.  The result is a Tournament when every
+    block is one, else a Digraph."""
     blocks = list(blocks)
     total = sum(b.n for b in blocks)
     rows: list[int] = []
@@ -159,14 +164,21 @@ def chain(
         earlier = (1 << start) - 1
         rows.extend((row << start) | later for row in b.rows)
         cols.extend((col << start) | earlier for col in b.cols)
-    flipped = iter(flipped)
-    while block := list(islice(flipped, _FLIP_BLOCK)):
-        deadline.check()
-        for w, u in block:
-            rows[u] &= ~(1 << w)
-            rows[w] |= 1 << u
-            cols[w] &= ~(1 << u)
-            cols[u] |= 1 << w
+    # one symmetric flip mask per touched vertex: toggling it in the vertex's
+    # row and column keeps the columns the transpose of the rows
+    flip: dict[int, int] = {}
+    updates = 0
+    for a, b in flips:
+        for side, other in ((a, b), (b, a)):
+            for v in _bits(side):
+                if not updates % _POLL_UPDATES:
+                    deadline.check()
+                updates += 1
+                flip[v] = flip.get(v, 0) | other
+    deadline.check()
+    for v, mask in flip.items():
+        rows[v] ^= mask
+        cols[v] ^= mask
     cls = Tournament if all(isinstance(b, Tournament) for b in blocks) else Digraph
     return cls._with_cols(total, tuple(rows), tuple(cols))
 
@@ -179,9 +191,9 @@ def arrow(d1: Digraph, d2: Digraph, deadline: Deadline = Deadline()) -> Digraph:
 def delta(t1: Digraph, t2: Digraph, t3: Digraph, deadline: Deadline = Deadline()) -> Digraph:
     """Three disjoint parts with all arcs part1->part2, part2->part3, part3->part1:
     the chain of the three parts with every part3-part1 arc flipped."""
-    n12 = t1.n + t2.n
-    part1, part3 = range(t1.n), range(n12, n12 + t3.n)
-    return chain([t1, t2, t3], product(part3, part1), deadline)
+    part1 = (1 << t1.n) - 1
+    part3 = ((1 << t3.n) - 1) << (t1.n + t2.n)
+    return chain([t1, t2, t3], [(part3, part1)], deadline)
 
 
 def lift(d: Digraph, w: Digraph, deadline: Deadline = Deadline()) -> Lift:
@@ -241,27 +253,32 @@ def _copy_construction(
     """Copies of ``t`` chained front to back, with label-matched arcs flipped.
 
     ``blocks`` gives, block by block, the role of its copies and the label
-    family of each (None: unlabelled).  For each earlier copy a and later
-    copy b with ``flip(a.block, b.block, base_ordering)``, the arc between
-    their two vertices of equal label is reversed.
+    family of each (None: unlabelled).  For each earlier block i and later
+    block j with ``flip(i, j, base_ordering)``, every arc between two of
+    their vertices of equal label is reversed: one biclique per label.
     """
     order = omega(t, deadline=deadline).witness
     n, universe = t.n, sizing.parameter("label_universe")
     subsets = tuple(sorted(combinations(range(universe), n), key=lambda s: s[::-1]))
     pos = {v: i for i, v in enumerate(order)}
     copies = []
+    label_masks = []  # block -> label -> mask of the block's vertices carrying it
     for block, (role, families) in enumerate(blocks):
+        masks = [0] * universe
         for family in families:
+            start = len(copies) * n
             psi = None if family is None else tuple(subsets[family][pos[v]] for v in range(n))
-            copies.append(CopyInfo(role, block, family, len(copies) * n, n, psi))
-    vertex_of = [dict(zip(labels, order)) for labels in subsets]
-    flipped = (
-        (b.start + vertex_of[b.family][label], a.start + vertex_of[a.family][label])
-        for a, b in combinations(copies, 2)
-        if flip(a.block, b.block, order)
-        for label in set(subsets[a.family]).intersection(subsets[b.family])
-    )
-    built = chain([t] * len(copies), flipped, deadline)
+            copies.append(CopyInfo(role, block, family, start, n, psi))
+            for v, label in enumerate(psi or ()):
+                masks[label] |= 1 << (start + v)
+        label_masks.append(masks)
+    flips = [
+        (label_masks[late][label], label_masks[early][label])
+        for early, late in combinations(range(len(label_masks)), 2)
+        if flip(early, late, order)
+        for label in range(universe)
+    ]
+    built = chain([t] * len(copies), flips, deadline)
     deadline.check()
     ordering = tuple(c.start + v for c in copies for v in order)
     return BuiltTournament(built, ordering, CopyLayout(n, universe, subsets, tuple(copies)))
@@ -291,7 +308,7 @@ def amplifier(
         return BuiltTournament(arrow(t, t), order + tuple(v + n for v in order), None)
     return _copy_construction(
         t, sizing, deadline, [("copy", range(sizing.parameter("m")))] * n,
-        lambda early, late, order: early != late and t.has_arc(order[late], order[early]),
+        lambda early, late, order: t.has_arc(order[late], order[early]),
     )
 
 

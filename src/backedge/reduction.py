@@ -22,7 +22,7 @@ from dataclasses import asdict, dataclass
 from typing import Iterator, Optional, Sequence, Union
 
 from .constructions import DEFAULT_VERTEX_BUDGET, MaterializationRefused, SizingReport, chain
-from .core import Deadline, Tournament, check_ordering, induced, ordering_clique_number
+from .core import Deadline, Tournament, _bits, check_ordering, induced, ordering_clique_number
 from .gadgets import _assemble, check_companion, clause_base, var_base
 from .io import _check_json, _digits, _quote
 
@@ -129,15 +129,15 @@ def _bundle(
     var_blocks: Sequence[VarBlock],
     clause_blocks: Sequence[ClauseBlock],
 ) -> Iterator[tuple[int, int]]:
-    """For every literal occurrence, the four arcs between its clause-block
-    landmark pair and its variable block's marked pair, as (clause-block
-    vertex, variable-block vertex)."""
+    """For every literal occurrence, the biclique of the four arcs between
+    its clause-block landmark pair and its variable block's marked pair, as
+    (clause-block vertex mask, variable-block vertex mask)."""
     for j, clause in enumerate(formula.clauses):
         for k, (var, polarity) in enumerate(clause):
             block = var_blocks[var]
             a, b = block.f_plus if polarity else block.f_minus
             c, d = clause_blocks[j].landmarks[k]
-            yield from ((c, a), (c, b), (d, a), (d, b))
+            yield 1 << c | 1 << d, 1 << a | 1 << b
 
 
 @dataclass(frozen=True)
@@ -151,7 +151,12 @@ class ReductionInstance:
 
     def bundle_arcs(self) -> set[tuple[int, int]]:
         """The flipped arcs, as (clause-block vertex, variable-block vertex)."""
-        return set(_bundle(self.formula, self.var_blocks, self.clause_blocks))
+        return {
+            (w, u)
+            for clause_side, var_side in _bundle(self.formula, self.var_blocks, self.clause_blocks)
+            for w in _bits(clause_side)
+            for u in _bits(var_side)
+        }
 
     def to_dict(self) -> dict:
         return {

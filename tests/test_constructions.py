@@ -1,6 +1,6 @@
 import math
 import random
-from itertools import product
+import time
 
 import pytest
 
@@ -61,13 +61,17 @@ def test_arrow():
     mixed = chain([c3(), sparse, tt(2)])
     assert type(mixed) is Digraph and mixed.n == 7
     # delta is the chain of its parts with every part3 -> part1 arc flipped
-    assert delta(c3(), sparse, tt(2)) == chain([c3(), sparse, tt(2)], product(range(5, 7), range(3)))
+    assert delta(c3(), sparse, tt(2)) == chain([c3(), sparse, tt(2)], [(_mask(range(5, 7)), _mask(range(3)))])
+
+
+def _mask(vertices):
+    return sum(1 << v for v in vertices)
 
 
 def test_chain_flips_exactly_the_listed_pairs():
     base = chain([c3(), c3(), tt(2)])
     flips = {(4, 0), (7, 2), (6, 5)}
-    flipped = chain([c3(), c3(), tt(2)], iter(flips))
+    flipped = chain([c3(), c3(), tt(2)], ((1 << w, 1 << u) for w, u in flips))
     assert type(flipped) is Tournament
     for u, v in base.arcs():
         assert flipped.has_arc(v, u) == ((v, u) in flips)
@@ -97,12 +101,37 @@ def test_chain_columns_match_the_transpose():
             for b, first in zip(blocks, firsts):
                 if b.n >= 2:  # a pair inside one block, either way round
                     pairs.append(tuple(first + v for v in rng.sample(range(b.n), 2)))
-        built = chain(blocks, pairs)
+        built = chain(blocks, [(1 << w, 1 << u) for w, u in pairs])
         assert built.n == total
         assert built.cols == _transpose(built.rows, total), (blocks, pairs)
         assert type(built) is (
             Tournament if all(isinstance(b, Tournament) for b in blocks) else Digraph
         )
+
+
+def test_chain_matches_a_pairwise_oracle():
+    # random bicliques, overlapping one another, against the pair-by-pair
+    # arc set: both directions of each covered pair toggle, once however
+    # many bicliques cover it
+    rng = random.Random(47)
+    for _ in range(300):
+        blocks = [_random_block(rng, rng.randint(0, 6)) for _ in range(rng.randint(0, 5))]
+        total = sum(b.n for b in blocks)
+        arcs, first = set(), 0
+        for b in blocks:
+            arcs |= {(first + u, first + v) for u, v in b.arcs()}
+            arcs |= {(first + u, v) for u in range(b.n) for v in range(first + b.n, total)}
+            first += b.n
+        flips, covered = [], set()
+        for _ in range(rng.randint(0, 4)):
+            a = rng.getrandbits(total)
+            b = rng.getrandbits(total) & ~a
+            flips.append((a, b))
+            covered |= {(u, v) for u in range(total) for v in range(total)
+                        if (a >> u & 1 and b >> v & 1) or (b >> u & 1 and a >> v & 1)}
+        built = chain(blocks, iter(flips))
+        assert built.rows == Digraph.from_arcs(total, sorted(arcs ^ covered)).rows, (blocks, flips)
+        assert built.cols == _transpose(built.rows, total)
 
 
 @pytest.mark.parametrize("build", [lambda: pi(c3()), lambda: pi(r5()), lambda: amplifier(c3())])
@@ -113,7 +142,10 @@ def test_copy_construction_columns_match_the_transpose(build):
 
 def test_chain_refuses_a_pair_flipped_onto_itself():
     with pytest.raises(ValueError, match="self-arc at vertex 1"):
-        chain([c3(), c3()], [(1, 1)])
+        chain([c3(), c3()], [(1 << 1, 1 << 1)])
+    # so is a vertex on both sides of a larger biclique
+    with pytest.raises(ValueError, match="self-arc at vertex 1"):
+        chain([c3(), c3()], [(_mask([1, 4]), _mask([0, 1]))])
 
 
 def test_delta_numeric_shorthand():
@@ -293,6 +325,32 @@ def test_pi_c3_certificate_ordering(d2):
 def test_pi_reversed_count_formula(d2):
     flipped = cross_copy_backward_arcs(d2.tournament, d2.layout)
     assert len(flipped) == 5 * math.comb(4, 2) ** 2
+
+
+def _back_to_front_arcs(built):
+    """Arcs from a back copy into a front copy of a two-sided construction,
+    counted as popcounts of each front vertex's column."""
+    copies = built.layout.copies
+    back = sum(((1 << c.size) - 1) << c.start for c in copies if c.role == "C")
+    t = built.tournament
+    return sum((t.cols[x] & back).bit_count() for c in copies if c.role == "A" for x in c.vertices())
+
+
+def test_pi_r5_reverses_a_biclique_per_label():
+    # 9 labels, each carried by 70 front and 70 back vertices
+    assert _back_to_front_arcs(pi(r5())) == 9 * math.comb(8, 4) ** 2 == 44_100
+
+
+@pytest.mark.slow
+def test_pi_w7_materializes_quickly(surrogate):
+    # 0.34 s on a 2-vCPU Xeon VM; listing and reversing its 11,099,088
+    # flipped arcs one by one took 55 s
+    started = time.monotonic()
+    built = pi(surrogate)
+    elapsed = time.monotonic() - started
+    assert built.tournament.n == 24_031
+    assert elapsed < 5, f"pi(W7) took {elapsed:.1f} s"
+    assert _back_to_front_arcs(built) == 13 * math.comb(12, 6) ** 2 == 11_099_088
 
 
 def test_d_family():

@@ -878,13 +878,13 @@ BUDGET_SLACK_S = 0.5
 
 def test_cli_budget_bounds_each_verbs_wall_time(capsys, tmp_path, surrogate):
     # without a budget, on a 2-vCPU Xeon VM, the inputs below take about
-    # 0.2 s for check-rules, 0.3 s for the value-2 orderings, 0.6 s for pass
-    # solve on 24 symbols, 1 s for reduce, 2 s for verify-ordering, 3 s for
-    # construct delta (2,250,000 flipped arcs), 9 s for omega, 11 s for
-    # forcing and 30 s for pass from-tournament (3,341,801 words); the
-    # value-3 orderings, chi-decide and pass solve on 150 symbols run on for
-    # minutes, the last after 0.2 s of json.loads and 0.2 s of checking its
-    # 413,149 words
+    # 0.2 s for check-rules, 0.3 s for the value-2 orderings, 0.4 s each for
+    # construct delta (4,500 vertices) and construct pi over W7 (24,031),
+    # 0.6 s for pass solve on 24 symbols, 1 s for reduce, 2 s for
+    # verify-ordering, 9 s for omega, 11 s for forcing and 30 s for pass
+    # from-tournament (3,341,801 words); the value-3 orderings, chi-decide
+    # and pass solve on 150 symbols run on for minutes, the last after 0.2 s
+    # of json.loads and 0.2 s of checking its 413,149 words
     def saved(name, t):
         path = tmp_path / name
         save_tournament(t, path)
@@ -921,6 +921,7 @@ def test_cli_budget_bounds_each_verbs_wall_time(capsys, tmp_path, surrogate):
         # clique number 12 under the identity ordering: polled per neighbourhood search
         ("verify-ordering", "--trn", t300, "--ordering", ",".join(map(str, range(300)))),
         ("construct", "delta", "1500", "1500", "1500", "--out", str(tmp_path / "d.trn")),
+        ("construct", "pi", saved("w7.trn", surrogate)),
         ("reduce", "--cnf", str(cnf), "--gadget", saved("w18.trn", arrow(surrogate, tt(11)))),
     ]
     for argv in cases:
