@@ -97,6 +97,8 @@ run("pass", "from-tournament", "d2c3.trn", "--out", "d2c3.pass.json", alphabet=6
         pathlib.Path("d2c3.pass.json").read_text()) == to_pass(load_tournament("d2c3.trn")).to_dict())
 run("chi", "d2.trn", value=3, classes=lambda cs: len(cs) == 3 and sorted(sum(cs, [])) == list(range(63))
     and all(is_acyclic(load_tournament("d2.trn"), sum(1 << v for v in c)) for c in cs))
+# generation is polled per parent and per candidate, so a budget stops it
+run("--budget", "0.2", "search-min-omega", "--k", "4", "--nmax", "8", code=3)
 # W7, the smallest tournament of value 3: each of its rule-table cells breaks a
 # rule (REPORT_DIGESTS["w7"]); no solution to its or c3 => W7's pass instance
 w7 = run("search-min-omega", "--k", "3", "--nmax", "7", n=7).get("tournament")
@@ -110,6 +112,8 @@ run("check-rules", "w7.json", "--first-vertex", "6", excluded=True, cells=lambda
 run("construct", "pi", "w7.json", n=24031)
 run("--budget", "0.05", "construct", "pi", "w7.json", code=3)
 run("construct", "arrow", "c3.trn", "w7.json", "--out", "c3w7.trn")
+# a k = 3 enumeration that kills prefixes (none of W7's own orderings dies)
+run("orderings", "c3w7.trn", "--first", "3", nodes=149887, count=52308)
 run("omega-decide", "--k", "2", "c3w7.trn", code=1, decision=False)
 run("pass", "from-tournament", "w7.json", "--out", "w7.pass.json")
 run("pass", "solve", "w7.pass.json", code=1, found=False, permutation=None)

@@ -50,6 +50,7 @@ transposed; only rows read from files or passed in by callers are.
 from __future__ import annotations
 
 from functools import lru_cache
+from typing import Iterator
 
 from .core import Tournament, _bits
 
@@ -146,6 +147,7 @@ def is_canonical(t: Tournament) -> bool:
     return not _dead_patterns(t, m, tuple(t.rows[m] >> v & 1 for v in range(m)), 1)
 
 
+@lru_cache(maxsize=None)
 def _pattern_masks(m: int) -> tuple[int, ...]:
     """X[v]: the m-bit patterns with bit v set, as one 2^m-bit mask (bit x
     of X[v] is bit v of x)."""
@@ -154,23 +156,24 @@ def _pattern_masks(m: int) -> tuple[int, ...]:
                  for v in range(m))
 
 
+def extensions(t: Tournament) -> Iterator[Tournament]:
+    """The canonical tournaments that extend canonical t by a new last
+    vertex, in generation order; one walk tests every pattern first."""
+    m = t.n
+    new, below = 1 << m, (1 << m) - 1
+    every = (1 << (1 << m)) - 1
+    # bit x of a pattern set stands for the candidate with pattern x
+    for x in _bits(every ^ _dead_patterns(t, m, _pattern_masks(m), every)):
+        rows = (*(row if x >> i & 1 else row | new for i, row in enumerate(t.rows)), x)
+        cols = (*(col | new if x >> i & 1 else col for i, col in enumerate(t.cols)), below ^ x)
+        yield Tournament._with_cols(m + 1, rows, cols)
+
+
 @lru_cache(maxsize=None)
 def canonical_tournaments(n: int) -> tuple[Tournament, ...]:
     """All tournaments on n vertices up to isomorphism, one canonical
     representative each, in generation order."""
     if n < 1:
         raise ValueError("n must be positive")
-    if n == 1:
-        return (Tournament(1, (0,)),)
-    m = n - 1
-    new, below = 1 << m, (1 << m) - 1
-    X = _pattern_masks(m)
-    every = (1 << (1 << m)) - 1
-    result = []
-    for t in canonical_tournaments(m):
-        # bit x of a pattern set stands for the candidate with pattern x
-        for x in _bits(every ^ _dead_patterns(t, m, X, every)):
-            rows = (*(row if x >> i & 1 else row | new for i, row in enumerate(t.rows)), x)
-            cols = (*(col | new if x >> i & 1 else col for i, col in enumerate(t.cols)), below ^ x)
-            result.append(Tournament._with_cols(n, rows, cols))
-    return tuple(result)
+    parents = canonical_tournaments(n - 1) if n > 1 else (Tournament(0, ()),)
+    return tuple(t for parent in parents for t in extensions(parent))

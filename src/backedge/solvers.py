@@ -24,7 +24,9 @@ out of the list: the one-vertex set around them is reached once, so it is
 never replayed.  Before the first ordering every stored set is dead, so
 decision callers get nogood caching and exact first-witness node counts.
 For k >= 3 the check reads the prefix's backedges, which fix the order of
-its vertices, so no key would repeat and nothing is stored.
+its vertices, so no key would repeat and nothing is stored.  Each vertex's
+backedge mask is set once as it is placed (`core._backedge_masks`' formula)
+and is exact on the prefix, so a pop undoes nothing.
 
 The acyclic partition search (`chi_decide`) is a depth-first branch and
 bound over per-class masks on an explicit stack, without clause learning:
@@ -51,7 +53,7 @@ from .core import (
     is_acyclic,
     ordering_clique_number,
 )
-from .generation import canonical_tournaments
+from .generation import extensions
 
 
 @dataclass
@@ -167,13 +169,14 @@ def _prefix_search(
     ``pairs[v][c] & backs[v] & placed`` hold a (k-1)-clique of the prefix's
     backedge graph; at k <= 2 that reads only the placed set.  A killed
     placement is not a node.  Restrictions on the order, such as a first
-    symbol or one symbol before another, enter as ``kills`` entries."""
+    symbol or one symbol before another, enter as ``kills`` entries.  At
+    k >= 3 ``threats[v]`` must be v's in-neighbours, the transpose of ``backs``."""
     deadline.check()
     if n == 0:
         yield ()
         return
     full = (1 << n) - 1
-    # the prefix's backedge masks; only the k >= 3 check reads them
+    # badj[v]: v's backedge mask while v is placed; only k >= 3 reads it
     keep = k >= 3
     badj = [0] * n
     seq: list[int] = []
@@ -199,19 +202,10 @@ def _prefix_search(
         if not avail:
             avails.pop()
             if seq:
-                v = seq.pop()
-                low = 1 << v
-                if keep:
-                    m = badj[v]
-                    badj[v] = 0
-                    while m:
-                        lb = m & -m
-                        badj[lb.bit_length() - 1] ^= low
-                        m ^= lb
-                elif placed != full:
+                if not keep and placed != full:
                     start, nodes = marks.pop()
                     done[placed] = (start, len(out), node_count + skipped - nodes)
-                placed ^= low
+                placed ^= 1 << seq.pop()
             continue
         low = avail & -avail
         avails[-1] = avail ^ low
@@ -237,12 +231,7 @@ def _prefix_search(
         if node_count & 0xFFF == 0:
             deadline.check()
         if keep:
-            badj[v] = nb
-            m = nb
-            while m:
-                lb = m & -m
-                badj[lb.bit_length() - 1] |= low
-                m ^= lb
+            badj[v] = nb | threats[v] & rest
         placed |= low
         seq.append(v)
         if placed == full:
@@ -585,12 +574,18 @@ def min_order_with_omega(
     k: int, n_max: int, *, deadline: Deadline = Deadline()
 ) -> Optional[MinOrderResult]:
     """Smallest n <= n_max carrying a tournament of ordering clique number
-    exactly k, with the first such tournament in canonical generation order."""
+    exactly k, with the first such tournament in canonical generation order,
+    polling before each parent's walk and before each candidate."""
     if k < 1 or n_max < 1:
         raise ValueError("k and n_max must be positive")
+    level = [Tournament(0, ())]
     for n in range(1, n_max + 1):
-        for t in canonical_tournaments(n):
+        level, parents = [], level
+        for parent in parents:
             deadline.check()
-            if omega(t, deadline=deadline).value == k:
-                return MinOrderResult(n, t)
+            for t in extensions(parent):
+                deadline.check()
+                if omega(t, deadline=deadline).value == k:
+                    return MinOrderResult(n, t)
+                level.append(t)
     return None

@@ -6,7 +6,7 @@ import random
 import pytest
 
 from backedge import Deadline as PackageDeadline
-from backedge import constructions, reduction
+from backedge import constructions, generation, reduction
 from backedge.constructions import amplifier, c3, chain, pi
 from backedge.core import BudgetExhausted, Deadline, contains_subtournament
 from backedge.gadgets import check_companion, r5, verify_clause_base, verify_var_base
@@ -187,3 +187,17 @@ def test_copy_constructions_poll_after_chaining(monkeypatch, construction):
     _log_returns(monkeypatch, constructions, ("chain",), log)
     construction(c3(), deadline=PollLog(log))
     assert log[-2:] == ["chain", "poll"]
+
+
+def test_min_order_search_polls_between_generation_walks(monkeypatch):
+    # each parent's walk over its patterns follows a poll, so no level of
+    # generation runs unpolled; the search reads no cached level
+    log = []
+    def walk(*args, _real=generation._dead_patterns):
+        log.append("walk")
+        return _real(*args)
+    monkeypatch.setattr(generation, "_dead_patterns", walk)
+    assert min_order_with_omega(4, 7, deadline=PollLog(log)) is None
+    walks = [i for i, event in enumerate(log) if event == "walk"]
+    assert walks and walks[0] > 0
+    assert all("poll" in log[i + 1:j] for i, j in zip(walks, walks[1:]))

@@ -243,6 +243,21 @@ def test_node_counts_are_pinned_with_both_restrictions_together():
     assert digest.hexdigest() == "5750f7997c20ca32b58b03d7047dacc879495a7b618d6c5987eb831d275a6768"
 
 
+def test_node_counts_are_pinned_at_k3_past_six_vertices(surrogate):
+    # every ordering of W7 has clique number 3, so nothing is killed there;
+    # a 3-cycle before it, with W7's vertex 0 (3 in the chain) first, kills
+    # prefixes at k = 3
+    stats = SearchStats()
+    digest = hashlib.sha256()
+    count = 0
+    t = chain([c3(), surrogate])
+    for ordering in iter_orderings_with_clique_at_most(t, 3, first_vertex=3, stats=stats):
+        digest.update(bytes(ordering))
+        count += 1
+    assert (stats.nodes, count) == (149_887, 52_308)
+    assert digest.hexdigest() == "bbada3ec4fa417b73c6469720347c14829c6961cec0bd83fb6232941d80a1e58"
+
+
 def test_replays_longer_than_one_block_are_pinned():
     # four chained 3-cycles at k = 2: three two-vertex sets are each replayed
     # with 11,583 completions, so those replays cross 4,096-ordering blocks
