@@ -97,6 +97,9 @@ run("pass", "from-tournament", "d2c3.trn", "--out", "d2c3.pass.json", alphabet=6
         pathlib.Path("d2c3.pass.json").read_text()) == to_pass(load_tournament("d2c3.trn")).to_dict())
 run("chi", "d2.trn", value=3, classes=lambda cs: len(cs) == 3 and sorted(sum(cs, [])) == list(range(63))
     and all(is_acyclic(load_tournament("d2.trn"), sum(1 << v for v in c)) for c in cs))
+# a .trn file is read row by row under the budget: a 64 MB one is not read to its end
+run("construct", "tt", "8000", "--out", "big.trn", n=8000)
+run("--budget", "0.05", "omega", "big.trn", code=3, inputs=[], elapsed_ms=lambda ms: ms < 550)
 # generation is polled per parent and per candidate, so a budget stops it
 run("--budget", "0.2", "search-min-omega", "--k", "4", "--nmax", "8", code=3)
 # W7, the smallest tournament of value 3: each of its rule-table cells breaks a
@@ -124,7 +127,13 @@ pathlib.Path("phi.cnf").write_text("p cnf 3 2\n1 2 3 0\n-1 -2 3 0\n")
 run("reduce", "--cnf", "phi.cnf", "--gadget", "w7.json", "--out", "inst.trn", "--landmarks", "inst.json")
 ordering = run("witness", "to-ordering", "--trn", "inst.trn", "--landmarks", "inst.json", "--assign", "1,0,1")
 pathlib.Path("ord.json").write_text(json.dumps(ordering.get("ordering")))
-run("verify-ordering", "--trn", "inst.trn", "--ordering", "ord.json", k4_free=True, has_triangle=True)
+verified = run("verify-ordering", "--trn", "inst.trn", "--ordering", "ord.json", k4_free=True, has_triangle=True)
+# a copy with CRLF line breaks and blank lines verifies the same, digested as it is on disk
+rows = pathlib.Path("inst.trn").read_bytes().splitlines()
+crlf = b"\r\n".join([b"", rows[0], b" \t", *rows[1:], b"", b""])
+pathlib.Path("inst-crlf.trn").write_bytes(crlf)
+run("verify-ordering", "--trn", "inst-crlf.trn", "--ordering", "ord.json", result=lambda r: r == verified,
+    inputs=lambda inputs: inputs[0]["sha256"] == hashlib.sha256(crlf).hexdigest())
 # its last vertex moved to the front closes a 4-clique (the reversed ordering's
 # clique number is too costly to prove here)
 moved = ordering.get("ordering") or []

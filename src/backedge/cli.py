@@ -58,7 +58,7 @@ from .io import (
     ordering_from_text,
     parse_assignment,
     parse_json,
-    parse_tournament,
+    read_tournament,
     save_tournament,
     tournament_to_json_dict,
     write_json,
@@ -510,14 +510,19 @@ def run(argv: Optional[list[str]] = None) -> int:
     def read(path: str, parse: Optional[Callable[[str], object]] = None):
         """The one place an input file becomes a value: it is read once and
         digested as read, as a pipe cannot be read twice and ``--out`` may
-        overwrite it.  ``parse`` takes the text; a tournament by default."""
+        overwrite it.  A tournament (the default) is read line by line under
+        the run's deadline; ``parse`` takes the whole text."""
+        digest = hashlib.sha256()
         with open(path, "rb") as handle:
-            data = handle.read()
-        digest = hashlib.sha256(data).hexdigest()
-        text = data.decode("utf-8")
-        del data  # the bytes are not held while the text is parsed
-        value = parse_tournament(text, path) if parse is None else parse(text)
-        inputs.append({"path": path, "sha256": digest})
+            if parse is None:
+                value = read_tournament(handle, path, digest, deadline)
+            else:
+                data = handle.read()
+                digest.update(data)
+                text = data.decode("utf-8")
+                del data  # the bytes are not held while the text is parsed
+                value = parse(text)
+        inputs.append({"path": path, "sha256": digest.hexdigest()})
         return value
 
     budget: Optional[float] = None

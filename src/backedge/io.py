@@ -3,20 +3,16 @@ orderings and assignments."""
 
 from __future__ import annotations
 
+import itertools
 import json
 import os
-from pathlib import Path
-from typing import Optional, Union
+from typing import BinaryIO, Iterable, Iterator, Optional, Union
 
 from .core import Deadline, Tournament, _quote
 
-# rows formatted between two polls of the deadline while a tournament is saved
+# rows formatted or parsed between two polls of the deadline while a
+# tournament is saved or loaded
 _ROWS_PER_POLL = 256
-
-
-def _format_row(row: int, n: int) -> str:
-    """The n-bit row mask as characters 0/1, column j at index j."""
-    return format(row, f"0{n}b")[::-1]
 
 
 def _parse_row(text: str) -> Optional[int]:
@@ -29,17 +25,24 @@ def _parse_row(text: str) -> Optional[int]:
     return int(text[::-1], 2)
 
 
-def _format_rows(t: Tournament, deadline: Deadline = Deadline()) -> list[str]:
-    """Every row of ``t`` as characters 0/1, polling ``deadline`` per block."""
+def _format_rows(t: Tournament, deadline: Deadline = Deadline(), end: str = "") -> list[str]:
+    """Every row of ``t`` as characters 0/1 (column j at index j), each
+    followed by ``end``, polling ``deadline`` per block of rows."""
+    spec = f"0{t.n}b"
     rows = []
     for start in range(0, t.n, _ROWS_PER_POLL):
         deadline.check()
-        rows.extend(_format_row(row, t.n) for row in t.rows[start:start + _ROWS_PER_POLL])
+        rows.extend(format(row, spec)[::-1] + end for row in t.rows[start:start + _ROWS_PER_POLL])
     return rows
 
 
+def _trn_lines(t: Tournament, deadline: Deadline = Deadline()) -> list[str]:
+    """The .trn text of ``t`` as its lines, each ending in a newline."""
+    return [f"tournament {t.n}\n", *_format_rows(t, deadline, "\n")]
+
+
 def tournament_to_text(t: Tournament, deadline: Deadline = Deadline()) -> str:
-    return "\n".join([f"tournament {t.n}", *_format_rows(t, deadline)]) + "\n"
+    return "".join(_trn_lines(t, deadline))
 
 
 def _digits(token: str) -> bool:
@@ -47,31 +50,54 @@ def _digits(token: str) -> bool:
     return token.isascii() and token.isdigit()
 
 
-def tournament_from_text(text: str) -> Tournament:
-    # blank lines are skipped, but errors give the line's number in the file
-    lines = [(i, line) for i, line in enumerate(text.splitlines(), start=1) if line.strip()]
-    if not lines:
+def _tournament_from_lines(lines: Iterable[str], deadline: Deadline = Deadline()) -> Tournament:
+    """A tournament from .trn lines without their line breaks, parsed as they
+    come and polling ``deadline`` after each block of rows.  Blank lines are
+    skipped, but errors give the line's number in the file.  Every line is
+    taken before an error is raised, so that a streamed file's decode error
+    comes first; then the header's error, the row count's, and the first bad
+    row's."""
+    numbered = ((i, line) for i, line in enumerate(lines, start=1) if line.strip())
+    first, head = next(numbered, (1, None))
+    if head is None:
         raise ValueError("line 1: empty input")
-    (first, head), *body = lines
     header = head.split()
+    error = None
     if len(header) != 2 or header[0] != "tournament":
-        raise ValueError(f"line {first}: expected 'tournament <n>', got {_quote(head)}")
-    if not _digits(header[1]):
-        raise ValueError(f"line {first}: bad vertex count {_quote(header[1])}")
+        error = f"line {first}: expected 'tournament <n>', got {_quote(head)}"
+    elif not _digits(header[1]):
+        error = f"line {first}: bad vertex count {_quote(header[1])}"
+    if error:
+        for _ in numbered:  # read on: a decode error further down comes first
+            pass
+        raise ValueError(error)
     n = int(header[1])
-    if len(body) != n:
-        raise ValueError(f"expected {n} matrix rows, found {len(body)}")
-    rows = []
-    for i, line in body:
+    rows: list[int] = []
+    count = 0
+    for i, line in numbered:
+        count += 1
+        if count % _ROWS_PER_POLL == 0:
+            deadline.check()
+        if error or count > n:
+            continue
         row = line.strip()
-        if len(row) != n:
-            raise ValueError(f"line {i}: expected {n} entries, got {len(row)}")
         bits = _parse_row(row)
-        if bits is None:
+        if len(row) != n:
+            error = f"line {i}: expected {n} entries, got {len(row)}"
+        elif bits is None:
             j, ch = next((j, ch) for j, ch in enumerate(row) if ch not in "01")
-            raise ValueError(f"line {i}, column {j + 1}: invalid character {ch!r}")
-        rows.append(bits)
+            error = f"line {i}, column {j + 1}: invalid character {ch!r}"
+        else:
+            rows.append(bits)
+    if count != n:
+        raise ValueError(f"expected {n} matrix rows, found {count}")
+    if error:
+        raise ValueError(error)
     return Tournament(n, tuple(rows))
+
+
+def tournament_from_text(text: str) -> Tournament:
+    return _tournament_from_lines(text.splitlines())
 
 
 def tournament_to_json_dict(t: Tournament, deadline: Deadline = Deadline()) -> dict:
@@ -128,20 +154,70 @@ def tournament_from_json_dict(data: dict) -> Tournament:
     return Tournament(n, tuple(rows))
 
 
-def parse_tournament(text: str, where: Union[str, os.PathLike]) -> Tournament:
-    """A tournament from .trn text or its JSON mirror (sniffed); errors name
-    ``where``, the text's source."""
+class _DecodeError(UnicodeDecodeError):
+    """A line's UTF-8 decode error, ``start`` and ``end`` counted from the
+    start of the file: its message is the one that decoding the whole file
+    would give.  ``object`` holds the line, which starts at ``offset``."""
+
+    def __init__(self, exc: UnicodeDecodeError, offset: int):
+        super().__init__(exc.encoding, exc.object, exc.start + offset, exc.end + offset, exc.reason)
+        self.offset = offset
+
+    def __str__(self) -> str:
+        if self.end - self.start == 1:
+            byte = self.object[self.start - self.offset]
+            where = f"byte 0x{byte:02x} in position {self.start}"
+        else:
+            where = f"bytes in position {self.start}-{self.end - 1}"
+        return f"'{self.encoding}' codec can't decode {where}: {self.reason}"
+
+
+def _decoded_lines(handle: BinaryIO, digest=None) -> Iterator[str]:
+    """The UTF-8 text of ``handle`` one line at a time, line break included;
+    each line's bytes are passed to ``digest.update`` as read, unless
+    ``digest`` is None."""
+    offset = 0
+    for line in handle:
+        if digest is not None:
+            digest.update(line)
+        try:
+            text = line.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise _DecodeError(exc, offset) from None
+        offset += len(line)
+        yield text
+
+
+def read_tournament(
+    handle: BinaryIO, where: Union[str, os.PathLike], digest=None,
+    deadline: Deadline = Deadline(),
+) -> Tournament:
+    """A tournament from binary ``handle`` (a pipe too), read once: .trn
+    text is parsed line by line, polling ``deadline``; a JSON mirror (its
+    first non-blank text is ``{``) is read whole.  The bytes are passed to
+    ``digest.update`` as read.  Errors name ``where``, the handle's source,
+    except a decode error, which gives its position in the file."""
+    texts = _decoded_lines(handle, digest)
+    head = []  # the text up to and including the first line that is not blank
+    for text in texts:
+        head.append(text)
+        if not text.isspace():
+            break
     try:
-        if text.lstrip().startswith("{"):
-            return tournament_from_json_dict(parse_json(text))
-        return tournament_from_text(text)
+        if head and head[-1].lstrip().startswith("{"):
+            return tournament_from_json_dict(parse_json("".join(itertools.chain(head, texts))))
+        lines = itertools.chain.from_iterable(map(str.splitlines, itertools.chain(head, texts)))
+        return _tournament_from_lines(lines, deadline)
+    except UnicodeDecodeError:
+        raise
     except ValueError as exc:
         raise ValueError(f"{where}: {exc}") from None
 
 
-def load_tournament(path: Union[str, os.PathLike]) -> Tournament:
+def load_tournament(path: Union[str, os.PathLike], deadline: Deadline = Deadline()) -> Tournament:
     """Read a tournament from .trn text or its JSON mirror (sniffed)."""
-    return parse_tournament(Path(path).read_text(encoding="utf-8"), path)
+    with open(path, "rb") as handle:
+        return read_tournament(handle, path, deadline=deadline)
 
 
 def save_tournament(
@@ -151,11 +227,11 @@ def save_tournament(
     text.  The rows are formatted, polling ``deadline``, before the file is
     opened, so a run out of budget writes nothing."""
     if str(path).endswith(".json"):
-        payload = json.dumps(tournament_to_json_dict(t, deadline), indent=1) + "\n"
+        lines = [json.dumps(tournament_to_json_dict(t, deadline), indent=1), "\n"]
     else:
-        payload = tournament_to_text(t, deadline)
+        lines = _trn_lines(t, deadline)
     with open(path, "w", encoding="utf-8") as handle:
-        handle.write(payload)
+        handle.writelines(lines)
 
 
 def ordering_from_text(text: str) -> tuple[int, ...]:

@@ -7,9 +7,10 @@ import pytest
 
 from backedge import Deadline as PackageDeadline
 from backedge import constructions, generation, reduction
-from backedge.constructions import amplifier, c3, chain, pi
+from backedge.constructions import amplifier, c3, chain, pi, tt
 from backedge.core import BudgetExhausted, Deadline, contains_subtournament
 from backedge.gadgets import check_companion, r5, verify_clause_base, verify_var_base
+from backedge.io import load_tournament, save_tournament
 from backedge.reduction import (
     build,
     instance_from_dict,
@@ -50,14 +51,18 @@ def _tournament13():
     return labeled_tournament(13, rng.randrange(labeled_count(13)))
 
 
-def _entry_points(surrogate):
-    """Each entry point as a call taking only the optional ``deadline``."""
+def _entry_points(surrogate, folder):
+    """Each entry point as a call taking only the optional ``deadline``; files
+    they read are written to ``folder``."""
     phi = parse_dimacs("p cnf 3 1\n1 2 3 0\n")
     instance = build(phi, surrogate)
     # a 13-vertex tournament's pass instance with no solution: unless a poll
     # stops it, the search runs until it refutes the instance
     pass13 = to_pass(_tournament13())
     r5_minimum = next(enumerate_omega_orderings(r5()))
+    # 300 rows: the load polls once, after the first 256
+    trn = folder / "tt300.trn"
+    save_tournament(tt(300), trn)
     return {
         "amplifier": lambda **kw: amplifier(c3(), **kw),
         "pi": lambda **kw: pi(c3(), **kw),
@@ -77,6 +82,7 @@ def _entry_points(surrogate):
         "solve_pass": lambda **kw: solve_pass(pass13, **kw),
         "PassInstance.from_dict": lambda **kw: PassInstance.from_dict(pass13.to_dict(), **kw),
         "contains_subtournament": lambda **kw: contains_subtournament(r5(), c3(), **kw),
+        "load_tournament": lambda **kw: load_tournament(trn, **kw),
     }
 
 
@@ -84,13 +90,13 @@ ENTRY_POINTS = [
     "amplifier", "pi", "build", "instance_from_dict", "verify_ordering", "check_companion",
     "verify_var_base", "verify_clause_base", "enumerate_omega_orderings",
     "minimum_ordering", "min_order_with_omega", "solve_pass", "PassInstance.from_dict",
-    "contains_subtournament",
+    "contains_subtournament", "load_tournament",
 ]
 
 
 @pytest.mark.parametrize("name", ENTRY_POINTS)
-def test_entry_point_passes_its_deadline_to_a_poll(name, surrogate):
-    call = _entry_points(surrogate)[name]
+def test_entry_point_passes_its_deadline_to_a_poll(name, surrogate, tmp_path):
+    call = _entry_points(surrogate, tmp_path)[name]
     deadline = FirstPoll()
     with pytest.raises(BudgetExhausted, match="poll 1"):
         call(deadline=deadline)

@@ -1,11 +1,13 @@
 """The block transpose, the per-vertex tournament check and the row codec of
 ``io`` against the per-arc, pairwise and per-character loops they replace,
 which stay here as reference implementations: same columns, same verdicts,
-same error messages and the same file bytes."""
+same error messages and the same file bytes.  Files are read line by line
+against whole-file decoding and the same reference parser."""
 
 import json
 import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -13,6 +15,7 @@ from backedge.constructions import c3, pi
 from backedge.core import _TRANSPOSE_BLOCK, Digraph, Tournament
 from backedge.gadgets import r5
 from backedge.io import (
+    load_tournament,
     save_tournament,
     tournament_from_json_dict,
     tournament_from_text,
@@ -223,6 +226,93 @@ def test_corrupt_trn_row_gives_the_reference_verdict_and_message(n, seed, token,
 
     got = outcome(lambda: tournament_from_json_dict({"n": n, "rows": raw_rows}).rows)
     assert got == outcome(reference_json)
+
+
+def reference_load(path):
+    """Whole-file decoding, then the per-character parser; its errors name
+    ``path`` as ``load_tournament``'s do, but a decode error is unprefixed."""
+    text = path.read_bytes().decode("utf-8")
+    try:
+        m, parsed = reference_from_text(text)
+        reference_check(m, parsed, True)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+    return parsed
+
+
+# str.splitlines breaks lines at each of these; two of them are not ASCII
+LINE_BREAKS = ["\n", "\r\n", "\r", "\x0b", "\x1c", "\x85", "\u2028"]
+BLANKS = ["", " ", "\t", " \t\x0c "]
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 12) | st.sampled_from([B + 1]), st.integers(0, 2**32),
+       st.sampled_from(["\n", "\r\n", "\r", "mixed"]), st.sampled_from(ROW_TOKENS + [None]),
+       st.data())
+def test_trn_files_load_as_whole_text_does(tmp_path_factory, n, seed, ending, token, data):
+    # any line endings, blank lines anywhere, and at times one corrupt row
+    lines = reference_to_text(Tournament(n, random_tournament_rows(n, random.Random(seed)))).splitlines()
+    if token is not None and n >= len(token):
+        i = data.draw(st.integers(1, n))
+        lines[i] = corrupt(lines[i], token, data.draw(st.integers(0, n - len(token))))
+    for _ in range(data.draw(st.integers(0, 4))):
+        lines.insert(data.draw(st.integers(0, len(lines))), data.draw(st.sampled_from(BLANKS)))
+    breaks = st.sampled_from(LINE_BREAKS) if ending == "mixed" else st.just(ending)
+    ends = [data.draw(breaks) for _ in lines]
+    if data.draw(st.booleans()):
+        ends[-1] = ""  # no break after the last line
+    text = "".join(line + end for line, end in zip(lines, ends))
+    path = tmp_path_factory.mktemp("trn") / "t.trn"
+    path.write_bytes(text.encode())
+    assert outcome(lambda: load_tournament(path).rows) == outcome(lambda: reference_load(path))
+
+
+def test_blank_lines_before_a_json_mirror(tmp_path):
+    path = tmp_path / "t.trn"
+    mirror = json.dumps(tournament_to_json_dict(r5()), indent=1)
+    for blank in ("", "\n", "\r\n \t\r\n", "\r \n\n  "):
+        path.write_text(blank + mirror, encoding="utf-8")
+        assert load_tournament(path) == r5()
+    # blank text that JSON does not take as whitespace is still sniffed as JSON
+    path.write_text("\u2028\n" + mirror, encoding="utf-8")
+    with pytest.raises(ValueError) as want:
+        json.loads("\u2028\n" + mirror)
+    assert outcome(lambda: load_tournament(path)) == ("error", f"{path}: {want.value}")
+    path.write_text("\n\n" + mirror.replace('"n": 5', '"n": 4'), encoding="utf-8")
+    assert outcome(lambda: load_tournament(path)) == ("error", f"{path}: expected 4 rows, got 5")
+
+
+def test_a_wrong_row_count_wins_over_a_bad_row(tmp_path):
+    path = tmp_path / "t.trn"
+    for text in ("tournament 3\n01x\n001\n", "tournament 2\n0\n10\n00\n", "tournament 2\n\n012\n"):
+        path.write_text(text)
+        got = outcome(lambda: load_tournament(path))
+        assert got == outcome(lambda: reference_load(path)) and "matrix rows" in got[1], text
+
+
+# bytes that are not UTF-8: a stray continuation byte, a cut sequence, and
+# the start of a sequence followed by a line break or the end of the file
+BAD_BYTES = [b"\x80", b"\xff", b"\xe2\x82", b"\xc3", b"\xf0\x9f\x98"]
+
+
+@pytest.mark.parametrize("bad", BAD_BYTES)
+def test_a_late_undecodable_byte_fails_as_whole_file_decoding_does(tmp_path, bad):
+    n = 2 * B + 3
+    data = reference_to_text(Tournament(n, random_tournament_rows(n, random.Random(5)))).encode()
+    path = tmp_path / "t.trn"
+    row = len(data) - 3 * (n + 1)  # the start of the third row from the end
+    for at in (row, row + 17, row + n - len(bad), len(data) - len(bad)):
+        cases = [data[:at] + bad + data[at + len(bad):]]
+        # a bad header or an earlier bad row does not win over the decode error
+        cases.append(cases[0].replace(b"tournament", b"tourney", 1))
+        cases.append(cases[0][:n] + b"2" + cases[0][n + 1:])
+        for corrupted in cases:
+            path.write_bytes(corrupted)
+            with pytest.raises(UnicodeDecodeError) as want:
+                corrupted.decode("utf-8")
+            with pytest.raises(UnicodeDecodeError) as got:
+                load_tournament(path)
+            assert str(got.value) == str(want.value)
 
 
 def test_json_rows_keep_the_per_cell_path():

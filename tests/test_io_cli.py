@@ -880,6 +880,7 @@ def test_cli_budget_bounds_each_verbs_wall_time(capsys, tmp_path, surrogate):
     # without a budget, on a 2-vCPU Xeon VM, the inputs below take about
     # 0.2 s for check-rules, 0.3 s for the value-2 orderings, 0.4 s each for
     # construct delta (4,500 vertices) and construct pi over W7 (24,031),
+    # 0.7 s to load the 64 MB .trn of an 8,000-vertex tournament,
     # 0.6 s for pass solve on 24 symbols, 1 s for reduce, 2 s for
     # verify-ordering, 9 s for omega, 11 s for forcing, 30 s for pass
     # from-tournament (3,341,801 words) and about 40 s for search-min-omega
@@ -909,6 +910,8 @@ def test_cli_budget_bounds_each_verbs_wall_time(capsys, tmp_path, surrogate):
     t300 = saved("t300.trn", drawn(300))
     cases = [
         ("omega", t18),
+        # polled per block of rows while the file is read
+        ("omega", saved("tt8000.trn", tt(8000))),
         ("orderings", saved("t12.trn", _random_tournament(12, 5))),
         # value 2, so the enumeration replays the subtrees of repeated sets
         ("orderings", saved("c3t17.trn", chain([c3(), _random_tournament(17, 2)]))),

@@ -2,10 +2,14 @@
 produce, the readers take back unchanged."""
 
 import json
+import random
+import tracemalloc
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from backedge.core import Digraph, Tournament
 from backedge.io import (
     load_tournament,
     ordering_from_text,
@@ -106,3 +110,40 @@ def test_landmark_files_of_small_reductions_round_trip(tmp_path_factory, surroga
     tournament = load_tournament(folder / "inst.trn")
     landmarks = json.loads((folder / "inst.json").read_text())
     assert instance_from_dict(landmarks, tournament) == instance
+
+
+def traced_peak(call):
+    """The most memory that ``call()`` holds at once, in bytes, by tracemalloc."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.fixture(scope="module")
+def t2000():
+    """A seeded random tournament on 2,000 vertices.  Its rows, as integers,
+    take 0.5 MB and its .trn file 4.0 MB."""
+    n, rng = 2000, random.Random(1)
+    # a coin flip for each arc u -> v with v > u; below u, u -> v where v -> u is not
+    forward = tuple(rng.getrandbits(n) & ~((2 << u) - 1) for u in range(n))
+    into = Digraph(n, forward).cols
+    return Tournament(n, tuple(f | ((1 << u) - 1) & ~c for u, (f, c) in enumerate(zip(forward, into))))
+
+
+# neither a save nor a load holds a second copy of the file's text
+def test_saving_a_trn_file_holds_its_text_once(tmp_path, t2000):
+    path = tmp_path / "t.trn"
+    peak = traced_peak(lambda: save_tournament(t2000, path))
+    assert peak <= 1.25 * path.stat().st_size, peak
+
+
+def test_loading_a_trn_file_holds_less_than_its_text(tmp_path, t2000):
+    path = tmp_path / "t.trn"
+    save_tournament(t2000, path)
+    loaded = []
+    peak = traced_peak(lambda: loaded.append(load_tournament(path)))
+    assert peak <= path.stat().st_size, peak
+    assert loaded == [t2000]
