@@ -54,7 +54,7 @@ def run(*argv, code=0, nodes=None, stdin=None, **fields):
 with resources.as_file(resources.files("backedge") / "data" / "r5.trn") as r5:
     # omega runs the ordering search, chi the class-mask search
     run("omega", r5, value=2)
-    run("chi", r5, value=2)
+    run("chi", r5, nodes=0, value=2)
     # node counts pinned, with forcing's before=(1, 0) and --first in the kill table
     run("orderings", r5, nodes=140, count=45)
     run("orderings", r5, "--first", "0", nodes=28, count=9)
@@ -86,7 +86,7 @@ run("construct", "c3", "--out", "c3.trn")
 run("construct", "amplifier", "c3.trn", "--out", "amp.trn")
 run("construct", "amplifier", "c3.trn", "--audit-subsets", "200", hitting_audit=lambda a: a["hit"] == 200)
 run("chi-decide", "--k", "2", "amp.trn", code=1, nodes=3, decision=False)
-run("chi", "amp.trn", value=3)
+run("chi", "amp.trn", nodes=3, value=3)
 # chi(D2) = 3 for D2 = pi(c3), with three acyclic classes partitioning its vertices
 run("construct", "pi", "c3.trn", "--out", "d2.trn")
 run("chi-decide", "--k", "2", "d2.trn", code=1, nodes=3)
@@ -95,8 +95,14 @@ run("construct", "arrow", "d2.trn", "c3.trn", "--out", "d2c3.trn", n=66)
 run("pass", "from-tournament", "d2c3.trn", "--out", "d2c3.pass.json", alphabet=66,
     result=lambda r: "forbidden" not in r, written=lambda _: json.loads(
         pathlib.Path("d2c3.pass.json").read_text()) == to_pass(load_tournament("d2c3.trn")).to_dict())
-run("chi", "d2.trn", value=3, classes=lambda cs: len(cs) == 3 and sorted(sum(cs, [])) == list(range(63))
-    and all(is_acyclic(load_tournament("d2.trn"), sum(1 << v for v in c)) for c in cs))
+def d2_classes(cs):
+    return len(cs) == 3 and sorted(sum(cs, [])) == list(range(63)) and all(
+        is_acyclic(load_tournament("d2.trn"), sum(1 << v for v in c)) for c in cs)
+
+
+run("chi", "d2.trn", nodes=3, value=3, classes=d2_classes)
+# three classes place every vertex by forcing or on the first branch tried
+run("chi-decide", "--k", "3", "d2.trn", nodes=0, decision=True, classes=d2_classes)
 # a .trn file is read row by row under the budget: a 64 MB one is not read to its end
 run("construct", "tt", "8000", "--out", "big.trn", n=8000)
 run("--budget", "0.05", "omega", "big.trn", code=3, inputs=[], elapsed_ms=lambda ms: ms < 550)

@@ -54,6 +54,7 @@ from .gadgets import (
     verify_var_base,
 )
 from .io import (
+    _decoded_lines,
     _digits,
     ordering_from_text,
     parse_assignment,
@@ -393,6 +394,9 @@ def _reduce(args, deadline, read) -> Outcome:
       arg("--assign", default=None),
       arg("--ordering", default=None))
 def _witness(args, deadline, read) -> Outcome:
+    stray = "--ordering" if args.direction == "to-ordering" else "--assign"
+    if getattr(args, stray[2:]) is not None:
+        raise ValueError(f"witness {args.direction} does not take {stray}")
     t = read(args.trn)
     instance = instance_from_dict(read(args.landmarks, parse_json), t, deadline=deadline)
     if args.direction == "to-ordering":
@@ -517,11 +521,7 @@ def run(argv: Optional[list[str]] = None) -> int:
             if parse is None:
                 value = read_tournament(handle, path, digest, deadline)
             else:
-                data = handle.read()
-                digest.update(data)
-                text = data.decode("utf-8")
-                del data  # the bytes are not held while the text is parsed
-                value = parse(text)
+                value = parse("".join(_decoded_lines(handle, digest)))
         inputs.append({"path": path, "sha256": digest.hexdigest()})
         return value
 

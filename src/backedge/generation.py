@@ -39,12 +39,12 @@ never compare smaller, or the parent would not be canonical).  Children go
 in vertex order, m last: at n = 8 the walk visits 87,774 prefixes over the
 456 parents, 115,762 with m first.
 
-``is_canonical(t)`` runs the same walk on a one-pattern universe: the
-parent is t without its last vertex, ``every = 1`` and ``X[v]`` is bit v of
-t's last row.  The accepted candidates get their rows and columns from the
-parent's and the pattern, which describe a tournament by construction (the
-parent is one, and the pattern orients each new pair once), so nothing is
-transposed; only rows read from files or passed in by callers are.
+A tournament t is canonical exactly when it is among the extensions of t
+without its last vertex.  The accepted candidates get their rows and
+columns from the parent's and the pattern, which describe a tournament by
+construction (the parent is one, and the pattern orients each new pair
+once), so nothing is transposed; only rows read from files or passed in by
+callers are.
 """
 
 from __future__ import annotations
@@ -55,12 +55,13 @@ from typing import Iterator
 from .core import Tournament, _bits
 
 
-def _dead_patterns(t: Tournament, m: int, X: tuple[int, ...], every: int) -> int:
-    """The patterns x in ``every`` whose candidate (the first m vertices of
-    t, plus vertex m with m -> i iff bit i of x) has a relabeling with a
-    smaller staircase encoding."""
-    rows, cols = t.rows, t.cols
-    outs = [tuple(_bits(rows[s] & ((1 << m) - 1))) for s in range(m)]
+def _dead_patterns(t: Tournament) -> int:
+    """The set of patterns x whose candidate (t plus a last vertex m = t.n,
+    with m -> i iff bit i of x) has a relabeling with a smaller staircase
+    encoding."""
+    m, rows, cols = t.n, t.rows, t.cols
+    X, every = _pattern_masks(m), (1 << (1 << m)) - 1
+    outs = [tuple(_bits(row)) for row in rows]
     targets = [cols[p] & ((1 << p) - 1) for p in range(m)]
     col = [0] * m
     # jb: 1 << the position of m once placed; stack[-1]: the (vertex, tied
@@ -141,12 +142,6 @@ def _dead_patterns(t: Tournament, m: int, X: tuple[int, ...], every: int) -> int
                 break
 
 
-def is_canonical(t: Tournament) -> bool:
-    """True when no vertex relabeling gives a smaller staircase encoding."""
-    m = t.n - 1
-    return not _dead_patterns(t, m, tuple(t.rows[m] >> v & 1 for v in range(m)), 1)
-
-
 @lru_cache(maxsize=None)
 def _pattern_masks(m: int) -> tuple[int, ...]:
     """X[v]: the m-bit patterns with bit v set, as one 2^m-bit mask (bit x
@@ -163,7 +158,7 @@ def extensions(t: Tournament) -> Iterator[Tournament]:
     new, below = 1 << m, (1 << m) - 1
     every = (1 << (1 << m)) - 1
     # bit x of a pattern set stands for the candidate with pattern x
-    for x in _bits(every ^ _dead_patterns(t, m, _pattern_masks(m), every)):
+    for x in _bits(every ^ _dead_patterns(t)):
         rows = (*(row if x >> i & 1 else row | new for i, row in enumerate(t.rows)), x)
         cols = (*(col | new if x >> i & 1 else col for i, col in enumerate(t.cols)), below ^ x)
         yield Tournament._with_cols(m + 1, rows, cols)

@@ -373,58 +373,42 @@ def _place(
 
 
 def _settle(
-    rows: Sequence[int], cols: Sequence[int], members: list[int], opens: list[int],
-    free: int, used: int, k: int,
-) -> Optional[tuple[int, int]]:
+    rows: Sequence[int], cols: Sequence[int], members: list[int], opens: list[int], free: int
+) -> Optional[int]:
     """Place every free vertex with one open class left into it, until none
-    is left: the free mask and the used class count then, or None once a
-    free vertex has no open class.  The ``used`` classes with members come
-    first; every free vertex is open in each empty class."""
+    is left: the free mask then, or None once a free vertex has no open
+    class.  An empty class is open to every free vertex."""
     while True:
-        one = two = 0  # free vertices open in at least one, two used classes
-        for c in range(used):
-            o = opens[c] & free
+        one = two = 0  # free vertices open in at least one, two classes
+        for o in opens:
+            o &= free
             two |= one & o
             one |= o
-        if used == k:
-            if free & ~one:
-                return None
-            units = one & ~two
-            if not units:
-                return free, used
-            while units:
-                bit = units & -units
-                units ^= bit
-                for c in range(k):
-                    if opens[c] & bit:
-                        break
-                else:
-                    return None  # closed out of its class by an earlier unit
-                _place(rows, cols, members, opens, bit.bit_length() - 1, c)
-                free ^= bit
-        elif used == k - 1:
-            # a vertex open in no used class has only the empty class left
-            units = free & ~one
-            if not units:
-                return free, used
+        if free & ~one:
+            return None
+        units = one & ~two
+        if not units:
+            return free
+        while units:
             bit = units & -units
-            _place(rows, cols, members, opens, bit.bit_length() - 1, used)
+            units ^= bit
+            for c, o in enumerate(opens):
+                if o & bit:
+                    break
+            else:
+                return None  # closed out of its class by an earlier unit
+            _place(rows, cols, members, opens, bit.bit_length() - 1, c)
             free ^= bit
-            used += 1
-        else:
-            return free, used
 
 
-def _branch(opens: Sequence[int], free: int, used: int, k: int) -> tuple[int, list[int]]:
+def _branch(members: Sequence[int], opens: Sequence[int], free: int) -> tuple[int, list[int]]:
     """The free vertex with the fewest open classes, the lowest such vertex,
-    and the classes to try for it: its open classes among the ``used``
-    classes with members, in order, then the first empty class if any.
-    Every free vertex is open in every empty class, so the counts read only
-    the used ones."""
+    and the classes to try for it: its open classes in order, up to and
+    including the first empty one.  The classes with members come first."""
     # bit-sliced count of each vertex's open classes: planes[i] holds bit i
     planes: list[int] = []
-    for c in range(used):
-        carry = opens[c] & free
+    for o in opens:
+        carry = o & free
         for i, plane in enumerate(planes):
             planes[i] = plane ^ carry
             carry &= plane
@@ -438,9 +422,12 @@ def _branch(opens: Sequence[int], free: int, used: int, k: int) -> tuple[int, li
         if least & ~plane:
             least &= ~plane
     v = (least & -least).bit_length() - 1
-    choices = [c for c in range(used) if opens[c] >> v & 1]
-    if used < k:
-        choices.append(used)
+    choices = []
+    for c, o in enumerate(opens):
+        if o >> v & 1:
+            choices.append(c)
+            if not members[c]:
+                break
     return v, choices
 
 
@@ -454,11 +441,12 @@ def chi_decide(
     Per class it keeps its members and its open mask, the vertices that
     may still join it; a free vertex is one in no class.  Placing u in class
     c drops from c's open mask every vertex that would close a directed
-    cycle with c's members and u (`_place`).  Then every free vertex with
-    one open class left joins it, and a free vertex with none is a dead
-    end.  Otherwise the search branches on the free vertex with the fewest
-    open classes, the lowest such vertex (DSatur, Brélaz 1979), trying its
-    open classes with members in order, then one empty class.
+    cycle with c's members and u (`_place`).  An empty class is open to
+    every free vertex.  Then every free vertex with one open class left
+    joins it, and a free vertex with none is a dead end.  Otherwise the
+    search branches on the free vertex with the fewest open classes, the
+    lowest such vertex (DSatur, Brélaz 1979), trying its open classes in
+    order up to and including the first empty one.
     ``conflicts`` counts the dead ends below the root, so a verdict reached
     without branching counts 0.  k = 1 needs no search: one acyclicity test
     decides it, with 0 conflicts.  The deadline is polled once before the
@@ -474,14 +462,17 @@ def chi_decide(
     every w in both closes a walk u .. w .. u inside M + u + w, which holds
     a cycle.  So the classes of a completed search are acyclic.
 
-    Completeness: a forced vertex joins the only class that any extension
-    can give it, and a vertex with no open class has none.  Every branch
-    tries each open class of its vertex except the empty ones after the
-    first.  Empty classes are interchangeable: no vertex is closed out of
-    an empty class, so relabelling the classes of a partition that puts the
-    vertex in another empty class gives one that puts it in the first, and
-    agrees with every placement made so far.  The classes with members are
-    thus always 0 .. used - 1, so vertex 0 starts class 0 and no other
+    Completeness: the classes with members always form a prefix
+    0 .. m - 1, since no placement skips an empty class.  A branch tries
+    none past the first, and a forced vertex has one open class, so when a
+    class is empty it is that one, class m = k - 1.  A forced vertex joins
+    the only class that any extension can give it, and a vertex with no
+    open class has none.  Every branch tries each open class of its vertex
+    except the empty ones after class m.  Empty classes are
+    interchangeable: no vertex is closed out of an empty class, so
+    relabelling the classes of a partition that puts the vertex in another
+    empty class gives one that puts it in class m, and agrees with every
+    placement made so far.  So vertex 0 starts class 0 and no other
     symmetry needs breaking.
     """
     if k < 1:
@@ -497,34 +488,31 @@ def chi_decide(
     rows, cols = d.rows, d.cols
     members = [0] * k
     opens = [(1 << n) - 1] * k
-    free = (1 << n) - 1
-    used = 0  # classes 0 .. used - 1 have members
-    # one frame per branch point: its members, opens, free and used, its
-    # vertex and the classes still to try for it, the next one last
-    stack: list[tuple[list[int], list[int], int, int, int, list[int]]] = []
+    free: Optional[int] = (1 << n) - 1
+    # one frame per branch point: its members, opens and free, its vertex
+    # and the classes still to try for it, the next one last
+    stack: list[tuple[list[int], list[int], int, int, list[int]]] = []
     tried = dead_ends = 0
     while True:
-        settled = _settle(rows, cols, members, opens, free, used, k)
-        if settled is None:
+        free = _settle(rows, cols, members, opens, free)
+        if free is None:
             dead_ends += bool(stack)
-        elif not settled[0]:
+        elif not free:
             classes = tuple(tuple(_bits(m)) for m in members if m)
             return ChiDecideResult(True, classes, dead_ends)
         else:
-            free, used = settled
-            v, choices = _branch(opens, free, used, k)
+            v, choices = _branch(members, opens, free)
             choices.reverse()
-            stack.append((members, opens, free, used, v, choices))
-        while stack and not stack[-1][5]:
+            stack.append((members, opens, free, v, choices))
+        while stack and not stack[-1][4]:
             stack.pop()
         if not stack:
             return ChiDecideResult(False, None, dead_ends)
-        members, opens, free, used, v, choices = stack[-1]
+        members, opens, free, v, choices = stack[-1]
         c = choices.pop()
         members, opens = members[:], opens[:]
         _place(rows, cols, members, opens, v, c)
         free ^= 1 << v
-        used += c == used
         tried += 1
         if not tried & 0x3FF:
             deadline.check()

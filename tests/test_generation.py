@@ -3,12 +3,13 @@ import inspect
 import itertools
 import json
 import random
+from functools import lru_cache
 
 import pytest
 
 from backedge.core import Tournament, _transpose, contains_subtournament
 from backedge.gadgets import r5
-from backedge.generation import _pattern_masks, canonical_tournaments, is_canonical
+from backedge.generation import _pattern_masks, canonical_tournaments, extensions
 
 from labeled import labeled_count, labeled_tournament
 
@@ -70,6 +71,18 @@ def oracle_is_canonical(t: Tournament) -> bool:
         return False
 
     return not smaller_exists(0)
+
+
+@lru_cache(maxsize=None)
+def _extension_rows(m, rows):
+    return frozenset(t.rows for t in extensions(Tournament(m, rows)))
+
+
+def is_canonical(t: Tournament) -> bool:
+    """Asked of the generator: t is canonical exactly when it is among the
+    extensions of its first n - 1 vertices (one parent's walk, cached)."""
+    m = t.n - 1
+    return t.rows in _extension_rows(m, tuple(row & ((1 << m) - 1) for row in t.rows[:m]))
 
 
 def candidates(n):
@@ -170,8 +183,8 @@ def test_is_canonical_when_the_first_vertices_are_not_canonical():
 
 
 def test_is_canonical_searches_from_the_empty_prefix():
-    # is_canonical walks with the input's last row as its one pattern and
-    # must still search every relabeling of any labeled input
+    # the walk over a labeled parent's patterns must still search every
+    # relabeling of any labeled input
     rng = random.Random(9)
     for _ in range(300):
         t = labeled_tournament(9, rng.getrandbits(36))

@@ -1198,6 +1198,44 @@ def test_cli_witness_rejects_landmark_leaves_of_another_json_type(
     assert envelope["result"]["error"] == "landmarks do not describe this tournament"
 
 
+def test_cli_witness_refuses_the_other_directions_option(capsys, tmp_path, surrogate):
+    # refused before any file is read, in construct's wording for a stray option
+    inst_trn, inst_json = _reduced(tmp_path, surrogate, capsys)
+    for direction, given, stray in (("to-ordering", "--assign", "--ordering"),
+                                    ("to-assignment", "--ordering", "--assign")):
+        code, envelope = _run(capsys, "witness", direction, "--trn", str(inst_trn),
+                              "--landmarks", str(inst_json), given, "1,0,0", stray, "garbage")
+        assert code == 2
+        assert envelope["result"]["error"] == f"witness {direction} does not take {stray}"
+        assert envelope["inputs"] == []
+
+
+def test_cli_decode_errors_match_whole_file_decoding(capsys, tmp_path, surrogate):
+    # every input is decoded line by line; its error is the whole file's,
+    # position included
+    inst_trn, inst_json = _reduced(tmp_path, surrogate, capsys)
+    w7 = tmp_path / "w7.trn"
+    landmarks = inst_json.read_bytes()
+    cut = landmarks.index(b"]") + 1  # inside the JSON, past its first line
+    cases = (
+        ("phi.cnf", b"c a comment\np cnf 3 2\n1 2 3 0\n-1 \xff-2 3 0\n",
+         lambda path: ("reduce", "--cnf", path, "--gadget", str(w7))),
+        ("inst.json", landmarks[:cut] + b"\r\n\xe2\x82" + landmarks[cut:],
+         lambda path: ("witness", "to-ordering", "--trn", str(inst_trn),
+                       "--landmarks", path, "--assign", "1,0,1")),
+        ("ord.json", b"[0, 1,\n 2, 3,\n 4\xf0\x9f\x98]\n",
+         lambda path: ("verify-ordering", "--trn", str(w7), "--ordering", path)),
+    )
+    for name, data, argv in cases:
+        path = tmp_path / name
+        path.write_bytes(data)
+        with pytest.raises(UnicodeDecodeError) as whole:
+            data.decode("utf-8")
+        code, envelope = _run(capsys, *argv(str(path)))
+        assert code == 2
+        assert envelope["result"]["error"] == str(whole.value), name
+
+
 def test_cli_pass_from_tournament_answers_tt40_within_budget(capsys, tmp_path):
     trn = tmp_path / "tt40.trn"
     save_tournament(tt(40), trn)

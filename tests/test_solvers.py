@@ -466,13 +466,19 @@ def test_chi_decide_places_the_most_constrained_vertex_in_its_lowest_open_class(
     # the rule read from the masks alone: among the vertices in no class,
     # the lowest with the fewest open classes (every empty class open to
     # all), tried in its open classes with members in order, then in one
-    # empty class; the clause-learning engine is never built
+    # empty class; the classes with members come first; the
+    # clause-learning engine is never built
     branches = []
     branch = solvers._branch
 
-    def recording(opens, free, used, k):
-        v, choices = branch(opens, free, used, k)
-        counts = {u: sum(c >= used or opens[c] >> u & 1 for c in range(k)) for u in _bits(free)}
+    def recording(members, opens, free):
+        v, choices = branch(members, opens, free)
+        k = len(members)
+        used = next((c for c in range(k) if not members[c]), k)
+        assert not any(members[used:])
+        counts = {
+            u: sum(not members[c] or opens[c] >> u & 1 for c in range(k)) for u in _bits(free)
+        }
         want = min(counts, key=lambda u: (counts[u], u))
         open_used = [c for c in range(used) if opens[c] >> want & 1]
         assert (v, choices) == (want, open_used + [used] * (used < k))
