@@ -335,23 +335,6 @@ def _back_arc(rows: Sequence[int], mask: int) -> Optional[tuple[list[int], int]]
     return None
 
 
-def directed_cycle(d: Digraph, within: Optional[int] = None) -> Optional[tuple[int, ...]]:
-    """A directed cycle of the digraph induced on the vertex bitmask ``within``
-    (all vertices when None), listed along its arcs, or None when that
-    digraph is acyclic.
-
-    The first directed triangle is returned when there is one; otherwise the
-    first cycle closed by a depth-first search that starts from, and steps
-    to, the lowest vertices first."""
-    mask = (1 << d.n) - 1 if within is None else within
-    found = _back_arc(d.rows, mask)
-    if found is None:
-        return None
-    # cyclic, so scan for a triangle; an acyclic mask skips the scan
-    path, w = found
-    return directed_triangle(d, mask) or tuple(path[path.index(w):])
-
-
 def is_acyclic(d: Digraph, within: Optional[int] = None) -> bool:
     """True iff the (induced) digraph has no directed cycle: one depth-first
     search, with no scan for a triangle."""

@@ -234,7 +234,8 @@ def check_companion(w: Tournament, *, deadline: Deadline = Deadline()) -> tuple[
 def _assemble(
     base: MarkedGadget, w: Tournament, w_ordering: tuple[int, ...]
 ) -> MarkedGadget:
-    """Lift ``base`` over the checked companion and re-index its marks."""
+    """Lift ``base`` over the checked companion ``w`` and re-index its marks; each
+    certified ordering gains ``w_ordering`` and the fresh vertex, keeping its arcs' directions."""
     lifted = lift(base.tournament, w)
     inner_off = lifted.inner_span[0]
     outer_off = lifted.outer_span[0]
@@ -251,14 +252,3 @@ def _assemble(
         certs.append(CertifiedOrdering(cert.name, extended))
     return MarkedGadget(lifted.digraph, marked, tuple(certs))
 
-
-def assemble_var_gadget(w: Tournament) -> MarkedGadget:
-    """Lift the variable base over companion ``w``: a fresh vertex beats the
-    base, the base beats ``w``, ``w`` beats the fresh vertex.  Marked arcs are
-    re-indexed and every certified ordering is extended by ``w``'s ordering
-    and the fresh vertex, which keeps the base's marked-arc directions."""
-    return _assemble(var_base(), w, check_companion(w))
-
-
-def assemble_clause_gadget(w: Tournament) -> MarkedGadget:
-    return _assemble(clause_base(), w, check_companion(w))

@@ -96,10 +96,6 @@ def _tournament_from_lines(lines: Iterable[str], deadline: Deadline = Deadline()
     return Tournament(n, tuple(rows))
 
 
-def tournament_from_text(text: str) -> Tournament:
-    return _tournament_from_lines(text.splitlines())
-
-
 def tournament_to_json_dict(t: Tournament, deadline: Deadline = Deadline()) -> dict:
     return {
         "n": t.n,

@@ -449,13 +449,3 @@ def check_rules(
     excluded = all(cell.witness is not None for cell in cells)
     return RuleReport(value, first_vertex, tuple(cells), excluded)
 
-
-def excluded_from_family(
-    t: Tournament,
-    first_vertex: Optional[int] = None,
-    *,
-    deadline: Deadline = Deadline(),
-) -> bool:
-    """True when every cell is violated, hence the tournament embeds in no
-    member of the recursive family."""
-    return check_rules(t, first_vertex, deadline=deadline).excluded

@@ -14,7 +14,6 @@ from backedge.core import (
     backedge_graph,
     clique_number,
     contains_subtournament,
-    directed_cycle,
     directed_triangle,
     has_clique,
     has_clique_in_mask,
@@ -30,6 +29,7 @@ from backedge.core import (
 from backedge.gadgets import r5, var_base
 from backedge.generation import canonical_tournaments
 
+from helpers import directed_cycle
 from labeled import labeled_count, labeled_tournament
 
 

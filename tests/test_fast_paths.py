@@ -18,10 +18,11 @@ from backedge.io import (
     load_tournament,
     save_tournament,
     tournament_from_json_dict,
-    tournament_from_text,
     tournament_to_json_dict,
     tournament_to_text,
 )
+
+from helpers import tournament_from_text
 
 B = _TRANSPOSE_BLOCK
 # empty, one vertex, both sides of the one-word path (n <= 8), just below, at

@@ -18,9 +18,9 @@ from backedge.gadgets import (
     CertifiedOrdering,
     GadgetPropertyError,
     MarkedGadget,
+    _assemble,
     _scan_gadget,
-    assemble_clause_gadget,
-    assemble_var_gadget,
+    check_companion,
     clause_base,
     r5,
     var_base,
@@ -147,7 +147,7 @@ def test_scan_rejects_a_value_other_than_two(surrogate):
 
 
 def test_assemble_var_gadget(surrogate):
-    gadget = assemble_var_gadget(surrogate)
+    gadget = _assemble(var_base(), surrogate, check_companion(surrogate))
     assert gadget.tournament.n == 10 + surrogate.n
     assert contains_subtournament(gadget.tournament, surrogate) is not None
     base = var_base()
@@ -159,7 +159,7 @@ def test_assemble_var_gadget(surrogate):
 
 
 def test_assemble_clause_gadget(surrogate):
-    gadget = assemble_clause_gadget(surrogate)
+    gadget = _assemble(clause_base(), surrogate, check_companion(surrogate))
     assert gadget.tournament.n == 9 + surrogate.n
     for cert in gadget.certified_orderings:
         g = backedge_graph(gadget.tournament, cert.ordering)
@@ -177,7 +177,7 @@ def test_every_surrogate_ordering_achieves_three(surrogate):
 
 def test_assemble_rejects_wrong_companion():
     with pytest.raises(ValueError):
-        assemble_var_gadget(c3())
+        _assemble(var_base(), c3(), check_companion(c3()))
 
 
 def test_gadget_property_error_type():

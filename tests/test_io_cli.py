@@ -26,7 +26,6 @@ from backedge.io import (
     parse_assignment,
     save_tournament,
     tournament_from_json_dict,
-    tournament_from_text,
     tournament_to_json_dict,
     write_json,
 )
@@ -34,6 +33,7 @@ from backedge.reduction import build, instance_from_dict, parse_dimacs
 from backedge.subword import PassInstance, to_pass
 
 from cli_schemas import ENVELOPE_SCHEMA, RESULT_SCHEMAS
+from helpers import tournament_from_text
 from labeled import labeled_count, labeled_tournament
 
 
@@ -268,6 +268,17 @@ def test_cli_forcing_rejects_missing_vertex(capsys, r5_file, u, v):
     assert code == 2 and "out of range" in envelope["result"]["error"]
 
 
+@pytest.mark.parametrize("argv, error", [
+    (["omega-decide", "--k", "0"], "clique bound must be positive"),
+    (["forcing", "--u", "0", "--v", "1", "--k", "0"], "clique bound must be positive"),
+    (["chi-decide", "--k", "0"], "class count must be positive"),
+    (["orderings", "--first", "9"], "first vertex 9 out of range"),
+])
+def test_cli_rejects_numeric_arguments_out_of_range(capsys, r5_file, argv, error):
+    code, envelope = _run(capsys, *argv, r5_file)
+    assert code == 2 and envelope["result"]["error"] == error
+
+
 def test_cli_search_min_omega(capsys):
     code, envelope = _run(capsys, "search-min-omega", "--k", "2", "--nmax", "3")
     assert code == 0
@@ -275,6 +286,8 @@ def test_cli_search_min_omega(capsys):
     assert envelope["result"]["n"] == 3
     code, envelope = _run(capsys, "search-min-omega", "--k", "4", "--nmax", "4")
     assert code == 1 and envelope["result"] == {"found": False}
+    code, envelope = _run(capsys, "search-min-omega", "--k", "0", "--nmax", "3")
+    assert code == 2 and envelope["result"]["error"] == "k and n_max must be positive"
 
 
 def test_cli_construct_and_layout(capsys, tmp_path):
@@ -303,6 +316,12 @@ def test_cli_construct_and_layout(capsys, tmp_path):
         assert code == 0 and envelope["result"]["sizing"]["materializable"] is (code_wanted == 0)
         code, envelope = _run(capsys, *argv)
         assert code == code_wanted
+    code, envelope = _run(capsys, "construct", "pi", "3", "--vertex-budget", "10")
+    assert code == 3 and envelope["result"]["sizing"]["total_vertices"] == 63
+    # tt and c3 are built by CONSTRUCT_FIXED
+    for argv, rows in ((["tt", "3"], ["011", "001", "000"]), (["c3"], ["010", "001", "100"])):
+        code, envelope = _run(capsys, "construct", *argv)
+        assert code == 0 and envelope["result"]["tournament"]["rows"] == rows
 
 
 def test_cli_construct_missing_args(capsys):
@@ -497,6 +516,13 @@ def test_cli_gadget(capsys):
     assert envelope["result"]["rendered"]["marked_arcs"]["uv"] == "7->9"
     code, envelope = _run(capsys, "gadget", "verify", "clause")
     assert code == 0 and envelope["result"]["minimum_orderings"] == 33
+    code, envelope = _run(capsys, "gadget", "verify", "var", "--render", "paper")
+    assert code == 0 and envelope["result"]["rendered"] == [
+        "uv-forward: 1<2<3<4<5<6<7<8<9", "wx-forward: 6<8<2<9<1<3<4<5<7",
+    ]
+    code, envelope = _run(capsys, "gadget", "verify", "r5")
+    assert code == 2
+    assert envelope["result"]["error"] == "verify supports the var and clause gadgets"
 
 
 def test_cli_reduction_pipeline(capsys, tmp_path):
@@ -540,21 +566,52 @@ def test_cli_reduction_pipeline(capsys, tmp_path):
     )
     assert code == 0 and envelope["result"]["assignment"] == [1, 0, 1]
 
+    for direction, extra, error in (
+        ("to-ordering", [], "witness to-ordering needs --assign"),
+        ("to-assignment", [], "witness to-assignment needs --ordering"),
+        ("to-ordering", ["--assign", "1"], "assignment length mismatch"),
+    ):
+        code, envelope = _run(capsys, "witness", direction, "--trn", str(inst_trn),
+                              "--landmarks", str(inst_json), *extra)
+        assert code == 2 and envelope["result"]["error"] == error
+
+    # a landmark formula is checked as it is read, before the rebuild
+    short, wide = json.loads(inst_json.read_text()), json.loads(inst_json.read_text())
+    del short["formula"]["clauses"][0][2]
+    wide["formula"]["clauses"][0][0][0] = 7
+    for data, error in ((short, "clause 1 has 2 literals, need 3"),
+                        (wide, "clause 1 references variable 8")):
+        bad_json = tmp_path / "bad.json"
+        bad_json.write_text(json.dumps(data))
+        code, envelope = _run(capsys, "witness", "to-ordering", "--trn", str(inst_trn),
+                              "--landmarks", str(bad_json), "--assign", "1,0,1")
+        assert code == 2 and envelope["result"]["error"] == error
+
     bad_cnf = tmp_path / "bad.cnf"
-    bad_cnf.write_text("p cnf 4 1\n1 2 3 4 0\n")
-    code, envelope = _run(
-        capsys, "reduce", "--cnf", str(bad_cnf), "--gadget", str(gadget_file)
-    )
-    assert code == 2
+    for text, error in (
+        ("p cnf 4 1\n1 2 3 4 0\n", "line 2: clause of width 4, need 3"),
+        ("p cnf 3 2\n1 2 3 0\n-1 -2 3\n", "unterminated clause at end of input"),
+    ):
+        bad_cnf.write_text(text)
+        code, envelope = _run(
+            capsys, "reduce", "--cnf", str(bad_cnf), "--gadget", str(gadget_file)
+        )
+        assert code == 2 and envelope["result"]["error"] == error
 
 
-def test_cli_check_rules(capsys, r5_file):
+def test_cli_check_rules(capsys, tmp_path, r5_file):
     code, envelope = _run(capsys, "check-rules", r5_file, "--first-vertex", "0",
                           "--render", "paper")
     assert code == 0
     jsonschema.validate(envelope["result"], RESULT_SCHEMAS["check-rules"])
     assert envelope["result"]["excluded"] is True
     assert len(envelope["result"]["rendered"]) == 45
+    # r5 violates every cell; c3 renders the cells where all rules hold
+    c3_file = tmp_path / "c3.trn"
+    save_tournament(c3(), c3_file)
+    code, envelope = _run(capsys, "check-rules", str(c3_file), "--render", "paper")
+    assert code == 0 and envelope["result"]["excluded"] is False
+    assert envelope["result"]["rendered"][:2] == ["1<2<3  x=1  rule 1", "1<2<3  x=2  all rules hold"]
 
 
 def test_cli_check_rules_refuses_a_first_vertex_no_automorphism_moves(capsys, tmp_path):

@@ -6,7 +6,7 @@ import pytest
 
 from backedge.constructions import MaterializationRefused, arrow, c3, tt
 from backedge.core import backedge_graph, clique_number, triangle_in_graph
-from backedge.gadgets import assemble_clause_gadget, assemble_var_gadget
+from backedge.gadgets import _assemble, check_companion, clause_base, var_base
 from backedge.solvers import omega
 from backedge.reduction import (
     CnfFormula,
@@ -236,8 +236,8 @@ def test_verify_ordering_report_matches_separate_searches(instance):
 def test_unreversed_chain_certified_ordering_is_k4_free(instance, surrogate):
     # the bare chain (no literal reversals) under concatenated certified
     # orderings: no cross-block backedges at all
-    var_gadget = assemble_var_gadget(surrogate)
-    clause_gadget = assemble_clause_gadget(surrogate)
+    var_gadget = _assemble(var_base(), surrogate, check_companion(surrogate))
+    clause_gadget = _assemble(clause_base(), surrogate, check_companion(surrogate))
     chain = var_gadget.tournament
     ordering = list(var_gadget.certified("uv-forward").ordering)
     for part in (surrogate, clause_gadget.tournament):
@@ -349,7 +349,7 @@ def test_instance_from_dict_rejects_edited_or_foreign_landmarks(instance, surrog
 
 def test_lifted_var_gadget_orders_both_marked_arcs_forward(surrogate):
     """Expected to flip once the lift keeps the variable base's coupling."""
-    gadget = assemble_var_gadget(surrogate)
+    gadget = _assemble(var_base(), surrogate, check_companion(surrogate))
     ordering = (1, 2, 6, 4, 14, 11, 16, 7, 8, 3, 0, 5, 9, 12, 10, 15, 13)
     assert clique_number(backedge_graph(gadget.tournament, ordering)) == 3
     pos = {v: i for i, v in enumerate(ordering)}
@@ -360,7 +360,7 @@ def test_lifted_var_gadget_orders_both_marked_arcs_forward(surrogate):
 
 def test_lifted_clause_gadget_orders_all_marked_arcs_forward(surrogate):
     """Expected to flip once the lift keeps the clause base's coupling."""
-    gadget = assemble_clause_gadget(surrogate)
+    gadget = _assemble(clause_base(), surrogate, check_companion(surrogate))
     ordering = (5, 6, 8, 11, 10, 1, 2, 3, 12, 14, 13, 9, 0, 4, 7, 15)
     assert clique_number(backedge_graph(gadget.tournament, ordering)) == 3
     pos = {v: i for i, v in enumerate(ordering)}

@@ -15,7 +15,6 @@ from backedge.io import (
     ordering_from_text,
     save_tournament,
     tournament_from_json_dict,
-    tournament_from_text,
     tournament_to_json_dict,
     tournament_to_text,
     write_json,
@@ -23,6 +22,7 @@ from backedge.io import (
 from backedge.reduction import CnfFormula, build, instance_from_dict
 from backedge.subword import PassInstance, to_pass
 
+from helpers import tournament_from_text
 from labeled import labeled_count, labeled_tournament
 
 

@@ -25,7 +25,6 @@ from backedge.rulecheck import (
     _Cells,
     check_cell,
     check_rules,
-    excluded_from_family,
     validate_rule_witness,
 )
 from backedge.solvers import (
@@ -309,7 +308,7 @@ def test_c3_not_excluded():
         if cell.ordering[-1] == cell.pivot:
             assert cell.all_rules_hold
     assert any(cell.all_rules_hold for cell in report.cells)
-    assert not excluded_from_family(c3())
+    assert not check_rules(c3()).excluded
 
 
 def test_non_strong_rejected():
@@ -450,7 +449,7 @@ def test_check_cell_proves_minimality_with_one_refutation(circulant5, monkeypatc
 def test_r5_exclusion_consistent_with_embedding_search(circulant5, d2):
     from backedge.core import contains_subtournament
 
-    assert excluded_from_family(circulant5, first_vertex=0)
+    assert check_rules(circulant5, first_vertex=0).excluded
     assert contains_subtournament(d2.tournament, circulant5) is None
 
 

@@ -112,6 +112,31 @@ def test_solver_determinism():
     assert outcomes[0] == outcomes[1] == outcomes[2]
 
 
+def test_activity_rescale_keeps_the_search():
+    # var_inc grows by 1/0.95 per conflict, so from 1.0 the rescale past 1e100
+    # needs thousands of conflicts; from 1e99 a few bumps reach it.  Scaling
+    # every activity by one factor changes no decision: same model, same
+    # number of conflicts, rescaled or not.
+    rng = random.Random(5)
+    rescaled = 0
+    for _ in range(200):
+        n_vars = rng.randint(8, 22)
+        clauses = [
+            [lit(v, rng.random() < 0.5) for v in rng.sample(range(n_vars), 3)]
+            for _ in range(int(4.3 * n_vars))
+        ]
+        runs = []
+        for var_inc in (1.0, 1e99):
+            solver = Solver(n_vars)
+            solver.var_inc = var_inc
+            solver.add_clauses(clauses)
+            runs.append((solver.solve(), solver.conflicts, solver.var_inc))
+        (model, conflicts, inc), (big_model, big_conflicts, big_inc) = runs
+        assert (big_model, big_conflicts) == (model, conflicts)
+        rescaled += big_inc < 1e99 * inc / 2
+    assert rescaled > 0
+
+
 def test_unit_and_empty_clause_handling():
     solver = Solver(2)
     solver.add_clause([lit(0, True)])

@@ -15,7 +15,6 @@ from backedge.core import (
     _bits,
     backedge_graph,
     clique_number,
-    directed_cycle,
     induced,
     is_acyclic,
     is_transitive,
@@ -37,6 +36,7 @@ from backedge.solvers import (
     omega_decide,
 )
 
+from helpers import directed_cycle
 from labeled import labeled_count, labeled_tournament
 
 R5_FIRST_FIXED = [
