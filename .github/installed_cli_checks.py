@@ -75,6 +75,9 @@ with resources.as_file(resources.files("backedge") / "data" / "var9.trn") as var
     # var9 is not vertex-transitive, so every first vertex is refused
     run("check-rules", var9, "--first-vertex", "4", code=2,
         error=lambda e: "automorphism" in e)
+# r5() is read from the installed r5.trn, as var_base() and clause_base() are
+# from var9.trn and clause8.trn
+run("gadget", "show", "r5", tournament={"n": 5, "rows": ["01100", "00110", "00011", "10001", "11000"]})
 # the exhaustive gadget checks, which also prove the certified orderings minimum
 run("gadget", "verify", "var", property_holds=True, omega=2, minimum_orderings=39)
 run("gadget", "verify", "clause", property_holds=True, omega=2, minimum_orderings=33)

@@ -43,15 +43,18 @@ def _bits(mask: int) -> Iterator[int]:
 _TRANSPOSE_BLOCK = 256
 
 
-def _transpose(rows: Sequence[int], n: int) -> tuple[int, ...]:
+def _transpose(rows: Sequence[int], n: int, deadline: Deadline = Deadline()) -> tuple[int, ...]:
     """Column masks of the n x n bit matrix ``rows``: bit u of column v is bit
     v of ``rows[u]``.  A block of rows is written as one string of binary
     digits, last row first and each row highest bit first, so the column of
     bit v is the strided slice at offset n - 1 - v, which ``int(..., 2)``
-    reads back in one C-level step."""
+    reads back in one C-level step.  ``deadline`` is polled before each
+    block but the first, so a matrix of one block is never polled."""
     fmt = f"0{n}b"
     cols: list[int] = []
     for start in range(0, n, _TRANSPOSE_BLOCK):
+        if start:
+            deadline.check()
         text = "".join([format(row, fmt) for row in reversed(rows[start:start + _TRANSPOSE_BLOCK])])
         block = [int(text[i::n], 2) << start for i in range(n - 1, -1, -1)]
         cols = [col | part for col, part in zip(cols, block)] if start else block

@@ -9,7 +9,8 @@ circulant is the counterexample tournament of the rule-check module.
 A marked arc's direction is read from its ends' positions in an ordering.
 The verifier checks the coupling on every minimum ordering, the value 2,
 and that the certified orderings, which witness the patterns each gadget
-must realize, are minimum.  Matrices are constants; vertex ids are 0-based.
+must realize, are minimum.  The matrices are read from the package's .trn
+files (var9, clause8, r5) once per process; vertex ids are 0-based.
 """
 
 from __future__ import annotations
@@ -17,46 +18,18 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from functools import lru_cache
+from importlib import resources
 
 from .core import Deadline, Tournament, check_ordering
-from .io import _parse_row
+from .io import read_tournament
 from .solvers import SearchStats, iter_orderings_with_clique_at_most, omega
 from .constructions import lift
 
-VAR_BASE_MATRIX = (
-    "011111000",
-    "001100101",
-    "000111100",
-    "000010111",
-    "010001110",
-    "010100110",
-    "100000011",
-    "111000001",
-    "101011000",
-)
 
-CLAUSE_BASE_MATRIX = (
-    "01111000",
-    "00110110",
-    "00011010",
-    "00001110",
-    "01000101",
-    "10100011",
-    "10001001",
-    "11110000",
-)
-
-R5_MATRIX = (
-    "01100",
-    "00110",
-    "00011",
-    "10001",
-    "11000",
-)
-
-
-def _from_rows(matrix: tuple[str, ...]) -> Tournament:
-    return Tournament(len(matrix), tuple(map(_parse_row, matrix)))
+def _packaged(name: str) -> Tournament:
+    """The tournament of the packaged data file ``name``."""
+    with (resources.files(__package__) / "data" / name).open("rb") as handle:
+        return read_tournament(handle, name)
 
 
 class GadgetPropertyError(AssertionError):
@@ -127,7 +100,7 @@ class GadgetVerification:
 @lru_cache(maxsize=None)
 def var_base() -> MarkedGadget:
     """9-vertex gadget: exactly one of uv, wx is forward in minimum orderings."""
-    t = _from_rows(VAR_BASE_MATRIX)
+    t = _packaged("var9.trn")
     return MarkedGadget(
         t,
         (("uv", (6, 8)), ("wx", (7, 2))),
@@ -142,7 +115,7 @@ def var_base() -> MarkedGadget:
 def clause_base() -> MarkedGadget:
     """8-vertex gadget: at least one of uv, wx, yz is backward; each ordering
     below leaves exactly one of them backward."""
-    t = _from_rows(CLAUSE_BASE_MATRIX)
+    t = _packaged("clause8.trn")
     return MarkedGadget(
         t,
         (("uv", (4, 5)), ("wx", (1, 3)), ("yz", (7, 2))),
@@ -157,7 +130,7 @@ def clause_base() -> MarkedGadget:
 @lru_cache(maxsize=None)
 def r5() -> Tournament:
     """The 5-vertex circulant: arcs i -> i+1 and i -> i+2 (mod 5)."""
-    return _from_rows(R5_MATRIX)
+    return _packaged("r5.trn")
 
 
 def _scan_gadget(

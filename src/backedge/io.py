@@ -8,7 +8,7 @@ import json
 import os
 from typing import BinaryIO, Iterable, Iterator, Optional, Union
 
-from .core import Deadline, Tournament, _quote
+from .core import Deadline, Tournament, _quote, _transpose
 
 # rows formatted or parsed between two polls of the deadline while a
 # tournament is saved or loaded
@@ -52,11 +52,11 @@ def _digits(token: str) -> bool:
 
 def _tournament_from_lines(lines: Iterable[str], deadline: Deadline = Deadline()) -> Tournament:
     """A tournament from .trn lines without their line breaks, parsed as they
-    come and polling ``deadline`` after each block of rows.  Blank lines are
-    skipped, but errors give the line's number in the file.  Every line is
-    taken before an error is raised, so that a streamed file's decode error
-    comes first; then the header's error, the row count's, and the first bad
-    row's."""
+    come and polling ``deadline`` after each block of rows and again while
+    their columns are built.  Blank lines are skipped, but errors give the
+    line's number in the file.  Every line is taken before an error is
+    raised, so that a streamed file's decode error comes first; then the
+    header's error, the row count's, and the first bad row's."""
     numbered = ((i, line) for i, line in enumerate(lines, start=1) if line.strip())
     first, head = next(numbered, (1, None))
     if head is None:
@@ -93,7 +93,7 @@ def _tournament_from_lines(lines: Iterable[str], deadline: Deadline = Deadline()
         raise ValueError(f"expected {n} matrix rows, found {count}")
     if error:
         raise ValueError(error)
-    return Tournament(n, tuple(rows))
+    return Tournament._with_cols(n, tuple(rows), _transpose(rows, n, deadline))
 
 
 def tournament_to_json_dict(t: Tournament, deadline: Deadline = Deadline()) -> dict:

@@ -34,16 +34,18 @@ from search_tree import expanded_count
 from test_ordering_search import random_tournament
 
 
-class FirstPoll(Deadline):
-    """A deadline that counts its polls and expires at the first one."""
+class ExpireAtPoll(Deadline):
+    """A deadline that counts its polls and expires at poll number ``at``."""
 
-    def __init__(self):
+    def __init__(self, at=1):
         super().__init__()
+        self.at = at
         self.polls = 0
 
     def check(self):
         self.polls += 1
-        raise BudgetExhausted(f"poll {self.polls}")
+        if self.polls == self.at:
+            raise BudgetExhausted(f"poll {self.polls}")
 
 
 def _tournament13():
@@ -60,7 +62,8 @@ def _entry_points(surrogate, folder):
     # stops it, the search runs until it refutes the instance
     pass13 = to_pass(_tournament13())
     r5_minimum = next(enumerate_omega_orderings(r5()))
-    # 300 rows: the load polls once, after the first 256
+    # 300 rows: the load polls after the first 256, and again before the
+    # second block of 256 columns
     trn = folder / "tt300.trn"
     save_tournament(tt(300), trn)
     return {
@@ -97,11 +100,19 @@ ENTRY_POINTS = [
 @pytest.mark.parametrize("name", ENTRY_POINTS)
 def test_entry_point_passes_its_deadline_to_a_poll(name, surrogate, tmp_path):
     call = _entry_points(surrogate, tmp_path)[name]
-    deadline = FirstPoll()
+    deadline = ExpireAtPoll()
     with pytest.raises(BudgetExhausted, match="poll 1"):
         call(deadline=deadline)
     assert deadline.polls == 1
     call()  # no deadline given: no limit
+
+
+def test_a_load_polls_while_it_builds_the_columns(surrogate, tmp_path):
+    call = _entry_points(surrogate, tmp_path)["load_tournament"]
+    deadline = ExpireAtPoll(2)
+    with pytest.raises(BudgetExhausted, match="poll 2"):
+        call(deadline=deadline)
+    assert deadline.polls == 2
 
 
 def test_deadline_resolves_from_the_package_and_the_solvers():
@@ -142,7 +153,7 @@ def test_a_replaying_enumeration_polls_per_block_of_expanded_prefixes():
     rng = random.Random(29)
     t = chain([labeled_tournament(15, rng.randrange(labeled_count(15))), c3()])
     with pytest.raises(BudgetExhausted, match="poll 1"):
-        next(iter_orderings_with_clique_at_most(t, 2, deadline=FirstPoll()))
+        next(iter_orderings_with_clique_at_most(t, 2, deadline=ExpireAtPoll()))
     polls, count, nodes = _polls_and_nodes(t, 2)
     expanded = expanded_count(t, 2)
     assert (count, nodes, expanded) == (29_712, 164_879, 24_433)

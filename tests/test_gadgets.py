@@ -12,9 +12,6 @@ from backedge.core import (
 )
 from backedge.constructions import c3
 from backedge.gadgets import (
-    CLAUSE_BASE_MATRIX,
-    R5_MATRIX,
-    VAR_BASE_MATRIX,
     CertifiedOrdering,
     GadgetPropertyError,
     MarkedGadget,
@@ -27,6 +24,7 @@ from backedge.gadgets import (
     verify_clause_base,
     verify_var_base,
 )
+from backedge.io import tournament_to_json_dict
 from backedge.solvers import omega
 
 # regression: exhaustive enumeration counts of minimum orderings
@@ -38,6 +36,12 @@ MATRIX_SHA256 = {
     "clause": "14f5704b620925d45d154a55fef0785da10fc673eb1485c19b3226943182cab8",
     "r5": "f4740e3553504117d25acd8757dd8544219fe917d44c229a40b6b141c05bada9",
 }
+
+
+# each gadget's rows as loaded from its packaged .trn file
+VAR_BASE_MATRIX = tournament_to_json_dict(var_base().tournament)["rows"]
+CLAUSE_BASE_MATRIX = tournament_to_json_dict(clause_base().tournament)["rows"]
+R5_MATRIX = tournament_to_json_dict(r5())["rows"]
 
 
 def _digest(matrix):
