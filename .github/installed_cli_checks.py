@@ -109,6 +109,8 @@ run("chi-decide", "--k", "3", "d2.trn", nodes=0, decision=True, classes=d2_class
 # a .trn file is read row by row under the budget: a 64 MB one is not read to its end
 run("construct", "tt", "8000", "--out", "big.trn", n=8000)
 run("--budget", "0.05", "omega", "big.trn", code=3, inputs=[], elapsed_ms=lambda ms: ms < 550)
+# a numeric base is transitive: choosing its route is one depth-first search
+run("--budget", "0", "construct", "amplifier", "3000", "--sizing-only", code=3, elapsed_ms=lambda ms: ms < 550)
 # generation is polled per parent and per candidate, so a budget stops it
 run("--budget", "0.2", "search-min-omega", "--k", "4", "--nmax", "8", code=3)
 # W7, the smallest tournament of value 3: each of its rule-table cells breaks a

@@ -13,7 +13,6 @@ from .core import (
     induced,
     is_forest,
     is_strong,
-    is_transitive,
     reverse,
 )
 from .solvers import (

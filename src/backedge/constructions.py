@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Callable, Iterable, Optional, Union
 
-from .core import Deadline, Digraph, Tournament, _bits, is_transitive
+from .core import Deadline, Digraph, Tournament, _bits, is_acyclic
 from .solvers import omega
 
 DEFAULT_VERTEX_BUDGET = 100_000
@@ -233,7 +233,7 @@ def amplifier_route(
     on the short route ``t -> t`` of a nonempty transitive base, else the
     copy construction of `amplifier_sizing`, which refuses an empty base."""
     n = t.n
-    if not (n and is_transitive(t)):
+    if not (n and is_acyclic(t)):
         return amplifier_sizing(n, vertex_budget=vertex_budget)
     return SizingReport("amplifier", (("n", n), ("copies", 2)), 2 * n, vertex_budget)
 

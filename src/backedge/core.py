@@ -302,11 +302,6 @@ def directed_triangle(d: Digraph, within: Optional[int] = None) -> Optional[tupl
     return None
 
 
-def is_transitive(t: Tournament) -> bool:
-    """True iff the tournament has no directed cycle (no directed triangle)."""
-    return directed_triangle(t) is None
-
-
 def _back_arc(rows: Sequence[int], mask: int) -> Optional[tuple[list[int], int]]:
     """The first arc that closes a directed cycle inside ``mask`` in a
     depth-first search that starts from, and steps to, the lowest vertices

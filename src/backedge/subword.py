@@ -88,13 +88,14 @@ def to_pass(t: Tournament, deadline: Deadline = Deadline()) -> PassInstance:
 
 def _tables(
     instance: PassInstance, deadline: Deadline = Deadline()
-) -> tuple[list[int], list[int], list[int], list[dict]]:
-    """`solvers._prefix_search`'s kill rule, per symbol s: ``kills[s]``, the b
-    of the words (s, b); ``pairs[s][c]``, the a of the words (a, s, c);
-    ``threats[s]`` and ``backs[s]``, all those c and all those a, as masks.
-    ``deadline`` is polled once per `_WORD_BLOCK` words."""
+) -> tuple[bool, list[int], list[int], list[int], list[dict]]:
+    """Whether a one-letter word is forbidden, then `solvers._prefix_search`'s
+    kill rule, per symbol s: ``kills[s]``, the b of the words (s, b);
+    ``pairs[s][c]``, the a of the words (a, s, c); ``threats[s]`` and
+    ``backs[s]``, all those c and all those a, as masks.  ``deadline`` is
+    polled once per `_WORD_BLOCK` words."""
     n, words = instance.alphabet_size, instance.forbidden
-    kills, threats, backs = [0] * n, [0] * n, [0] * n
+    single, kills, threats, backs = False, [0] * n, [0] * n, [0] * n
     pairs: list[dict[int, int]] = [{} for _ in range(n)]
     for start in range(0, len(words), _WORD_BLOCK):
         deadline.check()
@@ -106,7 +107,9 @@ def _tables(
                 pairs[s][c] = pairs[s].get(c, 0) | 1 << a
                 threats[s] |= 1 << c
                 backs[s] |= 1 << a
-    return kills, threats, backs, pairs
+            else:  # `PassInstance` admits lengths 1 to 3 only
+                single = True
+    return single, kills, threats, backs, pairs
 
 
 def is_tournament_closed(instance: PassInstance, deadline: Deadline = Deadline()) -> bool:
@@ -114,7 +117,7 @@ def is_tournament_closed(instance: PassInstance, deadline: Deadline = Deadline()
     symbol, the crossed words abe and dbc must also be forbidden.  Reported,
     never enforced.  That holds exactly when, for each middle symbol, every
     last symbol maps to the same mask of first symbols."""
-    return all(len(set(table.values())) <= 1 for table in _tables(instance, deadline)[3])
+    return all(len(set(table.values())) <= 1 for table in _tables(instance, deadline)[4])
 
 
 def solve_pass(
@@ -127,10 +130,11 @@ def solve_pass(
     memo, replay and deadline polls included: placing s kills the prefix
     when a word (s, b), or a word (a, s, c) with a placed, has its last
     symbol unplaced.  A word that repeats a symbol never embeds in a
-    permutation and never meets either test.  Building the tables polls
-    ``deadline`` too."""
-    if any(len(word) == 1 for word in instance.forbidden):
+    permutation and never meets either test; a one-letter word embeds in
+    every one, so the table pass that reports it settles the answer.
+    Building the tables polls ``deadline`` too."""
+    single, *tables = _tables(instance, deadline)
+    if single:
         return None
-    tables = _tables(instance, deadline)
     search = _prefix_search(instance.alphabet_size, 2, *tables, deadline=deadline)
     return next(search, None)

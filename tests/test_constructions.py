@@ -5,6 +5,7 @@ import time
 import pytest
 
 from backedge.constructions import (
+    DEFAULT_VERTEX_BUDGET,
     BuiltTournament,
     MaterializationRefused,
     SizingReport,
@@ -40,6 +41,8 @@ from labeled import labeled_count, labeled_tournament
 
 def test_tt_and_c3():
     assert tt(0).n == 0
+    with pytest.raises(ValueError, match="non-negative"):
+        tt(-1)
     assert tt(4).has_arc(0, 3) and not tt(4).has_arc(3, 0)
     assert directed_triangle(c3()) is not None
     assert delta(tt(1), tt(1), tt(1)).n == 3
@@ -284,6 +287,21 @@ def test_amplifier_route_sizes_what_amplifier_builds(monkeypatch):
         amplifier(tt(3), vertex_budget=5)
     assert refused.value.report == amplifier_route(tt(3), vertex_budget=5)
     assert not refused.value.report.materializable
+
+
+def test_amplifier_route_is_short_exactly_on_triangle_free_bases():
+    # the route asks for a directed cycle; on a tournament that is the same
+    # question as the independent triangle scan
+    bases = [tt(n) for n in range(1, 9)]
+    bases += [labeled_tournament(n, i) for n in range(1, 6) for i in range(labeled_count(n))]
+    for t in bases:
+        short = SizingReport(
+            "amplifier", (("n", t.n), ("copies", 2)), 2 * t.n, DEFAULT_VERTEX_BUDGET
+        )
+        want = short if directed_triangle(t) is None else amplifier_sizing(t.n)
+        assert amplifier_route(t) == want, t
+    with pytest.raises(ValueError, match="base size must be positive"):
+        amplifier_route(tt(0))
 
 
 def test_pi_c3_wiring(d2):

@@ -21,7 +21,6 @@ from backedge.core import (
     is_acyclic,
     is_forest,
     is_strong,
-    is_transitive,
     ordering_clique_number,
     reverse,
     triangle_in_graph,
@@ -65,6 +64,20 @@ def test_tournament_validation():
         Tournament(1, (1,))  # self-arc
     with pytest.raises(ValueError):
         Digraph(2, (4, 0))  # out of range
+    with pytest.raises(ValueError, match="non-negative"):
+        Digraph(-1, ())
+
+
+def test_guards_on_empty_and_zero_size_inputs():
+    with pytest.raises(ValueError, match="clique size must be positive"):
+        has_clique(UndirectedGraph(1, (0,)), 0)
+    with pytest.raises(ValueError, match="empty tournament is undefined"):
+        is_strong(Tournament(0, ()))
+    with pytest.raises(ValueError, match="positive"):
+        canonical_tournaments(0)
+    empty = induced(r5(), [])
+    assert type(empty) is Tournament and empty == Tournament(0, ())
+    assert contains_subtournament(r5(), Tournament(0, ())) == ()
 
 
 def test_undirected_validation():
@@ -216,9 +229,9 @@ def test_has_clique_witness_is_clique():
 
 
 def test_is_transitive():
-    assert is_transitive(tt(4))
-    assert not is_transitive(c3())
-    assert not is_transitive(r5())
+    assert directed_triangle(tt(4)) is None
+    assert directed_triangle(c3()) is not None
+    assert directed_triangle(r5()) is not None
 
 
 def test_r5_has_directed_triangle_through_1_3_4():
@@ -459,8 +472,8 @@ def test_embedding_is_arc_preserving(data):
 @settings(max_examples=60)
 @given(small_tournaments())
 def test_transitivity_characterizations(t):
-    transitive = is_transitive(t)
-    assert transitive == (contains_subtournament(t, c3()) is None)
+    transitive = directed_triangle(t) is None
+    assert transitive == is_acyclic(t) == (contains_subtournament(t, c3()) is None)
     if transitive:
         topo = tuple(
             sorted(range(t.n), key=lambda v: t.rows[v].bit_count(), reverse=True)

@@ -187,6 +187,40 @@ def test_solve_pass_polls_as_often_as_the_ordering_search():
     assert polls == [(2, 1), (11, 10)]
 
 
+def test_solve_pass_reads_no_words_before_its_first_poll():
+    # tt(50) gives 19,600 words, more than three blocks; the one pass over
+    # them polls before each block, so an expired budget stops it unread
+    class Handed(tuple):
+        """Words that count how many of them are handed out."""
+
+        count = 0
+
+        def __iter__(self):
+            for word in super().__iter__():
+                self.count += 1
+                yield word
+
+        def __getitem__(self, key):
+            got = super().__getitem__(key)
+            self.count += len(got) if isinstance(key, slice) else 1
+            return got
+
+    words = to_pass(tt(50)).forbidden
+    assert len(words) >= 3 * _WORD_BLOCK
+    instance = PassInstance(50, Handed(words))
+    instance.forbidden.count = 0
+
+    class Expired(Deadline):
+        def check(self):
+            self.read = instance.forbidden.count
+            raise BudgetExhausted("expired")
+
+    deadline = Expired()
+    with pytest.raises(BudgetExhausted):
+        solve_pass(instance, deadline=deadline)
+    assert deadline.read <= _WORD_BLOCK
+
+
 def test_build_polls_after_every_stage(monkeypatch, surrogate):
     # the companion proof, both gadget assemblies and the final chain are each
     # followed by a poll, so a budget spent in any of them stops the build

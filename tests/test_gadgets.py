@@ -144,6 +144,13 @@ def test_scan_rejects_a_certified_ordering_that_is_not_minimum():
     assert caught.value.ordering == ordering
 
 
+def test_scan_rejects_an_ordering_that_fails_the_check():
+    base = var_base()
+    with pytest.raises(GadgetPropertyError, match="no pattern passes") as caught:
+        _scan_gadget(base, lambda flags: False, "no pattern passes", Deadline())
+    assert caught.value.ordering == omega(base.tournament).witness
+
+
 def test_scan_rejects_a_value_other_than_two(surrogate):
     with pytest.raises(GadgetPropertyError, match="is 3, not 2") as caught:
         _scan_gadget(MarkedGadget(surrogate), lambda flags: True, "unused", Deadline())

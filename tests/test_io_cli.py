@@ -79,6 +79,9 @@ def test_trn_errors():
         tournament_from_text("tournament 2\n\n01\n0x\n")
     with pytest.raises(ValueError, match=r"^line 3: bad vertex count"):
         tournament_from_text("\n  \ntournament x\n")
+    for text in ("", "\n  \n"):
+        with pytest.raises(ValueError, match=r"^line 1: empty input$"):
+            tournament_from_text(text)
 
 
 def test_json_mirror_rejects_non_binary_cells(capsys, tmp_path):
@@ -997,6 +1000,16 @@ def test_cli_budget_bounds_each_verbs_wall_time(capsys, tmp_path, surrogate):
     for name in ("var", "clause"):
         code, envelope = _run(capsys, "--budget", "0", "gadget", "verify", name)
         assert code == 3 and envelope["budget"]["exhausted"] is True, name
+
+
+def test_cli_budget_bounds_choosing_the_amplifier_route(capsys):
+    # a number names a transitive base, whose route (two copies) takes one
+    # depth-first search to choose, so a zero budget stops the run at once
+    started = time.monotonic()
+    code, envelope = _run(capsys, "--budget", "0", "construct", "amplifier", "3000", "--sizing-only")
+    elapsed = time.monotonic() - started
+    assert code == 3 and envelope["budget"]["exhausted"] is True
+    assert elapsed < BUDGET_SLACK_S, f"construct amplifier took {elapsed:.2f} s"
 
 
 def _random_cnf(rng, n_vars, n_clauses):

@@ -321,6 +321,15 @@ def test_check_cell_rejects_non_minimum_ordering(circulant5):
         check_cell(circulant5, (1, 0, 2, 3, 4), 2)
 
 
+def test_check_cell_and_validation_reject_what_names_no_cell(circulant5):
+    for x in (-1, 5):
+        with pytest.raises(ValueError, match=f"pivot {x} out of range"):
+            check_cell(circulant5, (0, 1, 2, 3, 4), x)
+    named = dict.fromkeys("abuvw", 0)
+    with pytest.raises(ValueError, match="unknown rule 5"):
+        validate_rule_witness(circulant5, (0, 1, 2, 3, 4), 2, 5, named)
+
+
 def test_returned_witnesses_revalidate(circulant5):
     report = check_rules(circulant5, first_vertex=0)
     for cell in report.cells:

@@ -152,6 +152,16 @@ def test_unit_and_empty_clause_handling():
     assert solver3.solve() is not None
 
 
+def test_solve_refutes_when_its_root_propagation_conflicts():
+    # a unit left unpropagated at decision level 0, as `solve` leaves a learnt
+    # unit after backjumping there, is propagated before any decision
+    solver = Solver(2)
+    solver.add_clauses([[lit(0, True), lit(1, True)], [lit(0, True), lit(1, False)]])
+    solver._enqueue(lit(0, False), -1)
+    assert solver.solve() is None and not solver.ok
+    assert solver.solve() is None
+
+
 # --- oracles: the per-clause loader and the propagation loop they replaced ---
 
 

@@ -15,9 +15,9 @@ from backedge.core import (
     _bits,
     backedge_graph,
     clique_number,
+    directed_triangle,
     induced,
     is_acyclic,
-    is_transitive,
     reverse,
 )
 from backedge.gadgets import clause_base, r5, var_base
@@ -111,7 +111,7 @@ def test_omega_transitive_iff_value_one():
     for _ in range(40):
         n = rng.randint(1, 6)
         t = labeled_tournament(n, rng.randrange(labeled_count(n)))
-        assert (omega(t).value == 1) == is_transitive(t)
+        assert (omega(t).value == 1) == (directed_triangle(t) is None)
 
 
 def test_omega_invariances():
@@ -677,6 +677,26 @@ def test_forcing_vacuous_at_k1():
     d = Digraph.from_arcs(5, arcs)
     res = forcing_holds(d, 0, 1, 1)
     assert res.holds and res.vacuous
+
+
+def test_results_are_true_exactly_when_they_decide_yes():
+    # without __bool__ every result would be truthy, whatever its verdict
+    arc = Digraph.from_arcs(2, [(0, 1)])
+    results = [
+        (omega_decide(r5(), 1), False), (omega_decide(r5(), 2), True),
+        (chi_decide(c3(), 1), False), (chi_decide(c3(), 2), True),
+        (forcing_holds(arc, 1, 0, 1), False), (forcing_holds(arc, 0, 1, 1), True),
+    ]
+    for res, verdict in results:
+        assert bool(res) is verdict
+        assert (res.holds if hasattr(res, "holds") else res.decision) == verdict
+
+
+def test_omega_and_chi_of_the_empty_digraph_are_undefined():
+    with pytest.raises(ValueError, match="omega of the empty tournament is undefined"):
+        omega_by_enumeration(Digraph(0, ()))
+    with pytest.raises(ValueError, match="chi of the empty digraph is undefined"):
+        chi(Digraph(0, ()))
 
 
 def test_forcing_bare_arc_not_vacuous():
